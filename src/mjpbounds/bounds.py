@@ -525,7 +525,15 @@ def evaluate_family(
     assume_fsobolev: bool = False,
     fsobolev_verdict: FSobolevVerdict | None = None,
 ) -> BoundPoint:
-    """Dispatch one (u, t) evaluation to the named bound family."""
+    """Dispatch one (u, t) evaluation to the named bound family.
+
+    Rejects a NaN threshold and a time that is NaN, infinite or negative,
+    which would otherwise come out as the trivial bound 1.
+    """
+    if math.isnan(u):
+        raise ValidationError("threshold u must not be NaN")
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be finite and nonnegative, got {t}")
     if family == "general":
         return bound_general(model, t, u, analysis)
     if family == "perturbation":

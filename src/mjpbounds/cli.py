@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -291,7 +291,6 @@ class RunConfig:
     fsobolev_c: float | None = None
     summary_out: str | None = None
     domination_sigma: float = 3.0  # CI multiplier for the domination flag
-    extra: dict = field(default_factory=dict)
 
     def validate(self):
         if not self.u_grid:

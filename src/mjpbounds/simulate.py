@@ -30,6 +30,9 @@ _MUL1 = _U64(0xBF58476D1CE4E5B9)
 _MUL2 = _U64(0x94D049BB133111EB)
 _STREAM_SALT = _U64(0xA5A5A5A5A5A5A5A5)
 _DRAW_SALT = _U64(0xD6E8FEB86659FD93)
+# the same constants as Python ints, for the scalar mixer
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA_I, _MUL1_I, _MUL2_I, _DRAW_SALT_I = map(int, (_GAMMA, _MUL1, _MUL2, _DRAW_SALT))
 
 
 def _mix64(z):
@@ -39,6 +42,14 @@ def _mix64(z):
         z = (z ^ (z >> _U64(30))) * _MUL1
         z = (z ^ (z >> _U64(27))) * _MUL2
         return z ^ (z >> _U64(31))
+
+
+def _mix64_int(z: int) -> int:
+    """``_mix64`` on one Python int, masked to 64 bits: same bits, no numpy call."""
+    z = (z + _GAMMA_I) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1_I) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2_I) & _MASK64
+    return z ^ (z >> 31)
 
 
 def stream_keys(seed: int, stream_indices) -> np.ndarray:
@@ -60,13 +71,14 @@ class CounterStream:
     """Sequential view of one substream; used by single-trajectory sampling."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.key = stream_keys(seed, np.array([stream], dtype=np.uint64))[0]
+        self.key = int(stream_keys(seed, np.array([stream], dtype=np.uint64))[0])
         self.cursor = 0
 
     def uniform(self) -> float:
-        u = counter_uniforms(self.key, np.array([self.cursor], dtype=np.uint64))[0]
+        """The next draw; bit-identical to ``counter_uniforms(key, cursor)``."""
+        z = _mix64_int(self.key ^ _mix64_int(self.cursor ^ _DRAW_SALT_I))
         self.cursor += 1
-        return float(u)
+        return ((z >> 11) + 0.5) * (2.0**-53)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The generator L acts on functions; its adjoint in L2(pi) has entries
 ``L*(x,y) = pi_y q_yx / pi_x``.  The symmetrized operator (L+L*)/2 is
 selfadjoint in L2(pi), its top eigenvalue is 0 with eigenvector the constant
 function, and every other eigenvalue is negative.  A similarity transform by
-sqrt(pi) turns pi-selfadjointness into ordinary symmetry, so a plain Jacobi
-rotation eigensolver suffices.  On top of the eigendecomposition this module
+sqrt(pi) turns pi-selfadjointness into ordinary symmetry, so LAPACK's
+symmetric eigensolver applies.  On top of the eigendecomposition this module
 builds the reduced resolvent S (the inverse on the orthogonal complement of
 constants), its real powers, and the asymptotic variance -2<Sf, f>.
 """
@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import DegenerateGapError, NotCenteredError
 from .markov import Observable, ProbDist, QMatrix
-
-JACOBI_TOL = 1e-15
-JACOBI_MAX_SWEEPS = 100
 
 
 def adjoint_generator(q: QMatrix, pi: ProbDist) -> np.ndarray:
@@ -46,51 +43,20 @@ def pi_variance(pi: ProbDist, g) -> float:
     return float(pi.weights @ (g - m) ** 2)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh_descending(a: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by LAPACK.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors in the columns.  Sweeps stop once the off-diagonal
-    Frobenius norm falls below ``tol`` times max(1, ||a||_F).
+    and the matching eigenvectors in the columns.  Only the lower triangle
+    of ``a`` is read.
     """
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    threshold = tol * max(1.0, float(np.linalg.norm(a)))
-    offdiag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # summing the off-diagonal squares directly avoids the cancellation
-        # that a difference of two large sums would suffer
-        off = float(np.sqrt(np.sum(a[offdiag_mask] ** 2)))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q_ in range(p + 1, n):
-                apq = a[p, q_]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q_, q_] - a[p, p]) / (2.0 * apq)
-                # smaller-root tangent keeps rotations well conditioned
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q_], :] = rot @ a[[p, q_], :]
-                a[:, [p, q_]] = a[:, [p, q_]] @ rot.T
-                a[p, q_] = a[q_, p] = 0.0
-                v[:, [p, q_]] = v[:, [p, q_]] @ rot.T
-    vals = a.diagonal().copy()
-    order = np.argsort(-vals)
-    return vals[order], v[:, order]
+    vals, vecs = np.linalg.eigh(a)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def top_eigenvalue(a: np.ndarray) -> float:
-    vals, _ = jacobi_eigh(a)
-    return float(vals[0])
+    """Largest eigenvalue of a symmetric matrix, without eigenvectors."""
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 @dataclass(frozen=True)
@@ -123,8 +89,9 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     The similarity transform B = D^{1/2} sym D^{-1/2} (D = diag(pi)) is
     ordinarily symmetric with unit eigenvector sqrt(pi) for eigenvalue 0.
     That vector is deflated by a Householder reflection before running the
-    Jacobi solver on the trailing block, so the kernel direction is exact and
-    downstream formulas can divide by the remaining eigenvalues safely.
+    symmetric eigensolver on the trailing block, so the kernel direction is
+    exact and downstream formulas can divide by the remaining eigenvalues
+    safely.
     """
     n = q.n
     w = pi.weights
@@ -138,7 +105,7 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     # exact deflation: eigenvalue 0 with eigenvector sqrt(pi) is known
     reduced[0, :] = 0.0
     reduced[:, 0] = 0.0
-    tail_vals, tail_vecs = jacobi_eigh(reduced[1:, 1:])
+    tail_vals, tail_vecs = eigh_descending(reduced[1:, 1:])
 
     if n >= 2 and tail_vals[0] >= -1e-12:
         raise DegenerateGapError(float(tail_vals[0]))

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .markov import Observable, ProbDist, QMatrix, _expm
-from .spectral import SpectralData, jacobi_eigh, top_eigenvalue
+from .spectral import SpectralData, top_eigenvalue
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_CAP_FACTOR = 1e6
@@ -92,8 +92,7 @@ def feynman_kac_norm(
     m = _expm(t * (q.rates + r * np.diag(f.values)))
     sqrt_pi = np.sqrt(pi.weights)
     a = (m * sqrt_pi[:, None]) / sqrt_pi[None, :]
-    vals, _ = jacobi_eigh(a.T @ a)
-    return float(math.sqrt(max(vals[0], 0.0)))
+    return float(np.linalg.norm(a, 2))
 
 
 def chi2_prefactor(nu: ProbDist, pi: ProbDist) -> float:

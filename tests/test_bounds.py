@@ -302,6 +302,25 @@ class TestLowerTailAndTwoSided:
             lower_tail(two_state, 1.0, 0.2, "general")
 
 
+@pytest.mark.parametrize("family", ["general", "bernstein_general"])
+class TestEvaluateFamilyRejectsBadInputs:
+    def test_nan_threshold(self, two_state, family):
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, 2.0, math.nan, family)
+
+    def test_nan_time(self, two_state, family):
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, math.nan, 0.5, family)
+
+    def test_infinite_time(self, two_state, family):
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, math.inf, 0.5, family)
+
+    def test_negative_time(self, two_state, family):
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, -1.0, 0.5, family)
+
+
 class TestIidSumBound:
     def test_single_replica_unchanged(self):
         assert iid_sum_bound(lambda u: 0.25, 1, 0.3, t=2.0) == pytest.approx(

@@ -146,6 +146,14 @@ class TestCliSubcommands:
             ]
         ) == 2
 
+    def test_negative_time_rejected(self, model_file, tmp_path):
+        assert main(
+            [
+                "bounds", "--model", model_file(), "--t", "-1",
+                "--u-grid", "0.1:0.5:3", "--out", str(tmp_path / "b.csv"),
+            ]
+        ) == 2
+
 
 class TestCompare:
     def test_bodies_identical_across_thread_counts(self, model_file, tmp_path):

@@ -38,6 +38,14 @@ class TestCounterRng:
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002
 
+    def test_counter_stream_matches_vectorized_draws(self):
+        for seed, stream in ((0, 0), (7, 3), (2**63 + 5, 123456)):
+            cs = CounterStream(seed, stream)
+            got = [cs.uniform() for _ in range(1000)]
+            key = stream_keys(seed, np.array([stream], dtype=np.uint64))[0]
+            ref = counter_uniforms(np.full(1000, key), np.arange(1000, dtype=np.uint64))
+            np.testing.assert_array_equal(got, ref)
+
 
 class TestSampleTrajectory:
     def test_zero_horizon_single_segment(self, two_state):

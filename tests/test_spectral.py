@@ -17,7 +17,7 @@ from mjpbounds import (
     validate_q_matrix,
 )
 from mjpbounds.errors import DegenerateGapError, NotCenteredError
-from mjpbounds.spectral import jacobi_eigh
+from mjpbounds.spectral import eigh_descending, top_eigenvalue
 
 from conftest import random_irreducible_model
 
@@ -64,20 +64,32 @@ class TestPiInner:
         assert pi_inner(two_state.pi, f, f) == pytest.approx(2.0, abs=1e-14)
 
 
-class TestJacobiAgainstLapack:
+class TestEighDescending:
+    @staticmethod
+    def _check_contract(a):
+        vals, vecs = eigh_descending(a)
+        n = a.shape[0]
+        assert np.all(np.diff(vals) <= 0.0)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
+        assert top_eigenvalue(a) == pytest.approx(vals[0], abs=1e-12)
+
     def test_random_symmetric_matrices(self):
         rng = np.random.default_rng(11)
-        for n in (2, 3, 4, 6, 9):
+        for n in (1, 2, 3, 4, 6, 9):
             for _ in range(4):
                 a = rng.standard_normal((n, n))
-                a = a + a.T
-                vals, vecs = jacobi_eigh(a.copy())
-                ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-                np.testing.assert_allclose(vals, ref, atol=1e-11)
-                np.testing.assert_allclose(
-                    vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10
-                )
-                np.testing.assert_allclose(vecs @ vecs.T, np.eye(n), atol=1e-12)
+                self._check_contract(a + a.T)
+
+    def test_repeated_eigenvalue(self):
+        rng = np.random.default_rng(12)
+        basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        a = basis @ np.diag([2.0, 2.0, 2.0, -1.0, 0.5]) @ basis.T
+        a = 0.5 * (a + a.T)
+        self._check_contract(a)
+        np.testing.assert_allclose(
+            eigh_descending(a)[0], [2.0, 2.0, 2.0, 0.5, -1.0], atol=1e-12
+        )
 
 
 class TestSpectralDecomposition:
