@@ -84,7 +84,6 @@ from .spectral import (
 from .tilting import (
     BernsteinParams,
     ConjugateResult,
-    TiltedEval,
     bernstein_conjugate,
     bernstein_conjugate_vform,
     chi2_prefactor,

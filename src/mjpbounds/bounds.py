@@ -23,7 +23,7 @@ infimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from .errors import (
     InfeasibleSliceError,
     ValidationError,
 )
-from .markov import MJPModel, flip_observable
+from .markov import MJPModel, ProbDist, QMatrix, flip_observable
 from .spectral import (
     SpectralData,
-    pi_inner,
     pi_variance,
+    sigma_hat_sq,
     spectral_decomposition,
 )
 from .tilting import (
@@ -53,35 +53,50 @@ FAMILIES = ("general", "perturbation", "poincare", "bernstein_general", "fsobole
 
 @dataclass(frozen=True)
 class ModelAnalysis:
-    """Spectral quantities shared by all bound families for one model."""
+    """One model's spectral data, with the quantities every bound family reads.
+
+    Stores only the model and the spectral decomposition of its chain, which
+    depends on ``Q`` and ``pi`` alone.  Everything else is derived on access
+    from the one owner that computes it: the gap from ``sd``, the variances
+    from ``sd`` and the model's ``f``, the sup norms from ``f``, and the
+    prefactor from ``nu``.  A number derived for ``f`` therefore cannot be
+    reused for ``-f`` or for another initial distribution.
+    """
 
     model: MJPModel
     sd: SpectralData
-    prefactor: float
-    sigma_hat2: float
-    sigma_tilde2: float
-    gap: float
-    f_sup: float
-    fplus_sup: float
-    var_pi_f: float
+
+    @property
+    def gap(self) -> float:
+        return self.sd.gap
+
+    @property
+    def prefactor(self) -> float:
+        return chi2_prefactor(self.model.nu, self.model.pi)
+
+    @property
+    def sigma_hat2(self) -> float:
+        return sigma_hat_sq(self.sd, self.model.f, self.model.pi)
+
+    @property
+    def var_pi_f(self) -> float:
+        return pi_variance(self.model.pi, self.model.f.values)
+
+    @property
+    def sigma_tilde2(self) -> float:
+        return 2.0 * self.var_pi_f / self.gap
+
+    @property
+    def f_sup(self) -> float:
+        return self.model.f.sup_norm
+
+    @property
+    def fplus_sup(self) -> float:
+        return self.model.f.pos_sup_norm
 
 
 def analyze(model: MJPModel) -> ModelAnalysis:
-    sd = spectral_decomposition(model.q, model.pi)
-    f = model.f.values
-    sigma_hat2 = max(-2.0 * pi_inner(model.pi, sd.resolvent @ f, f), 0.0)
-    var_f = pi_variance(model.pi, f)
-    return ModelAnalysis(
-        model=model,
-        sd=sd,
-        prefactor=chi2_prefactor(model.nu, model.pi),
-        sigma_hat2=sigma_hat2,
-        sigma_tilde2=2.0 * var_f / sd.gap,
-        gap=sd.gap,
-        f_sup=model.f.sup_norm,
-        fplus_sup=model.f.pos_sup_norm,
-        var_pi_f=var_f,
-    )
+    return ModelAnalysis(model, spectral_decomposition(model.q, model.pi))
 
 
 @dataclass(frozen=True)
@@ -122,8 +137,24 @@ def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> Bound
     )
 
 
-def _analysis(model, analysis):
-    return analysis if analysis is not None else analyze(model)
+def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
+    """The analysis of ``model``, reusing the caller's spectral data when it fits.
+
+    Spectral data can be shared between models on the same chain (equal
+    ``Q`` and ``pi``), such as ``flip_observable`` or ``stationary_model``
+    of the analyzed model; everything else is derived from ``model`` itself.
+    An analysis of a different chain is rejected.
+    """
+    if analysis is None:
+        return analyze(model)
+    if analysis.model is model:
+        return analysis
+    other = analysis.model
+    if np.array_equal(other.q.rates, model.q.rates) and np.array_equal(
+        other.pi.weights, model.pi.weights
+    ):
+        return ModelAnalysis(model, analysis.sd)
+    raise ValidationError("analysis belongs to a different chain than the model")
 
 
 def bound_general(
@@ -356,19 +387,16 @@ def bound_fsobolev(
     return _finish("fsobolev", u, t, conj.value, a.prefactor, diagnostics=diag)
 
 
-def donsker_varadhan_info(model_or_q, pi=None, beta=None) -> float:
+def donsker_varadhan_info(q: QMatrix, pi: ProbDist, beta) -> float:
     """Information of beta against pi: -<L sqrt(d beta/d pi), sqrt(d beta/d pi)>.
 
-    Accepts either (model, beta) or (q, pi, beta).  Nonnegative; tiny
+    ``beta`` is a distribution or a weight vector.  Nonnegative; tiny
     negative rounding is clamped to 0.
     """
-    if pi is None or beta is None:
-        raise ValidationError("expected (q, pi, beta) or (model, pi=..., beta=...)")
-    rates = model_or_q.rates if hasattr(model_or_q, "rates") else model_or_q.q.rates
     w = pi.weights
     b = np.asarray(beta.weights if hasattr(beta, "weights") else beta, dtype=float)
     g = np.sqrt(b / w)
-    val = -float(w @ (g * (rates @ g)))
+    val = -float(w @ (g * (q.rates @ g)))
     if val < -1e-12:
         raise ValidationError(f"information came out negative: {val}")
     return max(val, 0.0)
@@ -475,17 +503,7 @@ def lower_tail(
         raise ValidationError(f"lower tail needs u <= 0, got {u}")
     flipped = flip_observable(model)
     point = evaluate_family(flipped, t, -u, family, **kwargs)
-    return BoundPoint(
-        family=point.family,
-        u=u,
-        t=t,
-        rate=point.rate,
-        prefactor=point.prefactor,
-        bound=point.bound,
-        raw_bound=point.raw_bound,
-        branch=point.branch,
-        diagnostics={**point.diagnostics, "tail": "lower"},
-    )
+    return replace(point, u=u, diagnostics={**point.diagnostics, "tail": "lower"})
 
 
 def two_sided(model: MJPModel, t: float, u: float, family: str, **kwargs) -> float:

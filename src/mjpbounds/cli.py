@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -24,19 +25,12 @@ import numpy as np
 from . import bounds as bnd
 from . import combinatorics as comb
 from .errors import NumericalError, ValidationError
-from .modelio import read_model_file
+from .modelio import _fmt, read_model_file
 from .simulate import empirical_tail, time_averages
-from .spectral import pi_variance, sigma_hat_sq
 from .tilting import lambda0, lambda0_star
 
 DEFAULT_FAMILIES = ("general", "perturbation", "poincare", "bernstein_general")
 THREADS_ENV = "MJPBOUNDS_THREADS"
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return format(float(x), ".17g")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -72,16 +66,24 @@ def _default_threads() -> int:
     return 1
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+@contextmanager
+def _output(path, no_timestamp, header, append=False):
+    """Open a CSV destination (``None`` or ``-`` is stdout) and write its preamble.
 
-
-def _timestamp_line(args) -> str | None:
-    if getattr(args, "no_timestamp", False):
-        return None
-    return "# generated " + datetime.now(timezone.utc).isoformat()
+    A new output starts with the timestamp comment, unless ``no_timestamp``,
+    and the column ``header``; an appended one gets neither.
+    """
+    fh = sys.stdout if path in (None, "-") else open(path, "a" if append else "w")
+    try:
+        if not append:
+            if not no_timestamp:
+                fh.write("# generated " + datetime.now(timezone.utc).isoformat() + "\n")
+            fh.write(header + "\n")
+            fh.flush()
+        yield fh
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _load(args):
@@ -114,8 +116,8 @@ def cmd_spectrum(args) -> int:
     out = {
         "eigenvalues": [float(x) for x in a.sd.eigenvalues],
         "gap": a.gap,
-        "sigma_hat_sq": sigma_hat_sq(a.sd, model.f, model.pi),
-        "var_pi_f": pi_variance(model.pi, model.f.values),
+        "sigma_hat_sq": a.sigma_hat2,
+        "var_pi_f": a.var_pi_f,
         "reversible": model.reversible,
     }
     print(json.dumps(out, indent=2))
@@ -127,12 +129,8 @@ def cmd_simulate(args) -> int:
     est = empirical_tail(
         mf.model, args.t, args.u, args.samples, seed, threads=args.threads
     )
-    fh, close = _open_out(args.out)
-    try:
-        stamp = _timestamp_line(args)
-        if stamp:
-            fh.write(stamp + "\n")
-        fh.write("u,t,n,hits,p_hat,ci_lo,ci_hi\n")
+    header = "u,t,n,hits,p_hat,ci_lo,ci_hi"
+    with _output(args.out, args.no_timestamp, header) as fh:
         fh.write(
             ",".join(
                 [
@@ -147,9 +145,6 @@ def cmd_simulate(args) -> int:
             )
             + "\n"
         )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -157,21 +152,14 @@ def cmd_rate(args) -> int:
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
-    fh, close = _open_out(args.out)
-    try:
-        stamp = _timestamp_line(args)
-        if stamp:
-            fh.write(stamp + "\n")
-        fh.write("u,lambda0_star,argmax_r,finite\n")
+    header = "u,lambda0_star,argmax_r,finite"
+    with _output(args.out, args.no_timestamp, header) as fh:
         for u in _parse_grid(args.u_grid):
             res = lambda0_star(a.sd, model.f, model.pi, float(u))
             arg = "" if res.argmax_r is None else _fmt(res.argmax_r)
             fh.write(
                 f"{_fmt(u)},{_fmt(res.value)},{arg},{int(res.finite)}\n"
             )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -180,12 +168,7 @@ def cmd_series(args) -> int:
     model = mf.model
     a = bnd.analyze(model)
     coeffs = comb.lambda0_coefficients(a.sd, model.f, model.pi, args.order)
-    fh, close = _open_out(args.out)
-    try:
-        stamp = _timestamp_line(args)
-        if stamp:
-            fh.write(stamp + "\n")
-        fh.write("order,coefficient\n")
+    with _output(args.out, args.no_timestamp, "order,coefficient") as fh:
         for k, c in enumerate(coeffs.coeffs, start=1):
             fh.write(f"{k},{_fmt(c)}\n")
         if args.r_grid:
@@ -196,9 +179,6 @@ def cmd_series(args) -> int:
                 fh.write(
                     f"{_fmt(r)},{_fmt(lam)},{_fmt(ps)},{_fmt(abs(lam - ps))}\n"
                 )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -238,17 +218,12 @@ def cmd_bounds(args) -> int:
     analysis = bnd.analyze(model)
     families = _resolve_families(args.families, args.fsobolev_c)
     kwargs = _family_kwargs(model, args.fsobolev_c)
-    fh, close = _open_out(args.out)
-    try:
-        stamp = _timestamp_line(args)
-        if stamp:
-            fh.write(stamp + "\n")
-        fh.write("u,family,rate,prefactor,bound,branch,notes\n")
+    header = "u,family,rate,prefactor,bound,branch,notes"
+    with _output(args.out, args.no_timestamp, header) as fh:
         for u in _parse_grid(args.u_grid):
             for fam in families:
-                kw = kwargs if fam == "fsobolev" else {}
                 p = bnd.evaluate_family(
-                    model, args.t, float(u), fam, analysis=analysis, **kw
+                    model, args.t, float(u), fam, analysis=analysis, **kwargs
                 )
                 notes = ""
                 if p.diagnostics.get("boundary"):
@@ -267,9 +242,6 @@ def cmd_bounds(args) -> int:
                     )
                     + "\n"
                 )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -311,6 +283,39 @@ def _compare_header(families):
     return ",".join(cols)
 
 
+def _resume_cells(path, header, samples):
+    """(u, t) keys of the rows a resumable CSV already holds.
+
+    A last line without its newline is the row a killed run was writing; it
+    is cut off the file so the cell is computed again.  A file written for
+    other families or another sample count is refused.  Returns ``None`` when
+    the file has no complete header, so the run starts it afresh.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+    lines = [
+        line
+        for line in data[:complete].decode().splitlines()
+        if not line.startswith("#")
+    ]
+    if not lines:
+        return None
+    if lines[0] != header:
+        raise ValidationError(f"cannot resume {path}: its columns are for other families")
+    n_cols = header.count(",") + 1
+    done = set()
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != n_cols or parts[2] != str(samples):
+            raise ValidationError(f"cannot resume {path}: row {line!r} is from another run")
+        done.add((parts[0], parts[1]))
+    return done
+
+
 def run_compare(config: RunConfig) -> dict:
     """End-to-end comparison: empirical tails against every requested bound.
 
@@ -325,40 +330,23 @@ def run_compare(config: RunConfig) -> dict:
     families = config.families
     kwargs = _family_kwargs(model, config.fsobolev_c)
     sharpness_on = model.reversible
+    header = _compare_header(families)
 
-    done_cells = set()
-    mode = "w"
-    if config.resume and config.out and os.path.exists(config.out):
-        with open(config.out) as fh:
-            for line in fh:
-                if line.startswith("#") or line.startswith("u,"):
-                    continue
-                parts = line.split(",")
-                if len(parts) >= 2:
-                    done_cells.add((parts[0], parts[1]))
-        mode = "a"
+    done_cells = None
+    if config.resume and config.out not in (None, "-") and os.path.exists(config.out):
+        done_cells = _resume_cells(config.out, header, config.samples)
 
-    fh = open(config.out, mode) if config.out else sys.stdout
-    close = config.out is not None
     failures = []
     rows = 0
-    try:
-        if mode == "w":
-            if not config.no_timestamp:
-                fh.write(
-                    "# generated "
-                    + datetime.now(timezone.utc).isoformat()
-                    + "\n"
-                )
-            fh.write(_compare_header(families) + "\n")
-            fh.flush()
+    append = done_cells is not None
+    with _output(config.out, config.no_timestamp, header, append) as fh:
         for t in config.t_values:
             averages = time_averages(
                 model, t, config.samples, config.seed, threads=config.threads
             )
             for u in config.u_grid:
                 key = (_fmt(u), _fmt(t))
-                if key in done_cells:
+                if append and key in done_cells:
                     continue
                 est = empirical_tail(
                     model, t, u, config.samples, config.seed, averages=averages
@@ -372,11 +360,12 @@ def run_compare(config: RunConfig) -> dict:
                     _fmt(est.ci_lo),
                     _fmt(est.ci_hi),
                 ]
+                rates = {}
                 for fam in families:
-                    kw = kwargs if fam == "fsobolev" else {}
                     p = bnd.evaluate_family(
-                        model, t, u, fam, analysis=analysis, **kw
+                        model, t, u, fam, analysis=analysis, **kwargs
                     )
+                    rates[fam] = p.rate
                     slack = config.domination_sigma * est.ci_half_width
                     ok = est.p_hat <= p.bound + slack
                     if not ok:
@@ -388,7 +377,9 @@ def run_compare(config: RunConfig) -> dict:
                 if sharpness_on and est.p_hat > 0.0:
                     # empirical decay rate exceeds the bound's rate; the
                     # excess shrinks to 0 as t grows on reversible chains
-                    rate = lambda0_star(analysis.sd, model.f, model.pi, u).value
+                    rate = rates.get("general")
+                    if rate is None:
+                        rate = lambda0_star(analysis.sd, model.f, model.pi, u).value
                     gap = -math.log(est.p_hat) / t - rate
                     cells.append(_fmt(gap))
                 else:
@@ -396,9 +387,6 @@ def run_compare(config: RunConfig) -> dict:
                 fh.write(",".join(cells) + "\n")
                 fh.flush()
                 rows += 1
-    finally:
-        if close:
-            fh.close()
 
     summary = {
         "model": config.model,

@@ -174,9 +174,13 @@ def resolvent_power(sd: SpectralData, r: float) -> np.ndarray:
 
 
 def sigma_hat_sq(sd: SpectralData, f: Observable, pi: ProbDist) -> float:
-    """Asymptotic variance -2 <Sf, f> of the time average under pi."""
+    """Asymptotic variance -2 <Sf, f> of the time average under pi.
+
+    Centering is checked relative to the size of f, since rounding leaves a
+    mean proportional to it.
+    """
     mean = float(pi.weights @ f.values)
-    if abs(mean) > 1e-10:
+    if abs(mean) > 1e-10 * max(1.0, f.sup_norm):
         raise NotCenteredError(mean)
     val = -2.0 * pi_inner(pi, sd.resolvent @ f.values, f.values)
     return max(val, 0.0)

@@ -31,14 +31,6 @@ R_CAP_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
-class TiltedEval:
-    """One evaluation of the tilted top eigenvalue."""
-
-    r: float
-    lambda0: float
-
-
-@dataclass(frozen=True)
 class ConjugateResult:
     """Value of a Fenchel conjugate at u, with the maximizing tilt if located.
 
@@ -199,16 +191,7 @@ def lambda0_star(
             u=u, value=math.inf, argmax_r=None, converged=True, boundary=False
         )
     cap = R_CAP_FACTOR * (1.0 + 1.0 / f_sup)
-    result = fenchel_conjugate(
-        lambda r: lambda0(sd, f, pi, r), u, r_max=cap, tol=tol
-    )
-    return ConjugateResult(
-        u=u,
-        value=result.value,
-        argmax_r=result.argmax_r,
-        converged=result.converged,
-        boundary=result.boundary,
-    )
+    return fenchel_conjugate(lambda r: lambda0(sd, f, pi, r), u, r_max=cap, tol=tol)
 
 
 def cramer_transform_static(

@@ -302,6 +302,30 @@ class TestLowerTailAndTwoSided:
             lower_tail(two_state, 1.0, 0.2, "general")
 
 
+class TestAnalysisBelongsToItsModel:
+    """A supplied analysis lends only its chain's spectral data to the model."""
+
+    def test_lower_tail_with_analysis_of_upper_observable(self, two_state):
+        plain = lower_tail(two_state, 5.0, -0.5, "bernstein_general")
+        shared = lower_tail(
+            two_state, 5.0, -0.5, "bernstein_general", analysis=analyze(two_state)
+        )
+        assert shared.bound == plain.bound
+        assert shared.rate == plain.rate
+
+    def test_analysis_of_stationary_start_keeps_own_prefactor(self, two_state):
+        a = analyze(stationary_model(two_state))
+        plain = evaluate_family(two_state, 5.0, 0.3, "poincare")
+        shared = evaluate_family(two_state, 5.0, 0.3, "poincare", analysis=a)
+        assert shared.bound == plain.bound
+        assert shared.prefactor == plain.prefactor
+
+    def test_analysis_of_other_chain_rejected(self, two_state):
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        with pytest.raises(ValidationError):
+            evaluate_family(other, 20.0, 0.3, "general", analysis=analyze(two_state))
+
+
 @pytest.mark.parametrize("family", ["general", "bernstein_general"])
 class TestEvaluateFamilyRejectsBadInputs:
     def test_nan_threshold(self, two_state, family):

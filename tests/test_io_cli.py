@@ -233,6 +233,54 @@ class TestCompare:
         assert summary["rows_written"] == 0
         assert out.read_text() == first
 
+    def test_resume_drops_torn_last_row(self, model_file, tmp_path):
+        path = model_file(seed=3)
+        out = tmp_path / "cmp.csv"
+        base = dict(
+            model=path, t_values=[1.0], u_grid=[0.1, 0.3],
+            families=["general"], samples=2000, seed=3, out=str(out),
+            no_timestamp=True,
+        )
+        run_compare(RunConfig(**base))
+        whole = out.read_text()
+        # a killed run leaves the last row without its newline
+        out.write_text(whole[: whole.rstrip("\n").rfind(",")])
+        summary = run_compare(RunConfig(**base, resume=True))
+        assert summary["rows_written"] == 1
+        assert out.read_text() == whole
+
+    @pytest.mark.parametrize(
+        "change", [{"families": ["general", "poincare"]}, {"samples": 3000}]
+    )
+    def test_resume_refuses_other_configuration(self, model_file, tmp_path, change):
+        path = model_file(seed=3)
+        out = tmp_path / "cmp.csv"
+        base = dict(
+            model=path, t_values=[1.0], u_grid=[0.1, 0.3],
+            families=["general"], samples=2000, seed=3, out=str(out),
+            no_timestamp=True,
+        )
+        run_compare(RunConfig(**base))
+        first = out.read_text()
+        with pytest.raises(ValidationError):
+            run_compare(RunConfig(**{**base, **change}, resume=True))
+        assert out.read_text() == first
+
+    def test_out_dash_writes_stdout(self, model_file, tmp_path, monkeypatch, capsys):
+        path = model_file()
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            [
+                "compare", "--model", path, "--t", "1", "--u-grid", "0.2:0.2:1",
+                "--samples", "500", "--families", "poincare", "--no-timestamp",
+                "--out", "-",
+            ]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("u,t,n,hits,")
+        assert len(lines) == 2
+        assert not (tmp_path / "-").exists()
+
     def test_sharpness_column_for_stationary_reversible(self, model_file, tmp_path):
         path = model_file(nu=[2 / 3, 1 / 3], seed=3)
         out = tmp_path / "cmp.csv"

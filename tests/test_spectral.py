@@ -205,6 +205,18 @@ class TestSigmaHat:
         with pytest.raises(NotCenteredError):
             sigma_hat_sq(sd, Observable(np.array([1.0, 1.0])), two_state.pi)
 
+    def test_large_centered_observable_accepted(self):
+        rng = np.random.default_rng(1)
+        q = rng.uniform(0.5, 2.0, (5, 5))
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        f = rng.uniform(-1.0, 1.0, 5)
+        unit, large = make_model(q, f), make_model(q, 1e8 * f)
+        sd = spectral_decomposition(unit.q, unit.pi)
+        assert sigma_hat_sq(sd, large.f, large.pi) == pytest.approx(
+            1e16 * sigma_hat_sq(sd, unit.f, unit.pi), rel=1e-9
+        )
+
     def test_dominated_by_poincare_variance(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
