@@ -31,6 +31,14 @@ from .tilting import lambda0, lambda0_star
 
 DEFAULT_FAMILIES = ("general", "perturbation", "poincare", "bernstein_general")
 THREADS_ENV = "MJPBOUNDS_THREADS"
+# ``compare --config`` keys: its flags other than --model and --config, with underscores
+CONFIG_KEYS = (
+    "t", "u_grid", "families", "samples", "seed", "threads", "out", "strict",
+    "resume", "no_timestamp", "fsobolev_c", "summary_out",
+)
+# a bound counts as beaten by Monte Carlo only when p_hat exceeds it by more
+# than this many 95% confidence half-widths
+DOMINATION_SIGMA = 3.0
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -56,7 +64,10 @@ def _parse_t_list(spec: str) -> list[float]:
     return values
 
 
-def _default_threads() -> int:
+def _threads(value) -> int:
+    """Thread count: ``value`` if given, else ``MJPBOUNDS_THREADS``, else 1."""
+    if value is not None:
+        return int(value)
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -86,7 +97,19 @@ def _output(path, no_timestamp, header, append=False):
             fh.close()
 
 
+def _write_row(fh, *cells):
+    """Write one CSV row: floats with 17 significant digits, ``None`` as an
+    empty cell, anything else with ``str``."""
+    text = (
+        "" if c is None else _fmt(c) if isinstance(c, (float, np.floating)) else str(c)
+        for c in cells
+    )
+    fh.write(",".join(text) + "\n")
+
+
 def _load(args):
+    """Model file and seed (``args.seed``, else the file's, else 0) of parsed
+    flags or a ``RunConfig``."""
     mf = read_model_file(args.model)
     seed = args.seed if args.seed is not None else (mf.seed or 0)
     return mf, seed
@@ -127,23 +150,12 @@ def cmd_spectrum(args) -> int:
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
     est = empirical_tail(
-        mf.model, args.t, args.u, args.samples, seed, threads=args.threads
+        mf.model, args.t, args.u, args.samples, seed, threads=_threads(args.threads)
     )
     header = "u,t,n,hits,p_hat,ci_lo,ci_hi"
     with _output(args.out, args.no_timestamp, header) as fh:
-        fh.write(
-            ",".join(
-                [
-                    _fmt(est.u),
-                    _fmt(est.t),
-                    str(est.n_samples),
-                    str(est.hits),
-                    _fmt(est.p_hat),
-                    _fmt(est.ci_lo),
-                    _fmt(est.ci_hi),
-                ]
-            )
-            + "\n"
+        _write_row(
+            fh, est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi
         )
     return 0
 
@@ -156,10 +168,7 @@ def cmd_rate(args) -> int:
     with _output(args.out, args.no_timestamp, header) as fh:
         for u in _parse_grid(args.u_grid):
             res = lambda0_star(a.sd, model.f, model.pi, float(u))
-            arg = "" if res.argmax_r is None else _fmt(res.argmax_r)
-            fh.write(
-                f"{_fmt(u)},{_fmt(res.value)},{arg},{int(res.finite)}\n"
-            )
+            _write_row(fh, u, res.value, res.argmax_r, int(res.finite))
     return 0
 
 
@@ -170,15 +179,13 @@ def cmd_series(args) -> int:
     coeffs = comb.lambda0_coefficients(a.sd, model.f, model.pi, args.order)
     with _output(args.out, args.no_timestamp, "order,coefficient") as fh:
         for k, c in enumerate(coeffs.coeffs, start=1):
-            fh.write(f"{k},{_fmt(c)}\n")
+            _write_row(fh, k, c)
         if args.r_grid:
             fh.write("r,lambda0,partial_sum,abs_error\n")
             for r in _parse_grid(args.r_grid):
                 lam = lambda0(a.sd, model.f, model.pi, float(r))
                 ps = coeffs.partial_sum(float(r))
-                fh.write(
-                    f"{_fmt(r)},{_fmt(lam)},{_fmt(ps)},{_fmt(abs(lam - ps))}\n"
-                )
+                _write_row(fh, r, lam, ps, abs(lam - ps))
     return 0
 
 
@@ -225,23 +232,8 @@ def cmd_bounds(args) -> int:
                 p = bnd.evaluate_family(
                     model, args.t, float(u), fam, analysis=analysis, **kwargs
                 )
-                notes = ""
-                if p.diagnostics.get("boundary"):
-                    notes = "boundary"
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(p.u),
-                            fam,
-                            _fmt(p.rate),
-                            _fmt(p.prefactor),
-                            _fmt(p.bound),
-                            p.branch,
-                            notes,
-                        ]
-                    )
-                    + "\n"
-                )
+                notes = "boundary" if p.diagnostics.get("boundary") else ""
+                _write_row(fh, p.u, fam, p.rate, p.prefactor, p.bound, p.branch, notes)
     return 0
 
 
@@ -254,7 +246,7 @@ class RunConfig:
     u_grid: list[float]
     families: list[str]
     samples: int
-    seed: int
+    seed: int | None  # None: the model file's seed, else 0
     threads: int = 1
     out: str | None = None
     strict: bool = False
@@ -262,7 +254,6 @@ class RunConfig:
     no_timestamp: bool = False
     fsobolev_c: float | None = None
     summary_out: str | None = None
-    domination_sigma: float = 3.0  # CI multiplier for the domination flag
 
     def validate(self):
         if not self.u_grid:
@@ -284,12 +275,13 @@ def _compare_header(families):
 
 
 def _resume_cells(path, header, samples):
-    """(u, t) keys of the rows a resumable CSV already holds.
+    """(u, t) keys of the rows a resumable CSV already holds, and the
+    domination failures (``_ok`` cells of 0) among those rows.
 
     A last line without its newline is the row a killed run was writing; it
     is cut off the file so the cell is computed again.  A file written for
-    other families or another sample count is refused.  Returns ``None`` when
-    the file has no complete header, so the run starts it afresh.
+    other families or another sample count is refused.  The keys are ``None``
+    when the file has no complete header, so the run starts it afresh.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -303,17 +295,24 @@ def _resume_cells(path, header, samples):
         if not line.startswith("#")
     ]
     if not lines:
-        return None
+        return None, []
     if lines[0] != header:
         raise ValidationError(f"cannot resume {path}: its columns are for other families")
-    n_cols = header.count(",") + 1
-    done = set()
+    cols = header.split(",")
+    done, failures = set(), []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != n_cols or parts[2] != str(samples):
+        if len(parts) != len(cols) or parts[2] != str(samples):
             raise ValidationError(f"cannot resume {path}: row {line!r} is from another run")
         done.add((parts[0], parts[1]))
-    return done
+        for i, col in enumerate(cols):
+            if col.endswith("_ok") and parts[i] == "0":
+                failures.append(
+                    {"family": col[: -len("_ok")], "u": float(parts[0]),
+                     "t": float(parts[1]), "p_hat": float(parts[4]),
+                     "bound": float(parts[i - 1])}
+                )
+    return done, failures
 
 
 def run_compare(config: RunConfig) -> dict:
@@ -324,7 +323,7 @@ def run_compare(config: RunConfig) -> dict:
     summary.
     """
     config.validate()
-    mf = read_model_file(config.model)
+    mf, seed = _load(config)
     model = mf.model
     analysis = bnd.analyze(model)
     families = config.families
@@ -332,59 +331,48 @@ def run_compare(config: RunConfig) -> dict:
     sharpness_on = model.reversible
     header = _compare_header(families)
 
-    done_cells = None
+    done_cells, failures = None, []
     if config.resume and config.out not in (None, "-") and os.path.exists(config.out):
-        done_cells = _resume_cells(config.out, header, config.samples)
+        done_cells, failures = _resume_cells(config.out, header, config.samples)
 
-    failures = []
     rows = 0
     append = done_cells is not None
     with _output(config.out, config.no_timestamp, header, append) as fh:
         for t in config.t_values:
             averages = time_averages(
-                model, t, config.samples, config.seed, threads=config.threads
+                model, t, config.samples, seed, threads=config.threads
             )
             for u in config.u_grid:
                 key = (_fmt(u), _fmt(t))
                 if append and key in done_cells:
                     continue
                 est = empirical_tail(
-                    model, t, u, config.samples, config.seed, averages=averages
+                    model, t, u, config.samples, seed, averages=averages
                 )
-                cells = [
-                    _fmt(u),
-                    _fmt(t),
-                    str(est.n_samples),
-                    str(est.hits),
-                    _fmt(est.p_hat),
-                    _fmt(est.ci_lo),
-                    _fmt(est.ci_hi),
-                ]
+                cells = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
                 rates = {}
                 for fam in families:
                     p = bnd.evaluate_family(
                         model, t, u, fam, analysis=analysis, **kwargs
                     )
                     rates[fam] = p.rate
-                    slack = config.domination_sigma * est.ci_half_width
-                    ok = est.p_hat <= p.bound + slack
+                    ok = est.p_hat <= p.bound + DOMINATION_SIGMA * est.ci_half_width
                     if not ok:
                         failures.append(
                             {"family": fam, "u": u, "t": t, "p_hat": est.p_hat,
                              "bound": p.bound}
                         )
-                    cells += [_fmt(p.rate), _fmt(p.bound), str(int(ok))]
+                    cells += [p.rate, p.bound, int(ok)]
                 if sharpness_on and est.p_hat > 0.0:
                     # empirical decay rate exceeds the bound's rate; the
                     # excess shrinks to 0 as t grows on reversible chains
                     rate = rates.get("general")
                     if rate is None:
                         rate = lambda0_star(analysis.sd, model.f, model.pi, u).value
-                    gap = -math.log(est.p_hat) / t - rate
-                    cells.append(_fmt(gap))
+                    cells.append(-math.log(est.p_hat) / t - rate)
                 else:
-                    cells.append("")
-                fh.write(",".join(cells) + "\n")
+                    cells.append(None)
+                _write_row(fh, *cells)
                 fh.flush()
                 rows += 1
 
@@ -394,7 +382,7 @@ def run_compare(config: RunConfig) -> dict:
         "t_values": config.t_values,
         "u_grid": [float(u) for u in config.u_grid],
         "samples": config.samples,
-        "seed": config.seed,
+        "seed": seed,
         "rows_written": rows,
         "domination_failures": failures,
         "all_dominated": not failures,
@@ -407,53 +395,50 @@ def run_compare(config: RunConfig) -> dict:
     return summary
 
 
+def _read_config(path) -> dict:
+    """Settings from a ``compare --config`` JSON object whose keys are all in
+    ``CONFIG_KEYS``; anything else is refused."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(
+            f"config {path} has unknown keys {unknown}; known: {', '.join(CONFIG_KEYS)}"
+        )
+    return cfg
+
+
 def cmd_compare(args) -> int:
-    cfg_file = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg_file = json.load(fh)
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in cfg_file:
-            return cfg_file[key]
-        return fallback
-
-    mf = read_model_file(args.model)
-    seed = pick(args.seed, "seed", mf.seed or 0)
-    threads = pick(args.threads, "threads", _default_threads())
-    u_grid_spec = pick(args.u_grid, "u_grid", None)
-    if u_grid_spec is None:
+        for key, value in _read_config(args.config).items():
+            flag = getattr(args, key)
+            if flag is None or flag is False:  # a flag given on the command line wins
+                setattr(args, key, value)
+    if args.u_grid is None:
         raise ValidationError("compare needs --u-grid (or u_grid in --config)")
-    u_grid = (
-        [float(x) for x in u_grid_spec]
-        if isinstance(u_grid_spec, list)
-        else [float(x) for x in _parse_grid(u_grid_spec)]
-    )
-    t_spec = pick(args.t, "t", None)
-    if t_spec is None:
+    u_grid = args.u_grid if isinstance(args.u_grid, list) else _parse_grid(args.u_grid)
+    if args.t is None:
         raise ValidationError("compare needs --t (or t in --config)")
-    t_values = t_spec if isinstance(t_spec, list) else _parse_t_list(t_spec)
-    fsobolev_c = pick(args.fsobolev_c, "fsobolev_c", None)
-    families = _resolve_families(
-        pick(args.families, "families", None), fsobolev_c
-    )
+    t_values = args.t if isinstance(args.t, list) else _parse_t_list(args.t)
     config = RunConfig(
         model=args.model,
         t_values=[float(t) for t in t_values],
-        u_grid=sorted(u_grid),
-        families=families,
-        samples=int(pick(args.samples, "samples", 10000)),
-        seed=int(seed),
-        threads=int(threads),
-        out=pick(args.out, "out", None),
-        strict=bool(args.strict or cfg_file.get("strict", False)),
-        resume=bool(args.resume or cfg_file.get("resume", False)),
-        no_timestamp=bool(args.no_timestamp or cfg_file.get("no_timestamp", False)),
-        fsobolev_c=fsobolev_c,
-        summary_out=pick(args.summary_out, "summary_out", None),
-        domination_sigma=float(cfg_file.get("domination_sigma", 3.0)),
+        u_grid=sorted(float(u) for u in u_grid),
+        families=_resolve_families(args.families, args.fsobolev_c),
+        samples=int(args.samples if args.samples is not None else 10000),
+        seed=None if args.seed is None else int(args.seed),
+        threads=_threads(args.threads),
+        out=args.out,
+        strict=bool(args.strict),
+        resume=bool(args.resume),
+        no_timestamp=bool(args.no_timestamp),
+        fsobolev_c=args.fsobolev_c,
+        summary_out=args.summary_out,
     )
     summary = run_compare(config)
     if config.strict and not summary["all_dominated"]:
@@ -532,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        args.threads = _default_threads()
     try:
         return args.fn(args)
     except NumericalError as exc:

@@ -33,7 +33,8 @@ class ModelFile:
 
 
 def _load_raw(path: str) -> dict:
-    text = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        text = fh.read()
     if str(path).endswith(".toml"):
         try:
             import tomllib

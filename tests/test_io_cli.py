@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from mjpbounds import load_model, read_model_file, save_model
+from mjpbounds import cli
 from mjpbounds.cli import main, run_compare, RunConfig
 from mjpbounds.errors import ParseError, ValidationError
 
@@ -59,6 +61,11 @@ class TestModelFile:
         np.testing.assert_array_equal(mf.model.pi.weights, mf2.model.pi.weights)
         assert mf.seed == mf2.seed
 
+    def test_model_file_closed(self, model_file, recwarn):
+        read_model_file(model_file())
+        gc.collect()
+        assert not [w for w in recwarn if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.skipif(sys.version_info >= (3, 11), reason="tomllib available")
     def test_toml_rejected_without_tomllib(self, tmp_path):
         p = tmp_path / "m.toml"
@@ -112,6 +119,16 @@ class TestCliSubcommands:
         last = lines[-1].split(",")
         assert float(last[0]) == pytest.approx(0.9)
         assert last[3] == "1"
+
+    def test_rate_beyond_max_f_has_empty_argmax(self, model_file, tmp_path):
+        out = tmp_path / "rate.csv"
+        assert main(
+            [
+                "rate", "--model", model_file(), "--u-grid", "0.5:1.5:2",
+                "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        assert out.read_text().splitlines()[-1] == "1.5,inf,,0"
 
     def test_series_output(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
@@ -337,3 +354,91 @@ class TestCompare:
                 "--no-timestamp", "--out", str(out),
             ]
         ) == 0
+
+    def test_reads_model_once(self, model_file, tmp_path, monkeypatch):
+        calls = []
+        read = cli.read_model_file
+        monkeypatch.setattr(cli, "read_model_file", lambda p: calls.append(p) or read(p))
+        summary = tmp_path / "cmp.json"
+        assert main(
+            [
+                "compare", "--model", model_file(seed=5), "--t", "1",
+                "--u-grid", "0.2:0.2:1", "--samples", "500", "--families", "poincare",
+                "--out", str(tmp_path / "cmp.csv"), "--summary-out", str(summary),
+            ]
+        ) == 0
+        assert len(calls) == 1
+        assert json.loads(summary.read_text())["seed"] == 5
+
+    def test_config_threads_beat_env_and_lose_to_flag(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        seen = []
+        averages = cli.time_averages
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return averages(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "time_averages", spy)
+        monkeypatch.setenv("MJPBOUNDS_THREADS", "4")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"threads": 3, "t": [1.0], "u_grid": [0.2], "samples": 500,
+                 "families": "poincare"}
+            )
+        )
+        argv = [
+            "compare", "--model", model_file(), "--config", str(cfg),
+            "--out", str(tmp_path / "cmp.csv"),
+        ]
+        assert main(argv) == 0
+        assert main(argv + ["--threads", "2"]) == 0
+        assert seen == [3, 2]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '[["samples", 50]]',
+            '{"sample": 50}',
+            '{"domination_sigma": 1.0}',
+        ],
+        ids=["invalid_json", "not_an_object", "misspelt_key", "domination_sigma"],
+    )
+    def test_bad_config_rejected(self, model_file, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "cmp.csv"
+        assert main(
+            [
+                "compare", "--model", model_file(), "--config", str(cfg),
+                "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "500",
+                "--families", "poincare", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+
+    def test_strict_covers_resumed_rows(self, model_file, tmp_path):
+        out = tmp_path / "cmp.csv"
+        argv = [
+            "compare", "--model", model_file(seed=3), "--t", "1",
+            "--u-grid", "0.1:0.3:2", "--samples", "2000", "--families", "general",
+            "--no-timestamp", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        ok = lines[0].split(",").index("general_ok")
+        row = lines[1].split(",")
+        assert row[ok] == "1"
+        row[ok] = "0"  # the earlier run saw this bound beaten
+        lines[1] = ",".join(row)
+        out.write_text("\n".join(lines) + "\n")
+        summary = tmp_path / "cmp.json"
+        assert main(argv + ["--resume", "--strict", "--summary-out", str(summary)]) == 4
+        saved = json.loads(summary.read_text())
+        assert saved["rows_written"] == 0
+        assert [(f["family"], f["u"]) for f in saved["domination_failures"]] == [
+            ("general", 0.1)
+        ]
