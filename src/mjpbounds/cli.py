@@ -31,11 +31,14 @@ from .tilting import lambda0, lambda0_star
 
 DEFAULT_FAMILIES = ("general", "perturbation", "poincare", "bernstein_general")
 THREADS_ENV = "MJPBOUNDS_THREADS"
-# ``compare --config`` keys: its flags other than --model and --config, with underscores
-CONFIG_KEYS = (
-    "t", "u_grid", "families", "samples", "seed", "threads", "out", "strict",
-    "resume", "no_timestamp", "fsobolev_c", "summary_out",
-)
+# ``compare --config`` keys (its flags other than --model and --config, with
+# underscores) and the JSON types of their values; a t or u_grid list holds numbers
+CONFIG_KEYS = {
+    "t": (str, list), "u_grid": (str, list), "families": (str, list),
+    "samples": (int,), "seed": (int,), "threads": (int,), "fsobolev_c": (int, float),
+    "strict": (bool,), "resume": (bool,), "no_timestamp": (bool,),
+    "out": (str,), "summary_out": (str,),
+}
 # a bound counts as beaten by Monte Carlo only when p_hat exceeds it by more
 # than this many 95% confidence half-widths
 DOMINATION_SIGMA = 3.0
@@ -67,7 +70,7 @@ def _parse_t_list(spec: str) -> list[float]:
 def _threads(value) -> int:
     """Thread count: ``value`` if given, else ``MJPBOUNDS_THREADS``, else 1."""
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -397,12 +400,15 @@ def run_compare(config: RunConfig) -> dict:
 
 def _read_config(path) -> dict:
     """Settings from a ``compare --config`` JSON object whose keys are all in
-    ``CONFIG_KEYS``; anything else is refused."""
-    with open(path) as fh:
-        try:
+    ``CONFIG_KEYS`` and whose values have their types (or are null, for unset);
+    anything else is refused."""
+    try:
+        with open(path, "rb") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
@@ -410,6 +416,14 @@ def _read_config(path) -> dict:
         raise ValidationError(
             f"config {path} has unknown keys {unknown}; known: {', '.join(CONFIG_KEYS)}"
         )
+    for key, value in cfg.items():
+        # exact types, since a JSON true or false is a Python int as well
+        numbers = value if key in ("t", "u_grid") and type(value) is list else []
+        wrong = type(value) not in CONFIG_KEYS[key] or any(
+            type(v) not in (int, float) for v in numbers
+        )
+        if value is not None and wrong:
+            raise ValidationError(f"config {path}: bad {key} value {json.dumps(value)}")
     return cfg
 
 
@@ -430,8 +444,8 @@ def cmd_compare(args) -> int:
         t_values=[float(t) for t in t_values],
         u_grid=sorted(float(u) for u in u_grid),
         families=_resolve_families(args.families, args.fsobolev_c),
-        samples=int(args.samples if args.samples is not None else 10000),
-        seed=None if args.seed is None else int(args.seed),
+        samples=args.samples if args.samples is not None else 10000,
+        seed=args.seed,
         threads=_threads(args.threads),
         out=args.out,
         strict=bool(args.strict),

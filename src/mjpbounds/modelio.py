@@ -33,8 +33,11 @@ class ModelFile:
 
 
 def _load_raw(path: str) -> dict:
-    with open(path, "rb") as fh:
-        text = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(path, f"cannot read: {exc.strerror}") from exc
     if str(path).endswith(".toml"):
         try:
             import tomllib
@@ -42,11 +45,11 @@ def _load_raw(path: str) -> dict:
             raise ParseError(path, "TOML input needs Python >= 3.11") from exc
         try:
             return tomllib.loads(text.decode("utf-8"))
-        except tomllib.TOMLDecodeError as exc:
+        except ValueError as exc:  # TOMLDecodeError, or bytes that are not UTF-8
             raise ParseError(path, f"invalid TOML: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise ParseError(path, f"invalid JSON: {exc}") from exc
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,50 @@ from mjpbounds import (
     enumerate_classes,
     lambda0,
     lambda0_coefficients,
+    make_model,
     motzkin,
     motzkin_binomial,
     phi,
     phi_series,
 )
+from mjpbounds.combinatorics import ORDER_CAP
 from mjpbounds.errors import (
     DomainError,
+    NumericalError,
     OrderTooLargeError,
     OutOfRangeError,
     TooLargeError,
 )
+
+from conftest import random_irreducible_model
+
+
+def trace_formula_coefficients(sd, f, order):
+    """Oracle for ``lambda0_coefficients``: the trace formula over weak compositions.
+
+    The n-th coefficient is ``(-1)^n / n`` times the sum of
+    ``Tr(M_f S^(k_1) ... M_f S^(k_n))`` over compositions k_1+...+k_n = n-1,
+    with S^(0) = -pr and S^(k) = S^k.  A DFS over the compositions shares
+    prefix products; it costs C(2n-2, n-1) traces, so keep ``order`` small.
+    """
+    s_powers = [-sd.projector0, sd.resolvent]
+    while len(s_powers) < order:
+        s_powers.append(s_powers[-1] @ sd.resolvent)
+    blocks = [np.diag(f.values) @ s for s in s_powers]
+
+    def traces(slots, budget, prefix, out):
+        if slots == 1:
+            out.append(float(np.trace(prefix @ blocks[budget])))
+            return
+        for k in range(budget + 1):
+            traces(slots - 1, budget - k, prefix @ blocks[k], out)
+
+    coeffs = np.zeros(order)
+    for n in range(1, order + 1):
+        out: list[float] = []
+        traces(n, n - 1, np.eye(sd.n), out)
+        coeffs[n - 1] = ((-1.0) ** n / n) * math.fsum(out)
+    return coeffs
 
 
 class TestMotzkin:
@@ -122,7 +157,26 @@ class TestSeriesCoefficients:
     def test_order_cap(self, two_state):
         a = analyze(two_state)
         with pytest.raises(OrderTooLargeError):
-            lambda0_coefficients(a.sd, two_state.f, two_state.pi, 11)
+            lambda0_coefficients(a.sd, two_state.f, two_state.pi, ORDER_CAP + 1)
+
+    @pytest.mark.parametrize("name", ["two_state", "three_dense", "random6"])
+    def test_recursion_matches_trace_formula(self, request, name):
+        if name == "random6":
+            model = random_irreducible_model(np.random.default_rng(106), 6)
+        else:
+            model = request.getfixturevalue(name)
+        a = analyze(model)
+        co = lambda0_coefficients(a.sd, model.f, model.pi, 8)
+        assert co.order == 8
+        oracle = trace_formula_coefficients(a.sd, model.f, 8)
+        assert np.max(np.abs(co.coeffs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_overflow_raises(self):
+        # gap 3e-6: the coefficients grow like (sup|f| / gap)^n and overflow at order 58
+        slow = make_model(np.array([[-1.0, 1.0], [2.0, -2.0]]) * 1e-6, [1.0, 0.0])
+        a = analyze(slow)
+        with pytest.raises(NumericalError, match="coefficient 58 overflows"):
+            lambda0_coefficients(a.sd, slow.f, slow.pi, ORDER_CAP)
 
     def test_finite_difference_oracle_low_orders(self, three_dense):
         """Coefficients 1-4 match Richardson-extrapolated derivatives of lambda0."""

@@ -50,6 +50,12 @@ class TestModelFile:
         with pytest.raises(ParseError):
             load_model(str(p))
 
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"states": ["\xe9"], "q": [[0]], "f": [0]}')
+        with pytest.raises(ParseError):
+            load_model(str(p))
+
     def test_round_trip_bitwise(self, model_file, tmp_path):
         mf = read_model_file(model_file(nu=[0.3, 0.7], seed=5))
         out = tmp_path / "resaved.json"
@@ -141,6 +147,30 @@ class TestCliSubcommands:
         text = out.read_text()
         assert "order,coefficient" in text
         assert "r,lambda0,partial_sum,abs_error" in text
+
+    def test_series_beyond_old_cap(self, model_file, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(
+            [
+                "series", "--model", model_file(), "--order", "12",
+                "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "order,coefficient"
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(k) for k in range(1, 13)]
+
+    def test_series_overflow_exit_code(self, model_file, tmp_path):
+        # gap 3e-6: the coefficients overflow before order 200
+        path = model_file(q=[[-1e-6, 1e-6], [2e-6, -2e-6]], f=[1.0, 0.0])
+        out = tmp_path / "series.csv"
+        assert main(
+            ["series", "--model", path, "--order", "200", "--out", str(out)]
+        ) == 3
+        assert not out.exists()
+
+    def test_missing_model_file(self, tmp_path):
+        assert main(["validate", "--model", str(tmp_path / "nosuch.json")]) == 2
 
     def test_bounds_families(self, model_file, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -404,12 +434,35 @@ class TestCompare:
             '[["samples", 50]]',
             '{"sample": 50}',
             '{"domination_sigma": 1.0}',
+            '{"samples": "many", "t": [1], "u_grid": [0.2]}',
+            '{"t": 5, "u_grid": [0.2]}',
+            '{"seed": 1.5, "t": [1], "u_grid": [0.2]}',
+            '{"threads": "two", "t": [1], "u_grid": [0.2]}',
         ],
-        ids=["invalid_json", "not_an_object", "misspelt_key", "domination_sigma"],
+        ids=[
+            "invalid_json", "not_an_object", "misspelt_key", "domination_sigma",
+            "samples_string", "t_number", "seed_float", "threads_string",
+        ],
     )
     def test_bad_config_rejected(self, model_file, tmp_path, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
+        out = tmp_path / "cmp.csv"
+        assert main(
+            [
+                "compare", "--model", model_file(), "--config", str(cfg),
+                "--families", "poincare", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content", [None, b'{"t": "\xff"}'], ids=["missing", "not_utf8"]
+    )
+    def test_unreadable_config_file(self, model_file, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
         out = tmp_path / "cmp.csv"
         assert main(
             [
