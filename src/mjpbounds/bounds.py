@@ -46,6 +46,7 @@ from .tilting import (
     chi2_prefactor,
     fenchel_conjugate,
     lambda0_star,
+    _simplex_slice,
 )
 
 FAMILIES = ("general", "perturbation", "poincare", "bernstein_general", "fsobolev")
@@ -271,16 +272,18 @@ class FSobolevVerdict:
     witness: np.ndarray | None = None
 
 
-def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray) -> float:
-    """pi(g^2 F(g^2)) + <Lg, g>_pi; the inequality holds iff this is <= 0."""
+def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
+    """pi(g^2 F(g^2)) + <Lg, g>_pi; the inequality holds iff this is <= 0.
+
+    ``g`` is one function on the states or a matrix whose columns are
+    functions; the result is one value per function.
+    """
     w = model.pi.weights
     g2 = g * g
     mask = g2 > 0.0
     term = np.zeros_like(g2)
     term[mask] = g2[mask] * F(g2[mask])
-    lhs = float(w @ term)
-    dirichlet = float(w @ (g * (model.q.rates @ g)))
-    return lhs + dirichlet
+    return w @ term + w @ (g * (model.q.rates @ g))
 
 
 def check_f_sobolev(
@@ -304,14 +307,7 @@ def check_f_sobolev(
         g0 = np.cos(theta) / math.sqrt(w[0])
         g1 = np.sin(theta) / math.sqrt(w[1])
         gs = np.stack([g0, g1], axis=0)
-        g2 = gs * gs
-        term = np.zeros_like(g2)
-        mask = g2 > 0.0
-        term[mask] = g2[mask] * F(g2[mask])
-        lhs = w @ term
-        qg = model.q.rates @ gs
-        dirichlet = np.einsum("x,xm,xm->m", w, gs, qg)
-        v = lhs + dirichlet
+        v = _violation(model, F, gs)
         k = int(np.argmax(v))
         if v[k] > 1e-8:
             return FSobolevVerdict("violated", float(v[k]), gs[:, k].copy())
@@ -324,7 +320,7 @@ def check_f_sobolev(
         g = rng.standard_normal(n)
         g /= math.sqrt(float(w @ g**2))
         v = _ascend_violation(model, F, g)
-        val = _violation(model, F, v)
+        val = float(_violation(model, F, v))
         if val > best_v:
             best_v, best_g = val, v
     if best_v > 1e-8:
@@ -374,10 +370,7 @@ def bound_fsobolev(
     a = _analysis(model, analysis)
     f_vals = model.f.values
     f_min = float(np.min(f_vals))
-    if math.isfinite(F.zero_limit):
-        r_cap = F.zero_limit / f_min
-    else:
-        r_cap = math.inf
+    r_cap = F.zero_limit / f_min if math.isfinite(F.zero_limit) else math.inf
 
     def g_of_r(r: float) -> float:
         return float(F(float(model.pi.weights @ F.inverse(r * f_vals))))
@@ -434,7 +427,7 @@ def verify_info_representation(
         b0 = min(max(b0, 0.0), 1.0)
         betas = np.array([[b0, 1.0 - b0]])
     else:
-        betas = _simplex_slice_grid(f, u, grid_density)
+        betas, _ = _simplex_slice(f, u, np.linspace(0.0, 1.0, grid_density))
     infos = np.array(
         [donsker_varadhan_info(model.q, model.pi, b) for b in betas]
     )
@@ -446,21 +439,6 @@ def verify_info_representation(
         gap=abs(float(infos[k]) - conj.value),
         argmin_beta=betas[k],
     )
-
-
-def _simplex_slice_grid(f, u, grid_density):
-    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    i, j, k = max(pairs, key=lambda p: abs(f[p[0]] - f[p[1]]))
-    fi, fj, fk = f[i], f[j], f[k]
-    s_vals = np.linspace(0.0, 1.0, grid_density)
-    bi = ((1.0 - s_vals) * fj - (u - fk * s_vals)) / (fj - fi)
-    bj = (1.0 - s_vals) - bi
-    ok = (bi >= 0.0) & (bj >= 0.0)
-    betas = np.zeros((int(ok.sum()), 3))
-    betas[:, i] = bi[ok]
-    betas[:, j] = bj[ok]
-    betas[:, k] = s_vals[ok]
-    return betas
 
 
 def bound_via_alpha(

@@ -180,15 +180,18 @@ def cmd_series(args) -> int:
     model = mf.model
     a = bnd.analyze(model)
     coeffs = comb.lambda0_coefficients(a.sd, model.f, model.pi, args.order)
+    r_rows = []  # computed before the output opens, so a failure writes nothing
+    for r in _parse_grid(args.r_grid) if args.r_grid else []:
+        lam = lambda0(a.sd, model.f, model.pi, float(r))
+        ps = coeffs.partial_sum(float(r))
+        r_rows.append((r, lam, ps, abs(lam - ps)))
     with _output(args.out, args.no_timestamp, "order,coefficient") as fh:
         for k, c in enumerate(coeffs.coeffs, start=1):
             _write_row(fh, k, c)
         if args.r_grid:
             fh.write("r,lambda0,partial_sum,abs_error\n")
-            for r in _parse_grid(args.r_grid):
-                lam = lambda0(a.sd, model.f, model.pi, float(r))
-                ps = coeffs.partial_sum(float(r))
-                _write_row(fh, r, lam, ps, abs(lam - ps))
+            for row in r_rows:
+                _write_row(fh, *row)
     return 0
 
 

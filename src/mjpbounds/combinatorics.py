@@ -19,13 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NumericalError,
-    OrderTooLargeError,
-    OutOfRangeError,
-    TooLargeError,
-)
+from .errors import DomainError, NumericalError, OrderTooLargeError
+from .errors import OutOfRangeError, TooLargeError
 from .markov import Observable, ProbDist
 from .spectral import SpectralData
 
@@ -199,8 +194,13 @@ class SeriesCoefficients:
         return len(self.coeffs)
 
     def partial_sum(self, r: float) -> float:
-        powers = np.power(r, np.arange(1, self.order + 1))
-        return float(self.coeffs @ powers)
+        """Sum of the series' terms up to its order; ``NumericalError`` if it
+        overflows, as it does far outside the radius of convergence."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(self.coeffs @ np.power(r, np.arange(1, self.order + 1)))
+        if not math.isfinite(value):
+            raise NumericalError(f"series partial sum at r = {r} overflows")
+        return value
 
 
 def lambda0_coefficients(

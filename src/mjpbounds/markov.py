@@ -11,7 +11,7 @@ condition ``pi_x q_xy = pi_y q_yx``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -273,9 +273,7 @@ def make_model(rates, f_values, nu=None, tol: float = DEFAULT_TOL) -> MJPModel:
         raise ValidationError("observable has non-finite entries")
     f = center_observable(Observable(f_raw), pi)
     if nu is None:
-        w = np.zeros(q.n)
-        w[0] = 1.0
-        nu_dist = ProbDist(_readonly(w), strictly_positive=False)
+        nu_dist = ProbDist(_readonly(np.eye(q.n)[0]))
     elif isinstance(nu, ProbDist):
         nu_dist = nu
     else:
@@ -289,14 +287,10 @@ def make_model(rates, f_values, nu=None, tol: float = DEFAULT_TOL) -> MJPModel:
 
 def stationary_model(model: MJPModel) -> MJPModel:
     """The same chain started from its invariant distribution."""
-    return MJPModel(
-        q=model.q, pi=model.pi, f=model.f, nu=model.pi, reversible=model.reversible
-    )
+    return replace(model, nu=model.pi)
 
 
 def flip_observable(model: MJPModel) -> MJPModel:
     """The same chain observed through -f; used for lower-tail bounds."""
     f = Observable(_readonly(-model.f.values), centered=model.f.centered)
-    return MJPModel(
-        q=model.q, pi=model.pi, f=f, nu=model.nu, reversible=model.reversible
-    )
+    return replace(model, f=f)

@@ -79,9 +79,8 @@ def read_model_file(path: str) -> ModelFile:
     if nu is not None and nu.shape != (n,):
         raise ParseError(path, f"field 'nu' must have length {n}")
     seed = raw.get("seed")
-    if seed is not None:
-        if not isinstance(seed, int):
-            raise ParseError(path, "field 'seed' must be an integer")
+    if seed is not None and not isinstance(seed, int):
+        raise ParseError(path, "field 'seed' must be an integer")
     try:
         model = make_model(q, f, nu)
     except ValidationError as exc:
@@ -108,13 +107,10 @@ def save_model(mf: ModelFile, path: str) -> None:
     ]
     lines.append('  "q": [\n' + ",\n".join(rows) + "\n  ],")
     lines.append('  "f": [' + ", ".join(_fmt(v) for v in model.f.values) + "],")
-    nu_line = '  "nu": [' + ", ".join(_fmt(v) for v in model.nu.weights) + "]"
+    lines.append('  "nu": [' + ", ".join(_fmt(v) for v in model.nu.weights) + "]")
     if mf.seed is not None:
-        nu_line += ","
-        lines.append(nu_line)
+        lines[-1] += ","
         lines.append(f'  "seed": {mf.seed}')
-    else:
-        lines.append(nu_line)
     lines.append("}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

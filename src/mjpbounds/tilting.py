@@ -185,12 +185,9 @@ def lambda0_star(
     if u < 0:
         raise ValidationError(f"threshold must be nonnegative, got {u}")
     f_max = float(np.max(f.values))
-    f_sup = f.sup_norm
     if u > f_max * (1.0 + 1e-12) + 1e-300:
-        return ConjugateResult(
-            u=u, value=math.inf, argmax_r=None, converged=True, boundary=False
-        )
-    cap = R_CAP_FACTOR * (1.0 + 1.0 / f_sup)
+        return ConjugateResult(u=u, value=math.inf, argmax_r=None, converged=True)
+    cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
     return fenchel_conjugate(lambda r: lambda0(sd, f, pi, r), u, r_max=cap, tol=tol)
 
 
@@ -259,39 +256,38 @@ def _variational_two_states(values, u, energy) -> float:
     alpha = min(max(alpha, 0.0), 1.0)
     h0 = math.sqrt(alpha)
     h1 = math.sqrt(1.0 - alpha)
-    best = math.inf
-    for s in (1.0, -1.0):
-        best = min(best, energy(np.array([h0, s * h1])))
-    return best
+    return min(energy(np.array([h0, s * h1])) for s in (1.0, -1.0))
 
 
-_SIGN_PATTERNS_3 = [
-    np.array([1.0, 1.0, 1.0]),
-    np.array([1.0, 1.0, -1.0]),
-    np.array([1.0, -1.0, 1.0]),
-    np.array([1.0, -1.0, -1.0]),
-]
+def _simplex_slice(values, u: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points p of the three-state simplex with sum_x p_x f(x) = u and p_k = s.
 
-
-def _variational_three_states(b_sym, values, u, energy, grid) -> float:
-    # pivot on the pair with the widest spread to keep the slice solve stable
+    k is the state outside the pair of f-values with the widest spread, the
+    pivot that keeps the slice solve stable.  Returns the points whose other
+    two coordinates are nonnegative (up to 1e-15, then clipped to 0), and the
+    mask of the entries of ``s`` they come from.
+    """
     pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
     i, j, k = max(pairs, key=lambda p: abs(values[p[0]] - values[p[1]]))
     fi, fj, fk = values[i], values[j], values[k]
+    # p_i + p_j = 1 - s, fi p_i + fj p_j = u - fk s
+    pi_ = ((1.0 - s) * fj - (u - fk * s)) / (fj - fi)
+    pj_ = (1.0 - s) - pi_
+    ok = (pi_ >= -1e-15) & (pj_ >= -1e-15)
+    p = np.empty((s.size, 3))
+    p[:, i] = np.clip(pi_, 0.0, None)
+    p[:, j] = np.clip(pj_, 0.0, None)
+    p[:, k] = s
+    return p[ok], ok
 
-    def slice_points(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # squared coordinates: p_i + p_j = 1 - s, fi p_i + fj p_j = u - fk s
-        pi_ = ((1.0 - s) * fj - (u - fk * s)) / (fj - fi)
-        pj_ = (1.0 - s) - pi_
-        ok = (pi_ >= -1e-15) & (pj_ >= -1e-15)
-        p = np.empty((s.size, 3))
-        p[:, i] = np.clip(pi_, 0.0, None)
-        p[:, j] = np.clip(pj_, 0.0, None)
-        p[:, k] = s
-        return p[ok], ok
 
+_SIGN_PATTERNS_3 = [np.array([1.0, a, b]) for a in (1.0, -1.0) for b in (1.0, -1.0)]
+
+
+def _variational_three_states(b_sym, values, u, energy, grid) -> float:
+    # the slice's points are the squared sqrt(pi) coordinates
     s_vals = np.linspace(0.0, 1.0, grid)
-    p, ok = slice_points(s_vals)
+    p, ok = _simplex_slice(values, u, s_vals)
     if p.shape[0] == 0:
         return math.inf
     h = np.sqrt(p)
@@ -306,7 +302,7 @@ def _variational_three_states(b_sym, values, u, energy, grid) -> float:
             best_s = float(s_vals[ok][idx])
 
     def best_over_signs(s: float) -> float:
-        p1, ok1 = slice_points(np.array([s]))
+        p1, _ = _simplex_slice(values, u, np.array([s]))
         if p1.shape[0] == 0:
             return math.inf
         h1 = np.sqrt(p1[0])

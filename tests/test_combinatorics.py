@@ -178,6 +178,13 @@ class TestSeriesCoefficients:
         with pytest.raises(NumericalError, match="coefficient 58 overflows"):
             lambda0_coefficients(a.sd, slow.f, slow.pi, ORDER_CAP)
 
+    def test_partial_sum_overflow_raises(self, two_state):
+        a = analyze(two_state)
+        co = lambda0_coefficients(a.sd, two_state.f, two_state.pi, ORDER_CAP)
+        assert math.isfinite(co.partial_sum(0.1))
+        with pytest.raises(NumericalError, match="partial sum at r = 100"):
+            co.partial_sum(100.0)
+
     def test_finite_difference_oracle_low_orders(self, three_dense):
         """Coefficients 1-4 match Richardson-extrapolated derivatives of lambda0."""
         a = analyze(three_dense)

@@ -169,6 +169,17 @@ class TestCliSubcommands:
         ) == 3
         assert not out.exists()
 
+    def test_series_partial_sum_overflow_exit_code(self, model_file, tmp_path):
+        # far outside the radius of convergence r^200 overflows in the partial sum
+        out = tmp_path / "series.csv"
+        assert main(
+            [
+                "series", "--model", model_file(), "--order", "200",
+                "--r-grid", "0:100:2", "--out", str(out),
+            ]
+        ) == 3
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "nosuch.json")]) == 2
 
@@ -428,23 +439,28 @@ class TestCompare:
         assert seen == [3, 2]
 
     @pytest.mark.parametrize(
-        "text",
+        "text, reason",
         [
-            "{not json",
-            '[["samples", 50]]',
-            '{"sample": 50}',
-            '{"domination_sigma": 1.0}',
-            '{"samples": "many", "t": [1], "u_grid": [0.2]}',
-            '{"t": 5, "u_grid": [0.2]}',
-            '{"seed": 1.5, "t": [1], "u_grid": [0.2]}',
-            '{"threads": "two", "t": [1], "u_grid": [0.2]}',
+            ("{not json", "is not valid JSON"),
+            ('[["samples", 50]]', "must hold a JSON object"),
+            ('{"sample": 50, "t": [1], "u_grid": [0.2]}', "unknown keys ['sample']"),
+            (
+                '{"domination_sigma": 1.0, "t": [1], "u_grid": [0.2]}',
+                "unknown keys ['domination_sigma']",
+            ),
+            ('{"samples": "many", "t": [1], "u_grid": [0.2]}', "bad samples value"),
+            ('{"t": 5, "u_grid": [0.2]}', "bad t value"),
+            ('{"seed": 1.5, "t": [1], "u_grid": [0.2]}', "bad seed value"),
+            ('{"threads": "two", "t": [1], "u_grid": [0.2]}', "bad threads value"),
         ],
         ids=[
             "invalid_json", "not_an_object", "misspelt_key", "domination_sigma",
             "samples_string", "t_number", "seed_float", "threads_string",
         ],
     )
-    def test_bad_config_rejected(self, model_file, tmp_path, text):
+    def test_bad_config_rejected(self, model_file, tmp_path, capsys, text, reason):
+        # every config but the unparsable ones is complete apart from its fault,
+        # and stderr names the check that refused it
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         out = tmp_path / "cmp.csv"
@@ -454,6 +470,7 @@ class TestCompare:
                 "--families", "poincare", "--out", str(out),
             ]
         ) == 2
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
