@@ -9,26 +9,21 @@ small-instance oracles.
 
 from .bounds import (
     FAMILIES,
-    BoundCurve,
     BoundPoint,
     FSobolevFunction,
     ModelAnalysis,
     analyze,
     bound_bernstein_general,
-    bound_curve,
     bound_fsobolev,
     bound_general,
     bound_perturbation,
     bound_poincare,
-    bound_via_alpha,
     check_f_sobolev,
-    donsker_varadhan_info,
     evaluate_family,
     iid_sum_bound,
     log_sobolev,
     lower_tail,
     two_sided,
-    verify_info_representation,
 )
 from .combinatorics import (
     SeriesCoefficients,
@@ -85,9 +80,7 @@ from .tilting import (
     BernsteinParams,
     ConjugateResult,
     bernstein_conjugate,
-    bernstein_conjugate_vform,
     chi2_prefactor,
-    cramer_transform_static,
     fenchel_conjugate,
     feynman_kac_norm,
     lambda0,

@@ -15,9 +15,7 @@ families differ in the rate:
 - ``fsobolev``           rate from a user-supplied functional inequality
 
 Lower tails come from replaying a family on -f; two-sided bounds add both
-tails.  The Donsker-Varadhan information provides a small-instance oracle
-for the identity between the general rate and a constrained information
-infimum.
+tails.
 """
 
 from __future__ import annotations
@@ -27,13 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLargeError,
-    FSobolevNotVerifiedError,
-    InfeasibleSliceError,
-    ValidationError,
-)
-from .markov import MJPModel, ProbDist, QMatrix, flip_observable
+from .errors import FSobolevNotVerifiedError, ValidationError
+from .markov import MJPModel, flip_observable
 from .spectral import (
     SpectralData,
     pi_variance,
@@ -46,7 +39,6 @@ from .tilting import (
     chi2_prefactor,
     fenchel_conjugate,
     lambda0_star,
-    _simplex_slice,
 )
 
 FAMILIES = ("general", "perturbation", "poincare", "bernstein_general", "fsobolev")
@@ -110,32 +102,13 @@ class BoundPoint:
     rate: float
     prefactor: float
     bound: float
-    raw_bound: float
     branch: str = ""
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    family: str
-    t: float
-    points: list[BoundPoint]
-    diagnostics: dict
-
-
 def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> BoundPoint:
-    raw = 0.0 if math.isinf(rate) else prefactor * math.exp(-t * rate)
-    return BoundPoint(
-        family=family,
-        u=u,
-        t=t,
-        rate=rate,
-        prefactor=prefactor,
-        bound=min(1.0, raw),
-        raw_bound=raw,
-        branch=branch,
-        diagnostics=diagnostics or {},
-    )
+    bound = 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))
+    return BoundPoint(family, u, t, rate, prefactor, bound, branch, diagnostics or {})
 
 
 def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
@@ -380,99 +353,6 @@ def bound_fsobolev(
     return _finish("fsobolev", u, t, conj.value, a.prefactor, diagnostics=diag)
 
 
-def donsker_varadhan_info(q: QMatrix, pi: ProbDist, beta) -> float:
-    """Information of beta against pi: -<L sqrt(d beta/d pi), sqrt(d beta/d pi)>.
-
-    ``beta`` is a distribution or a weight vector.  Nonnegative; tiny
-    negative rounding is clamped to 0.
-    """
-    w = pi.weights
-    b = np.asarray(beta.weights if hasattr(beta, "weights") else beta, dtype=float)
-    g = np.sqrt(b / w)
-    val = -float(w @ (g * (q.rates @ g)))
-    if val < -1e-12:
-        raise ValidationError(f"information came out negative: {val}")
-    return max(val, 0.0)
-
-
-@dataclass(frozen=True)
-class InfoRepresentationReport:
-    u: float
-    info_infimum: float
-    conjugate_value: float
-    gap: float
-    argmin_beta: np.ndarray
-
-
-def verify_info_representation(
-    model: MJPModel, u: float, grid_density: int = 10001
-) -> InfoRepresentationReport:
-    """Brute-force check that the information infimum equals the general rate.
-
-    The slice ``{beta : beta(f) = u}`` is a single point for two states and a
-    segment for three; the segment is grid-scanned.  Intended for n in {2, 3}.
-    """
-    n = model.n
-    if n > 3:
-        raise DimensionTooLargeError(n, 3)
-    f = model.f.values
-    fmin, fmax = float(np.min(f)), float(np.max(f))
-    if u < fmin - 1e-12 or u > fmax + 1e-12:
-        raise InfeasibleSliceError(u, fmin, fmax)
-    a = analyze(model)
-    conj = lambda0_star(a.sd, model.f, model.pi, u)
-
-    if n == 2:
-        b0 = (u - f[1]) / (f[0] - f[1])
-        b0 = min(max(b0, 0.0), 1.0)
-        betas = np.array([[b0, 1.0 - b0]])
-    else:
-        betas, _ = _simplex_slice(f, u, np.linspace(0.0, 1.0, grid_density))
-    infos = np.array(
-        [donsker_varadhan_info(model.q, model.pi, b) for b in betas]
-    )
-    k = int(np.argmin(infos))
-    return InfoRepresentationReport(
-        u=u,
-        info_infimum=float(infos[k]),
-        conjugate_value=conj.value,
-        gap=abs(float(infos[k]) - conj.value),
-        argmin_beta=betas[k],
-    )
-
-
-def bound_via_alpha(
-    model: MJPModel,
-    t: float,
-    u: float,
-    alpha,
-    analysis: ModelAnalysis | None = None,
-    verify: bool = False,
-) -> BoundPoint:
-    """Bound from a caller-supplied rate function dominated by the information.
-
-    The caller asserts ``alpha(beta(f)) <= I(beta|pi)`` on the relevant
-    measures; the closed-form families pass through here implicitly.  With
-    ``verify=True`` on models of up to three states the assertion is
-    cross-checked against the information infimum and a warning is emitted
-    if it fails (the returned bound is then not trustworthy).
-    """
-    a = _analysis(model, analysis)
-    rate = float(alpha(u))
-    if verify and model.n <= 3:
-        reference = lambda0_star(a.sd, model.f, model.pi, u).value
-        if rate > reference + 1e-8:
-            import warnings
-
-            warnings.warn(
-                f"alpha({u}) = {rate} exceeds the information infimum "
-                f"{reference}; the supplied rate violates its own condition",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return _finish("via_alpha", u, t, rate, a.prefactor)
-
-
 def lower_tail(
     model: MJPModel, t: float, u: float, family: str, **kwargs
 ) -> BoundPoint:
@@ -546,27 +426,3 @@ def evaluate_family(
             analysis=analysis,
         )
     raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
-def bound_curve(
-    model: MJPModel,
-    t: float,
-    u_grid,
-    family: str,
-    analysis: ModelAnalysis | None = None,
-    **kwargs,
-) -> BoundCurve:
-    a = _analysis(model, analysis)
-    points = [
-        evaluate_family(model, t, float(u), family, analysis=a, **kwargs)
-        for u in u_grid
-    ]
-    diag = {
-        "sigma_hat2": a.sigma_hat2,
-        "sigma_tilde2": a.sigma_tilde2,
-        "gap": a.gap,
-        "f_sup": a.f_sup,
-        "fplus_sup": a.fplus_sup,
-        "prefactor": a.prefactor,
-    }
-    return BoundCurve(family=family, t=t, points=points, diagnostics=diag)

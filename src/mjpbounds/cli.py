@@ -262,14 +262,20 @@ class RunConfig:
     summary_out: str | None = None
 
     def validate(self):
+        """Reject the settings that would fail only once the output is open."""
         if not self.u_grid:
             raise ValidationError("u grid is empty")
+        if any(math.isnan(u) for u in self.u_grid):
+            raise ValidationError("u grid must not hold NaN")
         if sorted(self.u_grid) != list(self.u_grid):
             raise ValidationError("u grid must be sorted ascending")
         if self.samples < 1:
             raise ValidationError("sample count must be >= 1")
         if not self.t_values:
             raise ValidationError("time list is empty")
+        for t in self.t_values:
+            if not math.isfinite(t) or t <= 0:
+                raise ValidationError(f"horizon must be finite and positive, got {t}")
 
 
 def _compare_header(families):

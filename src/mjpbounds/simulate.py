@@ -143,8 +143,8 @@ def sample_trajectory(
     same draw layout the vectorized tail estimator uses, so a single sample
     can be replayed in isolation.
     """
-    if horizon < 0:
-        raise ValidationError(f"horizon must be nonnegative, got {horizon}")
+    if not math.isfinite(horizon) or horizon < 0:
+        raise ValidationError(f"horizon must be finite and nonnegative, got {horizon}")
     cum_nu = np.cumsum(model.nu.weights)
     cum_nu[-1] = 1.0
     state = _pick_from_cum(cum_nu[:-1], rng_stream.uniform())
@@ -229,7 +229,9 @@ def time_averages(
     model: MJPModel, t: float, n_samples: int, seed: int, threads: int = 1
 ) -> np.ndarray:
     """Per-sample time averages A_t/t; bitwise identical for any thread count."""
-    if t <= 0:
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"horizon must be finite and positive, got {t}")
+    if t == 0:
         raise ZeroHorizonError()
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
@@ -287,6 +289,8 @@ def empirical_tail(
     with the same (model, t, n_samples, seed), letting callers scan many
     thresholds over one simulation sweep.
     """
+    if math.isnan(u):
+        raise ValidationError("threshold u must not be NaN")
     a = averages
     if a is None:
         a = time_averages(model, t, n_samples, seed, threads=threads)

@@ -73,7 +73,6 @@ class SpectralData:
     sym_coords: np.ndarray
     eigenvalues: np.ndarray
     eigvecs: np.ndarray
-    gap: float
     projector0: np.ndarray
     resolvent: np.ndarray
     pi: ProbDist
@@ -81,6 +80,10 @@ class SpectralData:
     @property
     def n(self) -> int:
         return self.sym.shape[0]
+
+    @property
+    def gap(self) -> float:
+        return float(-self.eigenvalues[1])
 
 
 def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
@@ -119,7 +122,6 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     eigvecs = vecs_b / sqrt_pi[:, None]
     eigvecs[:, 0] = 1.0
 
-    gap = float(-vals[1])
     projector0 = np.outer(np.ones(n), w)
     resolvent = _resolvent_from_pairs(vals, eigvecs, w, power=None)
     return SpectralData(
@@ -127,7 +129,6 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
         sym_coords=b,
         eigenvalues=vals,
         eigvecs=eigvecs,
-        gap=gap,
         projector0=projector0,
         resolvent=resolvent,
         pi=pi,

@@ -42,7 +42,6 @@ class ConjugateResult:
     u: float
     value: float
     argmax_r: float | None
-    converged: bool
     boundary: bool = False
 
     @property
@@ -147,9 +146,7 @@ def fenchel_conjugate(
     r_star, h_star = _golden_max(objective, lo, hi, r_tol)
     value = max(h_star, 0.0)
     argmax = 0.0 if value == 0.0 and h_star <= 0.0 else r_star
-    return ConjugateResult(
-        u=u, value=value, argmax_r=argmax, converged=not hit_cap, boundary=hit_cap
-    )
+    return ConjugateResult(u=u, value=value, argmax_r=argmax, boundary=hit_cap)
 
 
 def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
@@ -162,14 +159,6 @@ def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
         raise ValidationError(f"need v > 0, c >= 0, u >= 0; got {bp} at u={u}")
     root = math.sqrt(1.0 + 2.0 * u * bp.c / bp.v)
     return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
-
-
-def bernstein_conjugate_vform(bp: BernsteinParams, u: float) -> float:
-    """The equivalent form (v/c^2)(1 + uc/v - sqrt(1 + 2uc/v)); c > 0 only."""
-    if bp.v <= 0 or bp.c <= 0 or u < 0:
-        raise ValidationError(f"need v > 0, c > 0, u >= 0; got {bp} at u={u}")
-    x = u * bp.c / bp.v
-    return (bp.v / bp.c**2) * (1.0 + x - math.sqrt(1.0 + 2.0 * x))
 
 
 def lambda0_star(
@@ -186,33 +175,9 @@ def lambda0_star(
         raise ValidationError(f"threshold must be nonnegative, got {u}")
     f_max = float(np.max(f.values))
     if u > f_max * (1.0 + 1e-12) + 1e-300:
-        return ConjugateResult(u=u, value=math.inf, argmax_r=None, converged=True)
+        return ConjugateResult(u=u, value=math.inf, argmax_r=None)
     cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
     return fenchel_conjugate(lambda r: lambda0(sd, f, pi, r), u, r_max=cap, tol=tol)
-
-
-def cramer_transform_static(
-    pi: ProbDist, f: Observable, u: float, tol: float = 1e-12
-) -> float:
-    """Cramer transform of the single-draw observable f(X_0) under pi.
-
-    Returns ``sup_{r>=0} (ru - log sum_x pi_x e^{r f(x)})``; infinite beyond
-    max f.
-    """
-    if u < 0:
-        raise ValidationError(f"threshold must be nonnegative, got {u}")
-    values = f.values
-    f_max = float(np.max(values))
-    if u > f_max * (1.0 + 1e-12) + 1e-300:
-        return math.inf
-
-    def log_mgf(r: float) -> float:
-        shift = r * f_max if r > 0 else 0.0
-        return shift + math.log(float(pi.weights @ np.exp(r * values - shift)))
-
-    cap = R_CAP_FACTOR * (1.0 + 1.0 / max(f.sup_norm, 1e-300))
-    result = fenchel_conjugate(log_mgf, u, r_max=cap, tol=tol)
-    return result.value
 
 
 def rate_function_variational(

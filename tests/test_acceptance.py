@@ -15,7 +15,6 @@ from mjpbounds import (
     BernsteinParams,
     analyze,
     bernstein_conjugate,
-    bernstein_conjugate_vform,
     beta,
     beta_total,
     bound_bernstein_general,
@@ -49,6 +48,7 @@ from mjpbounds.bounds import general_bernstein_eigen_bound, perturbation_branch_
 from mjpbounds.cli import main as cli_main
 
 from conftest import random_irreducible_model
+from oracles import bernstein_conjugate_vform
 
 
 def report(number, ok, detail):

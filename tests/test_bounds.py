@@ -8,14 +8,11 @@ from mjpbounds import (
     analyze,
     bernstein_conjugate,
     bound_bernstein_general,
-    bound_curve,
     bound_fsobolev,
     bound_general,
     bound_perturbation,
     bound_poincare,
-    bound_via_alpha,
     check_f_sobolev,
-    donsker_varadhan_info,
     empirical_tail,
     evaluate_family,
     fenchel_conjugate,
@@ -28,7 +25,6 @@ from mjpbounds import (
     stationary_model,
     time_averages,
     two_sided,
-    verify_info_representation,
 )
 from mjpbounds.bounds import (
     FSobolevFunction,
@@ -42,6 +38,12 @@ from mjpbounds.errors import (
 )
 
 from conftest import random_irreducible_model
+from oracles import (
+    bound_via_alpha,
+    cramer_transform_static,
+    donsker_varadhan_info,
+    verify_info_representation,
+)
 
 
 class TestBoundGeneral:
@@ -170,8 +172,6 @@ class TestFSobolev:
             bound_fsobolev(two_state, 1.0, 0.3, F)
 
     def test_log_case_reduces_to_static_cramer(self, two_state):
-        from mjpbounds import cramer_transform_static
-
         c = 0.5
         F = log_sobolev(c)
         verdict = check_f_sobolev(two_state, F)
@@ -275,10 +275,6 @@ class TestBoundViaAlpha:
             direct = bound_bernstein_general(three_cycle, 2.0, u, analysis=a)
             assert via.bound == pytest.approx(direct.bound, abs=1e-14)
 
-    def test_condition_violation_warns_on_small_models(self, two_state):
-        with pytest.warns(RuntimeWarning):
-            bound_via_alpha(two_state, 1.0, 0.3, lambda u: 100.0, verify=True)
-
 
 class TestLowerTailAndTwoSided:
     def test_symmetric_model_mirror_rates(self):
@@ -374,11 +370,9 @@ class TestIidSumBound:
 
 class TestCurveAndDomination:
     def test_curve_shape_and_diagnostics(self, three_cycle):
-        grid = np.linspace(0.0, 0.8, 9)
-        curve = bound_curve(three_cycle, 5.0, grid, "perturbation")
-        assert len(curve.points) == 9
-        assert {"sigma_hat2", "gap", "prefactor"} <= set(curve.diagnostics)
-        for p in curve.points:
+        a = analyze(three_cycle)
+        for u in np.linspace(0.0, 0.8, 9):
+            p = evaluate_family(three_cycle, 5.0, float(u), "perturbation", analysis=a)
             assert 0.0 <= p.bound <= 1.0
             assert p.rate >= 0.0
 

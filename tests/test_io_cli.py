@@ -1,10 +1,14 @@
 import gc
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mjpbounds
 from mjpbounds import load_model, read_model_file, save_model
 from mjpbounds import cli
 from mjpbounds.cli import main, run_compare, RunConfig
@@ -180,6 +184,35 @@ class TestCliSubcommands:
         ) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_horizon_exits_2(self, model_file, tmp_path, command, t):
+        # a child process with a timeout, so that a simulator stepping towards
+        # a horizon it never crosses fails this test instead of hanging the suite
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", model_file(), "--t", t, "--samples", "10"]
+        argv += ["--u", "0.3"] if command == "simulate" else ["--u-grid", "0.3:0.3:1"]
+        src = str(Path(mjpbounds.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mjpbounds.cli", *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "horizon must be finite" in proc.stderr
+        assert not out.exists()
+
+    def test_simulate_nan_threshold_exits_2(self, model_file, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(
+            [
+                "simulate", "--model", model_file(), "--t", "2", "--u", "nan",
+                "--samples", "10", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "nosuch.json")]) == 2
 
@@ -256,6 +289,21 @@ class TestCompare:
         )
         with pytest.raises(ValidationError):
             run_compare(config)
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2")]
+    )
+    def test_refused_cell_settings_write_no_file(
+        self, model_file, tmp_path, capsys, flag, value
+    ):
+        settings = {"--t": "1", "--u-grid": "0.1:0.3:2", flag: value}
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--model", model_file(), "--samples", "10", "--out", str(out)]
+        for key, setting in settings.items():
+            argv += [key, setting]
+        assert main(argv) == 2
+        assert "validation failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_and_domination(self, model_file, tmp_path):
         out = tmp_path / "cmp.csv"

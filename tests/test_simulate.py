@@ -16,7 +16,7 @@ from mjpbounds import (
     time_average,
     time_averages,
 )
-from mjpbounds.errors import ZeroHorizonError
+from mjpbounds.errors import ValidationError, ZeroHorizonError
 from mjpbounds.simulate import Trajectory, counter_uniforms, stream_keys
 
 
@@ -45,6 +45,27 @@ class TestCounterRng:
             key = stream_keys(seed, np.array([stream], dtype=np.uint64))[0]
             ref = counter_uniforms(np.full(1000, key), np.arange(1000, dtype=np.uint64))
             np.testing.assert_array_equal(got, ref)
+
+
+class TestHorizonAndThresholdChecks:
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, two_state, t):
+        # the simulators would step towards a horizon they can never cross
+        with pytest.raises(ValidationError, match="finite"):
+            time_averages(two_state, t, 10, seed=0)
+        with pytest.raises(ValidationError, match="finite"):
+            sample_trajectory(two_state, t, CounterStream(0))
+
+    def test_negative_horizon_is_not_zero_length(self, two_state):
+        with pytest.raises(ValidationError, match="got -1.0") as err:
+            time_averages(two_state, -1.0, 10, seed=0)
+        assert not isinstance(err.value, ZeroHorizonError)
+        with pytest.raises(ZeroHorizonError):
+            time_averages(two_state, 0.0, 10, seed=0)
+
+    def test_nan_threshold_rejected(self, two_state):
+        with pytest.raises(ValidationError, match="NaN"):
+            empirical_tail(two_state, 1.0, math.nan, 10, seed=0)
 
 
 class TestSampleTrajectory:
