@@ -105,6 +105,13 @@ class BoundPoint:
     branch: str = ""
     diagnostics: dict = field(default_factory=dict)
 
+    def at(self, t: float) -> BoundPoint:
+        """This bound at horizon ``t``: no family's rate depends on t, so one
+        evaluation serves every horizon."""
+        return _finish(
+            self.family, self.u, t, self.rate, self.prefactor, self.branch, self.diagnostics
+        )
+
 
 def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> BoundPoint:
     bound = 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))

@@ -110,6 +110,14 @@ def _write_row(fh, *cells):
     fh.write(",".join(text) + "\n")
 
 
+def _write_csv(path, no_timestamp, header, rows, append=False):
+    """Write computed ``rows`` through ``_output``.  Commands compute every row
+    before calling this, so a refused or failed run leaves no file."""
+    with _output(path, no_timestamp, header, append) as fh:
+        for row in rows:
+            _write_row(fh, *row)
+
+
 def _load(args):
     """Model file and seed (``args.seed``, else the file's, else 0) of parsed
     flags or a ``RunConfig``."""
@@ -155,11 +163,8 @@ def cmd_simulate(args) -> int:
     est = empirical_tail(
         mf.model, args.t, args.u, args.samples, seed, threads=_threads(args.threads)
     )
-    header = "u,t,n,hits,p_hat,ci_lo,ci_hi"
-    with _output(args.out, args.no_timestamp, header) as fh:
-        _write_row(
-            fh, est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi
-        )
+    row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
+    _write_csv(args.out, args.no_timestamp, "u,t,n,hits,p_hat,ci_lo,ci_hi", [row])
     return 0
 
 
@@ -167,11 +172,11 @@ def cmd_rate(args) -> int:
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
-    header = "u,lambda0_star,argmax_r,finite"
-    with _output(args.out, args.no_timestamp, header) as fh:
-        for u in _parse_grid(args.u_grid):
-            res = lambda0_star(a.sd, model.f, model.pi, float(u))
-            _write_row(fh, u, res.value, res.argmax_r, int(res.finite))
+    rows = []
+    for u in _parse_grid(args.u_grid):
+        res = lambda0_star(a.sd, model.f, model.pi, float(u))
+        rows.append((u, res.value, res.argmax_r, int(res.finite)))
+    _write_csv(args.out, args.no_timestamp, "u,lambda0_star,argmax_r,finite", rows)
     return 0
 
 
@@ -231,15 +236,16 @@ def cmd_bounds(args) -> int:
     analysis = bnd.analyze(model)
     families = _resolve_families(args.families, args.fsobolev_c)
     kwargs = _family_kwargs(model, args.fsobolev_c)
+    rows = []
+    for u in _parse_grid(args.u_grid):
+        for fam in families:
+            p = bnd.evaluate_family(
+                model, args.t, float(u), fam, analysis=analysis, **kwargs
+            )
+            notes = "boundary" if p.diagnostics.get("boundary") else ""
+            rows.append((p.u, fam, p.rate, p.prefactor, p.bound, p.branch, notes))
     header = "u,family,rate,prefactor,bound,branch,notes"
-    with _output(args.out, args.no_timestamp, header) as fh:
-        for u in _parse_grid(args.u_grid):
-            for fam in families:
-                p = bnd.evaluate_family(
-                    model, args.t, float(u), fam, analysis=analysis, **kwargs
-                )
-                notes = "boundary" if p.diagnostics.get("boundary") else ""
-                _write_row(fh, p.u, fam, p.rate, p.prefactor, p.bound, p.branch, notes)
+    _write_csv(args.out, args.no_timestamp, header, rows)
     return 0
 
 
@@ -267,8 +273,9 @@ class RunConfig:
             raise ValidationError("u grid is empty")
         if any(math.isnan(u) for u in self.u_grid):
             raise ValidationError("u grid must not hold NaN")
-        if sorted(self.u_grid) != list(self.u_grid):
-            raise ValidationError("u grid must be sorted ascending")
+        # a repeated u or t would write its cells twice, and --resume keys rows by (u, t)
+        if any(a >= b for a, b in zip(self.u_grid, self.u_grid[1:])):
+            raise ValidationError("u grid must be strictly ascending, without repeats")
         if self.samples < 1:
             raise ValidationError("sample count must be >= 1")
         if not self.t_values:
@@ -276,6 +283,8 @@ class RunConfig:
         for t in self.t_values:
             if not math.isfinite(t) or t <= 0:
                 raise ValidationError(f"horizon must be finite and positive, got {t}")
+        if len(set(self.t_values)) < len(self.t_values):
+            raise ValidationError(f"time list repeats a horizon: {self.t_values}")
 
 
 def _compare_header(families):
@@ -330,9 +339,12 @@ def _resume_cells(path, header, samples):
 def run_compare(config: RunConfig) -> dict:
     """End-to-end comparison: empirical tails against every requested bound.
 
-    Writes one CSV row per (u, t) cell, flushed as soon as the cell finishes
-    so interrupted runs can be resumed cell by cell.  Returns the JSON-ready
-    summary.
+    Every path is simulated once, to the largest horizon, and each family's
+    rate is evaluated once per threshold and applied at every horizon.  All
+    of it happens before the output opens, so a refused or failed run writes
+    no file.  The CSV holds one row per (u, t) cell, in the order of
+    ``t_values``; ``resume`` skips the cells a previous run wrote.  Returns
+    the JSON-ready summary.
     """
     config.validate()
     mf, seed = _load(config)
@@ -346,47 +358,49 @@ def run_compare(config: RunConfig) -> dict:
     done_cells, failures = None, []
     if config.resume and config.out not in (None, "-") and os.path.exists(config.out):
         done_cells, failures = _resume_cells(config.out, header, config.samples)
-
-    rows = 0
     append = done_cells is not None
-    with _output(config.out, config.no_timestamp, header, append) as fh:
-        for t in config.t_values:
-            averages = time_averages(
-                model, t, config.samples, seed, threads=config.threads
-            )
-            for u in config.u_grid:
-                key = (_fmt(u), _fmt(t))
-                if append and key in done_cells:
-                    continue
-                est = empirical_tail(
-                    model, t, u, config.samples, seed, averages=averages
+    cells = [
+        (u, t)
+        for t in config.t_values
+        for u in config.u_grid
+        if not append or (_fmt(u), _fmt(t)) not in done_cells
+    ]
+
+    t0 = config.t_values[0]  # any horizon: ``BoundPoint.at`` moves a bound to another
+    points, sharp_rate = {}, {}
+    for u in config.u_grid:
+        points[u] = {
+            fam: bnd.evaluate_family(model, t0, u, fam, analysis=analysis, **kwargs)
+            for fam in families
+        }
+        if sharpness_on:  # the general rate, which the sharpness column subtracts
+            general = points[u].get("general")
+            sharp_rate[u] = general.rate if general else lambda0_star(
+                analysis.sd, model.f, model.pi, u
+            ).value
+    horizons = sorted(config.t_values)
+    sims = time_averages(model, horizons, config.samples, seed, threads=config.threads)
+    averages = dict(zip(horizons, sims))
+
+    rows = []
+    for u, t in cells:
+        est = empirical_tail(model, t, u, config.samples, seed, averages=averages[t])
+        row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
+        for p in points[u].values():
+            bound = p.at(t).bound
+            ok = est.p_hat <= bound + DOMINATION_SIGMA * est.ci_half_width
+            if not ok:
+                failures.append(
+                    {"family": p.family, "u": u, "t": t, "p_hat": est.p_hat,
+                     "bound": bound}
                 )
-                cells = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
-                rates = {}
-                for fam in families:
-                    p = bnd.evaluate_family(
-                        model, t, u, fam, analysis=analysis, **kwargs
-                    )
-                    rates[fam] = p.rate
-                    ok = est.p_hat <= p.bound + DOMINATION_SIGMA * est.ci_half_width
-                    if not ok:
-                        failures.append(
-                            {"family": fam, "u": u, "t": t, "p_hat": est.p_hat,
-                             "bound": p.bound}
-                        )
-                    cells += [p.rate, p.bound, int(ok)]
-                if sharpness_on and est.p_hat > 0.0:
-                    # empirical decay rate exceeds the bound's rate; the
-                    # excess shrinks to 0 as t grows on reversible chains
-                    rate = rates.get("general")
-                    if rate is None:
-                        rate = lambda0_star(analysis.sd, model.f, model.pi, u).value
-                    cells.append(-math.log(est.p_hat) / t - rate)
-                else:
-                    cells.append(None)
-                _write_row(fh, *cells)
-                fh.flush()
-                rows += 1
+            row += [p.rate, bound, int(ok)]
+        # empirical decay rate exceeds the bound's rate; the excess shrinks
+        # to 0 as t grows on reversible chains
+        sharp = sharpness_on and est.p_hat > 0.0
+        row.append(-math.log(est.p_hat) / t - sharp_rate[u] if sharp else None)
+        rows.append(row)
+    _write_csv(config.out, config.no_timestamp, header, rows, append)
 
     summary = {
         "model": config.model,
@@ -395,7 +409,7 @@ def run_compare(config: RunConfig) -> dict:
         "u_grid": [float(u) for u in config.u_grid],
         "samples": config.samples,
         "seed": seed,
-        "rows_written": rows,
+        "rows_written": len(rows),
         "domination_failures": failures,
         "all_dominated": not failures,
         "sharpness_diagnostic": sharpness_on,

@@ -178,42 +178,56 @@ def time_average(traj: Trajectory, f: Observable) -> float:
     return float(np.sum(f.values[traj.states] * lengths) / traj.horizon)
 
 
-def _time_average_block(model, t, seed, start, count, tables):
-    """Time averages A_t/t for samples start..start+count-1, fully vectorized.
+def _time_average_block(model, horizons, seed, start, count, tables, out):
+    """Time averages A_h/h of samples start..start+count-1 at every horizon h.
 
-    Active trajectories are compacted every sweep; each sample consumes draws
-    from its own substream only, so the result is independent of blocking.
+    ``horizons`` is strictly ascending; row k of ``out`` receives the averages
+    at ``horizons[k]``.  Each path runs once, to the last horizon.  When it
+    first reaches an earlier horizon h inside a holding interval it records
+    ``acc + f(state) * (h - tau)``, the float operations of a path stopped at
+    h, so every row equals a one-horizon run bit for bit.  Active
+    trajectories are compacted every sweep; each sample consumes draws from
+    its own substream only, so the result is independent of blocking.
     """
     targets, cum = tables
     exit_rates = model.q.exit_rates
     f_vals = model.f.values
     n = model.n
+    last = horizons.size
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
     cum_nu = np.cumsum(model.nu.weights)[:-1]
     u0 = counter_uniforms(keys, np.zeros(count, dtype=np.uint64))
     state = (u0[:, None] > cum_nu[None, :]).sum(axis=1).astype(np.int64)
 
-    out = np.zeros(count)
-    ids = np.arange(count)
+    ids = np.arange(start, start + count)
     tau = np.zeros(count)
     acc = np.zeros(count)
     draw = np.ones(count, dtype=np.uint64)
+    nxt = np.zeros(count, dtype=np.int64)  # index of the next horizon to reach
 
     while ids.size:
         uh = counter_uniforms(keys, draw)
         dt = -np.log(uh) / exit_rates[state]
         t_new = tau + dt
-        crossed = t_new >= t
-        acc += f_vals[state] * (np.minimum(t_new, t) - tau)
-        out[ids[crossed]] = acc[crossed]
+        fx = f_vals[state]
+        c = np.flatnonzero(t_new >= horizons[nxt])
+        while c.size:  # several horizons may fall in one holding interval
+            k = nxt[c]
+            h = horizons[k]
+            out[k, ids[c]] = (acc[c] + fx[c] * (h - tau[c])) / h
+            nxt[c] = k = k + 1
+            c = c[k < last]
+            c = c[t_new[c] >= horizons[nxt[c]]]
+        acc += fx * (t_new - tau)
 
-        keep = ~crossed
+        keep = nxt < last
         ids = ids[keep]
         if not ids.size:
             break
         keys = keys[keep]
         state = state[keep]
+        nxt = nxt[keep]
         acc = acc[keep]
         tau = t_new[keep]
         draw = draw[keep] + _U64(1)
@@ -222,28 +236,37 @@ def _time_average_block(model, t, seed, start, count, tables):
         j = (ut[:, None] > cum[state]).sum(axis=1)
         state = targets[state, np.minimum(j, n - 2)]
         draw = draw + _U64(1)
-    return out / t
 
 
 def time_averages(
-    model: MJPModel, t: float, n_samples: int, seed: int, threads: int = 1
+    model: MJPModel, t, n_samples: int, seed: int, threads: int = 1
 ) -> np.ndarray:
-    """Per-sample time averages A_t/t; bitwise identical for any thread count."""
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError(f"horizon must be finite and positive, got {t}")
-    if t == 0:
-        raise ZeroHorizonError()
+    """Per-sample time averages A_t/t; bitwise identical for any thread count.
+
+    ``t`` is one horizon, giving one value per sample, or a strictly
+    ascending sequence of horizons, giving one row per horizon.  All
+    horizons share one pass per path, and each row equals the one-horizon
+    result bit for bit, since a path's draws depend only on (seed, sample,
+    draw counter).
+    """
+    hs = np.atleast_1d(np.asarray(t, dtype=float))
+    for h in hs.ravel().tolist():
+        if not math.isfinite(h) or h < 0:
+            raise ValidationError(f"horizon must be finite and positive, got {h}")
+        if h == 0:
+            raise ZeroHorizonError()
+    if hs.ndim != 1 or hs.size == 0 or np.any(np.diff(hs) <= 0):
+        raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
     tables = _jump_tables(model)
-    out = np.empty(n_samples)
+    out = np.empty((hs.size, n_samples))
     blocks = [
         (s, min(_BLOCK, n_samples - s)) for s in range(0, n_samples, _BLOCK)
     ]
 
     def run(block):
-        s, c = block
-        out[s : s + c] = _time_average_block(model, t, seed, s, c, tables)
+        _time_average_block(model, hs, seed, *block, tables, out)
 
     if threads <= 1 or len(blocks) == 1:
         for b in blocks:
@@ -251,7 +274,7 @@ def time_averages(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, blocks))
-    return out
+    return out[0] if np.ndim(t) == 0 else out
 
 
 _Z95 = 1.959963984540054
@@ -287,13 +310,16 @@ def empirical_tail(
 
     ``averages`` may carry precomputed time averages from ``time_averages``
     with the same (model, t, n_samples, seed), letting callers scan many
-    thresholds over one simulation sweep.
+    thresholds over one simulation sweep; with several horizons, pass the
+    row of ``t``.
     """
     if math.isnan(u):
         raise ValidationError("threshold u must not be NaN")
     a = averages
     if a is None:
         a = time_averages(model, t, n_samples, seed, threads=threads)
+    elif np.shape(a) != (n_samples,):
+        raise ValidationError(f"need one average per sample, got shape {np.shape(a)}")
     hits = int(np.count_nonzero(a >= u))
     return _tail_estimate(u, t, n_samples, hits)
 

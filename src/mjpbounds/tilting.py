@@ -155,7 +155,7 @@ def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     Uses the cancellation-free form ``2u^2 / (v (1 + sqrt(1 + 2uc/v))^2)``;
     at c = 0 this is the Gaussian limit u^2 / (2v).
     """
-    if bp.v <= 0 or bp.c < 0 or u < 0:
+    if bp.v <= 0 or bp.c < 0 or not u >= 0:
         raise ValidationError(f"need v > 0, c >= 0, u >= 0; got {bp} at u={u}")
     root = math.sqrt(1.0 + 2.0 * u * bp.c / bp.v)
     return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
@@ -171,7 +171,7 @@ def lambda0_star(
     approached only as r grows, so the search is capped and the result is
     flagged as a boundary value.
     """
-    if u < 0:
+    if not u >= 0:  # also refuses NaN
         raise ValidationError(f"threshold must be nonnegative, got {u}")
     f_max = float(np.max(f.values))
     if u > f_max * (1.0 + 1e-12) + 1e-300:

@@ -10,6 +10,7 @@ import pytest
 
 import mjpbounds
 from mjpbounds import load_model, read_model_file, save_model
+from mjpbounds import bounds as bnd
 from mjpbounds import cli
 from mjpbounds.cli import main, run_compare, RunConfig
 from mjpbounds.errors import ParseError, ValidationError
@@ -213,6 +214,20 @@ class TestCliSubcommands:
         ) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--t", "-1", "--u-grid", "0.1:0.3:2"],
+            ["rate", "--u-grid", "nan:0.5:2"],
+        ],
+        ids=["bounds_negative_t", "rate_nan_u"],
+    )
+    def test_refused_bounds_and_rate_write_no_file(self, model_file, tmp_path, argv):
+        # every row is computed before the output opens
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--model", model_file(), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path):
         assert main(["validate", "--model", str(tmp_path / "nosuch.json")]) == 2
 
@@ -291,19 +306,73 @@ class TestCompare:
             run_compare(config)
 
     @pytest.mark.parametrize(
-        "flag,value", [("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2")]
+        "flag,value",
+        [
+            ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),
+            ("--t", "1,1"), ("--u-grid", "0.1:0.1:2"), ("--u-grid", "-0.2:0.3:2"),
+            ("--fsobolev-c", "10"),
+        ],
     )
     def test_refused_cell_settings_write_no_file(
         self, model_file, tmp_path, capsys, flag, value
     ):
+        # a negative u is refused by the families, and a log-Sobolev constant
+        # of 10 is violated on this chain; both before the output opens
         settings = {"--t": "1", "--u-grid": "0.1:0.3:2", flag: value}
         out = tmp_path / "cmp.csv"
         argv = ["compare", "--model", model_file(), "--samples", "10", "--out", str(out)]
         for key, setting in settings.items():
-            argv += [key, setting]
+            argv.append(f"{key}={setting}")  # "=" keeps a leading "-" a value
         assert main(argv) == 2
         assert "validation failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_horizon_order_and_single_runs_give_same_rows(self, model_file, tmp_path):
+        # one pass to the largest t serves every horizon; rows follow the --t order
+        path = model_file(seed=4)
+
+        def body(t):
+            out = tmp_path / f"t{t}.csv"
+            argv = [
+                "compare", "--model", path, "--t", t, "--u-grid", "0.1:0.5:3",
+                "--samples", "3000", "--no-timestamp", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            return out.read_text().splitlines()
+
+        header, *rows = body("20,1,5")
+        singles = [body(t) for t in ("20", "1", "5")]
+        assert all(s[0] == header for s in singles)
+        assert rows == [row for s in singles for row in s[1:]]
+
+    @pytest.mark.parametrize("families", ["general,poincare", "poincare"])
+    def test_simulates_once_and_solves_once_per_u(
+        self, model_file, tmp_path, monkeypatch, families
+    ):
+        # the two-state chain is reversible, so every cell has a sharpness
+        # cell; it reuses the general rate, or solves its own once per u
+        calls = {"sim": 0, "bounds": 0, "cli": 0}
+
+        def counting(key, fn):
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(cli, "time_averages", counting("sim", cli.time_averages))
+        monkeypatch.setattr(bnd, "lambda0_star", counting("bounds", bnd.lambda0_star))
+        monkeypatch.setattr(cli, "lambda0_star", counting("cli", cli.lambda0_star))
+        assert main(
+            [
+                "compare", "--model", model_file(), "--t", "1,5,2",
+                "--u-grid", "0.1:0.5:4", "--samples", "2000", "--families", families,
+                "--out", str(tmp_path / "cmp.csv"),
+            ]
+        ) == 0
+        general = "general" in families
+        solves = {"bounds": 4, "cli": 0} if general else {"bounds": 0, "cli": 4}
+        assert calls == {"sim": 1, **solves}
 
     def test_summary_and_domination(self, model_file, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -354,6 +423,22 @@ class TestCompare:
         summary = run_compare(RunConfig(**base, resume=True))
         assert summary["rows_written"] == 1
         assert out.read_text() == whole
+
+    def test_resume_adds_new_horizons(self, model_file, tmp_path):
+        # the resumed run's new cells equal a fresh run's bit for bit
+        base = dict(
+            model=model_file(seed=3), u_grid=[0.1, 0.3], families=["general"],
+            samples=2000, seed=3, no_timestamp=True,
+        )
+        fresh = tmp_path / "fresh.csv"
+        run_compare(RunConfig(**base, t_values=[1.0, 5.0], out=str(fresh)))
+        out = tmp_path / "cmp.csv"
+        run_compare(RunConfig(**base, t_values=[1.0], out=str(out)))
+        summary = run_compare(
+            RunConfig(**base, t_values=[1.0, 5.0], out=str(out), resume=True)
+        )
+        assert summary["rows_written"] == 2
+        assert out.read_text() == fresh.read_text()
 
     @pytest.mark.parametrize(
         "change", [{"families": ["general", "poincare"]}, {"samples": 3000}]

@@ -68,6 +68,40 @@ class TestHorizonAndThresholdChecks:
             empirical_tail(two_state, 1.0, math.nan, 10, seed=0)
 
 
+class TestManyHorizons:
+    HORIZONS = (0.5, 1.0, 1.0 + 1e-9, 7.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_single_horizon_runs_bitwise(self, three_dense, threads):
+        # 40000 samples span three blocks, so two threads share the work
+        rows = time_averages(three_dense, self.HORIZONS, 40000, seed=8, threads=threads)
+        assert rows.shape == (len(self.HORIZONS), 40000)
+        for row, h in zip(rows, self.HORIZONS):
+            single = time_averages(three_dense, h, 40000, seed=8)
+            assert row.tobytes() == single.tobytes()
+
+    def test_one_horizon_in_a_list_gives_one_row(self, two_state):
+        one = time_averages(two_state, 3.0, 100, seed=2)
+        assert one.shape == (100,)
+        np.testing.assert_array_equal(time_averages(two_state, [3.0], 100, seed=2), [one])
+
+    @pytest.mark.parametrize(
+        "horizons, match",
+        [
+            ((2.0, 1.0), "strictly ascending"),
+            ((1.0, 1.0), "strictly ascending"),
+            ((1.0, math.nan), "finite"),
+            ((1.0, math.inf), "finite"),
+            ((0.0, 1.0), "zero-length"),
+            ((), "strictly ascending"),
+        ],
+        ids=["unsorted", "repeated", "nan", "inf", "zero", "empty"],
+    )
+    def test_bad_horizon_lists_rejected(self, two_state, horizons, match):
+        with pytest.raises(ValidationError, match=match):
+            time_averages(two_state, horizons, 10, seed=0)
+
+
 class TestSampleTrajectory:
     def test_zero_horizon_single_segment(self, two_state):
         traj = sample_trajectory(two_state, 0.0, CounterStream(0, 0))
@@ -206,6 +240,12 @@ class TestEmpiricalTail:
         direct = empirical_tail(two_state, 2.0, 0.25, 5000, seed=3)
         reused = empirical_tail(two_state, 2.0, 0.25, 5000, seed=3, averages=avg)
         assert direct == reused
+
+    def test_averages_of_several_horizons_rejected(self, two_state):
+        # one row per horizon; counting hits over all rows would give p_hat > 1
+        rows = time_averages(two_state, [2.0, 5.0], 500, seed=3)
+        with pytest.raises(ValidationError, match="one average per sample"):
+            empirical_tail(two_state, 2.0, -5.0, 500, seed=3, averages=rows)
 
 
 class TestVarianceRate:

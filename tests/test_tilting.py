@@ -16,7 +16,7 @@ from mjpbounds import (
     probability_vector,
     rate_function_variational,
 )
-from mjpbounds.errors import DimensionTooLargeError, NonFiniteError
+from mjpbounds.errors import DimensionTooLargeError, NonFiniteError, ValidationError
 
 from conftest import random_irreducible_model
 from oracles import bernstein_conjugate_vform, cramer_transform_static
@@ -202,6 +202,15 @@ class TestLambda0Star:
         us = np.linspace(0.0, 0.98 * fmax, 15)
         vals = [lambda0_star(a.sd, three_cycle.f, three_cycle.pi, u).value for u in us]
         assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
+
+
+    @pytest.mark.parametrize("u", [-0.1, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, two_state, u):
+        a = analyze(two_state)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            lambda0_star(a.sd, two_state.f, two_state.pi, u)
+        with pytest.raises(ValidationError, match="u >= 0"):
+            bernstein_conjugate(BernsteinParams(v=1.0, c=1.0), u)
 
 
 class TestVariationalOracle:
