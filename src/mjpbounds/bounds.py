@@ -410,11 +410,12 @@ def evaluate_family(
 ) -> BoundPoint:
     """Dispatch one (u, t) evaluation to the named bound family.
 
-    Rejects a NaN threshold and a time that is NaN, infinite or negative,
-    which would otherwise come out as the trivial bound 1.
+    Rejects a threshold that is NaN or infinite and a time that is NaN,
+    infinite or negative, which would otherwise come out as the trivial
+    bound 1.
     """
-    if math.isnan(u):
-        raise ValidationError("threshold u must not be NaN")
+    if not math.isfinite(u):
+        raise ValidationError(f"threshold u must be finite, got {u}")
     if not math.isfinite(t) or t < 0:
         raise ValidationError(f"time must be finite and nonnegative, got {t}")
     if family == "general":

@@ -12,11 +12,11 @@ that result bodies can be compared byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -36,7 +36,7 @@ THREADS_ENV = "MJPBOUNDS_THREADS"
 CONFIG_KEYS = {
     "t": (str, list), "u_grid": (str, list), "families": (str, list),
     "samples": (int,), "seed": (int,), "threads": (int,), "fsobolev_c": (int, float),
-    "strict": (bool,), "resume": (bool,), "no_timestamp": (bool,),
+    "strict": (bool,), "no_timestamp": (bool,),
     "out": (str,), "summary_out": (str,),
 }
 # a bound counts as beaten by Monte Carlo only when p_hat exceeds it by more
@@ -52,6 +52,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid must look like lo:hi:n, got {spec!r}") from exc
     if n < 1:
         raise ValidationError(f"grid needs at least one point, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid endpoints must be finite, got {spec!r}")
     if n == 1:
         return np.array([lo])
     return np.linspace(lo, hi, n)
@@ -80,26 +82,6 @@ def _threads(value) -> int:
     return 1
 
 
-@contextmanager
-def _output(path, no_timestamp, header, append=False):
-    """Open a CSV destination (``None`` or ``-`` is stdout) and write its preamble.
-
-    A new output starts with the timestamp comment, unless ``no_timestamp``,
-    and the column ``header``; an appended one gets neither.
-    """
-    fh = sys.stdout if path in (None, "-") else open(path, "a" if append else "w")
-    try:
-        if not append:
-            if not no_timestamp:
-                fh.write("# generated " + datetime.now(timezone.utc).isoformat() + "\n")
-            fh.write(header + "\n")
-            fh.flush()
-        yield fh
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
 def _write_row(fh, *cells):
     """Write one CSV row: floats with 17 significant digits, ``None`` as an
     empty cell, anything else with ``str``."""
@@ -110,12 +92,21 @@ def _write_row(fh, *cells):
     fh.write(",".join(text) + "\n")
 
 
-def _write_csv(path, no_timestamp, header, rows, append=False):
-    """Write computed ``rows`` through ``_output``.  Commands compute every row
-    before calling this, so a refused or failed run leaves no file."""
-    with _output(path, no_timestamp, header, append) as fh:
+def _write_csv(path, no_timestamp, header, rows):
+    """Write a whole CSV to ``path`` (``None`` or ``-`` is stdout): the
+    timestamp comment unless ``no_timestamp``, the column ``header``, then
+    ``rows``.  Commands compute every row before calling this, so a refused
+    or failed run leaves no file."""
+    fh = sys.stdout if path in (None, "-") else open(path, "w")
+    try:
+        if not no_timestamp:
+            fh.write("# generated " + datetime.now(timezone.utc).isoformat() + "\n")
+        fh.write(header + "\n")
         for row in rows:
             _write_row(fh, *row)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _load(args):
@@ -185,18 +176,14 @@ def cmd_series(args) -> int:
     model = mf.model
     a = bnd.analyze(model)
     coeffs = comb.lambda0_coefficients(a.sd, model.f, model.pi, args.order)
-    r_rows = []  # computed before the output opens, so a failure writes nothing
-    for r in _parse_grid(args.r_grid) if args.r_grid else []:
-        lam = lambda0(a.sd, model.f, model.pi, float(r))
-        ps = coeffs.partial_sum(float(r))
-        r_rows.append((r, lam, ps, abs(lam - ps)))
-    with _output(args.out, args.no_timestamp, "order,coefficient") as fh:
-        for k, c in enumerate(coeffs.coeffs, start=1):
-            _write_row(fh, k, c)
-        if args.r_grid:
-            fh.write("r,lambda0,partial_sum,abs_error\n")
-            for row in r_rows:
-                _write_row(fh, *row)
+    rows = list(enumerate(coeffs.coeffs, start=1))
+    if args.r_grid:  # a second table, under its own header row
+        rows.append(("r", "lambda0", "partial_sum", "abs_error"))
+        for r in _parse_grid(args.r_grid):
+            lam = lambda0(a.sd, model.f, model.pi, float(r))
+            ps = coeffs.partial_sum(float(r))
+            rows.append((r, lam, ps, abs(lam - ps)))
+    _write_csv(args.out, args.no_timestamp, "order,coefficient", rows)
     return 0
 
 
@@ -213,6 +200,8 @@ def _resolve_families(spec, fsobolev_c: float | None):
     for fam in fams:
         if fam not in bnd.FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
+    if len(set(fams)) < len(fams):  # its columns or rows would be written twice
+        raise ValidationError(f"family list repeats a family: {fams}")
     if "fsobolev" in fams and fsobolev_c is None:
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
     return fams
@@ -262,18 +251,18 @@ class RunConfig:
     threads: int = 1
     out: str | None = None
     strict: bool = False
-    resume: bool = False
     no_timestamp: bool = False
     fsobolev_c: float | None = None
     summary_out: str | None = None
 
     def validate(self):
-        """Reject the settings that would fail only once the output is open."""
+        """Reject thresholds, horizons and a sample count for which the run
+        has no meaningful cells, before any simulation starts."""
         if not self.u_grid:
             raise ValidationError("u grid is empty")
-        if any(math.isnan(u) for u in self.u_grid):
-            raise ValidationError("u grid must not hold NaN")
-        # a repeated u or t would write its cells twice, and --resume keys rows by (u, t)
+        if not all(math.isfinite(u) for u in self.u_grid):
+            raise ValidationError(f"u grid must be finite, got {self.u_grid}")
+        # a repeated u or t would write its cells twice
         if any(a >= b for a, b in zip(self.u_grid, self.u_grid[1:])):
             raise ValidationError("u grid must be strictly ascending, without repeats")
         if self.samples < 1:
@@ -295,47 +284,6 @@ def _compare_header(families):
     return ",".join(cols)
 
 
-def _resume_cells(path, header, samples):
-    """(u, t) keys of the rows a resumable CSV already holds, and the
-    domination failures (``_ok`` cells of 0) among those rows.
-
-    A last line without its newline is the row a killed run was writing; it
-    is cut off the file so the cell is computed again.  A file written for
-    other families or another sample count is refused.  The keys are ``None``
-    when the file has no complete header, so the run starts it afresh.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(complete)
-    lines = [
-        line
-        for line in data[:complete].decode().splitlines()
-        if not line.startswith("#")
-    ]
-    if not lines:
-        return None, []
-    if lines[0] != header:
-        raise ValidationError(f"cannot resume {path}: its columns are for other families")
-    cols = header.split(",")
-    done, failures = set(), []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(cols) or parts[2] != str(samples):
-            raise ValidationError(f"cannot resume {path}: row {line!r} is from another run")
-        done.add((parts[0], parts[1]))
-        for i, col in enumerate(cols):
-            if col.endswith("_ok") and parts[i] == "0":
-                failures.append(
-                    {"family": col[: -len("_ok")], "u": float(parts[0]),
-                     "t": float(parts[1]), "p_hat": float(parts[4]),
-                     "bound": float(parts[i - 1])}
-                )
-    return done, failures
-
-
 def run_compare(config: RunConfig) -> dict:
     """End-to-end comparison: empirical tails against every requested bound.
 
@@ -343,8 +291,8 @@ def run_compare(config: RunConfig) -> dict:
     rate is evaluated once per threshold and applied at every horizon.  All
     of it happens before the output opens, so a refused or failed run writes
     no file.  The CSV holds one row per (u, t) cell, in the order of
-    ``t_values``; ``resume`` skips the cells a previous run wrote.  Returns
-    the JSON-ready summary.
+    ``t_values``, and the summary's ``domination_failures`` cover every row.
+    Returns the JSON-ready summary.
     """
     config.validate()
     mf, seed = _load(config)
@@ -354,17 +302,6 @@ def run_compare(config: RunConfig) -> dict:
     kwargs = _family_kwargs(model, config.fsobolev_c)
     sharpness_on = model.reversible
     header = _compare_header(families)
-
-    done_cells, failures = None, []
-    if config.resume and config.out not in (None, "-") and os.path.exists(config.out):
-        done_cells, failures = _resume_cells(config.out, header, config.samples)
-    append = done_cells is not None
-    cells = [
-        (u, t)
-        for t in config.t_values
-        for u in config.u_grid
-        if not append or (_fmt(u), _fmt(t)) not in done_cells
-    ]
 
     t0 = config.t_values[0]  # any horizon: ``BoundPoint.at`` moves a bound to another
     points, sharp_rate = {}, {}
@@ -382,8 +319,8 @@ def run_compare(config: RunConfig) -> dict:
     sims = time_averages(model, horizons, config.samples, seed, threads=config.threads)
     averages = dict(zip(horizons, sims))
 
-    rows = []
-    for u, t in cells:
+    rows, failures = [], []
+    for t, u in itertools.product(config.t_values, config.u_grid):
         est = empirical_tail(model, t, u, config.samples, seed, averages=averages[t])
         row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
         for p in points[u].values():
@@ -400,7 +337,7 @@ def run_compare(config: RunConfig) -> dict:
         sharp = sharpness_on and est.p_hat > 0.0
         row.append(-math.log(est.p_hat) / t - sharp_rate[u] if sharp else None)
         rows.append(row)
-    _write_csv(config.out, config.no_timestamp, header, rows, append)
+    _write_csv(config.out, config.no_timestamp, header, rows)
 
     summary = {
         "model": config.model,
@@ -472,7 +409,6 @@ def cmd_compare(args) -> int:
         threads=_threads(args.threads),
         out=args.out,
         strict=bool(args.strict),
-        resume=bool(args.resume),
         no_timestamp=bool(args.no_timestamp),
         fsobolev_c=args.fsobolev_c,
         summary_out=args.summary_out,
@@ -544,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--fsobolev-c", type=float, default=None)
     sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--resume", action="store_true")
     sp.add_argument("--config", default=None, help="JSON config; flags win")
     sp.add_argument("--summary-out", default=None, help="JSON summary path")
     sp.set_defaults(fn=cmd_compare)

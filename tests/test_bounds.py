@@ -328,6 +328,10 @@ class TestEvaluateFamilyRejectsBadInputs:
         with pytest.raises(ValidationError):
             evaluate_family(two_state, 2.0, math.nan, family)
 
+    def test_infinite_threshold(self, two_state, family):
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, 2.0, math.inf, family)
+
     def test_nan_time(self, two_state, family):
         with pytest.raises(ValidationError):
             evaluate_family(two_state, math.nan, 0.5, family)

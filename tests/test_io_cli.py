@@ -149,9 +149,16 @@ class TestCliSubcommands:
                 "--r-grid", "0.01:0.05:3", "--out", str(out), "--no-timestamp",
             ]
         ) == 0
-        text = out.read_text()
-        assert "order,coefficient" in text
-        assert "r,lambda0,partial_sum,abs_error" in text
+        # two tables in one file: the coefficients, then the r-grid check
+        lines = out.read_text().splitlines()
+        assert lines[0] == "order,coefficient"
+        coeffs = [ln.split(",") for ln in lines[1:5]]
+        assert [c[0] for c in coeffs] == ["1", "2", "3", "4"]
+        assert all(len(c) == 2 for c in coeffs)
+        assert lines[5] == "r,lambda0,partial_sum,abs_error"
+        r_rows = [ln.split(",") for ln in lines[6:]]
+        assert [float(r[0]) for r in r_rows] == pytest.approx([0.01, 0.03, 0.05])
+        assert all(len(r) == 4 for r in r_rows)
 
     def test_series_beyond_old_cap(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
@@ -183,6 +190,17 @@ class TestCliSubcommands:
                 "--r-grid", "0:100:2", "--out", str(out),
             ]
         ) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan:1:2", "inf:inf:1"])
+    def test_series_non_finite_r_grid_exits_2(self, model_file, tmp_path, grid):
+        out = tmp_path / "series.csv"
+        assert main(
+            [
+                "series", "--model", model_file(), "--order", "4",
+                "--r-grid", grid, "--out", str(out),
+            ]
+        ) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -219,8 +237,16 @@ class TestCliSubcommands:
         [
             ["bounds", "--t", "-1", "--u-grid", "0.1:0.3:2"],
             ["rate", "--u-grid", "nan:0.5:2"],
+            ["bounds", "--t", "5", "--u-grid", "inf:inf:1"],
+            [
+                "bounds", "--t", "5", "--u-grid", "0.1:0.3:2",
+                "--families", "poincare,poincare",
+            ],
         ],
-        ids=["bounds_negative_t", "rate_nan_u"],
+        ids=[
+            "bounds_negative_t", "rate_nan_u", "bounds_infinite_u",
+            "bounds_repeated_family",
+        ],
     )
     def test_refused_bounds_and_rate_write_no_file(self, model_file, tmp_path, argv):
         # every row is computed before the output opens
@@ -310,14 +336,16 @@ class TestCompare:
         [
             ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),
             ("--t", "1,1"), ("--u-grid", "0.1:0.1:2"), ("--u-grid", "-0.2:0.3:2"),
-            ("--fsobolev-c", "10"),
+            ("--fsobolev-c", "10"), ("--u-grid", "inf:inf:1"),
+            ("--families", "general,poincare,general"),
         ],
     )
     def test_refused_cell_settings_write_no_file(
         self, model_file, tmp_path, capsys, flag, value
     ):
         # a negative u is refused by the families, and a log-Sobolev constant
-        # of 10 is violated on this chain; both before the output opens
+        # of 10 is violated on this chain; both before the output opens.  A
+        # repeated family would head more columns than its rows fill
         settings = {"--t": "1", "--u-grid": "0.1:0.3:2", flag: value}
         out = tmp_path / "cmp.csv"
         argv = ["compare", "--model", model_file(), "--samples", "10", "--out", str(out)]
@@ -393,69 +421,6 @@ class TestCompare:
         assert summary["rows_written"] == 4
         saved = json.loads(summary_path.read_text())
         assert saved["all_dominated"] is True
-
-    def test_resume_skips_completed_cells(self, model_file, tmp_path):
-        path = model_file(seed=3)
-        out = tmp_path / "cmp.csv"
-        base = dict(
-            model=path, t_values=[1.0], u_grid=[0.1, 0.3],
-            families=["general"], samples=2000, seed=3, out=str(out),
-            no_timestamp=True,
-        )
-        run_compare(RunConfig(**base))
-        first = out.read_text()
-        summary = run_compare(RunConfig(**base, resume=True))
-        assert summary["rows_written"] == 0
-        assert out.read_text() == first
-
-    def test_resume_drops_torn_last_row(self, model_file, tmp_path):
-        path = model_file(seed=3)
-        out = tmp_path / "cmp.csv"
-        base = dict(
-            model=path, t_values=[1.0], u_grid=[0.1, 0.3],
-            families=["general"], samples=2000, seed=3, out=str(out),
-            no_timestamp=True,
-        )
-        run_compare(RunConfig(**base))
-        whole = out.read_text()
-        # a killed run leaves the last row without its newline
-        out.write_text(whole[: whole.rstrip("\n").rfind(",")])
-        summary = run_compare(RunConfig(**base, resume=True))
-        assert summary["rows_written"] == 1
-        assert out.read_text() == whole
-
-    def test_resume_adds_new_horizons(self, model_file, tmp_path):
-        # the resumed run's new cells equal a fresh run's bit for bit
-        base = dict(
-            model=model_file(seed=3), u_grid=[0.1, 0.3], families=["general"],
-            samples=2000, seed=3, no_timestamp=True,
-        )
-        fresh = tmp_path / "fresh.csv"
-        run_compare(RunConfig(**base, t_values=[1.0, 5.0], out=str(fresh)))
-        out = tmp_path / "cmp.csv"
-        run_compare(RunConfig(**base, t_values=[1.0], out=str(out)))
-        summary = run_compare(
-            RunConfig(**base, t_values=[1.0, 5.0], out=str(out), resume=True)
-        )
-        assert summary["rows_written"] == 2
-        assert out.read_text() == fresh.read_text()
-
-    @pytest.mark.parametrize(
-        "change", [{"families": ["general", "poincare"]}, {"samples": 3000}]
-    )
-    def test_resume_refuses_other_configuration(self, model_file, tmp_path, change):
-        path = model_file(seed=3)
-        out = tmp_path / "cmp.csv"
-        base = dict(
-            model=path, t_values=[1.0], u_grid=[0.1, 0.3],
-            families=["general"], samples=2000, seed=3, out=str(out),
-            no_timestamp=True,
-        )
-        run_compare(RunConfig(**base))
-        first = out.read_text()
-        with pytest.raises(ValidationError):
-            run_compare(RunConfig(**{**base, **change}, resume=True))
-        assert out.read_text() == first
 
     def test_out_dash_writes_stdout(self, model_file, tmp_path, monkeypatch, capsys):
         path = model_file()
@@ -581,6 +546,7 @@ class TestCompare:
                 '{"domination_sigma": 1.0, "t": [1], "u_grid": [0.2]}',
                 "unknown keys ['domination_sigma']",
             ),
+            ('{"resume": true, "t": [1], "u_grid": [0.2]}', "unknown keys ['resume']"),
             ('{"samples": "many", "t": [1], "u_grid": [0.2]}', "bad samples value"),
             ('{"t": 5, "u_grid": [0.2]}', "bad t value"),
             ('{"seed": 1.5, "t": [1], "u_grid": [0.2]}', "bad seed value"),
@@ -588,7 +554,7 @@ class TestCompare:
         ],
         ids=[
             "invalid_json", "not_an_object", "misspelt_key", "domination_sigma",
-            "samples_string", "t_number", "seed_float", "threads_string",
+            "resume", "samples_string", "t_number", "seed_float", "threads_string",
         ],
     )
     def test_bad_config_rejected(self, model_file, tmp_path, capsys, text, reason):
@@ -623,25 +589,37 @@ class TestCompare:
         ) == 2
         assert not out.exists()
 
-    def test_strict_covers_resumed_rows(self, model_file, tmp_path):
+    def test_resume_flag_refused(self, model_file, tmp_path, capsys):
+        # compare writes each CSV whole; there is no append mode
         out = tmp_path / "cmp.csv"
-        argv = [
-            "compare", "--model", model_file(seed=3), "--t", "1",
-            "--u-grid", "0.1:0.3:2", "--samples", "2000", "--families", "general",
-            "--no-timestamp", "--out", str(out),
-        ]
-        assert main(argv) == 0
-        lines = out.read_text().splitlines()
-        ok = lines[0].split(",").index("general_ok")
-        row = lines[1].split(",")
-        assert row[ok] == "1"
-        row[ok] = "0"  # the earlier run saw this bound beaten
-        lines[1] = ",".join(row)
-        out.write_text("\n".join(lines) + "\n")
-        summary = tmp_path / "cmp.json"
-        assert main(argv + ["--resume", "--strict", "--summary-out", str(summary)]) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "compare", "--model", model_file(), "--t", "1",
+                    "--u-grid", "0.2:0.2:1", "--out", str(out), "--resume",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strict_exits_4_when_a_bound_is_beaten(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        # a margin of minus a billion half-widths counts every cell whose
+        # estimate has a positive half-width as beaten
+        monkeypatch.setattr(cli, "DOMINATION_SIGMA", -1e9)
+        out, summary = tmp_path / "cmp.csv", tmp_path / "cmp.json"
+        assert main(
+            [
+                "compare", "--model", model_file(seed=3), "--t", "1",
+                "--u-grid", "0.1:0.3:2", "--samples", "2000", "--families", "general",
+                "--no-timestamp", "--strict", "--out", str(out),
+                "--summary-out", str(summary),
+            ]
+        ) == 4
         saved = json.loads(summary.read_text())
-        assert saved["rows_written"] == 0
-        assert [(f["family"], f["u"]) for f in saved["domination_failures"]] == [
-            ("general", 0.1)
-        ]
+        failures = [(f["family"], f["u"]) for f in saved["domination_failures"]]
+        assert failures == [("general", 0.1), ("general", 0.3)]
+        oks = [row.split(",")[-2] for row in out.read_text().splitlines()[1:]]
+        assert oks == ["0", "0"]

@@ -154,6 +154,12 @@ class TestBernsteinConjugate:
     def test_zero(self):
         assert bernstein_conjugate(BernsteinParams(1.0, 1.0), 0.0) == 0.0
 
+    @pytest.mark.parametrize("u", [math.inf, math.nan, -0.1])
+    def test_infinite_nan_or_negative_threshold_rejected(self, u):
+        # at u = inf the closed form is inf / inf = nan, not a rate
+        with pytest.raises(ValidationError):
+            bernstein_conjugate(BernsteinParams(1.0, 0.5), u)
+
     def test_gaussian_limit(self):
         assert bernstein_conjugate(BernsteinParams(1.0, 0.0), 1.0) == pytest.approx(0.5)
 
