@@ -197,6 +197,11 @@ def _resolve_families(spec, fsobolev_c: float | None):
         fams = [str(s).strip() for s in spec]
     else:
         fams = [s.strip() for s in spec.split(",") if s.strip()]
+    return fams
+
+
+def _check_families(fams, fsobolev_c: float | None):
+    """Refuse an unknown or repeated family, and fsobolev without its constant."""
     for fam in fams:
         if fam not in bnd.FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")
@@ -204,7 +209,6 @@ def _resolve_families(spec, fsobolev_c: float | None):
         raise ValidationError(f"family list repeats a family: {fams}")
     if "fsobolev" in fams and fsobolev_c is None:
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
-    return fams
 
 
 def _family_kwargs(model, fsobolev_c):
@@ -224,6 +228,7 @@ def cmd_bounds(args) -> int:
     model = mf.model
     analysis = bnd.analyze(model)
     families = _resolve_families(args.families, args.fsobolev_c)
+    _check_families(families, args.fsobolev_c)
     kwargs = _family_kwargs(model, args.fsobolev_c)
     rows = []
     for u in _parse_grid(args.u_grid):
@@ -256,8 +261,9 @@ class RunConfig:
     summary_out: str | None = None
 
     def validate(self):
-        """Reject thresholds, horizons and a sample count for which the run
-        has no meaningful cells, before any simulation starts."""
+        """Reject families, thresholds, horizons and a sample count for which
+        the run has no meaningful cells, before any simulation starts."""
+        _check_families(self.families, self.fsobolev_c)
         if not self.u_grid:
             raise ValidationError("u grid is empty")
         if not all(math.isfinite(u) for u in self.u_grid):

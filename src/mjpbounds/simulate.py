@@ -36,12 +36,19 @@ _GAMMA_I, _MUL1_I, _MUL2_I, _DRAW_SALT_I = map(int, (_GAMMA, _MUL1, _MUL2, _DRAW
 
 
 def _mix64(z):
-    """SplitMix64 finalizer; a bijective avalanche mix on uint64 (mod 2^64)."""
-    with np.errstate(over="ignore"):
-        z = z + _GAMMA
-        z = (z ^ (z >> _U64(30))) * _MUL1
-        z = (z ^ (z >> _U64(27))) * _MUL2
-        return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer; a bijective avalanche mix on uint64 (mod 2^64).
+
+    The first step writes a fresh array and the others update it in place,
+    so ``z`` is never changed; a scalar gives a 0-d array.
+    """
+    z = np.add(z, _GAMMA, out=np.empty(np.shape(z), dtype=np.uint64))
+    s = np.empty_like(z)
+    z ^= np.right_shift(z, _U64(30), out=s)
+    z *= _MUL1
+    z ^= np.right_shift(z, _U64(27), out=s)
+    z *= _MUL2
+    z ^= np.right_shift(z, _U64(31), out=s)
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -64,7 +71,11 @@ def counter_uniforms(keys, draw_indices) -> np.ndarray:
     k = np.asarray(keys, dtype=np.uint64)
     d = np.asarray(draw_indices, dtype=np.uint64)
     z = _mix64(k ^ _mix64(d ^ _DRAW_SALT))
-    return ((z >> _U64(11)).astype(np.float64) + 0.5) * (2.0**-53)
+    z >>= _U64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 class CounterStream:
@@ -111,22 +122,59 @@ class TailEstimate:
 
 
 def _jump_tables(model: MJPModel):
-    """Per-state jump targets and cumulative probabilities, self-jumps excluded."""
+    """Per-state jump targets, cumulative probabilities and guide table.
+
+    Self-jumps are excluded.  A jump out of x with uniform u in (0, 1] goes
+    to ``targets[x, j]`` for the first j with ``cum[x, j] >= u``.  That is
+    ``(u > cum[x]).sum()``: a row is the running sum of the jump
+    probabilities up to its last positive rate and 1.0 from there on, so its
+    entries below u come first.  A target of rate zero repeats the entry
+    before it (or is 0.0 in front) and is never picked.  ``guide[x, b]`` is
+    ``x * (n - 1)`` plus the number of entries of ``cum[x]`` below the lower
+    edge of bucket b of ``4 (n - 1)`` equal buckets of [0, 1): the index
+    into the flattened ``cum`` where the search for a u of that bucket may
+    start (Chen & Asau's indexed search).
+    """
     n = model.n
     rates = model.q.rates
     exit_rates = model.q.exit_rates
+    n_buckets = 4 * (n - 1)
+    # lowered by 2**-50 relative, so that rounding cannot lift an edge above
+    # a u with int(u * n_buckets) == b
+    edges = np.arange(n_buckets) / n_buckets * (1.0 - 2.0**-50)
     targets = np.empty((n, n - 1), dtype=np.int64)
-    cum = np.empty((n, n - 1))
+    cum = np.ones((n, n - 1))  # an absorbing row stays 1.0; it is never left
+    guide = np.empty((n, n_buckets), dtype=np.int64)
     for x in range(n):
         others = [y for y in range(n) if y != x]
         targets[x] = others
-        if exit_rates[x] <= 0.0:
-            cum[x] = 1.0  # absorbing; holding time never elapses
-            continue
-        probs = rates[x, others] / exit_rates[x]
-        cum[x] = np.cumsum(probs)
-        cum[x, -1] = 1.0
-    return targets, cum
+        if exit_rates[x] > 0.0:
+            probs = rates[x, others] / exit_rates[x]
+            last = np.flatnonzero(probs)[-1]
+            cum[x, :last] = np.cumsum(probs[:last])
+        guide[x] = x * (n - 1) + np.searchsorted(cum[x], edges, side="left")
+    return targets, cum, guide
+
+
+def _next_states(tables, state, u):
+    """Jump target of each path, out of ``state`` with uniform ``u``.
+
+    Bit for bit ``targets[x, (u > cum[x]).sum()]``.  The search starts at the
+    guide entry of u's bucket, which never passes the answer, and steps right
+    while ``u > cum``; with four buckets per entry of a row it takes O(1)
+    steps on average.  ``j`` indexes the flattened tables.
+    """
+    targets, cum, guide = tables
+    n_buckets = guide.shape[1]
+    # u * n_buckets is n_buckets at u = 1.0 and may round up to it just below
+    b = np.minimum((u * n_buckets).astype(np.int64), n_buckets - 1)
+    j = guide.ravel()[state * n_buckets + b]
+    cum_flat = cum.ravel()
+    c = np.flatnonzero(u > cum_flat[j])
+    while c.size:
+        j[c] += 1
+        c = c[u[c] > cum_flat[j[c]]]
+    return targets.ravel()[j]
 
 
 def _pick_from_cum(cum_row: np.ndarray, u: float) -> int:
@@ -152,7 +200,7 @@ def sample_trajectory(
     states = [state]
     if horizon == 0.0:
         return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
-    targets, cum = _jump_tables(model)
+    targets, cum, _ = _jump_tables(model)
     exit_rates = model.q.exit_rates
     t = 0.0
     while True:
@@ -163,7 +211,7 @@ def sample_trajectory(
         if t >= horizon:
             break
         u = rng_stream.uniform()
-        state = int(targets[state, min(_pick_from_cum(cum[state], u), model.n - 2)])
+        state = int(targets[state, _pick_from_cum(cum[state], u)])
         times.append(t)
         states.append(state)
     return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
@@ -185,14 +233,13 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     at ``horizons[k]``.  Each path runs once, to the last horizon.  When it
     first reaches an earlier horizon h inside a holding interval it records
     ``acc + f(state) * (h - tau)``, the float operations of a path stopped at
-    h, so every row equals a one-horizon run bit for bit.  Active
-    trajectories are compacted every sweep; each sample consumes draws from
-    its own substream only, so the result is independent of blocking.
+    h, so every row equals a one-horizon run bit for bit.  The live paths are
+    compacted in the sweeps where some path passes the last horizon; each
+    sample consumes draws from its own substream only, so the result is
+    independent of blocking.
     """
-    targets, cum = tables
     exit_rates = model.q.exit_rates
     f_vals = model.f.values
-    n = model.n
     last = horizons.size
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
@@ -206,12 +253,12 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     draw = np.ones(count, dtype=np.uint64)
     nxt = np.zeros(count, dtype=np.int64)  # index of the next horizon to reach
 
-    while ids.size:
+    while True:
         uh = counter_uniforms(keys, draw)
         dt = -np.log(uh) / exit_rates[state]
         t_new = tau + dt
         fx = f_vals[state]
-        c = np.flatnonzero(t_new >= horizons[nxt])
+        crossed = c = np.flatnonzero(t_new >= horizons[nxt])
         while c.size:  # several horizons may fall in one holding interval
             k = nxt[c]
             h = horizons[k]
@@ -220,22 +267,18 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
             c = c[k < last]
             c = c[t_new[c] >= horizons[nxt[c]]]
         acc += fx * (t_new - tau)
+        tau = t_new
 
-        keep = nxt < last
-        ids = ids[keep]
-        if not ids.size:
-            break
-        keys = keys[keep]
-        state = state[keep]
-        nxt = nxt[keep]
-        acc = acc[keep]
-        tau = t_new[keep]
-        draw = draw[keep] + _U64(1)
-
-        ut = counter_uniforms(keys, draw)
-        j = (ut[:, None] > cum[state]).sum(axis=1)
-        state = targets[state, np.minimum(j, n - 2)]
-        draw = draw + _U64(1)
+        if crossed.size and nxt[crossed].max() == last:  # some path is done
+            live = np.flatnonzero(nxt < last)
+            if not live.size:
+                break
+            ids, keys, state, nxt, acc, tau, draw = (
+                a[live] for a in (ids, keys, state, nxt, acc, tau, draw)
+            )
+        draw += _U64(1)
+        state = _next_states(tables, state, counter_uniforms(keys, draw))
+        draw += _U64(1)
 
 
 def time_averages(

@@ -332,6 +332,29 @@ class TestCompare:
             run_compare(config)
 
     @pytest.mark.parametrize(
+        "families",
+        [["general", "poincare", "general"], ["nosuch"], ["fsobolev"]],
+        ids=["repeated", "unknown", "fsobolev_without_constant"],
+    )
+    def test_library_refuses_bad_families_and_writes_no_file(
+        self, model_file, tmp_path, families
+    ):
+        # a repeated family would head more columns than its rows fill
+        out = tmp_path / "cmp.csv"
+        config = RunConfig(
+            model=model_file(),
+            t_values=[1.0],
+            u_grid=[0.1, 0.3],
+            families=families,
+            samples=100,
+            seed=0,
+            out=str(out),
+        )
+        with pytest.raises(ValidationError, match="family"):
+            run_compare(config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flag,value",
         [
             ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),

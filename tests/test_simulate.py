@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from conftest import random_irreducible_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,23 @@ from mjpbounds import (
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
-from mjpbounds.simulate import Trajectory, counter_uniforms, stream_keys
+from mjpbounds.simulate import (
+    Trajectory,
+    _jump_tables,
+    _next_states,
+    counter_uniforms,
+    stream_keys,
+)
+
+# sha256 of the bytes of time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000,
+# seed=2026), taken with the kernel that counted (u > cum[x]).sum() per jump
+WIDE_SPARSE_SHA256 = "c2580a62f62b9b4905b458853b6756b8f8e0207927cc8b4911da4a97369bc9bd"
+
+
+@pytest.fixture(scope="module")
+def wide_sparse():
+    """64-state irreducible chain with about half its off-diagonal rates zero."""
+    return random_irreducible_model(np.random.default_rng(64), n=64)
 
 
 class TestCounterRng:
@@ -186,15 +204,64 @@ class TestTimeAverage:
         with pytest.raises(ZeroHorizonError):
             time_average(traj, Observable(np.array([1.0, 2.0])))
 
-    def test_matches_vectorized_engine(self, three_cycle):
+    def test_matches_vectorized_engine(self, three_cycle, wide_sparse):
         # same draw sequence; segment sums may differ by accumulation order
-        t, seed = 4.5, 99
-        vec = time_averages(three_cycle, t, 64, seed)
-        for i in (0, 5, 31, 63):
-            traj = sample_trajectory(three_cycle, t, CounterStream(seed, i))
-            assert time_average(traj, three_cycle.f) == pytest.approx(
-                vec[i], abs=1e-13
-            )
+        seed = 99
+        for model, t in ((three_cycle, 4.5), (wide_sparse, 2.0)):
+            vec = time_averages(model, t, 64, seed)
+            for i in (0, 5, 31, 63):
+                traj = sample_trajectory(model, t, CounterStream(seed, i))
+                assert time_average(traj, model.f) == pytest.approx(vec[i], abs=1e-13)
+
+
+def _model_with_first_row(rates0):
+    """Model whose state 0 jumps at ``rates0``; states 1.. form a two-way ring."""
+    n = len(rates0) + 1
+    rates = np.zeros((n, n))
+    rates[0, 1:] = rates0
+    for x in range(1, n):
+        rates[x, x - 1] = rates[x, (x + 1) % n] = 1.0
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return make_model(rates, np.arange(n, dtype=float))
+
+
+class TestJumpTargets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 3).map(float), st.floats(1e-9, 1e3)),
+            min_size=1,
+            max_size=12,
+        ).filter(any)
+    )
+    def test_guide_table_pick_equals_linear_count(self, rates0):
+        # zero rates repeat entries of the cumulative row, small integer
+        # rates put entries on bucket edges
+        model = _model_with_first_row(rates0)
+        tables = _jump_tables(model)
+        targets, cum, guide = tables
+        n_buckets = guide.shape[1]
+        # 1 - 2**-54 rounds to 1.0, which the generator can return, and
+        # u * n_buckets then equals n_buckets
+        edges = np.arange(n_buckets + 1) / n_buckets
+        points = np.concatenate([edges, cum.ravel(), [2.0**-54, 1 - 2.0**-54]])
+        u = np.concatenate(
+            [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
+        )
+        u = np.tile(u[(u > 0.0) & (u <= 1.0)], model.n)
+        state = np.repeat(np.arange(model.n), u.size // model.n)
+        picked = _next_states(tables, state, u)
+        linear = (u[:, None] > cum[state]).sum(axis=1)
+        np.testing.assert_array_equal(picked, targets[state, linear])
+        assert np.all(model.q.rates[state, picked] > 0.0)  # never a zero-rate target
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_sparse_chain_bits_pinned(self, wide_sparse, threads):
+        # 20000 samples span two blocks, so two threads share the work
+        avg = time_averages(
+            wide_sparse, (0.25, 1.0, 2.0), 20000, seed=2026, threads=threads
+        )
+        assert hashlib.sha256(avg.tobytes()).hexdigest() == WIDE_SPARSE_SHA256
 
 
 class TestErgodicity:
