@@ -19,17 +19,19 @@ from mjpbounds import (
     pi_variance,
     resolvent_power,
     spectral_decomposition,
+    symmetrized_generator,
 )
 
 np.set_printoptions(precision=6, suppress=True)
 
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
 sd = spectral_decomposition(model.q, model.pi)
+sym = symmetrized_generator(model.q, model.pi)
 
 print("Adjoint and symmetrized generator")
 print("-" * 55)
 print("L*:\n", adjoint_generator(model.q, model.pi))
-print("reversible chain: L* equals L, so sym = L itself:\n", sd.sym)
+print("reversible chain: L* equals L, so sym = L itself:\n", sym)
 
 print("\nEigendata")
 print("-" * 55)
@@ -39,7 +41,7 @@ print("kernel eigenvector (constant):", sd.eigvecs[:, 0])
 print("\nReduced resolvent")
 print("-" * 55)
 print("S:\n", sd.resolvent)
-print("S @ sym  (= I - projection onto constants):\n", sd.resolvent @ sd.sym)
+print("S @ sym  (= I - projection onto constants):\n", sd.resolvent @ sym)
 half = resolvent_power(sd, 0.5)
 print("hat(S)^1/2 squared equals -S:", np.allclose(half @ half, -sd.resolvent))
 

@@ -32,14 +32,14 @@ a = analyze(model)
 print("The tilted eigenvalue curve")
 print("-" * 60)
 for r in (0.0, 0.1, 0.5, 1.0, 2.0):
-    print(f"  lambda0({r:4.1f}) = {lambda0(a.sd, model.f, model.pi, r):.6f}")
+    print(f"  lambda0({r:4.1f}) = {lambda0(a.sd, model.f, r):.6f}")
 print("convex, flat at 0; slope at infinity approaches max f.")
 
 print("\nOperator norm of the tilted semigroup vs its eigenvalue bound")
 print("-" * 60)
 for r, t in ((0.2, 1.0), (0.5, 2.0)):
     norm = feynman_kac_norm(model.q, model.pi, model.f, r, t)
-    cap = np.exp(t * lambda0(a.sd, model.f, model.pi, r))
+    cap = np.exp(t * lambda0(a.sd, model.f, r))
     print(f"  r={r}, t={t}:  ||exp(t(Q + r diag f))||_pi = {norm:.6f} <= {cap:.6f}")
 
 print("\nConjugate rate vs the constrained variational oracle")
@@ -49,11 +49,11 @@ print(f"  (finite exactly on [min f, max f] = [{model.f.values.min():.3f}, {fmax
 print(f"  {'u':>6}  {'conjugate':>12}  {'variational':>12}  {'diff':>9}")
 for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
     u = frac * fmax
-    conj = lambda0_star(a.sd, model.f, model.pi, u).value
+    conj = lambda0_star(a.sd, model.f, u).value
     var = rate_function_variational(model.q, model.pi, model.f, u)
     print(f"  {u:6.3f}  {conj:12.8f}  {var:12.8f}  {abs(conj - var):9.1e}")
 
-beyond = lambda0_star(a.sd, model.f, model.pi, 1.5 * fmax)
+beyond = lambda0_star(a.sd, model.f, 1.5 * fmax)
 print(f"  u beyond max f: value = {beyond.value} (the average can never exceed max f)")
 
 print("\nSub-gamma conjugate: closed form vs golden-section search")

@@ -63,7 +63,7 @@ print("\nAsymptotic sharpness on the reversible chain (stationary start)")
 print("-" * 78)
 stat = stationary_model(model)
 u = 0.3 * fmax
-rate = lambda0_star(a.sd, stat.f, stat.pi, u).value
+rate = lambda0_star(a.sd, stat.f, u).value
 print(f"bound rate at u = {u:.2f}: {rate:.5f}")
 for t, n_t in ((5.0, 200000), (20.0, 200000), (80.0, 400000)):
     est = empirical_tail(stat, t, u, n_t, seed=31415)

@@ -33,7 +33,7 @@ a = analyze(model)
 
 print("Series coefficients of the tilted eigenvalue")
 print("-" * 60)
-co = lambda0_coefficients(a.sd, model.f, model.pi, 8)
+co = lambda0_coefficients(a.sd, model.f, 8)
 for k, c in enumerate(co.coeffs, start=1):
     print(f"  order {k}: {c:+.10f}")
 print(f"  order 1 vanishes (centering); order 2 = sigma_hat^2/2 = {a.sigma_hat2/2:.10f}")
@@ -42,9 +42,9 @@ print("\nPartial sums converge at the expected order")
 print("-" * 60)
 scale = a.gap / (2.0 * model.f.sup_norm)
 for order in (2, 4, 6):
-    part = lambda0_coefficients(a.sd, model.f, model.pi, order)
+    part = lambda0_coefficients(a.sd, model.f, order)
     rs = np.logspace(-2, -1, 10) * scale
-    errs = [abs(lambda0(a.sd, model.f, model.pi, r) - part.partial_sum(r)) for r in rs]
+    errs = [abs(lambda0(a.sd, model.f, r) - part.partial_sum(r)) for r in rs]
     keep = [(r, e) for r, e in zip(rs, errs) if e > 2e-14]
     slope = np.polyfit(np.log([r for r, _ in keep]), np.log([e for _, e in keep]), 1)[0]
     print(f"  truncation at order {order}: log-log error slope = {slope:.2f} "

@@ -70,7 +70,6 @@ from .spectral import (
     adjoint_generator,
     pi_inner,
     pi_variance,
-    reduced_resolvent,
     resolvent_power,
     sigma_hat_sq,
     spectral_decomposition,

@@ -42,6 +42,10 @@ from .tilting import (
 )
 
 FAMILIES = ("general", "perturbation", "poincare", "bernstein_general", "fsobolev")
+FSOBOLEV_SWEEP = 200001
+FSOBOLEV_SEED = 0
+ASCENT_STEPS = 200
+ASCENT_LR = 0.05
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class ModelAnalysis:
 
     @property
     def sigma_hat2(self) -> float:
-        return sigma_hat_sq(self.sd, self.model.f, self.model.pi)
+        return sigma_hat_sq(self.sd, self.model.f)
 
     @property
     def var_pi_f(self) -> float:
@@ -143,7 +147,7 @@ def bound_general(
 ) -> BoundPoint:
     """Master bound: rate is the conjugate of the tilted top eigenvalue."""
     a = _analysis(model, analysis)
-    conj = lambda0_star(a.sd, model.f, model.pi, u)
+    conj = lambda0_star(a.sd, model.f, u)
     diag = {"argmax_r": conj.argmax_r, "boundary": conj.boundary}
     return _finish("general", u, t, conj.value, a.prefactor, diagnostics=diag)
 
@@ -267,11 +271,7 @@ def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
 
 
 def check_f_sobolev(
-    model: MJPModel,
-    F: FSobolevFunction,
-    n_restarts: int = 32,
-    sweep: int = 200001,
-    seed: int = 0,
+    model: MJPModel, F: FSobolevFunction, n_restarts: int = 32
 ) -> FSobolevVerdict:
     """Search for a violation of the functional inequality on the unit sphere.
 
@@ -283,7 +283,7 @@ def check_f_sobolev(
     w = model.pi.weights
     n = model.n
     if n == 2:
-        theta = np.linspace(0.0, math.pi, sweep)
+        theta = np.linspace(0.0, math.pi, FSOBOLEV_SWEEP)
         g0 = np.cos(theta) / math.sqrt(w[0])
         g1 = np.sin(theta) / math.sqrt(w[1])
         gs = np.stack([g0, g1], axis=0)
@@ -293,7 +293,7 @@ def check_f_sobolev(
             return FSobolevVerdict("violated", float(v[k]), gs[:, k].copy())
         return FSobolevVerdict("holds", float(v[k]))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FSOBOLEV_SEED)
     best_v = -math.inf
     best_g = None
     for _ in range(n_restarts):
@@ -308,11 +308,11 @@ def check_f_sobolev(
     return FSobolevVerdict("inconclusive", best_v)
 
 
-def _ascend_violation(model, F, g, steps=200, lr=0.05):
+def _ascend_violation(model, F, g):
     """Projected gradient ascent on the violation over the pi-unit sphere."""
     w = model.pi.weights
     eps = 1e-7
-    for _ in range(steps):
+    for _ in range(ASCENT_STEPS):
         base = _violation(model, F, g)
         grad = np.empty_like(g)
         for k in range(g.size):
@@ -322,7 +322,7 @@ def _ascend_violation(model, F, g, steps=200, lr=0.05):
             grad[k] = (_violation(model, F, probe) - base) / eps
         if float(np.max(np.abs(grad))) < 1e-10:
             break
-        g = g + lr * grad
+        g = g + ASCENT_LR * grad
         g /= math.sqrt(float(w @ g**2))
     return g
 
@@ -341,12 +341,12 @@ def bound_fsobolev(
     The tilt domain ends where F^{-1} stops being defined on r*f, at
     ``r = F(0+)/min f``; an infinite F(0+) leaves the domain unbounded and
     the search bracket expands adaptively.  The inequality must have been
-    verified (or explicitly assumed by the caller).
+    verified, or assumed by the caller (``unverified`` unless ``verdict`` holds).
     """
     if not assume:
-        v = verdict if verdict is not None else check_f_sobolev(model, F)
-        if v.status != "holds":
-            raise FSobolevNotVerifiedError(v.status)
+        verdict = verdict if verdict is not None else check_f_sobolev(model, F)
+        if verdict.status != "holds":
+            raise FSobolevNotVerifiedError(verdict.status)
     a = _analysis(model, analysis)
     f_vals = model.f.values
     f_min = float(np.min(f_vals))
@@ -357,6 +357,7 @@ def bound_fsobolev(
 
     conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
     diag = {"r_cap": r_cap, "F": F.name, "argmax_r": conj.argmax_r}
+    diag["unverified"] = verdict is None or verdict.status != "holds"
     return _finish("fsobolev", u, t, conj.value, a.prefactor, diagnostics=diag)
 
 

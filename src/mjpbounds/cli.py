@@ -165,7 +165,7 @@ def cmd_rate(args) -> int:
     a = bnd.analyze(model)
     rows = []
     for u in _parse_grid(args.u_grid):
-        res = lambda0_star(a.sd, model.f, model.pi, float(u))
+        res = lambda0_star(a.sd, model.f, float(u))
         rows.append((u, res.value, res.argmax_r, int(res.finite)))
     _write_csv(args.out, args.no_timestamp, "u,lambda0_star,argmax_r,finite", rows)
     return 0
@@ -175,12 +175,12 @@ def cmd_series(args) -> int:
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
-    coeffs = comb.lambda0_coefficients(a.sd, model.f, model.pi, args.order)
+    coeffs = comb.lambda0_coefficients(a.sd, model.f, args.order)
     rows = list(enumerate(coeffs.coeffs, start=1))
     if args.r_grid:  # a second table, under its own header row
         rows.append(("r", "lambda0", "partial_sum", "abs_error"))
         for r in _parse_grid(args.r_grid):
-            lam = lambda0(a.sd, model.f, model.pi, float(r))
+            lam = lambda0(a.sd, model.f, float(r))
             ps = coeffs.partial_sum(float(r))
             rows.append((r, lam, ps, abs(lam - ps)))
     _write_csv(args.out, args.no_timestamp, "order,coefficient", rows)
@@ -236,7 +236,9 @@ def cmd_bounds(args) -> int:
             p = bnd.evaluate_family(
                 model, args.t, float(u), fam, analysis=analysis, **kwargs
             )
-            notes = "boundary" if p.diagnostics.get("boundary") else ""
+            notes = ";".join(
+                k for k in ("boundary", "unverified") if p.diagnostics.get(k)
+            )
             rows.append((p.u, fam, p.rate, p.prefactor, p.bound, p.branch, notes))
     header = "u,family,rate,prefactor,bound,branch,notes"
     _write_csv(args.out, args.no_timestamp, header, rows)
@@ -319,7 +321,7 @@ def run_compare(config: RunConfig) -> dict:
         if sharpness_on:  # the general rate, which the sharpness column subtracts
             general = points[u].get("general")
             sharp_rate[u] = general.rate if general else lambda0_star(
-                analysis.sd, model.f, model.pi, u
+                analysis.sd, model.f, u
             ).value
     horizons = sorted(config.t_values)
     sims = time_averages(model, horizons, config.samples, seed, threads=config.threads)
@@ -356,6 +358,7 @@ def run_compare(config: RunConfig) -> dict:
         "domination_failures": failures,
         "all_dominated": not failures,
         "sharpness_diagnostic": sharpness_on,
+        "fsobolev_verdict": getattr(kwargs.get("fsobolev_verdict"), "status", None),
     }
     if config.summary_out:
         with open(config.summary_out, "w") as sf:

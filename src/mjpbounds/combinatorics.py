@@ -21,13 +21,15 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, OrderTooLargeError
 from .errors import OutOfRangeError, TooLargeError
-from .markov import Observable, ProbDist
+from .markov import Observable
 from .spectral import SpectralData
 
 # range check on the requested series order, not a cost limit: order 200
 # takes about 2 ms on an 8-state and 10 ms on a 64-state chain (2-core x86)
 ORDER_CAP = 200
 ENUMERATION_CAP = 14
+PHI_SERIES_TOL = 1e-14
+PHI_SERIES_CAP = 600
 
 
 def motzkin(n_max: int) -> list[int]:
@@ -166,8 +168,8 @@ def phi(x: float) -> float:
     return 0.5 * (1.0 - x) * (1.0 - math.sqrt(max(arg, 0.0)))
 
 
-def phi_series(x: float, tol: float = 1e-14, n_cap: int = 600) -> float:
-    """Partial sum of sum beta_n x^n, extended until the terms drop below tol.
+def phi_series(x: float) -> float:
+    """Partial sum of sum beta_n x^n, until the terms drop below PHI_SERIES_TOL.
 
     Uses the closed form for beta(n, m) only, so it is an oracle independent
     of the Motzkin recurrence and of ``phi``.
@@ -175,10 +177,10 @@ def phi_series(x: float, tol: float = 1e-14, n_cap: int = 600) -> float:
     if not 0.0 <= x <= 1.0 / 3.0 + 1e-15:
         raise DomainError(x, 0.0, 1.0 / 3.0)
     terms = []
-    for n in range(2, n_cap + 1):
+    for n in range(2, PHI_SERIES_CAP + 1):
         term = float(beta_total(n)) * x**n
         terms.append(term)
-        if n > 8 and term < tol:
+        if n > 8 and term < PHI_SERIES_TOL:
             break
     return math.fsum(terms)
 
@@ -204,13 +206,13 @@ class SeriesCoefficients:
 
 
 def lambda0_coefficients(
-    sd: SpectralData, f: Observable, pi: ProbDist, order: int
+    sd: SpectralData, f: Observable, order: int
 ) -> SeriesCoefficients:
     """Series coefficients by the Rayleigh-Schroedinger recursion (Kato,
     *Perturbation Theory for Linear Operators*, ch. II).
 
     At r = 0 the top eigenfunction is psi_0 = 1.  With S the reduced
-    resolvent and pi-weighted means, the n-th coefficient is
+    resolvent and means weighted by ``sd.pi``, the n-th coefficient is
 
         E_n = pi(f psi_{n-1}),  psi_n = -S (f psi_{n-1} - sum_{k<n} E_k psi_{n-k}),
 
@@ -229,7 +231,7 @@ def lambda0_coefficients(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order + 1):
             f_psi = f.values * psi[n - 1]
-            coeffs[n - 1] = pi.weights @ f_psi
+            coeffs[n - 1] = sd.pi.weights @ f_psi
             if not math.isfinite(coeffs[n - 1]):
                 raise NumericalError(f"series coefficient {n} overflows")
             if n < order:

@@ -97,30 +97,30 @@ class MJPModel:
         return self.q.n
 
 
-def probability_vector(weights, tol: float = DEFAULT_TOL) -> ProbDist:
-    """Validate and wrap a probability vector; entries must sum to 1 within tol."""
+def probability_vector(weights) -> ProbDist:
+    """Validate and wrap a probability vector; entries must sum to 1 within 1e-9."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValidationError(f"probability vector must be 1-d, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("probability vector has non-finite entries")
-    if np.any(w < -tol):
+    if np.any(w < -DEFAULT_TOL):
         raise ValidationError(f"probability vector has negative entry {w.min()}")
     s = w.sum()
-    if abs(s - 1.0) > max(tol, 1e-9):
+    if abs(s - 1.0) > 1e-9:
         raise ValidationError(f"probability vector sums to {s}, not 1")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     return ProbDist(_readonly(w), strictly_positive=bool(w.min() > 0.0))
 
 
-def validate_q_matrix(raw, tol: float = DEFAULT_TOL) -> QMatrix:
+def validate_q_matrix(raw) -> QMatrix:
     """Check the two rate-matrix conditions and renormalize the diagonal.
 
-    Off-diagonal entries below ``-tol`` and row sums beyond ``tol`` are
-    rejected; entries in ``[-tol, 0)`` are clamped to 0 and the diagonal is
-    recomputed as minus the off-diagonal row sum, so downstream math never
-    sees rounding drift from file inputs.
+    With tol = ``DEFAULT_TOL``, off-diagonal entries below ``-tol`` and row
+    sums beyond ``tol`` are rejected; entries in ``[-tol, 0)`` are clamped to
+    0 and the diagonal is recomputed as minus the off-diagonal row sum, so
+    downstream math never sees rounding drift from file inputs.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
@@ -129,13 +129,13 @@ def validate_q_matrix(raw, tol: float = DEFAULT_TOL) -> QMatrix:
         raise ValidationError("rate matrix has non-finite entries")
     n = a.shape[0]
     off = ~np.eye(n, dtype=bool)
-    bad = (a < -tol) & off
+    bad = (a < -DEFAULT_TOL) & off
     if np.any(bad):
         x, y = np.argwhere(bad)[0]
         raise NegativeRateError(int(x), int(y), float(a[x, y]))
     scale = max(1.0, float(np.max(np.abs(a))))
     rowsum = a.sum(axis=1)
-    if np.any(np.abs(rowsum) > tol * scale):
+    if np.any(np.abs(rowsum) > DEFAULT_TOL * scale):
         x = int(np.argmax(np.abs(rowsum)))
         raise RowSumViolationError(x, float(rowsum[x]))
     q = np.where(off, np.clip(a, 0.0, None), 0.0)
@@ -168,7 +168,7 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def invariant_distribution(q: QMatrix, tol: float = DEFAULT_TOL) -> ProbDist:
+def invariant_distribution(q: QMatrix) -> ProbDist:
     """Solve ``pi^T Q = 0`` with the normalization ``sum(pi) = 1``.
 
     The last equation of the transposed system is replaced by the
@@ -189,7 +189,7 @@ def invariant_distribution(q: QMatrix, tol: float = DEFAULT_TOL) -> ProbDist:
         raise SingularSystemError(str(exc)) from exc
     residual = float(np.max(np.abs(pi @ q.rates)))
     scale = max(1.0, float(np.max(np.abs(q.rates))))
-    if residual > max(tol, 1e-13 * scale) or pi.min() <= 0.0:
+    if residual > max(DEFAULT_TOL, 1e-13 * scale) or pi.min() <= 0.0:
         raise SingularSystemError(
             f"invariant solve left residual {residual} or nonpositive entries"
         )
@@ -229,9 +229,10 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 
 def check_detailed_balance(q: QMatrix, pi: ProbDist, tol: float = 1e-12) -> bool:
-    """True iff ``pi_x q_xy = pi_y q_yx`` for every pair, within tol."""
+    """True iff pi_x q_xy = pi_y q_yx within tol times the largest flow pi_x q_xy."""
     flow = pi.weights[:, None] * q.rates
-    return bool(np.max(np.abs(flow - flow.T)) <= tol)
+    np.fill_diagonal(flow, 0.0)
+    return bool(np.max(np.abs(flow - flow.T)) <= tol * np.max(flow))
 
 
 def pi_expectation(pi: ProbDist, f: Observable | np.ndarray) -> float:
@@ -257,27 +258,22 @@ def center_observable(f: Observable, pi: ProbDist) -> Observable:
     return Observable(_readonly(values), centered=True)
 
 
-def make_model(rates, f_values, nu=None, tol: float = DEFAULT_TOL) -> MJPModel:
+def make_model(rates, f_values, nu=None) -> MJPModel:
     """Assemble a validated model: irreducible Q, invariant pi, centered f.
 
     ``nu`` defaults to a point mass at state 0.  The observable is centered
     against pi on ingest; the raw values shifted by a constant yield the same
     deviation probabilities.
     """
-    q = validate_q_matrix(rates, tol=tol)
-    pi = invariant_distribution(q, tol=tol)
+    q = validate_q_matrix(rates)
+    pi = invariant_distribution(q)
     f_raw = np.asarray(f_values, dtype=float)
     if f_raw.shape != (q.n,):
         raise ValidationError(f"observable must have shape ({q.n},), got {f_raw.shape}")
     if not np.all(np.isfinite(f_raw)):
         raise ValidationError("observable has non-finite entries")
     f = center_observable(Observable(f_raw), pi)
-    if nu is None:
-        nu_dist = ProbDist(_readonly(np.eye(q.n)[0]))
-    elif isinstance(nu, ProbDist):
-        nu_dist = nu
-    else:
-        nu_dist = probability_vector(nu, tol=tol)
+    nu_dist = probability_vector(np.eye(q.n)[0] if nu is None else nu)
     if nu_dist.n != q.n:
         raise ValidationError("initial distribution has wrong length")
     return MJPModel(

@@ -33,6 +33,8 @@ _DRAW_SALT = _U64(0xD6E8FEB86659FD93)
 # the same constants as Python ints, for the scalar mixer
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA_I, _MUL1_I, _MUL2_I, _DRAW_SALT_I = map(int, (_GAMMA, _MUL1, _MUL2, _DRAW_SALT))
+# largest draw: ((2**53 - 1) + 0.5) * 2**-53 rounds to 1.0, so it is clamped here
+_U_MAX = 1.0 - 2.0**-53
 
 
 def _mix64(z):
@@ -75,7 +77,7 @@ def counter_uniforms(keys, draw_indices) -> np.ndarray:
     u = z.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
-    return u
+    return np.minimum(u, _U_MAX, out=u)
 
 
 class CounterStream:
@@ -89,7 +91,7 @@ class CounterStream:
         """The next draw; bit-identical to ``counter_uniforms(key, cursor)``."""
         z = _mix64_int(self.key ^ _mix64_int(self.cursor ^ _DRAW_SALT_I))
         self.cursor += 1
-        return ((z >> 11) + 0.5) * (2.0**-53)
+        return min(((z >> 11) + 0.5) * (2.0**-53), _U_MAX)
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,22 @@ class TailEstimate:
         return min(1.0, self.p_hat + self.ci_half_width)
 
 
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Running sum of the probabilities ``p`` up to their last positive entry,
+    then 1.0: a uniform u in (0, 1] picks index ``(u > row).sum()``, never
+    one of probability zero, even where the rounded sum falls short of u."""
+    row = np.ones(p.size)
+    last = np.flatnonzero(p)[-1]
+    row[:last] = np.cumsum(p[:last])
+    return row
+
+
 def _jump_tables(model: MJPModel):
     """Per-state jump targets, cumulative probabilities and guide table.
 
     Self-jumps are excluded.  A jump out of x with uniform u in (0, 1] goes
-    to ``targets[x, j]`` for the first j with ``cum[x, j] >= u``.  That is
-    ``(u > cum[x]).sum()``: a row is the running sum of the jump
-    probabilities up to its last positive rate and 1.0 from there on, so its
-    entries below u come first.  A target of rate zero repeats the entry
-    before it (or is 0.0 in front) and is never picked.  ``guide[x, b]`` is
+    to ``targets[x, (u > cum[x]).sum()]``, where ``cum[x]`` is the
+    ``_cumulative`` row of the jump probabilities.  ``guide[x, b]`` is
     ``x * (n - 1)`` plus the number of entries of ``cum[x]`` below the lower
     edge of bucket b of ``4 (n - 1)`` equal buckets of [0, 1): the index
     into the flattened ``cum`` where the search for a u of that bucket may
@@ -149,9 +158,7 @@ def _jump_tables(model: MJPModel):
         others = [y for y in range(n) if y != x]
         targets[x] = others
         if exit_rates[x] > 0.0:
-            probs = rates[x, others] / exit_rates[x]
-            last = np.flatnonzero(probs)[-1]
-            cum[x, :last] = np.cumsum(probs[:last])
+            cum[x] = _cumulative(rates[x, others] / exit_rates[x])
         guide[x] = x * (n - 1) + np.searchsorted(cum[x], edges, side="left")
     return targets, cum, guide
 
@@ -177,10 +184,6 @@ def _next_states(tables, state, u):
     return targets.ravel()[j]
 
 
-def _pick_from_cum(cum_row: np.ndarray, u: float) -> int:
-    return int(np.sum(u > cum_row))
-
-
 def sample_trajectory(
     model: MJPModel, horizon: float, rng_stream: CounterStream
 ) -> Trajectory:
@@ -193,9 +196,7 @@ def sample_trajectory(
     """
     if not math.isfinite(horizon) or horizon < 0:
         raise ValidationError(f"horizon must be finite and nonnegative, got {horizon}")
-    cum_nu = np.cumsum(model.nu.weights)
-    cum_nu[-1] = 1.0
-    state = _pick_from_cum(cum_nu[:-1], rng_stream.uniform())
+    state = int((rng_stream.uniform() > _cumulative(model.nu.weights)).sum())
     times = [0.0]
     states = [state]
     if horizon == 0.0:
@@ -211,7 +212,7 @@ def sample_trajectory(
         if t >= horizon:
             break
         u = rng_stream.uniform()
-        state = int(targets[state, _pick_from_cum(cum[state], u)])
+        state = int(targets[state, (u > cum[state]).sum()])
         times.append(t)
         states.append(state)
     return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
@@ -243,7 +244,7 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     last = horizons.size
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
-    cum_nu = np.cumsum(model.nu.weights)[:-1]
+    cum_nu = _cumulative(model.nu.weights)
     u0 = counter_uniforms(keys, np.zeros(count, dtype=np.uint64))
     state = (u0[:, None] > cum_nu[None, :]).sum(axis=1).astype(np.int64)
 

@@ -66,24 +66,29 @@ class SpectralData:
     ``eigvecs`` holds the eigenvectors (as functions on states) in columns,
     pi-orthonormal, with the constant function first.  ``sym_coords`` is the
     ordinary-symmetric similarity transform D^{1/2} sym D^{-1/2} reused by
-    the tilted eigenvalue computations.
+    the tilted eigenvalue computations.  ``resolvent`` is the reduced
+    resolvent S = sum_{k>=1} pr_k / lambda_k: zero on constants, inverse
+    elsewhere.  Every function of the data reads its weights from ``pi``.
     """
 
-    sym: np.ndarray
     sym_coords: np.ndarray
     eigenvalues: np.ndarray
     eigvecs: np.ndarray
-    projector0: np.ndarray
     resolvent: np.ndarray
     pi: ProbDist
 
     @property
     def n(self) -> int:
-        return self.sym.shape[0]
+        return self.sym_coords.shape[0]
 
     @property
     def gap(self) -> float:
         return float(-self.eigenvalues[1])
+
+    @property
+    def projector0(self) -> np.ndarray:
+        """Projection onto the constants in L2(pi); each row is pi."""
+        return np.outer(np.ones(self.n), self.pi.weights)
 
 
 def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
@@ -99,8 +104,7 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     n = q.n
     w = pi.weights
     sqrt_pi = np.sqrt(w)
-    sym = symmetrized_generator(q, pi)
-    b = (sym * sqrt_pi[:, None]) / sqrt_pi[None, :]
+    b = (symmetrized_generator(q, pi) * sqrt_pi[:, None]) / sqrt_pi[None, :]
     b = 0.5 * (b + b.T)
 
     house = _householder_first_column(sqrt_pi)
@@ -122,14 +126,11 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     eigvecs = vecs_b / sqrt_pi[:, None]
     eigvecs[:, 0] = 1.0
 
-    projector0 = np.outer(np.ones(n), w)
     resolvent = _resolvent_from_pairs(vals, eigvecs, w, power=None)
     return SpectralData(
-        sym=sym,
         sym_coords=b,
         eigenvalues=vals,
         eigvecs=eigvecs,
-        projector0=projector0,
         resolvent=resolvent,
         pi=pi,
     )
@@ -164,24 +165,19 @@ def _resolvent_from_pairs(vals, eigvecs, pi_w, power):
     return out
 
 
-def reduced_resolvent(sd: SpectralData) -> np.ndarray:
-    """S = sum_{k>=1} pr_k / lambda_k; zero on constants, inverse elsewhere."""
-    return sd.resolvent.copy()
-
-
 def resolvent_power(sd: SpectralData, r: float) -> np.ndarray:
     """hat(S)^r = sum_{k>=1} (-lambda_k)^{-r} pr_k; pi-selfadjoint."""
     return _resolvent_from_pairs(sd.eigenvalues, sd.eigvecs, sd.pi.weights, power=r)
 
 
-def sigma_hat_sq(sd: SpectralData, f: Observable, pi: ProbDist) -> float:
-    """Asymptotic variance -2 <Sf, f> of the time average under pi.
+def sigma_hat_sq(sd: SpectralData, f: Observable) -> float:
+    """Asymptotic variance -2 <Sf, f> of the time average under ``sd.pi``.
 
     Centering is checked relative to the size of f, since rounding leaves a
     mean proportional to it.
     """
-    mean = float(pi.weights @ f.values)
+    mean = float(sd.pi.weights @ f.values)
     if abs(mean) > 1e-10 * max(1.0, f.sup_norm):
         raise NotCenteredError(mean)
-    val = -2.0 * pi_inner(pi, sd.resolvent @ f.values, f.values)
+    val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f.values, f.values)
     return max(val, 0.0)

@@ -28,6 +28,7 @@ from .spectral import SpectralData, top_eigenvalue
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_CAP_FACTOR = 1e6
+VARIATIONAL_GRID = 4001
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class BernsteinParams:
     c: float
 
 
-def lambda0(sd: SpectralData, f: Observable, pi: ProbDist, r: float) -> float:
+def lambda0(sd: SpectralData, f: Observable, r: float) -> float:
     """Top eigenvalue of the tilted symmetrized generator.
 
     In the sqrt(pi) similarity coordinates the tilt stays diagonal, so the
@@ -161,9 +162,7 @@ def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
 
 
-def lambda0_star(
-    sd: SpectralData, f: Observable, pi: ProbDist, u: float, tol: float = 1e-10
-) -> ConjugateResult:
+def lambda0_star(sd: SpectralData, f: Observable, u: float) -> ConjugateResult:
     """Fenchel conjugate of the tilted top eigenvalue at threshold u >= 0.
 
     Finite exactly on [min f, max f]; beyond max f the conjugate is infinite
@@ -177,19 +176,19 @@ def lambda0_star(
     if u > f_max * (1.0 + 1e-12) + 1e-300:
         return ConjugateResult(u=u, value=math.inf, argmax_r=None)
     cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
-    return fenchel_conjugate(lambda r: lambda0(sd, f, pi, r), u, r_max=cap, tol=tol)
+    return fenchel_conjugate(lambda r: lambda0(sd, f, r), u, r_max=cap)
 
 
 def rate_function_variational(
-    q: QMatrix, pi: ProbDist, f: Observable, u: float, grid: int = 4001
+    q: QMatrix, pi: ProbDist, f: Observable, u: float
 ) -> float:
     """Constrained minimum of -<Lg, g> over the unit sphere with <f g, g> = u.
 
     Brute-force oracle for two and three states.  In sqrt(pi) coordinates the
     constraint set is parametrized through the squared coordinates: for n = 2
     it is a finite set of points, for n = 3 a segment in the simplex scanned
-    on a grid and polished by golden-section search, with all sign patterns
-    of the coordinates enumerated.
+    on a grid of ``VARIATIONAL_GRID`` points and polished by golden-section
+    search, with all sign patterns of the coordinates enumerated.
     """
     n = q.n
     if n > 3:
@@ -210,7 +209,7 @@ def rate_function_variational(
 
     if n == 2:
         return _variational_two_states(values, u, energy)
-    return _variational_three_states(b_sym, values, u, energy, grid)
+    return _variational_three_states(b_sym, values, u, energy)
 
 
 def _variational_two_states(values, u, energy) -> float:
@@ -249,9 +248,9 @@ def _simplex_slice(values, u: float, s: np.ndarray) -> tuple[np.ndarray, np.ndar
 _SIGN_PATTERNS_3 = [np.array([1.0, a, b]) for a in (1.0, -1.0) for b in (1.0, -1.0)]
 
 
-def _variational_three_states(b_sym, values, u, energy, grid) -> float:
+def _variational_three_states(b_sym, values, u, energy) -> float:
     # the slice's points are the squared sqrt(pi) coordinates
-    s_vals = np.linspace(0.0, 1.0, grid)
+    s_vals = np.linspace(0.0, 1.0, VARIATIONAL_GRID)
     p, ok = _simplex_slice(values, u, s_vals)
     if p.shape[0] == 0:
         return math.inf
@@ -273,7 +272,7 @@ def _variational_three_states(b_sym, values, u, energy, grid) -> float:
         h1 = np.sqrt(p1[0])
         return min(energy(h1 * sg) for sg in _SIGN_PATTERNS_3)
 
-    step = 1.0 / (grid - 1)
+    step = 1.0 / (VARIATIONAL_GRID - 1)
     lo = max(best_s - step, 0.0)
     hi = min(best_s + step, 1.0)
     _, neg_best = _golden_max(lambda s: -best_over_signs(s), lo, hi, 1e-13)

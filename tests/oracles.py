@@ -65,7 +65,7 @@ def verify_info_representation(
     if u < fmin - 1e-12 or u > fmax + 1e-12:
         raise InfeasibleSliceError(u, fmin, fmax)
     a = analyze(model)
-    conj = lambda0_star(a.sd, model.f, model.pi, u)
+    conj = lambda0_star(a.sd, model.f, u)
 
     if n == 2:
         b0 = (u - f[1]) / (f[0] - f[1])

@@ -127,7 +127,7 @@ class TestBoundBernsteinGeneral:
         a = analyze(three_dense)
         r_top = 0.99 * a.gap / a.fplus_sup
         for r in np.linspace(0.0, r_top, 25):
-            lam = lambda0(a.sd, three_dense.f, three_dense.pi, float(r))
+            lam = lambda0(a.sd, three_dense.f, float(r))
             assert lam <= general_bernstein_eigen_bound(a, float(r)) + 1e-10
 
     def test_dominated_by_general_rate(self, two_state):
@@ -137,7 +137,7 @@ class TestBoundBernsteinGeneral:
         fmax = two_state.f.values.max()
         for u in np.linspace(0.0, 0.95 * fmax, 10):
             bg = bound_bernstein_general(two_state, 1.0, float(u), analysis=a).rate
-            gen = lambda0_star(a.sd, two_state.f, two_state.pi, float(u)).value
+            gen = lambda0_star(a.sd, two_state.f, float(u)).value
             assert gen >= bg - 1e-12
 
 
@@ -417,5 +417,5 @@ class TestCurveAndDomination:
             a = analyze(m)
             r_top = 0.99 * a.gap / a.fplus_sup
             for r in np.linspace(0.0, r_top, 15):
-                lam = lambda0(a.sd, m.f, m.pi, float(r))
+                lam = lambda0(a.sd, m.f, float(r))
                 assert lam <= general_bernstein_eigen_bound(a, float(r)) + 1e-10

@@ -145,19 +145,19 @@ class TestPhi:
 class TestSeriesCoefficients:
     def test_first_coefficient_vanishes(self, two_state):
         a = analyze(two_state)
-        co = lambda0_coefficients(a.sd, two_state.f, two_state.pi, 4)
+        co = lambda0_coefficients(a.sd, two_state.f, 4)
         assert abs(co.coeffs[0]) <= 1e-12
 
     def test_second_coefficient_is_half_variance(self, two_state, three_cycle):
         for m in (two_state, three_cycle):
             a = analyze(m)
-            co = lambda0_coefficients(a.sd, m.f, m.pi, 2)
+            co = lambda0_coefficients(a.sd, m.f, 2)
             assert co.coeffs[1] == pytest.approx(a.sigma_hat2 / 2.0, abs=1e-12)
 
     def test_order_cap(self, two_state):
         a = analyze(two_state)
         with pytest.raises(OrderTooLargeError):
-            lambda0_coefficients(a.sd, two_state.f, two_state.pi, ORDER_CAP + 1)
+            lambda0_coefficients(a.sd, two_state.f, ORDER_CAP + 1)
 
     @pytest.mark.parametrize("name", ["two_state", "three_dense", "random6"])
     def test_recursion_matches_trace_formula(self, request, name):
@@ -166,7 +166,7 @@ class TestSeriesCoefficients:
         else:
             model = request.getfixturevalue(name)
         a = analyze(model)
-        co = lambda0_coefficients(a.sd, model.f, model.pi, 8)
+        co = lambda0_coefficients(a.sd, model.f, 8)
         assert co.order == 8
         oracle = trace_formula_coefficients(a.sd, model.f, 8)
         assert np.max(np.abs(co.coeffs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -176,11 +176,11 @@ class TestSeriesCoefficients:
         slow = make_model(np.array([[-1.0, 1.0], [2.0, -2.0]]) * 1e-6, [1.0, 0.0])
         a = analyze(slow)
         with pytest.raises(NumericalError, match="coefficient 58 overflows"):
-            lambda0_coefficients(a.sd, slow.f, slow.pi, ORDER_CAP)
+            lambda0_coefficients(a.sd, slow.f, ORDER_CAP)
 
     def test_partial_sum_overflow_raises(self, two_state):
         a = analyze(two_state)
-        co = lambda0_coefficients(a.sd, two_state.f, two_state.pi, ORDER_CAP)
+        co = lambda0_coefficients(a.sd, two_state.f, ORDER_CAP)
         assert math.isfinite(co.partial_sum(0.1))
         with pytest.raises(NumericalError, match="partial sum at r = 100"):
             co.partial_sum(100.0)
@@ -188,8 +188,8 @@ class TestSeriesCoefficients:
     def test_finite_difference_oracle_low_orders(self, three_dense):
         """Coefficients 1-4 match Richardson-extrapolated derivatives of lambda0."""
         a = analyze(three_dense)
-        co = lambda0_coefficients(a.sd, three_dense.f, three_dense.pi, 4).coeffs
-        lam = lambda r: lambda0(a.sd, three_dense.f, three_dense.pi, r)
+        co = lambda0_coefficients(a.sd, three_dense.f, 4).coeffs
+        lam = lambda r: lambda0(a.sd, three_dense.f, r)
         h = 0.02 * a.gap / (2.0 * three_dense.f.sup_norm)
 
         def stencil(order, h):
@@ -215,8 +215,8 @@ class TestSeriesCoefficients:
 
     def test_third_order_finite_difference(self, three_dense):
         a = analyze(three_dense)
-        co = lambda0_coefficients(a.sd, three_dense.f, three_dense.pi, 3).coeffs
-        lam = lambda r: lambda0(a.sd, three_dense.f, three_dense.pi, r)
+        co = lambda0_coefficients(a.sd, three_dense.f, 3).coeffs
+        lam = lambda r: lambda0(a.sd, three_dense.f, r)
         h = 0.02 * a.gap / (2.0 * three_dense.f.sup_norm)
 
         def third(h):
@@ -229,7 +229,7 @@ class TestSeriesCoefficients:
     def test_coefficients_obey_class_count_bound(self, two_state):
         """|c_n| <= beta_n (||f||/gap)^n * (sigma^2 gap^2 / (2 ||f||^2))."""
         a = analyze(two_state)
-        co = lambda0_coefficients(a.sd, two_state.f, two_state.pi, 8).coeffs
+        co = lambda0_coefficients(a.sd, two_state.f, 8).coeffs
         scale = a.sigma_hat2 * a.gap**2 / (2.0 * a.f_sup**2)
         for n in range(2, 9):
             cap = beta_total(n) * (a.f_sup / a.gap) ** n * scale
@@ -239,11 +239,11 @@ class TestSeriesCoefficients:
         a = analyze(three_dense)
         scale = a.gap / (2.0 * three_dense.f.sup_norm)
         for order in (2, 4, 6):
-            co = lambda0_coefficients(a.sd, three_dense.f, three_dense.pi, order)
+            co = lambda0_coefficients(a.sd, three_dense.f, order)
             rs = np.logspace(-2, -1, 12) * scale
             errs = np.array(
                 [
-                    abs(lambda0(a.sd, three_dense.f, three_dense.pi, r) - co.partial_sum(r))
+                    abs(lambda0(a.sd, three_dense.f, r) - co.partial_sum(r))
                     for r in rs
                 ]
             )

@@ -15,6 +15,8 @@ from mjpbounds import cli
 from mjpbounds.cli import main, run_compare, RunConfig
 from mjpbounds.errors import ParseError, ValidationError
 
+from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_F, TWO_STATE_Q
+
 
 class TestModelFile:
     def test_two_state_fixture(self, model_file):
@@ -270,6 +272,28 @@ class TestCliSubcommands:
         assert len(lines) == 1 + 3 * 2
         assert {ln.split(",")[1] for ln in lines[1:]} == {"poincare", "general"}
 
+    @pytest.mark.parametrize(
+        "chain, note", [("two_state", ""), ("three_cycle", "unverified")]
+    )
+    def test_fsobolev_row_flags_an_unverified_inequality(
+        self, model_file, tmp_path, chain, note
+    ):
+        # two states get a full sweep (verdict holds); on the 3-cycle the
+        # random restarts find no violation (verdict inconclusive), so the
+        # rate rests on an inequality that is assumed, not shown
+        q, f = {"two_state": (TWO_STATE_Q, TWO_STATE_F),
+                "three_cycle": (THREE_CYCLE_Q, THREE_CYCLE_F)}[chain]
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(q=q, f=f), "--t", "2",
+                "--u-grid", "0.1:0.3:2", "--families", "fsobolev,poincare",
+                "--fsobolev-c", "0.2", "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[-1]) for r in rows] == [("fsobolev", note), ("poincare", "")] * 2
+
     def test_unknown_family_rejected(self, model_file):
         assert main(
             [
@@ -444,6 +468,17 @@ class TestCompare:
         assert summary["rows_written"] == 4
         saved = json.loads(summary_path.read_text())
         assert saved["all_dominated"] is True
+        assert saved["fsobolev_verdict"] is None
+
+    def test_summary_records_the_fsobolev_verdict(self, model_file, tmp_path):
+        summary = run_compare(
+            RunConfig(
+                model=model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F), t_values=[1.0],
+                u_grid=[0.2], families=["fsobolev"], samples=100, seed=0,
+                out=str(tmp_path / "c.csv"), fsobolev_c=0.2,
+            )
+        )
+        assert summary["fsobolev_verdict"] == "inconclusive"
 
     def test_out_dash_writes_stdout(self, model_file, tmp_path, monkeypatch, capsys):
         path = model_file()

@@ -25,7 +25,7 @@ from mjpbounds.errors import (
     ValidationError,
 )
 
-from conftest import random_irreducible_model
+from conftest import THREE_CYCLE_Q, random_irreducible_model
 
 
 class TestValidateQMatrix:
@@ -174,6 +174,20 @@ class TestDetailedBalance:
 
     def test_cycle_not_reversible(self, three_cycle):
         assert not check_detailed_balance(three_cycle.q, three_cycle.pi)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_verdict_does_not_depend_on_the_unit_of_time(self, scale):
+        # tol is relative to the largest flow: a 3-cycle with tiny rates has
+        # flows far below 1e-12, and a birth-death chain with large rates
+        # leaves rounding far above it
+        cycle = make_model(scale * np.array(THREE_CYCLE_Q), [1.0, 0.5, -1.5])
+        assert not cycle.reversible
+        assert not check_detailed_balance(cycle.q, cycle.pi)
+        rates = np.diag([1.0] * 5, 1) + np.diag([1.5, 0.7, 2.0, 1.5, 3.0], -1)
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        bd = make_model(scale * rates, np.linspace(-1.0, 1.0, 6))
+        assert bd.reversible
+        assert check_detailed_balance(bd.q, bd.pi)
 
     def test_symmetric_rates_reversible(self):
         m = make_model([[-3, 1, 2], [1, -1.5, 0.5], [2, 0.5, -2.5]], [1, 2, 3])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_irreducible_model
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mjpbounds import (
@@ -20,8 +20,16 @@ from mjpbounds import (
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
 from mjpbounds.simulate import (
+    _DRAW_SALT_I,
+    _GAMMA_I,
+    _MASK64,
+    _MUL1_I,
+    _MUL2_I,
+    _STREAM_SALT,
     Trajectory,
+    _cumulative,
     _jump_tables,
+    _mix64_int,
     _next_states,
     counter_uniforms,
     stream_keys,
@@ -30,6 +38,39 @@ from mjpbounds.simulate import (
 # sha256 of the bytes of time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000,
 # seed=2026), taken with the kernel that counted (u > cum[x]).sum() per jump
 WIDE_SPARSE_SHA256 = "c2580a62f62b9b4905b458853b6756b8f8e0207927cc8b4911da4a97369bc9bd"
+
+
+# the largest draw the generator returns; ((2**53 - 1) + 0.5) * 2**-53 is 1.0
+U_MAX = 1.0 - 2.0**-53
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    """Inverse of ``z ^ (z >> shift)`` on 64 bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix64(z: int) -> int:
+    """Inverse of the SplitMix64 finalizer ``_mix64_int``."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(_MUL2_I, -1, 2**64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(_MUL1_I, -1, 2**64)) & _MASK64
+    z = _unxorshift(z, 30)
+    return (z - _GAMMA_I) & _MASK64
+
+
+def _top_draw_key() -> int:
+    """Substream key whose draw 0 hashes to 2**64 - 1, so ``z >> 11`` is 2**53 - 1."""
+    return _unmix64(_MASK64) ^ _mix64_int(_DRAW_SALT_I)
+
+
+def _top_draw_seed() -> int:
+    """Seed whose sample 0 has the key of ``_top_draw_key``."""
+    base = _unmix64(_top_draw_key()) ^ _mix64_int(int(_STREAM_SALT))
+    return _unmix64(base)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +96,21 @@ class TestCounterRng:
         u = counter_uniforms(keys, np.full(200000, 5, dtype=np.uint64))
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002
+
+    def test_largest_hash_gives_a_draw_below_one(self):
+        z = 2**53 - 1
+        assert _unxorshift(z ^ (z >> 27), 27) == z
+        assert _mix64_int(_unmix64(12345)) == 12345
+        key = _top_draw_key()
+        u = counter_uniforms(np.array([key], dtype=np.uint64), np.zeros(1, np.uint64))
+        assert u[0] == U_MAX < 1.0
+        seed = _top_draw_seed()
+        assert int(stream_keys(seed, np.zeros(1, np.uint64))[0]) == key
+        assert CounterStream(seed).uniform() == U_MAX
+        # every other draw keeps its bits: the next lower hash is not clamped
+        below = np.array([_unmix64(_MASK64 - 2**11) ^ _mix64_int(_DRAW_SALT_I)], np.uint64)
+        u_below = counter_uniforms(below, np.zeros(1, np.uint64))[0]
+        assert u_below == ((2**53 - 2) + 0.5) * 2.0**-53 < U_MAX
 
     def test_counter_stream_matches_vectorized_draws(self):
         for seed, stream in ((0, 0), (7, 3), (2**63 + 5, 123456)):
@@ -182,6 +238,38 @@ class TestSampleTrajectory:
                 assert abs(counts[x, y] / total - p) <= 4.0 * se
 
 
+class TestInitialState:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.integers(1, 20).map(float), st.floats(1e-9, 1.0)),
+            min_size=1,
+            max_size=12,
+        ).filter(any)
+    )
+    @example([0.1] * 10 + [0.0])  # the rounded sum of the first ten is below 1.0
+    @example([12.0, 14.0, 17.0, 19.0, 11.0, 0.0])  # below 1 - 2**-53 as well
+    def test_pick_near_one_is_never_a_zero_weight_state(self, weights):
+        nu = np.array(weights) / math.fsum(weights)
+        row = _cumulative(nu)
+        for u in (U_MAX, 1.0):
+            assert nu[(u > row).sum()] > 0.0
+
+    def test_largest_draw_starts_in_a_state_of_positive_weight(self):
+        # a ring whose nu puts no weight on its last state; the cumulative
+        # sum of the other weights rounds below the largest draw
+        n = 11
+        rates = np.zeros((n, n))
+        rates[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        np.fill_diagonal(rates, -1.0)
+        model = make_model(rates, np.arange(n, dtype=float), [0.1] * 10 + [0.0])
+        seed = _top_draw_seed()
+        traj = sample_trajectory(model, 1e-9, CounterStream(seed))
+        assert traj.states.tolist() == [9]
+        avg = time_averages(model, 1e-9, 1, seed)[0]
+        assert avg == pytest.approx(model.f.values[9], abs=1e-12)
+
+
 class TestTimeAverage:
     def test_constant_observable(self, two_state):
         traj = sample_trajectory(two_state, 3.0, CounterStream(2, 0))
@@ -241,8 +329,7 @@ class TestJumpTargets:
         tables = _jump_tables(model)
         targets, cum, guide = tables
         n_buckets = guide.shape[1]
-        # 1 - 2**-54 rounds to 1.0, which the generator can return, and
-        # u * n_buckets then equals n_buckets
+        # 1 - 2**-54 rounds to 1.0, and u * n_buckets then equals n_buckets
         edges = np.arange(n_buckets + 1) / n_buckets
         points = np.concatenate([edges, cum.ravel(), [2.0**-54, 1 - 2.0**-54]])
         u = np.concatenate(

@@ -1,21 +1,33 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from mjpbounds import (
     Observable,
     ProbDist,
+    SpectralData,
     adjoint_generator,
     center_observable,
+    check_f_sobolev,
+    invariant_distribution,
+    lambda0,
+    lambda0_coefficients,
+    lambda0_star,
     make_model,
+    phi_series,
+    probability_vector,
+    rate_function_variational,
     pi_inner,
     pi_variance,
-    reduced_resolvent,
     resolvent_power,
     sigma_hat_sq,
     spectral_decomposition,
     symmetrized_generator,
     validate_q_matrix,
 )
+from mjpbounds.bounds import _ascend_violation
 from mjpbounds.errors import DegenerateGapError, NotCenteredError
 from mjpbounds.spectral import eigh_descending, top_eigenvalue
 
@@ -144,10 +156,11 @@ class TestReducedResolvent:
         for _ in range(8):
             m = random_irreducible_model(rng)
             sd = spectral_decomposition(m.q, m.pi)
-            s = reduced_resolvent(sd)
+            s = sd.resolvent
+            sym = symmetrized_generator(m.q, m.pi)
             eye = np.eye(m.n)
-            np.testing.assert_allclose(s @ sd.sym, eye - sd.projector0, atol=1e-10)
-            np.testing.assert_allclose(sd.sym @ s, eye - sd.projector0, atol=1e-10)
+            np.testing.assert_allclose(s @ sym, eye - sd.projector0, atol=1e-10)
+            np.testing.assert_allclose(sym @ s, eye - sd.projector0, atol=1e-10)
             np.testing.assert_allclose(s @ np.ones(m.n), 0.0, atol=1e-12)
 
     def test_operator_norm_is_inverse_gap(self):
@@ -191,19 +204,19 @@ class TestSigmaHat:
     def test_zero_observable(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
         f0 = Observable(np.zeros(2), centered=True)
-        assert sigma_hat_sq(sd, f0, two_state.pi) == 0.0
+        assert sigma_hat_sq(sd, f0) == 0.0
 
     def test_two_state_hand_value(self, two_state):
         # S = -(1/3)(I - pr) and <f, f> = 2 give sigma^2 = (2/3)*2 = 4/3
         sd = spectral_decomposition(two_state.q, two_state.pi)
-        assert sigma_hat_sq(sd, two_state.f, two_state.pi) == pytest.approx(
+        assert sigma_hat_sq(sd, two_state.f) == pytest.approx(
             4.0 / 3.0, abs=1e-13
         )
 
     def test_not_centered_rejected(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
         with pytest.raises(NotCenteredError):
-            sigma_hat_sq(sd, Observable(np.array([1.0, 1.0])), two_state.pi)
+            sigma_hat_sq(sd, Observable(np.array([1.0, 1.0])))
 
     def test_large_centered_observable_accepted(self):
         rng = np.random.default_rng(1)
@@ -213,8 +226,8 @@ class TestSigmaHat:
         f = rng.uniform(-1.0, 1.0, 5)
         unit, large = make_model(q, f), make_model(q, 1e8 * f)
         sd = spectral_decomposition(unit.q, unit.pi)
-        assert sigma_hat_sq(sd, large.f, large.pi) == pytest.approx(
-            1e16 * sigma_hat_sq(sd, unit.f, unit.pi), rel=1e-9
+        assert sigma_hat_sq(sd, large.f) == pytest.approx(
+            1e16 * sigma_hat_sq(sd, unit.f), rel=1e-9
         )
 
     def test_dominated_by_poincare_variance(self):
@@ -222,7 +235,7 @@ class TestSigmaHat:
         for _ in range(10):
             m = random_irreducible_model(rng)
             sd = spectral_decomposition(m.q, m.pi)
-            s2 = sigma_hat_sq(sd, m.f, m.pi)
+            s2 = sigma_hat_sq(sd, m.f)
             bound = 2.0 * pi_variance(m.pi, m.f.values) / sd.gap
             assert s2 <= bound + 1e-12
 
@@ -231,30 +244,31 @@ class TestQuadraticFormInvariants:
     def test_rayleigh_nonpositive(self):
         rng = np.random.default_rng(41)
         m = random_irreducible_model(rng, n=5)
-        sd = spectral_decomposition(m.q, m.pi)
+        sym = symmetrized_generator(m.q, m.pi)
         for _ in range(200):
             g = rng.standard_normal(5)
             g /= np.sqrt(pi_inner(m.pi, g, g))
-            assert pi_inner(m.pi, sd.sym @ g, g) <= 1e-10
+            assert pi_inner(m.pi, sym @ g, g) <= 1e-10
 
     def test_image_orthogonal_to_constants(self):
         rng = np.random.default_rng(43)
         m = random_irreducible_model(rng, n=4)
-        sd = spectral_decomposition(m.q, m.pi)
+        sym = symmetrized_generator(m.q, m.pi)
         ones = np.ones(4)
         for _ in range(50):
             g = rng.standard_normal(4)
-            assert abs(pi_inner(m.pi, ones, sd.sym @ g)) <= 1e-10
+            assert abs(pi_inner(m.pi, ones, sym @ g)) <= 1e-10
 
     def test_poincare_with_gap_constant(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
             m = random_irreducible_model(rng)
             sd = spectral_decomposition(m.q, m.pi)
+            sym = symmetrized_generator(m.q, m.pi)
             for _ in range(20):
                 g = rng.standard_normal(m.n)
                 var = pi_variance(m.pi, g)
-                dirichlet = -pi_inner(m.pi, sd.sym @ g, g)
+                dirichlet = -pi_inner(m.pi, sym @ g, g)
                 assert var <= dirichlet / sd.gap + 1e-10
 
     def test_detailed_balance_spectrum_matches_generator(self, two_state):
@@ -273,5 +287,37 @@ class TestQuadraticFormInvariants:
 def test_center_then_sigma_consistency(three_cycle):
     sd = spectral_decomposition(three_cycle.q, three_cycle.pi)
     f = center_observable(Observable(np.array([2.0, -1.0, 0.5])), three_cycle.pi)
-    s2 = sigma_hat_sq(sd, f, three_cycle.pi)
+    s2 = sigma_hat_sq(sd, f)
     assert s2 > 0
+
+
+class TestSpectralDataOwnsPi:
+    def test_functions_of_the_data_take_no_second_pi(self, three_dense):
+        sd = spectral_decomposition(three_dense.q, three_dense.pi)
+        f, pi = three_dense.f, three_dense.pi
+        # the former call forms, with a separate pi, fail instead of binding
+        # pi or a threshold to another parameter
+        for call in (
+            lambda: lambda0(sd, f, pi, 0.5),
+            lambda: lambda0_star(sd, f, pi, 0.5),
+            lambda: lambda0_coefficients(sd, f, pi, 4),
+            lambda: sigma_hat_sq(sd, f, pi),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert "sym" not in {field.name for field in dataclasses.fields(SpectralData)}
+
+    @pytest.mark.parametrize(
+        "fn, name",
+        [
+            (lambda0, "pi"), (lambda0_star, "pi"), (lambda0_coefficients, "pi"),
+            (sigma_hat_sq, "pi"), (make_model, "tol"), (validate_q_matrix, "tol"),
+            (invariant_distribution, "tol"), (probability_vector, "tol"),
+            (lambda0_star, "tol"), (rate_function_variational, "grid"),
+            (phi_series, "tol"), (phi_series, "n_cap"), (check_f_sobolev, "sweep"),
+            (check_f_sobolev, "seed"), (_ascend_violation, "steps"),
+            (_ascend_violation, "lr"),
+        ],
+    )
+    def test_removed_parameter_stays_removed(self, fn, name):
+        assert name not in inspect.signature(fn).parameters

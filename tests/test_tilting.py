@@ -25,7 +25,7 @@ from oracles import bernstein_conjugate_vform, cramer_transform_static
 class TestLambda0:
     def test_zero_tilt(self, two_state):
         a = analyze(two_state)
-        assert lambda0(a.sd, two_state.f, two_state.pi, 0.0) == 0.0
+        assert lambda0(a.sd, two_state.f, 0.0) == 0.0
 
     def test_two_state_closed_form(self, two_state):
         # symmetrized coordinates matrix is [[-1, sqrt2], [sqrt2, -2]];
@@ -35,7 +35,7 @@ class TestLambda0:
         m = np.array([[-1.0 + r, math.sqrt(2.0)], [math.sqrt(2.0), -2.0 - 2 * r]])
         tr, det = m.trace(), np.linalg.det(m)
         top = (tr + math.sqrt(tr * tr - 4 * det)) / 2.0
-        assert lambda0(a.sd, two_state.f, two_state.pi, r) == pytest.approx(
+        assert lambda0(a.sd, two_state.f, r) == pytest.approx(
             top, abs=1e-13
         )
 
@@ -44,14 +44,14 @@ class TestLambda0:
         s = 2.5
         scaled = Observable(s * three_cycle.f.values, centered=True)
         for r in (0.05, 0.3, 1.1):
-            lhs = lambda0(a.sd, scaled, three_cycle.pi, r)
-            rhs = lambda0(a.sd, three_cycle.f, three_cycle.pi, s * r)
+            lhs = lambda0(a.sd, scaled, r)
+            rhs = lambda0(a.sd, three_cycle.f, s * r)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_convexity_on_random_pairs(self, three_dense):
         a = analyze(three_dense)
         rng = np.random.default_rng(2)
-        lam = lambda r: lambda0(a.sd, three_dense.f, three_dense.pi, r)
+        lam = lambda r: lambda0(a.sd, three_dense.f, r)
         for _ in range(40):
             r1, r2 = rng.uniform(-3, 3, size=2)
             mid = lam((r1 + r2) / 2)
@@ -61,7 +61,7 @@ class TestLambda0:
         # Rayleigh quotient at the constant function gives lambda0(r) >= 0
         a = analyze(three_cycle)
         for r in np.linspace(-4, 4, 17):
-            assert lambda0(a.sd, three_cycle.f, three_cycle.pi, r) >= -1e-13
+            assert lambda0(a.sd, three_cycle.f, r) >= -1e-13
 
 
 class TestFeynmanKacNorm:
@@ -75,7 +75,7 @@ class TestFeynmanKacNorm:
         for r in (0.1, 0.4, 1.0):
             for t in (0.5, 2.0, 5.0):
                 norm = feynman_kac_norm(three_cycle.q, three_cycle.pi, three_cycle.f, r, t)
-                lam = lambda0(a.sd, three_cycle.f, three_cycle.pi, r)
+                lam = lambda0(a.sd, three_cycle.f, r)
                 assert norm <= math.exp(t * lam) * (1.0 + 1e-8)
 
     def test_exact_under_detailed_balance(self, two_state):
@@ -83,7 +83,7 @@ class TestFeynmanKacNorm:
         for r in (0.05, 0.3, 0.8):
             for t in (0.5, 1.5, 4.0):
                 norm = feynman_kac_norm(two_state.q, two_state.pi, two_state.f, r, t)
-                lam = lambda0(a.sd, two_state.f, two_state.pi, r)
+                lam = lambda0(a.sd, two_state.f, r)
                 assert norm == pytest.approx(math.exp(t * lam), rel=1e-8)
 
 
@@ -126,7 +126,7 @@ class TestFenchelConjugate:
     def test_matches_dense_grid_for_eigen_rate(self, two_state):
         a = analyze(two_state)
         u = 0.5
-        lam = lambda r: lambda0(a.sd, two_state.f, two_state.pi, r)
+        lam = lambda r: lambda0(a.sd, two_state.f, r)
         res = fenchel_conjugate(lam, u)
         rs = np.arange(0.0, 2.0, 1e-5)
         grid_best = max(r * u - lam(r) for r in rs)
@@ -185,18 +185,18 @@ class TestBernsteinConjugate:
 class TestLambda0Star:
     def test_zero_threshold(self, two_state):
         a = analyze(two_state)
-        res = lambda0_star(a.sd, two_state.f, two_state.pi, 0.0)
+        res = lambda0_star(a.sd, two_state.f, 0.0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_beyond_max(self, two_state):
         a = analyze(two_state)
-        res = lambda0_star(a.sd, two_state.f, two_state.pi, 1.5)
+        res = lambda0_star(a.sd, two_state.f, 1.5)
         assert math.isinf(res.value)
         assert res.argmax_r is None
 
     def test_boundary_at_max_f_is_finite(self, two_state):
         a = analyze(two_state)
-        res = lambda0_star(a.sd, two_state.f, two_state.pi, 1.0)
+        res = lambda0_star(a.sd, two_state.f, 1.0)
         # feasible only at g = e_x/sqrt(pi_x) for the maximizing state, where
         # the quadratic form equals the exit rate q_x = 1
         assert res.boundary
@@ -206,7 +206,7 @@ class TestLambda0Star:
         a = analyze(three_cycle)
         fmax = three_cycle.f.values.max()
         us = np.linspace(0.0, 0.98 * fmax, 15)
-        vals = [lambda0_star(a.sd, three_cycle.f, three_cycle.pi, u).value for u in us]
+        vals = [lambda0_star(a.sd, three_cycle.f, u).value for u in us]
         assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
 
 
@@ -214,7 +214,7 @@ class TestLambda0Star:
     def test_negative_or_nan_threshold_rejected(self, two_state, u):
         a = analyze(two_state)
         with pytest.raises(ValidationError, match="nonnegative"):
-            lambda0_star(a.sd, two_state.f, two_state.pi, u)
+            lambda0_star(a.sd, two_state.f, u)
         with pytest.raises(ValidationError, match="u >= 0"):
             bernstein_conjugate(BernsteinParams(v=1.0, c=1.0), u)
 
@@ -237,7 +237,7 @@ class TestVariationalOracle:
         a = analyze(two_state)
         fmax = two_state.f.values.max()
         for u in np.linspace(0.05, 0.95, 10) * fmax:
-            conj = lambda0_star(a.sd, two_state.f, two_state.pi, float(u)).value
+            conj = lambda0_star(a.sd, two_state.f, float(u)).value
             var = rate_function_variational(two_state.q, two_state.pi, two_state.f, float(u))
             assert abs(conj - var) <= 1e-5
 
@@ -245,7 +245,7 @@ class TestVariationalOracle:
         a = analyze(three_dense)
         fmax = three_dense.f.values.max()
         for u in np.linspace(0.1, 0.9, 7) * fmax:
-            conj = lambda0_star(a.sd, three_dense.f, three_dense.pi, float(u)).value
+            conj = lambda0_star(a.sd, three_dense.f, float(u)).value
             var = rate_function_variational(
                 three_dense.q, three_dense.pi, three_dense.f, float(u)
             )
@@ -287,6 +287,6 @@ def test_mgf_dominated_by_eigen_bound(two_state):
     samples = np.exp(r * t * avg)
     est = float(np.mean(samples))
     sigma = float(np.std(samples, ddof=1)) / math.sqrt(n)
-    lam = lambda0(a.sd, two_state.f, two_state.pi, r)
+    lam = lambda0(a.sd, two_state.f, r)
     bound = chi2_prefactor(two_state.nu, two_state.pi) * math.exp(t * lam)
     assert est <= bound + 3.0 * sigma
