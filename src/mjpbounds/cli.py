@@ -211,8 +211,10 @@ def _check_families(fams, fsobolev_c: float | None):
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
 
 
-def _family_kwargs(model, fsobolev_c):
-    if fsobolev_c is None:
+def _family_kwargs(model, fsobolev_c, families):
+    """Keyword arguments of ``evaluate_family`` for ``families``: the F-Sobolev
+    function and its checked verdict when ``fsobolev`` is among them."""
+    if "fsobolev" not in families:
         return {}
     F = bnd.log_sobolev(fsobolev_c)
     verdict = bnd.check_f_sobolev(model, F)
@@ -229,7 +231,7 @@ def cmd_bounds(args) -> int:
     analysis = bnd.analyze(model)
     families = _resolve_families(args.families, args.fsobolev_c)
     _check_families(families, args.fsobolev_c)
-    kwargs = _family_kwargs(model, args.fsobolev_c)
+    kwargs = _family_kwargs(model, args.fsobolev_c, families)
     rows = []
     for u in _parse_grid(args.u_grid):
         for fam in families:
@@ -307,7 +309,7 @@ def run_compare(config: RunConfig) -> dict:
     model = mf.model
     analysis = bnd.analyze(model)
     families = config.families
-    kwargs = _family_kwargs(model, config.fsobolev_c)
+    kwargs = _family_kwargs(model, config.fsobolev_c, families)
     sharpness_on = model.reversible
     header = _compare_header(families)
 

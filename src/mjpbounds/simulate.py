@@ -8,7 +8,10 @@ chosen with probability q_xy / q_x.
 Randomness comes from a counter-based generator: draw k of sample i is a
 64-bit hash of (seed, i, k) mapped to (0, 1).  Every sample owns its own
 substream, so tail estimates are bitwise reproducible for a fixed seed no
-matter how the samples are partitioned into blocks or threads.
+matter how the samples are partitioned into blocks or threads.  Every path
+uses draw 0 for its initial state and draws 2k+1 and 2k+2 for the holding
+time and jump target of its k-th sweep, so all live paths of a block share
+one draw counter, and its hash is computed once per sweep, not once per path.
 """
 
 from __future__ import annotations
@@ -69,12 +72,22 @@ def stream_keys(seed: int, stream_indices) -> np.ndarray:
 
 
 def counter_uniforms(keys, draw_indices) -> np.ndarray:
-    """Open-interval uniforms for (key, draw counter) pairs, vectorized."""
+    """Open-interval uniforms for (key, draw counter) pairs, vectorized.
+
+    When ``draw_indices`` holds one value, a 0-d array or a view whose
+    strides are all 0 (``np.broadcast_to(draw, keys.shape)`` costs O(1)),
+    that value is hashed once, as a Python int, and XORed into every key;
+    the bits are those of the per-pair hash.
+    """
     k = np.asarray(keys, dtype=np.uint64)
     d = np.asarray(draw_indices, dtype=np.uint64)
-    z = _mix64(k ^ _mix64(d ^ _DRAW_SALT))
+    if d.size and not any(d.strides):
+        hd = np.broadcast_to(_U64(_mix64_int(int(d.flat[0]) ^ _DRAW_SALT_I)), d.shape)
+    else:
+        hd = _mix64(d ^ _DRAW_SALT)
+    z = _mix64(k ^ hd)
     z >>= _U64(11)
-    u = z.astype(np.float64)
+    u = z.view(np.int64).astype(np.float64)  # below 2**53: exact, faster than uint64
     u += 0.5
     u *= 2.0**-53
     return np.minimum(u, _U_MAX, out=u)
@@ -237,7 +250,9 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     h, so every row equals a one-horizon run bit for bit.  The live paths are
     compacted in the sweeps where some path passes the last horizon; each
     sample consumes draws from its own substream only, so the result is
-    independent of blocking.
+    independent of blocking.  Compaction only drops paths, so every live path
+    is at the same draw: sweep k uses draws 2k+1 and 2k+2 of each, and one
+    counter ``draw`` serves them all.
     """
     exit_rates = model.q.exit_rates
     f_vals = model.f.values
@@ -245,21 +260,24 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
     cum_nu = _cumulative(model.nu.weights)
-    u0 = counter_uniforms(keys, np.zeros(count, dtype=np.uint64))
+    u0 = counter_uniforms(keys, np.broadcast_to(_U64(0), keys.shape))
     state = (u0[:, None] > cum_nu[None, :]).sum(axis=1).astype(np.int64)
 
     ids = np.arange(start, start + count)
     tau = np.zeros(count)
     acc = np.zeros(count)
-    draw = np.ones(count, dtype=np.uint64)
+    draw = 1
     nxt = np.zeros(count, dtype=np.int64)  # index of the next horizon to reach
 
     while True:
-        uh = counter_uniforms(keys, draw)
-        dt = -np.log(uh) / exit_rates[state]
-        t_new = tau + dt
-        fx = f_vals[state]
-        crossed = c = np.flatnonzero(t_new >= horizons[nxt])
+        # holding time -log(U) / q_x, then t_new = tau + dt, in dt's buffer
+        t_new = counter_uniforms(keys, np.broadcast_to(_U64(draw), keys.shape))
+        np.log(t_new, out=t_new)
+        np.negative(t_new, out=t_new)
+        t_new /= np.take(exit_rates, state)
+        t_new += tau
+        fx = np.take(f_vals, state)
+        crossed = c = np.flatnonzero(t_new >= np.take(horizons, nxt))
         while c.size:  # several horizons may fall in one holding interval
             k = nxt[c]
             h = horizons[k]
@@ -267,19 +285,22 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
             nxt[c] = k = k + 1
             c = c[k < last]
             c = c[t_new[c] >= horizons[nxt[c]]]
-        acc += fx * (t_new - tau)
+        # acc += fx * (t_new - tau), in tau's buffer
+        np.subtract(t_new, tau, out=tau)
+        tau *= fx
+        acc += tau
         tau = t_new
 
         if crossed.size and nxt[crossed].max() == last:  # some path is done
             live = np.flatnonzero(nxt < last)
             if not live.size:
                 break
-            ids, keys, state, nxt, acc, tau, draw = (
-                a[live] for a in (ids, keys, state, nxt, acc, tau, draw)
+            ids, keys, state, nxt, acc, tau = (
+                a[live] for a in (ids, keys, state, nxt, acc, tau)
             )
-        draw += _U64(1)
-        state = _next_states(tables, state, counter_uniforms(keys, draw))
-        draw += _U64(1)
+        u = counter_uniforms(keys, np.broadcast_to(_U64(draw + 1), keys.shape))
+        state = _next_states(tables, state, u)
+        draw += 2
 
 
 def time_averages(
@@ -303,6 +324,8 @@ def time_averages(
         raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
+    if threads < 1:
+        raise ValidationError(f"need at least one thread, got {threads}")
     tables = _jump_tables(model)
     out = np.empty((hs.size, n_samples))
     blocks = [

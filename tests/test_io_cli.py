@@ -294,6 +294,34 @@ class TestCliSubcommands:
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         assert [(r[1], r[-1]) for r in rows] == [("fsobolev", note), ("poincare", "")] * 2
 
+    def test_fsobolev_constant_without_the_family_runs_no_check(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        # no requested family reads the verdict, so the check must not run
+        q = [[-3.0, 1.0, 1.0, 1.0], [2.0, -3.0, 0.5, 0.5],
+             [1.0, 1.0, -2.5, 0.5], [0.5, 1.5, 1.0, -3.0]]
+        model = model_file(q=q, f=[1.0, -0.5, 0.25, -1.0])
+        argv = [
+            "bounds", "--model", model, "--t", "5", "--u-grid", "0.1:0.3:3",
+            "--families", "poincare", "--no-timestamp", "--out",
+        ]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(argv + [str(plain)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_f_sobolev ran for no fsobolev family")
+
+        monkeypatch.setattr(bnd, "check_f_sobolev", refuse)
+        assert main(argv + [str(flagged), "--fsobolev-c", "1"]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+        summary = run_compare(
+            RunConfig(
+                model=model, t_values=[1.0], u_grid=[0.2], families=["poincare"],
+                samples=100, seed=0, out=str(tmp_path / "c.csv"), fsobolev_c=1.0,
+            )
+        )
+        assert summary["fsobolev_verdict"] is None
+
     def test_unknown_family_rejected(self, model_file):
         assert main(
             [
@@ -593,6 +621,37 @@ class TestCompare:
         assert main(argv) == 0
         assert main(argv + ["--threads", "2"]) == 0
         assert seen == [3, 2]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_thread_flag_refused(
+        self, model_file, tmp_path, capsys, command, threads
+    ):
+        out = tmp_path / "out.csv"
+        grid = ["--u", "0.2"] if command == "simulate" else ["--u-grid", "0.2:0.2:1"]
+        assert main(
+            [
+                command, "--model", model_file(), "--t", "1", *grid,
+                "--samples", "500", "--threads", threads, "--out", str(out),
+            ]
+        ) == 2
+        assert f"need at least one thread, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_thread_count_zero_refused(self, model_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"threads": 0, "t": [1.0], "u_grid": [0.2], "samples": 500})
+        )
+        out, summary = tmp_path / "cmp.csv", tmp_path / "cmp.json"
+        assert main(
+            [
+                "compare", "--model", model_file(), "--config", str(cfg),
+                "--out", str(out), "--summary-out", str(summary),
+            ]
+        ) == 2
+        assert "need at least one thread, got 0" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
 
     @pytest.mark.parametrize(
         "text, reason",

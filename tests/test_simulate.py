@@ -38,6 +38,9 @@ from mjpbounds.simulate import (
 # sha256 of the bytes of time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000,
 # seed=2026), taken with the kernel that counted (u > cum[x]).sum() per jump
 WIDE_SPARSE_SHA256 = "c2580a62f62b9b4905b458853b6756b8f8e0207927cc8b4911da4a97369bc9bd"
+# sha256 of the bytes of time_averages(three_dense, (0.5, 2.0, 5.0), 20000,
+# seed=2027), taken with the kernel that hashed one draw index per path
+THREE_DENSE_SHA256 = "195b591ff1acd96bce3290b35c62d14e2e7e463c189a2488d3cd2b05b96b6480"
 
 
 # the largest draw the generator returns; ((2**53 - 1) + 0.5) * 2**-53 is 1.0
@@ -112,6 +115,23 @@ class TestCounterRng:
         u_below = counter_uniforms(below, np.zeros(1, np.uint64))[0]
         assert u_below == ((2**53 - 2) + 0.5) * 2.0**-53 < U_MAX
 
+    @pytest.mark.parametrize("draw", [0, 1, 6, 2**40 + 3, 2**64 - 1])
+    def test_shared_draw_index_equals_per_path_array(self, draw):
+        # a 0-d index and a stride-0 view are hashed once; the bits must be
+        # those of one index per path
+        keys = np.concatenate(
+            [stream_keys(5, np.arange(1000, dtype=np.uint64)),
+             np.array([_top_draw_key()], dtype=np.uint64)]
+        )
+        for k in (keys, keys[:0]):
+            ref = counter_uniforms(k, np.full(k.shape, draw, dtype=np.uint64))
+            zero_d = counter_uniforms(k, np.array(draw, dtype=np.uint64))
+            view = counter_uniforms(k, np.broadcast_to(np.uint64(draw), k.shape))
+            assert zero_d.tobytes() == view.tobytes() == ref.tobytes()
+            assert zero_d.shape == view.shape == ref.shape == k.shape
+            if draw == 0 and k.size:  # the top-draw key clamps below 1
+                assert ref[-1] == U_MAX
+
     def test_counter_stream_matches_vectorized_draws(self):
         for seed, stream in ((0, 0), (7, 3), (2**63 + 5, 123456)):
             cs = CounterStream(seed, stream)
@@ -136,6 +156,11 @@ class TestHorizonAndThresholdChecks:
         assert not isinstance(err.value, ZeroHorizonError)
         with pytest.raises(ZeroHorizonError):
             time_averages(two_state, 0.0, 10, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_thread_count_rejected(self, two_state, threads):
+        with pytest.raises(ValidationError, match=f"got {threads}"):
+            time_averages(two_state, 1.0, 10, seed=0, threads=threads)
 
     def test_nan_threshold_rejected(self, two_state):
         with pytest.raises(ValidationError, match="NaN"):
@@ -349,6 +374,13 @@ class TestJumpTargets:
             wide_sparse, (0.25, 1.0, 2.0), 20000, seed=2026, threads=threads
         )
         assert hashlib.sha256(avg.tobytes()).hexdigest() == WIDE_SPARSE_SHA256
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dense_chain_bits_pinned(self, three_dense, threads):
+        avg = time_averages(
+            three_dense, (0.5, 2.0, 5.0), 20000, seed=2027, threads=threads
+        )
+        assert hashlib.sha256(avg.tobytes()).hexdigest() == THREE_DENSE_SHA256
 
 
 class TestErgodicity:
