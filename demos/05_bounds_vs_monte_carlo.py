@@ -9,7 +9,8 @@ For each threshold u and horizon t the library produces bounds
 with rates of increasing explicitness: the exact conjugate ("general"), the
 two-branch perturbation-series rate, the variance-inequality rate
 ("poincare"), the sharpest closed form ("bernstein_general"), and a rate
-from a log-Sobolev inequality.  Empirical tail estimates over 10^5
+from a log-Sobolev inequality, whose checked verdict hands its F to
+evaluate_family.  Empirical tail estimates over 10^5
 trajectories must stay below every bound -- and do.  On reversible chains
 the general bound is asymptotically sharp: its rate is approached by
 -log(p_hat)/t as the horizon grows.
@@ -34,8 +35,7 @@ from mjpbounds import (
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
 a = analyze(model)
 fmax = model.f.values.max()
-F = log_sobolev(0.5)
-verdict = check_f_sobolev(model, F)
+verdict = check_f_sobolev(model, log_sobolev(0.5))
 print(f"log-Sobolev inequality with constant 0.5: verdict = {verdict.status}")
 
 families = ["general", "perturbation", "poincare", "bernstein_general", "fsobolev"]
@@ -52,8 +52,8 @@ for t in (1.0, 5.0, 20.0):
         est = empirical_tail(model, t, u, n, seed=2718, averages=avg)
         cells = []
         for fam in families:
-            kw = {"F": F, "fsobolev_verdict": verdict} if fam == "fsobolev" else {}
-            p = evaluate_family(model, t, u, fam, analysis=a, **kw)
+            # the fsobolev family reads its F from the verdict; the others ignore it
+            p = evaluate_family(model, t, u, fam, analysis=a, fsobolev=verdict)
             mark = " " if est.p_hat <= p.bound + 3 * est.ci_half_width else "!"
             cells.append(f"{p.bound:10.4f}{mark}")
         print(f"{t:4.0f} {u:5.2f} {est.p_hat:9.5f}" + "".join(cells))

@@ -11,13 +11,9 @@ from .bounds import (
     FAMILIES,
     BoundPoint,
     FSobolevFunction,
+    FSobolevVerdict,
     ModelAnalysis,
     analyze,
-    bound_bernstein_general,
-    bound_fsobolev,
-    bound_general,
-    bound_perturbation,
-    bound_poincare,
     check_f_sobolev,
     evaluate_family,
     iid_sum_bound,

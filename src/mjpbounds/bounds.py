@@ -5,7 +5,7 @@ Every family produces a bound of the form
     P_nu(A_t / t >= u)  <=  min(1, prefactor * exp(-t * rate(u))),
 
 where the prefactor is the L2(pi) norm of the density of nu against pi.  The
-families differ in the rate:
+families differ only in the rate, which does not depend on t:
 
 - ``general``            the exact conjugate of the tilted top eigenvalue
 - ``perturbation``       two-branch rate from the perturbation-series bound
@@ -14,8 +14,8 @@ families differ in the rate:
                          positive-part sup norm; sharpest closed form
 - ``fsobolev``           rate from a user-supplied functional inequality
 
-Lower tails come from replaying a family on -f; two-sided bounds add both
-tails.
+``evaluate_family`` is the one way to a bound.  Lower tails come from
+replaying a family on -f; two-sided bounds add both tails.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .tilting import (
     lambda0_star,
 )
 
-FAMILIES = ("general", "perturbation", "poincare", "bernstein_general", "fsobolev")
 FSOBOLEV_SWEEP = 200001
 FSOBOLEV_SEED = 0
+FSOBOLEV_RESTARTS = 32
 ASCENT_STEPS = 200
 ASCENT_LR = 0.05
 
@@ -112,44 +112,53 @@ class BoundPoint:
     def at(self, t: float) -> BoundPoint:
         """This bound at horizon ``t``: no family's rate depends on t, so one
         evaluation serves every horizon."""
-        return _finish(
-            self.family, self.u, t, self.rate, self.prefactor, self.branch, self.diagnostics
-        )
+        return replace(self, t=t, bound=_tail_bound(self.prefactor, t, self.rate))
+
+
+def _tail_bound(prefactor: float, t: float, rate: float) -> float:
+    """``min(1, prefactor * exp(-t * rate))``, 0 at an infinite rate.
+
+    Refuses a time that is NaN, infinite or negative, which would otherwise
+    come out as the trivial bound 1 or as 0.
+    """
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be finite and nonnegative, got {t}")
+    return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))
 
 
 def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> BoundPoint:
-    bound = 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))
+    bound = _tail_bound(prefactor, t, rate)
     return BoundPoint(family, u, t, rate, prefactor, bound, branch, diagnostics or {})
+
+
+def _same_chain(a: MJPModel, b: MJPModel) -> bool:
+    """True iff the two models share a chain: equal ``Q`` and ``pi``, as
+    ``flip_observable`` and ``stationary_model`` of one model do."""
+    return a is b or (
+        np.array_equal(a.q.rates, b.q.rates) and np.array_equal(a.pi.weights, b.pi.weights)
+    )
 
 
 def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
     """The analysis of ``model``, reusing the caller's spectral data when it fits.
 
-    Spectral data can be shared between models on the same chain (equal
-    ``Q`` and ``pi``), such as ``flip_observable`` or ``stationary_model``
-    of the analyzed model; everything else is derived from ``model`` itself.
-    An analysis of a different chain is rejected.
+    Spectral data can be shared between models on the same chain; everything
+    else is derived from ``model`` itself.  An analysis of a different chain
+    is rejected.
     """
     if analysis is None:
         return analyze(model)
     if analysis.model is model:
         return analysis
-    other = analysis.model
-    if np.array_equal(other.q.rates, model.q.rates) and np.array_equal(
-        other.pi.weights, model.pi.weights
-    ):
+    if _same_chain(analysis.model, model):
         return ModelAnalysis(model, analysis.sd)
     raise ValidationError("analysis belongs to a different chain than the model")
 
 
-def bound_general(
-    model: MJPModel, t: float, u: float, analysis: ModelAnalysis | None = None
-) -> BoundPoint:
-    """Master bound: rate is the conjugate of the tilted top eigenvalue."""
-    a = _analysis(model, analysis)
-    conj = lambda0_star(a.sd, model.f, u)
-    diag = {"argmax_r": conj.argmax_r, "boundary": conj.boundary}
-    return _finish("general", u, t, conj.value, a.prefactor, diagnostics=diag)
+def _rate_general(a: ModelAnalysis, u: float):
+    """Master rate: the conjugate of the tilted top eigenvalue."""
+    conj = lambda0_star(a.sd, a.model.f, u)
+    return conj.value, "", {"argmax_r": conj.argmax_r, "boundary": conj.boundary}
 
 
 def perturbation_branch_threshold(a: ModelAnalysis) -> float:
@@ -157,9 +166,7 @@ def perturbation_branch_threshold(a: ModelAnalysis) -> float:
     return 2.0 * a.sigma_hat2 * a.gap / a.f_sup
 
 
-def bound_perturbation(
-    model: MJPModel, t: float, u: float, analysis: ModelAnalysis | None = None
-) -> BoundPoint:
+def _rate_perturbation(a: ModelAnalysis, u: float):
     """Two-branch rate from the perturbation-series bound on the eigenvalue.
 
     Below the threshold ``2 sigma_hat^2 gap / ||f||`` the maximizing tilt
@@ -167,7 +174,6 @@ def bound_perturbation(
     the sub-gamma conjugate with variance sigma_hat^2 and scale 2||f||/gap;
     beyond it the rate is linear, evaluated at the interval's endpoint.
     """
-    a = _analysis(model, analysis)
     if a.f_sup <= 0:
         raise ValidationError("observable is constant; perturbation bound degenerates")
     u_star = perturbation_branch_threshold(a)
@@ -178,42 +184,28 @@ def bound_perturbation(
     )
     diag = {"r0": r0, "branch_threshold_u": u_star}
     if u <= u_star:
-        rate = bernstein_conjugate(
-            BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap), u
-        )
-        return _finish("perturbation", u, t, rate, a.prefactor, "a", diag)
+        bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
+        return bernstein_conjugate(bp, u), "a", diag
     rate = (a.gap / (3.0 * a.f_sup)) * (u - a.gap * a.sigma_hat2 / (2.0 * a.f_sup))
-    return _finish("perturbation", u, t, rate, a.prefactor, "b", diag)
+    return rate, "b", diag
 
 
-def bound_poincare(
-    model: MJPModel, t: float, u: float, analysis: ModelAnalysis | None = None
-) -> BoundPoint:
+def _rate_poincare(a: ModelAnalysis, u: float):
     """Sub-gamma rate with variance 2 Var_pi(f)/gap and scale ||f||/gap.
 
     Uses the spectral-gap constant, the sharpest admissible choice for the
     variance inequality behind this bound.
     """
-    a = _analysis(model, analysis)
-    rate = bernstein_conjugate(
-        BernsteinParams(v=a.sigma_tilde2, c=a.f_sup / a.gap), u
-    )
-    diag = {"sigma_tilde2": a.sigma_tilde2}
-    return _finish("poincare", u, t, rate, a.prefactor, diagnostics=diag)
+    rate = bernstein_conjugate(BernsteinParams(v=a.sigma_tilde2, c=a.f_sup / a.gap), u)
+    return rate, "", {"sigma_tilde2": a.sigma_tilde2}
 
 
-def bound_bernstein_general(
-    model: MJPModel, t: float, u: float, analysis: ModelAnalysis | None = None
-) -> BoundPoint:
+def _rate_bernstein_general(a: ModelAnalysis, u: float):
     """Sharpest closed form: variance sigma_hat^2, scale ||max(f,0)||/gap."""
-    a = _analysis(model, analysis)
     if a.fplus_sup <= 0:
         raise ValidationError("centered observable must take positive values")
-    rate = bernstein_conjugate(
-        BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap), u
-    )
-    diag = {"sigma_hat2": a.sigma_hat2, "fplus_sup": a.fplus_sup}
-    return _finish("bernstein_general", u, t, rate, a.prefactor, diagnostics=diag)
+    rate = bernstein_conjugate(BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap), u)
+    return rate, "", {"sigma_hat2": a.sigma_hat2, "fplus_sup": a.fplus_sup}
 
 
 def general_bernstein_eigen_bound(a: ModelAnalysis, r: float) -> float:
@@ -251,9 +243,25 @@ def log_sobolev(c: float) -> FSobolevFunction:
 
 @dataclass(frozen=True)
 class FSobolevVerdict:
-    status: str  # "holds" | "violated" | "inconclusive"
-    max_violation: float
+    """Whether the functional inequality of ``F`` holds on ``model``'s chain.
+
+    ``status`` is ``holds``, ``violated`` (with a ``witness``),
+    ``inconclusive``, or ``assumed`` for an inequality taken on trust.  The
+    verdict serves every model on the same chain, whatever its ``f`` or
+    ``nu``, since the inequality reads only ``Q`` and ``pi``.
+    """
+
+    F: FSobolevFunction
+    model: MJPModel
+    status: str
+    max_violation: float = math.nan
     witness: np.ndarray | None = None
+
+    @classmethod
+    def assumed(cls, model: MJPModel, F: FSobolevFunction) -> FSobolevVerdict:
+        """The inequality of ``F`` on ``model``'s chain, taken without a check;
+        bounds from it are flagged ``unverified``."""
+        return cls(F, model, "assumed")
 
 
 def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
@@ -270,15 +278,14 @@ def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
     return w @ term + w @ (g * (model.q.rates @ g))
 
 
-def check_f_sobolev(
-    model: MJPModel, F: FSobolevFunction, n_restarts: int = 32
-) -> FSobolevVerdict:
+def check_f_sobolev(model: MJPModel, F: FSobolevFunction) -> FSobolevVerdict:
     """Search for a violation of the functional inequality on the unit sphere.
 
     Two states admit an exhaustive one-angle sweep, so ``holds`` is a
     certificate up to grid resolution there.  Larger state spaces get
-    projected-gradient ascent on the violation from random restarts, which
-    can only return ``violated`` (with the witness) or ``inconclusive``.
+    projected-gradient ascent on the violation from ``FSOBOLEV_RESTARTS``
+    random starts, which can only return ``violated`` (with the witness) or
+    ``inconclusive``.
     """
     w = model.pi.weights
     n = model.n
@@ -290,13 +297,13 @@ def check_f_sobolev(
         v = _violation(model, F, gs)
         k = int(np.argmax(v))
         if v[k] > 1e-8:
-            return FSobolevVerdict("violated", float(v[k]), gs[:, k].copy())
-        return FSobolevVerdict("holds", float(v[k]))
+            return FSobolevVerdict(F, model, "violated", float(v[k]), gs[:, k].copy())
+        return FSobolevVerdict(F, model, "holds", float(v[k]))
 
     rng = np.random.default_rng(FSOBOLEV_SEED)
     best_v = -math.inf
     best_g = None
-    for _ in range(n_restarts):
+    for _ in range(FSOBOLEV_RESTARTS):
         g = rng.standard_normal(n)
         g /= math.sqrt(float(w @ g**2))
         v = _ascend_violation(model, F, g)
@@ -304,8 +311,8 @@ def check_f_sobolev(
         if val > best_v:
             best_v, best_g = val, v
     if best_v > 1e-8:
-        return FSobolevVerdict("violated", best_v, best_g)
-    return FSobolevVerdict("inconclusive", best_v)
+        return FSobolevVerdict(F, model, "violated", best_v, best_g)
+    return FSobolevVerdict(F, model, "inconclusive", best_v)
 
 
 def _ascend_violation(model, F, g):
@@ -327,38 +334,79 @@ def _ascend_violation(model, F, g):
     return g
 
 
-def bound_fsobolev(
-    model: MJPModel,
-    t: float,
-    u: float,
-    F: FSobolevFunction,
-    assume: bool = False,
-    verdict: FSobolevVerdict | None = None,
-    analysis: ModelAnalysis | None = None,
-) -> BoundPoint:
+def _admitted(verdict: FSobolevVerdict | None, model: MJPModel) -> FSobolevVerdict:
+    """``verdict`` if an fsobolev bound on ``model`` may rest on it.
+
+    The one verdict policy: a verdict of another chain is refused,
+    ``violated`` raises ``FSobolevNotVerifiedError``, and every other status
+    admits the bound (flagged ``unverified`` unless it is ``holds``).
+    """
+    if verdict is None:
+        raise ValidationError("fsobolev family needs fsobolev=<FSobolevVerdict>")
+    if not _same_chain(verdict.model, model):
+        raise ValidationError("verdict belongs to a different chain than the model")
+    if verdict.status == "violated":
+        raise FSobolevNotVerifiedError(verdict.status)
+    return verdict
+
+
+def _rate_fsobolev(a: ModelAnalysis, u: float, verdict: FSobolevVerdict):
     """Rate ``sup_r (ru - F(pi(F^{-1}(r f))))`` over the admissible tilts.
 
     The tilt domain ends where F^{-1} stops being defined on r*f, at
     ``r = F(0+)/min f``; an infinite F(0+) leaves the domain unbounded and
-    the search bracket expands adaptively.  The inequality must have been
-    verified, or assumed by the caller (``unverified`` unless ``verdict`` holds).
+    the search bracket expands adaptively.
     """
-    if not assume:
-        verdict = verdict if verdict is not None else check_f_sobolev(model, F)
-        if verdict.status != "holds":
-            raise FSobolevNotVerifiedError(verdict.status)
-    a = _analysis(model, analysis)
-    f_vals = model.f.values
+    F = verdict.F
+    f_vals = a.model.f.values
+    w = a.model.pi.weights
     f_min = float(np.min(f_vals))
     r_cap = F.zero_limit / f_min if math.isfinite(F.zero_limit) else math.inf
 
     def g_of_r(r: float) -> float:
-        return float(F(float(model.pi.weights @ F.inverse(r * f_vals))))
+        return float(F(float(w @ F.inverse(r * f_vals))))
 
     conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
     diag = {"r_cap": r_cap, "F": F.name, "argmax_r": conj.argmax_r}
-    diag["unverified"] = verdict is None or verdict.status != "holds"
-    return _finish("fsobolev", u, t, conj.value, a.prefactor, diagnostics=diag)
+    diag["unverified"] = verdict.status != "holds"
+    return conj.value, "", diag
+
+
+_RATES = {
+    "general": _rate_general,
+    "perturbation": _rate_perturbation,
+    "poincare": _rate_poincare,
+    "bernstein_general": _rate_bernstein_general,
+    "fsobolev": _rate_fsobolev,
+}
+FAMILIES = tuple(_RATES)
+
+
+def evaluate_family(
+    model: MJPModel,
+    t: float,
+    u: float,
+    family: str,
+    analysis: ModelAnalysis | None = None,
+    fsobolev: FSobolevVerdict | None = None,
+) -> BoundPoint:
+    """The bound of the named family at threshold ``u`` and horizon ``t``.
+
+    ``analysis`` may come from any model on the same chain.  The ``fsobolev``
+    family reads its F from the verdict ``fsobolev``; the other families
+    ignore it.  A threshold that is NaN or infinite and a time that is NaN,
+    infinite or negative are refused, as they would otherwise come out as
+    the trivial bound 1.
+    """
+    if not math.isfinite(u):
+        raise ValidationError(f"threshold u must be finite, got {u}")
+    rate_fn = _RATES.get(family)
+    if rate_fn is None:
+        raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    extra = (_admitted(fsobolev, model),) if family == "fsobolev" else ()
+    a = _analysis(model, analysis)
+    rate, branch, diag = rate_fn(a, u, *extra)
+    return _finish(family, u, t, rate, a.prefactor, branch, diag)
 
 
 def lower_tail(
@@ -393,45 +441,4 @@ def iid_sum_bound(
     """
     if n_replicas < 1:
         raise ValidationError(f"need at least one replica, got {n_replicas}")
-    rate = float(rate_fn(u))
-    if math.isinf(rate):
-        return 0.0
-    return min(1.0, prefactor**n_replicas * math.exp(-n_replicas * t * rate))
-
-
-def evaluate_family(
-    model: MJPModel,
-    t: float,
-    u: float,
-    family: str,
-    analysis: ModelAnalysis | None = None,
-    F: FSobolevFunction | None = None,
-    assume_fsobolev: bool = False,
-    fsobolev_verdict: FSobolevVerdict | None = None,
-) -> BoundPoint:
-    """Dispatch one (u, t) evaluation to the named bound family.
-
-    Rejects a threshold that is NaN or infinite and a time that is NaN,
-    infinite or negative, which would otherwise come out as the trivial
-    bound 1.
-    """
-    if not math.isfinite(u):
-        raise ValidationError(f"threshold u must be finite, got {u}")
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be finite and nonnegative, got {t}")
-    if family == "general":
-        return bound_general(model, t, u, analysis)
-    if family == "perturbation":
-        return bound_perturbation(model, t, u, analysis)
-    if family == "poincare":
-        return bound_poincare(model, t, u, analysis)
-    if family == "bernstein_general":
-        return bound_bernstein_general(model, t, u, analysis)
-    if family == "fsobolev":
-        if F is None:
-            raise ValidationError("fsobolev family needs an F function")
-        return bound_fsobolev(
-            model, t, u, F, assume=assume_fsobolev, verdict=fsobolev_verdict,
-            analysis=analysis,
-        )
-    raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _tail_bound(prefactor**n_replicas, t, n_replicas * float(rate_fn(u)))

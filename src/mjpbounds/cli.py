@@ -70,16 +70,21 @@ def _parse_t_list(spec: str) -> list[float]:
 
 
 def _threads(value) -> int:
-    """Thread count: ``value`` if given, else ``MJPBOUNDS_THREADS``, else 1."""
+    """Thread count: ``value`` if given, else ``MJPBOUNDS_THREADS``, else 1.
+
+    An empty ``MJPBOUNDS_THREADS`` counts as unset; any other value must be
+    an integer of at least 1.
+    """
     if value is not None:
         return value
     env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    try:
+        threads = int(env or 1)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+    return threads
 
 
 def _write_row(fh, *cells):
@@ -212,17 +217,11 @@ def _check_families(fams, fsobolev_c: float | None):
 
 
 def _family_kwargs(model, fsobolev_c, families):
-    """Keyword arguments of ``evaluate_family`` for ``families``: the F-Sobolev
-    function and its checked verdict when ``fsobolev`` is among them."""
+    """Keyword arguments of ``evaluate_family`` for ``families``: the checked
+    verdict of ``fsobolev_c * log`` when ``fsobolev`` is among them."""
     if "fsobolev" not in families:
         return {}
-    F = bnd.log_sobolev(fsobolev_c)
-    verdict = bnd.check_f_sobolev(model, F)
-    return {
-        "F": F,
-        "fsobolev_verdict": verdict,
-        "assume_fsobolev": verdict.status != "violated",
-    }
+    return {"fsobolev": bnd.check_f_sobolev(model, bnd.log_sobolev(fsobolev_c))}
 
 
 def cmd_bounds(args) -> int:
@@ -360,7 +359,7 @@ def run_compare(config: RunConfig) -> dict:
         "domination_failures": failures,
         "all_dominated": not failures,
         "sharpness_diagnostic": sharpness_on,
-        "fsobolev_verdict": getattr(kwargs.get("fsobolev_verdict"), "status", None),
+        "fsobolev_verdict": getattr(kwargs.get("fsobolev"), "status", None),
     }
     if config.summary_out:
         with open(config.summary_out, "w") as sf:

@@ -86,7 +86,7 @@ class FSobolevNotVerifiedError(ValidationError):
         self.verdict = verdict
         super().__init__(
             f"functional inequality was not verified (verdict: {verdict}); "
-            "pass assume=True to override"
+            "pass FSobolevVerdict.assumed(model, F) to override"
         )
 
 

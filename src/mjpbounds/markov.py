@@ -146,26 +146,15 @@ def validate_q_matrix(raw) -> QMatrix:
 def is_irreducible(q: QMatrix) -> bool:
     """True iff the directed graph of positive rates is strongly connected.
 
-    Uses two reachability sweeps from state 0: forward along edges with
-    q_xy > 0 and backward along reversed edges.
+    Squares the boolean reachability matrix, edges plus the diagonal, until
+    it covers paths of length ``n - 1``: after k squarings it holds every
+    path of at most 2^k edges.  The graph is strongly connected iff every
+    entry is then true.
     """
-    adj = q.rates > 0.0
-    np.fill_diagonal(adj, False)
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(adj[x]):
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return bool(seen.all())
+    reach = (q.rates > 0.0) | np.eye(q.n, dtype=bool)
+    for _ in range(max(1, (q.n - 2).bit_length())):  # ceil(log2(n - 1)) times
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def invariant_distribution(q: QMatrix) -> ProbDist:
@@ -243,18 +232,23 @@ def pi_expectation(pi: ProbDist, f: Observable | np.ndarray) -> float:
 def center_observable(f: Observable, pi: ProbDist) -> Observable:
     """Subtract pi(f) so the centered observable integrates to 0 against pi.
 
-    The subtraction iterates to a floating-point fixed point, which makes
-    centering exactly idempotent.
+    The subtraction repeats until the mean is 0, the values stop changing,
+    or another subtraction would make ``|pi(f)|`` larger.  Where it stops,
+    the result is a fixed point, so centering it again returns it bit for
+    bit.  The exception is a run of subtractions that leave ``|pi(f)|``
+    unchanged while the values drift; it ends at a cap of 100, which need
+    not be a fixed point.
     """
     values = f.values
+    mean = pi_expectation(pi, values)
     for _ in range(100):
-        mean = pi_expectation(pi, values)
         if mean == 0.0:
             break
         shifted = values - mean
-        if np.array_equal(shifted, values):
+        shifted_mean = pi_expectation(pi, shifted)
+        if np.array_equal(shifted, values) or abs(shifted_mean) > abs(mean):
             break
-        values = shifted
+        values, mean = shifted, shifted_mean
     return Observable(_readonly(values), centered=True)
 
 

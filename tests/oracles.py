@@ -3,8 +3,8 @@
 Each one computes a quantity the library also computes, by an independent
 route: the Donsker-Varadhan information scanned over the slice
 ``{beta : beta(f) = u}`` against the general rate, a bound from a supplied
-rate function, the static Cramer transform, and the second closed form of
-the sub-gamma conjugate.
+rate function, the static Cramer transform, the second closed form of the
+sub-gamma conjugate, and strong connectivity by depth-first search.
 """
 
 from __future__ import annotations
@@ -129,3 +129,24 @@ def bernstein_conjugate_vform(bp: BernsteinParams, u: float) -> float:
         raise ValidationError(f"need v > 0, c > 0, u >= 0; got {bp} at u={u}")
     x = u * bp.c / bp.v
     return (bp.v / bp.c**2) * (1.0 + x - math.sqrt(1.0 + 2.0 * x))
+
+
+def strongly_connected(adj) -> bool:
+    """Reference for ``is_irreducible``: depth-first searches from state 0,
+    along the edges of the boolean matrix ``adj`` and along the reversed
+    edges, both reach every state."""
+
+    def reaches_all(a) -> bool:
+        seen = np.zeros(a.shape[0], dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in np.flatnonzero(a[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(int(y))
+        return bool(seen.all())
+
+    adj = np.asarray(adj, dtype=bool)
+    return reaches_all(adj) and reaches_all(adj.T)

@@ -17,9 +17,6 @@ from mjpbounds import (
     bernstein_conjugate,
     beta,
     beta_total,
-    bound_bernstein_general,
-    bound_perturbation,
-    bound_poincare,
     check_f_sobolev,
     class_census,
     empirical_tail,
@@ -231,21 +228,14 @@ def test_criterion_7_monte_carlo_domination(two_state, three_cycle):
     for m, c_log in ((two_state, 0.5), (three_cycle, 0.2)):
         a = analyze(m)
         fmax = float(m.f.values.max())
-        F = log_sobolev(c_log)
-        verdict = check_f_sobolev(m, F, n_restarts=8)
-        kwargs = {
-            "F": F,
-            "fsobolev_verdict": verdict,
-            "assume_fsobolev": verdict.status != "violated",
-        }
+        verdict = check_f_sobolev(m, log_sobolev(c_log))
         for t in (1.0, 5.0, 20.0):
             avg = time_averages(m, t, n, seed=701)
             for frac in (0.1, 0.3, 0.5):
                 u = frac * fmax
                 est = empirical_tail(m, t, u, n, seed=701, averages=avg)
                 for fam in FAMILIES_WITH_F:
-                    kw = kwargs if fam == "fsobolev" else {}
-                    p = evaluate_family(m, t, u, fam, analysis=a, **kw)
+                    p = evaluate_family(m, t, u, fam, analysis=a, fsobolev=verdict)
                     if est.p_hat > p.bound + 3.0 * est.ci_half_width:
                         failures.append((fam, m.n, u, t, est.p_hat, p.bound))
     elapsed = time.time() - start
@@ -372,9 +362,11 @@ def test_criterion_11_rate_ordering(two_state, three_cycle, three_dense, bd3):
         a = analyze(m)
         u_top = min(perturbation_branch_threshold(a), float(m.f.values.max()))
         for u in np.linspace(0.0, u_top, 25):
-            bg = bound_bernstein_general(m, 1.0, float(u), analysis=a).rate
-            pert = bound_perturbation(m, 1.0, float(u), analysis=a)
-            poin = bound_poincare(m, 1.0, float(u), analysis=a).rate
+            bg, pert, poin = (
+                evaluate_family(m, 1.0, float(u), fam, analysis=a)
+                for fam in ("bernstein_general", "perturbation", "poincare")
+            )
+            bg, poin = bg.rate, poin.rate
             if pert.branch == "a":
                 worst = min(worst, bg - pert.rate)
             worst = min(worst, bg - poin)

@@ -6,12 +6,8 @@ import pytest
 from mjpbounds import (
     BernsteinParams,
     analyze,
+    FSobolevVerdict,
     bernstein_conjugate,
-    bound_bernstein_general,
-    bound_fsobolev,
-    bound_general,
-    bound_perturbation,
-    bound_poincare,
     check_f_sobolev,
     empirical_tail,
     evaluate_family,
@@ -48,25 +44,25 @@ from oracles import (
 
 class TestBoundGeneral:
     def test_trivial_at_zero_for_nonstationary_start(self, two_state):
-        p = bound_general(two_state, 5.0, 0.0)
+        p = evaluate_family(two_state, 5.0, 0.0, "general")
         assert p.bound == 1.0
         assert p.prefactor > 1.0
 
     def test_exactly_one_for_stationary_start_at_zero(self, two_state):
         m = stationary_model(two_state)
-        p = bound_general(m, 5.0, 0.0)
+        p = evaluate_family(m, 5.0, 0.0, "general")
         assert p.prefactor == pytest.approx(1.0, abs=1e-12)
         assert p.bound == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_beyond_max_f(self, two_state):
-        p = bound_general(two_state, 5.0, 1.5)
+        p = evaluate_family(two_state, 5.0, 1.5, "general")
         assert math.isinf(p.rate)
         assert p.bound == 0.0
 
 
 class TestBoundPerturbation:
     def test_zero_threshold_rate_zero_branch_a(self, two_state):
-        p = bound_perturbation(two_state, 1.0, 0.0)
+        p = evaluate_family(two_state, 1.0, 0.0, "perturbation")
         assert p.rate == 0.0
         assert p.branch == "a"
 
@@ -74,7 +70,7 @@ class TestBoundPerturbation:
         a = analyze(three_cycle)
         bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
         for u in (0.05, 0.2, 0.5):
-            p = bound_perturbation(three_cycle, 1.0, u, analysis=a)
+            p = evaluate_family(three_cycle, 1.0, u, "perturbation", analysis=a)
             assert p.branch == "a"
             assert p.rate == pytest.approx(bernstein_conjugate(bp, u), abs=1e-12)
 
@@ -82,21 +78,23 @@ class TestBoundPerturbation:
         for m in (two_state, three_cycle):
             a = analyze(m)
             u_star = perturbation_branch_threshold(a)
-            lo = bound_perturbation(m, 1.0, u_star * (1 - 1e-11), analysis=a)
-            hi = bound_perturbation(m, 1.0, u_star * (1 + 1e-11), analysis=a)
+            lo, hi = (
+                evaluate_family(m, 1.0, u_star * s, "perturbation", analysis=a)
+                for s in (1 - 1e-11, 1 + 1e-11)
+            )
             assert {lo.branch, hi.branch} == {"a", "b"}
             assert abs(lo.rate - hi.rate) <= 1e-9
 
 
 class TestBoundPoincare:
     def test_zero_threshold(self, two_state):
-        assert bound_poincare(two_state, 1.0, 0.0).rate == 0.0
+        assert evaluate_family(two_state, 1.0, 0.0, "poincare").rate == 0.0
 
     def test_rate_matches_golden_section_oracle(self, three_dense):
         a = analyze(three_dense)
         c = a.f_sup / a.gap
         for u in (0.1, 0.4, 0.8):
-            p = bound_poincare(three_dense, 1.0, u, analysis=a)
+            p = evaluate_family(three_dense, 1.0, u, "poincare", analysis=a)
             res = fenchel_conjugate(
                 lambda r: r * r * a.sigma_tilde2 / (2.0 * (1.0 - r * c)),
                 u,
@@ -108,7 +106,7 @@ class TestBoundPoincare:
 
 class TestBoundBernsteinGeneral:
     def test_zero_threshold(self, two_state):
-        assert bound_bernstein_general(two_state, 1.0, 0.0).rate == 0.0
+        assert evaluate_family(two_state, 1.0, 0.0, "bernstein_general").rate == 0.0
 
     def test_sharpest_closed_form(self, two_state, three_cycle, three_dense):
         for m in (two_state, three_cycle, three_dense):
@@ -116,9 +114,11 @@ class TestBoundBernsteinGeneral:
             u_star = perturbation_branch_threshold(a)
             fmax = m.f.values.max()
             for u in np.linspace(0.0, min(u_star, fmax), 12):
-                bg = bound_bernstein_general(m, 1.0, float(u), analysis=a).rate
-                pert = bound_perturbation(m, 1.0, float(u), analysis=a)
-                poin = bound_poincare(m, 1.0, float(u), analysis=a).rate
+                bg, pert, poin = (
+                    evaluate_family(m, 1.0, float(u), fam, analysis=a)
+                    for fam in ("bernstein_general", "perturbation", "poincare")
+                )
+                bg, poin = bg.rate, poin.rate
                 if pert.branch == "a":
                     assert bg >= pert.rate - 1e-12
                 assert bg >= poin - 1e-12
@@ -136,7 +136,9 @@ class TestBoundBernsteinGeneral:
         a = analyze(two_state)
         fmax = two_state.f.values.max()
         for u in np.linspace(0.0, 0.95 * fmax, 10):
-            bg = bound_bernstein_general(two_state, 1.0, float(u), analysis=a).rate
+            bg = evaluate_family(
+                two_state, 1.0, float(u), "bernstein_general", analysis=a
+            ).rate
             gen = lambda0_star(a.sd, two_state.f, float(u)).value
             assert gen >= bg - 1e-12
 
@@ -162,27 +164,27 @@ class TestFSobolev:
         assert check_f_sobolev(two_state, log_sobolev(0.25)).status == "holds"
 
     def test_three_state_search_inconclusive_for_modest_constant(self, three_cycle):
-        verdict = check_f_sobolev(three_cycle, log_sobolev(0.2), n_restarts=8)
+        verdict = check_f_sobolev(three_cycle, log_sobolev(0.2))
         assert verdict.status in ("inconclusive", "holds")
         assert verdict.max_violation <= 1e-8
 
     def test_unverified_rejected_without_override(self, two_state):
-        F = log_sobolev(500.0)
+        verdict = check_f_sobolev(two_state, log_sobolev(500.0))
         with pytest.raises(FSobolevNotVerifiedError):
-            bound_fsobolev(two_state, 1.0, 0.3, F)
+            evaluate_family(two_state, 1.0, 0.3, "fsobolev", fsobolev=verdict)
 
     def test_log_case_reduces_to_static_cramer(self, two_state):
         c = 0.5
         F = log_sobolev(c)
         verdict = check_f_sobolev(two_state, F)
         for u in (0.1, 0.3, 0.6):
-            p = bound_fsobolev(two_state, 1.0, u, F, verdict=verdict)
+            p = evaluate_family(two_state, 1.0, u, "fsobolev", fsobolev=verdict)
             target = c * cramer_transform_static(two_state.pi, two_state.f, u)
             assert p.rate == pytest.approx(target, abs=1e-8)
 
     def test_zero_threshold_rate_zero(self, two_state):
-        F = log_sobolev(0.5)
-        p = bound_fsobolev(two_state, 1.0, 0.0, F, assume=True)
+        verdict = FSobolevVerdict.assumed(two_state, log_sobolev(0.5))
+        p = evaluate_family(two_state, 1.0, 0.0, "fsobolev", fsobolev=verdict)
         assert p.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_zero_limit_caps_tilt_domain(self, two_state):
@@ -197,10 +199,57 @@ class TestFSobolev:
             zero_limit=-1.0,
             name="mobius",
         )
-        p = bound_fsobolev(two_state, 1.0, 0.2, F, assume=True)
+        verdict = FSobolevVerdict.assumed(two_state, F)
+        p = evaluate_family(two_state, 1.0, 0.2, "fsobolev", fsobolev=verdict)
         f_min = float(two_state.f.values.min())
         assert p.diagnostics["r_cap"] == pytest.approx(-1.0 / f_min)
         assert p.rate >= 0.0
+
+
+class TestFSobolevVerdictPolicy:
+    """The verdict carries its F and its chain, and one policy reads it."""
+
+    def test_verdict_of_another_chain_refused(self, two_state):
+        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        with pytest.raises(ValidationError, match="different chain"):
+            evaluate_family(other, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+
+    def test_verdict_serves_every_model_on_its_chain(self, two_state):
+        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        stat = evaluate_family(
+            stationary_model(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict
+        )
+        assert not stat.diagnostics["unverified"]
+        low = lower_tail(two_state, 5.0, -0.3, "fsobolev", fsobolev=verdict)
+        assert low.rate > 0.0
+        both = two_sided(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        up = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        assert both == min(1.0, up.bound + low.bound)
+
+    def test_family_needs_a_verdict(self, two_state):
+        with pytest.raises(ValidationError, match="needs fsobolev"):
+            evaluate_family(two_state, 5.0, 0.3, "fsobolev")
+
+    @pytest.mark.parametrize(
+        "verdict_of",
+        [lambda m, F: FSobolevVerdict(F, m, "inconclusive"), FSobolevVerdict.assumed],
+        ids=["inconclusive", "assumed"],
+    )
+    def test_unshown_inequality_gives_a_flagged_bound(self, three_cycle, verdict_of):
+        F = log_sobolev(0.2)
+        verdict = verdict_of(three_cycle, F)
+        p = evaluate_family(three_cycle, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        assert p.diagnostics["unverified"]
+        assert p.diagnostics["F"] == F.name
+        assert p.rate > 0.0
+
+    def test_holds_gives_an_unflagged_bound(self, two_state):
+        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        assert verdict.status == "holds"
+        assert verdict.F.name == "0.5*log" and verdict.model is two_state
+        p = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        assert not p.diagnostics["unverified"]
 
 
 class TestDonskerVaradhan:
@@ -272,7 +321,9 @@ class TestBoundViaAlpha:
         alpha = lambda u: bernstein_conjugate(bp, u)
         for u in (0.1, 0.3):
             via = bound_via_alpha(three_cycle, 2.0, u, alpha, analysis=a)
-            direct = bound_bernstein_general(three_cycle, 2.0, u, analysis=a)
+            direct = evaluate_family(
+                three_cycle, 2.0, u, "bernstein_general", analysis=a
+            )
             assert via.bound == pytest.approx(direct.bound, abs=1e-14)
 
 
@@ -345,6 +396,18 @@ class TestEvaluateFamilyRejectsBadInputs:
             evaluate_family(two_state, -1.0, 0.5, family)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+class TestEveryPathToABoundRefusesBadTime:
+    def test_bound_point_at(self, two_state, t):
+        p = evaluate_family(two_state, 2.0, 0.3, "poincare")
+        with pytest.raises(ValidationError):
+            p.at(t)
+
+    def test_iid_sum_bound(self, t):
+        with pytest.raises(ValidationError):
+            iid_sum_bound(lambda u: 0.25, 3, 0.3, t=t)
+
+
 class TestIidSumBound:
     def test_single_replica_unchanged(self):
         assert iid_sum_bound(lambda u: 0.25, 1, 0.3, t=2.0) == pytest.approx(
@@ -365,7 +428,7 @@ class TestIidSumBound:
         u = 0.25
         p_hat = float(np.mean(grouped >= u))
         se = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / n_groups) / n_groups)
-        rate = bound_bernstein_general(two_state, t, u, analysis=a).rate
+        rate = evaluate_family(two_state, t, u, "bernstein_general", analysis=a).rate
         bound = iid_sum_bound(
             lambda _: rate, n_rep, u, t=t, prefactor=a.prefactor
         )
@@ -384,13 +447,7 @@ class TestCurveAndDomination:
         for m in (two_state, three_cycle):
             a = analyze(m)
             fmax = m.f.values.max()
-            F = log_sobolev(0.2)
-            verdict = check_f_sobolev(m, F)
-            kwargs = {
-                "F": F,
-                "fsobolev_verdict": verdict,
-                "assume_fsobolev": verdict.status != "violated",
-            }
+            verdict = check_f_sobolev(m, log_sobolev(0.2))
             for t in (1.0, 5.0):
                 avg = time_averages(m, t, 30000, seed=17)
                 for u in (0.1 * fmax, 0.4 * fmax):
@@ -402,8 +459,9 @@ class TestCurveAndDomination:
                         "bernstein_general",
                         "fsobolev",
                     ):
-                        kw = kwargs if fam == "fsobolev" else {}
-                        p = evaluate_family(m, t, u, fam, analysis=a, **kw)
+                        p = evaluate_family(
+                            m, t, u, fam, analysis=a, fsobolev=verdict
+                        )
                         assert est.p_hat <= p.bound + 3.0 * est.ci_half_width, (
                             fam,
                             u,

@@ -638,6 +638,37 @@ class TestCompare:
         assert f"need at least one thread, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("env", ["-3", "0", "abc"])
+    def test_bad_thread_variable_refused_unless_the_flag_wins(
+        self, model_file, tmp_path, capsys, monkeypatch, command, env
+    ):
+        monkeypatch.setenv("MJPBOUNDS_THREADS", env)
+        out = tmp_path / "out.csv"
+        grid = ["--u", "0.2"] if command == "simulate" else ["--u-grid", "0.2:0.2:1"]
+        argv = [
+            command, "--model", model_file(), "--t", "1", *grid,
+            "--samples", "500", "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert f"MJPBOUNDS_THREADS must be an integer >= 1, got {env!r}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        assert main(argv + ["--threads", "1"]) == 0
+        assert out.exists()
+
+    def test_empty_thread_variable_counts_as_unset(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("MJPBOUNDS_THREADS", "")
+        assert main(
+            [
+                "simulate", "--model", model_file(), "--t", "1", "--u", "0.2",
+                "--samples", "500", "--out", str(tmp_path / "out.csv"),
+            ]
+        ) == 0
+
     def test_config_thread_count_zero_refused(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

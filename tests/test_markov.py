@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mjpbounds import (
+    ModelFile,
     Observable,
     center_observable,
     check_detailed_balance,
@@ -14,6 +15,8 @@ from mjpbounds import (
     make_model,
     pi_expectation,
     probability_vector,
+    read_model_file,
+    save_model,
     transition_matrix,
     validate_q_matrix,
 )
@@ -26,6 +29,7 @@ from mjpbounds.errors import (
 )
 
 from conftest import THREE_CYCLE_Q, random_irreducible_model
+from oracles import strongly_connected
 
 
 class TestValidateQMatrix:
@@ -78,6 +82,33 @@ class TestIrreducibility:
     def test_one_way_chain(self):
         q = validate_q_matrix([[-1, 1, 0], [0, -1, 1], [0, 0, 0]])
         assert not is_irreducible(q)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Boolean adjacency matrices on 2-16 states: a few random edges, and on
+    half the draws a directed ring that may lose one edge, which leaves a
+    graph one edge short of strongly connected unless another edge mends it."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    adj = np.zeros((n, n), dtype=bool)
+    if draw(st.booleans()):
+        adj[np.arange(n), (np.arange(n) + 1) % n] = True
+        if draw(st.booleans()):
+            cut = draw(st.integers(min_value=0, max_value=n - 1))
+            adj[cut, (cut + 1) % n] = False
+    state = st.integers(min_value=0, max_value=n - 1)
+    for x, y in draw(st.lists(st.tuples(state, state), max_size=n)):
+        adj[x, y] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+def test_irreducible_iff_depth_first_search_reaches_all(adj):
+    rates = adj.astype(float)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    assert is_irreducible(validate_q_matrix(rates)) == strongly_connected(adj)
 
 
 class TestInvariantDistribution:
@@ -212,6 +243,20 @@ class TestCenterObservable:
         f2 = center_observable(f1, three_dense.pi)
         np.testing.assert_array_equal(f1.values, f2.values)
         assert abs(pi_expectation(three_dense.pi, f2)) <= 1e-14
+
+    def test_birth_death_eight_is_a_fixed_point(self, tmp_path):
+        # 8-state birth-death chain, up 1 and down 1.5, f = linspace(-1, 1, 8):
+        # plain repeated subtraction ran to its cap of 100 here while f drifted
+        n = 8
+        rates = np.zeros((n, n))
+        for x in range(n - 1):
+            rates[x, x + 1], rates[x + 1, x] = 1.0, 1.5
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        m = make_model(rates, np.linspace(-1.0, 1.0, n))
+        np.testing.assert_array_equal(center_observable(m.f, m.pi).values, m.f.values)
+        path = str(tmp_path / "bd8.json")
+        save_model(ModelFile(m, [f"s{i}" for i in range(n)], None), path)
+        np.testing.assert_array_equal(read_model_file(path).model.f.values, m.f.values)
 
 
 class TestProbabilityVector:

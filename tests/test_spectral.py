@@ -11,6 +11,7 @@ from mjpbounds import (
     adjoint_generator,
     center_observable,
     check_f_sobolev,
+    evaluate_family,
     invariant_distribution,
     lambda0,
     lambda0_coefficients,
@@ -316,7 +317,9 @@ class TestSpectralDataOwnsPi:
             (lambda0_star, "tol"), (rate_function_variational, "grid"),
             (phi_series, "tol"), (phi_series, "n_cap"), (check_f_sobolev, "sweep"),
             (check_f_sobolev, "seed"), (_ascend_violation, "steps"),
-            (_ascend_violation, "lr"),
+            (_ascend_violation, "lr"), (check_f_sobolev, "n_restarts"),
+            (evaluate_family, "F"), (evaluate_family, "assume_fsobolev"),
+            (evaluate_family, "fsobolev_verdict"),
         ],
     )
     def test_removed_parameter_stays_removed(self, fn, name):
