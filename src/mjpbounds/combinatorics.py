@@ -169,7 +169,9 @@ def phi(x: float) -> float:
 
 
 def phi_series(x: float) -> float:
-    """Partial sum of sum beta_n x^n, until the terms drop below PHI_SERIES_TOL.
+    """Partial sum of sum beta_n x^n, until the terms drop below PHI_SERIES_TOL
+    or n reaches PHI_SERIES_CAP.  Near x = 1/3 the cap comes first and the sum
+    falls short of ``phi``: 0.3200 against 0.3333 at x = 1/3.
 
     Uses the closed form for beta(n, m) only, so it is an oracle independent
     of the Motzkin recurrence and of ``phi``.

@@ -126,12 +126,11 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     eigvecs = vecs_b / sqrt_pi[:, None]
     eigvecs[:, 0] = 1.0
 
-    resolvent = _resolvent_from_pairs(vals, eigvecs, w, power=None)
     return SpectralData(
         sym_coords=b,
         eigenvalues=vals,
         eigvecs=eigvecs,
-        resolvent=resolvent,
+        resolvent=-_resolvent_power(vals, eigvecs, w, 1.0),
         pi=pi,
     )
 
@@ -149,25 +148,19 @@ def _householder_first_column(v: np.ndarray) -> np.ndarray:
     return -h if h[0, 0] * v[0] < 0 else h
 
 
-def _resolvent_from_pairs(vals, eigvecs, pi_w, power):
-    """Sum of pi-orthogonal eigenprojections weighted by eigenvalue powers.
+def _resolvent_power(vals, eigvecs, pi_w, r):
+    """hat(S)^r = sum_{k>=1} (-lambda_k)^{-r} pr_k as one eigen-sum.
 
-    ``power=None`` gives the reduced resolvent S = sum pr_k / lambda_k; a
-    real ``power=r`` gives hat(S)^r = sum (-lambda_k)^{-r} pr_k, both over
-    the nonzero eigenvalues only.
+    ``pr_k = e_k (pi e_k)^T`` is the pi-orthogonal eigenprojection; the sum
+    runs over the nonzero eigenvalues only.
     """
-    n = vals.shape[0]
-    out = np.zeros((n, n))
-    for k in range(1, n):
-        coef = 1.0 / vals[k] if power is None else (-vals[k]) ** (-power)
-        ek = eigvecs[:, k]
-        out += coef * np.outer(ek, pi_w * ek)
-    return out
+    v1 = eigvecs[:, 1:]
+    return (v1 * (-vals[1:]) ** -r) @ (v1 * pi_w[:, None]).T
 
 
 def resolvent_power(sd: SpectralData, r: float) -> np.ndarray:
     """hat(S)^r = sum_{k>=1} (-lambda_k)^{-r} pr_k; pi-selfadjoint."""
-    return _resolvent_from_pairs(sd.eigenvalues, sd.eigvecs, sd.pi.weights, power=r)
+    return _resolvent_power(sd.eigenvalues, sd.eigvecs, sd.pi.weights, r)
 
 
 def sigma_hat_sq(sd: SpectralData, f: Observable) -> float:

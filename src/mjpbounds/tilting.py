@@ -128,9 +128,9 @@ def fenchel_conjugate(
             raise NonFiniteError(r, val)
         return r * u - val
 
-    hi_cap = r_max * (1.0 - 1e-12) if math.isfinite(r_max) else math.inf
-    r_prev, h_prev = 0.0, 0.0
-    r_cur = min(1.0, hi_cap) if math.isfinite(hi_cap) else 1.0
+    hi_cap = r_max * (1.0 - 1e-12)
+    h_prev = 0.0
+    r_cur = min(1.0, hi_cap)
     hit_cap = False
     while True:
         h_cur = objective(r_cur)
@@ -139,7 +139,7 @@ def fenchel_conjugate(
         if r_cur >= hi_cap:
             hit_cap = True
             break
-        r_prev, h_prev = r_cur, h_cur
+        h_prev = h_cur
         r_cur = min(2.0 * r_cur, hi_cap)
 
     lo, hi = 0.0, r_cur

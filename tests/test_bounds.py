@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from mjpbounds import (
     time_averages,
     two_sided,
 )
+from mjpbounds import bounds
 from mjpbounds.bounds import (
+    ASCENT_STEPS,
     FSobolevFunction,
     general_bernstein_eigen_bound,
     perturbation_branch_threshold,
@@ -33,7 +36,7 @@ from mjpbounds.errors import (
     ValidationError,
 )
 
-from conftest import random_irreducible_model
+from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
 from oracles import (
     bound_via_alpha,
     cramer_transform_static,
@@ -204,6 +207,64 @@ class TestFSobolev:
         f_min = float(two_state.f.values.min())
         assert p.diagnostics["r_cap"] == pytest.approx(-1.0 / f_min)
         assert p.rate >= 0.0
+
+
+def _verdict_panel_chain(name):
+    """The 3-cycle, or the random chain of the given size drawn in turn from
+    one generator: ``rand3`` to ``rand6``."""
+    if name == "three_cycle":
+        return make_model(THREE_CYCLE_Q, THREE_CYCLE_F)
+    rng = np.random.default_rng(13)
+    for n in range(3, int(name[4:]) + 1):
+        m = random_irreducible_model(rng, n)
+    return m
+
+
+class TestFSobolevBatchedSearch:
+    """All starts and probes are scored as one matrix per step."""
+
+    def test_violation_calls_bounded_by_steps(self, three_cycle, monkeypatch):
+        calls = []
+        scored = bounds._violation
+
+        def counted(*args):
+            calls.append(1)
+            return scored(*args)
+
+        monkeypatch.setattr(bounds, "_violation", counted)
+        check_f_sobolev(three_cycle, log_sobolev(0.2))
+        assert 0 < len(calls) <= 2 * ASCENT_STEPS + 1
+
+    def test_each_column_ascends_as_if_alone(self, three_dense):
+        F = log_sobolev(0.3 * analyze(three_dense).gap)
+        g = np.random.default_rng(1).standard_normal((3, 6))
+        g /= np.sqrt(three_dense.pi.weights @ g**2)
+        together = bounds._ascend_violation(three_dense, F, g)
+        for j in range(g.shape[1]):
+            alone = bounds._ascend_violation(three_dense, F, g[:, [j]])
+            # the 1e-7 difference step turns rounding into ~1e-9 per gradient;
+            # a probe credited to the wrong column would move g by O(1)
+            np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-6)
+
+    # statuses recorded with the former one-start, one-probe-at-a-time search
+    @pytest.mark.parametrize(
+        "name", ["three_cycle", "rand3", "rand4", "rand5", "rand6"]
+    )
+    @pytest.mark.parametrize(
+        "c_over_gap, status",
+        [(0.05, "inconclusive"), (0.5, "violated"), (1.0, "violated")],
+    )
+    def test_verdict_panel(self, name, c_over_gap, status):
+        m = _verdict_panel_chain(name)
+        F = log_sobolev(c_over_gap * analyze(m).gap)
+        verdict = check_f_sobolev(m, F)
+        assert verdict.status == status
+        if status == "violated":
+            assert float(bounds._violation(m, F, verdict.witness)) == pytest.approx(
+                verdict.max_violation, rel=1e-12
+            )
+        else:
+            assert verdict.max_violation <= 1e-8 and verdict.witness is None
 
 
 class TestFSobolevVerdictPolicy:
@@ -408,7 +469,23 @@ class TestEveryPathToABoundRefusesBadTime:
             iid_sum_bound(lambda u: 0.25, 3, 0.3, t=t)
 
 
+@pytest.mark.parametrize("rate", [math.nan, -1.0, -math.inf])
+class TestEveryPathToABoundRefusesBadRate:
+    def test_bound_point_at(self, two_state, rate):
+        p = replace(evaluate_family(two_state, 2.0, 0.3, "poincare"), rate=rate)
+        with pytest.raises(ValidationError, match="rate"):
+            p.at(3.0)
+
+    def test_iid_sum_bound(self, rate):
+        with pytest.raises(ValidationError, match="rate"):
+            iid_sum_bound(lambda u: rate, 3, 0.3, t=2.0)
+
+
 class TestIidSumBound:
+    def test_zero_and_infinite_rates_still_accepted(self):
+        assert iid_sum_bound(lambda u: 0.0, 3, 0.3, t=2.0) == 1.0
+        assert iid_sum_bound(lambda u: math.inf, 3, 0.3, t=2.0) == 0.0
+
     def test_single_replica_unchanged(self):
         assert iid_sum_bound(lambda u: 0.25, 1, 0.3, t=2.0) == pytest.approx(
             math.exp(-0.5)
