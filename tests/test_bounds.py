@@ -246,10 +246,8 @@ class TestFSobolevBatchedSearch:
             # a probe credited to the wrong column would move g by O(1)
             np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-6)
 
-    # statuses recorded with the former one-start, one-probe-at-a-time search
-    @pytest.mark.parametrize(
-        "name", ["three_cycle", "rand3", "rand4", "rand5", "rand6"]
-    )
+    # the statuses the search gave when it scored one start or probe per call
+    @pytest.mark.parametrize("name", ["three_cycle", "rand3", "rand4", "rand5", "rand6"])
     @pytest.mark.parametrize(
         "c_over_gap, status",
         [(0.05, "inconclusive"), (0.5, "violated"), (1.0, "violated")],
