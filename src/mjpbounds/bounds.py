@@ -178,18 +178,11 @@ def _rate_perturbation(a: ModelAnalysis, u: float):
     """
     if a.f_sup <= 0:
         raise ValidationError("observable is constant; perturbation bound degenerates")
-    u_star = perturbation_branch_threshold(a)
-    r0 = (
-        a.gap
-        / (2.0 * a.f_sup)
-        * (1.0 - (1.0 + 4.0 * u * a.f_sup / (a.gap * a.sigma_hat2)) ** -0.5)
-    )
-    diag = {"r0": r0, "branch_threshold_u": u_star}
-    if u <= u_star:
+    if u <= perturbation_branch_threshold(a):
         bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
-        return bernstein_conjugate(bp, u), "a", diag
+        return bernstein_conjugate(bp, u), "a", {}
     rate = (a.gap / (3.0 * a.f_sup)) * (u - a.gap * a.sigma_hat2 / (2.0 * a.f_sup))
-    return rate, "b", diag
+    return rate, "b", {}
 
 
 def _rate_poincare(a: ModelAnalysis, u: float):
@@ -199,7 +192,7 @@ def _rate_poincare(a: ModelAnalysis, u: float):
     variance inequality behind this bound.
     """
     rate = bernstein_conjugate(BernsteinParams(v=a.sigma_tilde2, c=a.f_sup / a.gap), u)
-    return rate, "", {"sigma_tilde2": a.sigma_tilde2}
+    return rate, "", {}
 
 
 def _rate_bernstein_general(a: ModelAnalysis, u: float):
@@ -207,7 +200,7 @@ def _rate_bernstein_general(a: ModelAnalysis, u: float):
     if a.fplus_sup <= 0:
         raise ValidationError("centered observable must take positive values")
     rate = bernstein_conjugate(BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap), u)
-    return rate, "", {"sigma_hat2": a.sigma_hat2, "fplus_sup": a.fplus_sup}
+    return rate, "", {}
 
 
 def general_bernstein_eigen_bound(a: ModelAnalysis, r: float) -> float:

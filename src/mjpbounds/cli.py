@@ -29,7 +29,8 @@ from .modelio import _fmt, read_model_file
 from .simulate import empirical_tail, time_averages
 from .tilting import lambda0, lambda0_star
 
-DEFAULT_FAMILIES = ("general", "perturbation", "poincare", "bernstein_general")
+# every family but fsobolev, which needs --fsobolev-c
+DEFAULT_FAMILIES = tuple(fam for fam in bnd.FAMILIES if fam != "fsobolev")
 THREADS_ENV = "MJPBOUNDS_THREADS"
 # ``compare --config`` keys (its flags other than --model and --config, with
 # underscores) and the JSON types of their values; a t or u_grid list holds numbers
@@ -216,27 +217,33 @@ def _check_families(fams, fsobolev_c: float | None):
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
 
 
-def _family_kwargs(model, fsobolev_c, families):
-    """Keyword arguments of ``evaluate_family`` for ``families``: the checked
-    verdict of ``fsobolev_c * log`` when ``fsobolev`` is among them."""
-    if "fsobolev" not in families:
-        return {}
-    return {"fsobolev": bnd.check_f_sobolev(model, bnd.log_sobolev(fsobolev_c))}
+def _bound_table(model, families, u_grid, t, fsobolev_c):
+    """The analysis of ``model``, the checked verdict of ``fsobolev_c * log``
+    (``None`` unless ``fsobolev`` is among ``families``), and the bound of
+    every family at every threshold of ``u_grid`` at horizon ``t``, as
+    ``{u: {family: BoundPoint}}``."""
+    analysis, verdict = bnd.analyze(model), None
+    if "fsobolev" in families:
+        verdict = bnd.check_f_sobolev(model, bnd.log_sobolev(fsobolev_c))
+    table = {
+        u: {
+            fam: bnd.evaluate_family(model, t, u, fam, analysis=analysis, fsobolev=verdict)
+            for fam in families
+        }
+        for u in map(float, u_grid)
+    }
+    return analysis, verdict, table
 
 
 def cmd_bounds(args) -> int:
     mf, _ = _load(args)
-    model = mf.model
-    analysis = bnd.analyze(model)
     families = _resolve_families(args.families, args.fsobolev_c)
     _check_families(families, args.fsobolev_c)
-    kwargs = _family_kwargs(model, args.fsobolev_c, families)
+    u_grid = _parse_grid(args.u_grid)
+    _, _, table = _bound_table(mf.model, families, u_grid, args.t, args.fsobolev_c)
     rows = []
-    for u in _parse_grid(args.u_grid):
-        for fam in families:
-            p = bnd.evaluate_family(
-                model, args.t, float(u), fam, analysis=analysis, **kwargs
-            )
+    for u in u_grid:  # a grid with lo == hi repeats its threshold
+        for fam, p in table[float(u)].items():
             notes = ";".join(
                 k for k in ("boundary", "unverified") if p.diagnostics.get(k)
             )
@@ -306,21 +313,18 @@ def run_compare(config: RunConfig) -> dict:
     config.validate()
     mf, seed = _load(config)
     model = mf.model
-    analysis = bnd.analyze(model)
     families = config.families
-    kwargs = _family_kwargs(model, config.fsobolev_c, families)
+    # any horizon: ``BoundPoint.at`` moves a bound to another
+    analysis, verdict, points = _bound_table(
+        model, families, config.u_grid, config.t_values[0], config.fsobolev_c
+    )
     sharpness_on = model.reversible
     header = _compare_header(families)
 
-    t0 = config.t_values[0]  # any horizon: ``BoundPoint.at`` moves a bound to another
-    points, sharp_rate = {}, {}
-    for u in config.u_grid:
-        points[u] = {
-            fam: bnd.evaluate_family(model, t0, u, fam, analysis=analysis, **kwargs)
-            for fam in families
-        }
-        if sharpness_on:  # the general rate, which the sharpness column subtracts
-            general = points[u].get("general")
+    sharp_rate = {}
+    if sharpness_on:  # the general rate, which the sharpness column subtracts
+        for u, row in points.items():
+            general = row.get("general")
             sharp_rate[u] = general.rate if general else lambda0_star(
                 analysis.sd, model.f, u
             ).value
@@ -359,7 +363,7 @@ def run_compare(config: RunConfig) -> dict:
         "domination_failures": failures,
         "all_dominated": not failures,
         "sharpness_diagnostic": sharpness_on,
-        "fsobolev_verdict": getattr(kwargs.get("fsobolev"), "status", None),
+        "fsobolev_verdict": verdict.status if verdict else None,
     }
     if config.summary_out:
         with open(config.summary_out, "w") as sf:
@@ -433,12 +437,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_common(sp):
+def _add_common(sp, csv=True, threads=False):
+    # a command takes only the flags it reads: --out for a CSV, --threads to simulate
     sp.add_argument("--model", required=True, help="model file (JSON or TOML)")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--no-timestamp", action="store_true")
+    if threads:
+        sp.add_argument("--threads", type=int, default=None)
+    if csv:
+        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        sp.add_argument("--no-timestamp", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,15 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="parse and validate a model file")
-    _add_common(sp)
+    _add_common(sp, csv=False)
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("spectrum", help="eigenvalues, gap, variances as JSON")
-    _add_common(sp)
+    _add_common(sp, csv=False)
     sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("simulate", help="empirical tail estimate")
-    _add_common(sp)
+    _add_common(sp, threads=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
@@ -483,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("compare", help="bounds vs Monte Carlo, one CSV")
-    _add_common(sp)
+    _add_common(sp, threads=True)
     sp.add_argument("--t", default=None, help="comma list of horizons")
     sp.add_argument("--u-grid", default=None, help="lo:hi:n")
     sp.add_argument("--families", default=None)

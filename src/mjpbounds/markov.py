@@ -10,8 +10,9 @@ condition ``pi_x q_xy = pi_y q_yx``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,19 +55,21 @@ class ProbDist:
     """Probability vector on the state space."""
 
     weights: np.ndarray
-    strictly_positive: bool = False
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def strictly_positive(self) -> bool:
+        return bool(np.min(self.weights) > 0.0)
+
 
 @dataclass(frozen=True)
 class Observable:
-    """Real-valued function on the states; ``centered`` records pi(f) = 0."""
+    """Real-valued function on the states."""
 
     values: np.ndarray
-    centered: bool = False
 
     @property
     def n(self) -> int:
@@ -90,11 +93,15 @@ class MJPModel:
     pi: ProbDist
     f: Observable
     nu: ProbDist
-    reversible: bool = field(default=False)
 
     @property
     def n(self) -> int:
         return self.q.n
+
+    @functools.cached_property
+    def reversible(self) -> bool:
+        """Detailed balance of ``q`` against ``pi``, checked on first access."""
+        return check_detailed_balance(self.q, self.pi)
 
 
 def probability_vector(weights) -> ProbDist:
@@ -111,7 +118,7 @@ def probability_vector(weights) -> ProbDist:
         raise ValidationError(f"probability vector sums to {s}, not 1")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
-    return ProbDist(_readonly(w), strictly_positive=bool(w.min() > 0.0))
+    return ProbDist(_readonly(w))
 
 
 def validate_q_matrix(raw) -> QMatrix:
@@ -183,7 +190,7 @@ def invariant_distribution(q: QMatrix) -> ProbDist:
             f"invariant solve left residual {residual} or nonpositive entries"
         )
     pi = pi / pi.sum()
-    return ProbDist(_readonly(pi), strictly_positive=True)
+    return ProbDist(_readonly(pi))
 
 
 def transition_matrix(q: QMatrix, t: float) -> np.ndarray:
@@ -232,24 +239,19 @@ def pi_expectation(pi: ProbDist, f: Observable | np.ndarray) -> float:
 def center_observable(f: Observable, pi: ProbDist) -> Observable:
     """Subtract pi(f) so the centered observable integrates to 0 against pi.
 
-    The subtraction repeats until the mean is 0, the values stop changing,
-    or another subtraction would make ``|pi(f)|`` larger.  Where it stops,
-    the result is a fixed point, so centering it again returns it bit for
-    bit.  The exception is a run of subtractions that leave ``|pi(f)|``
-    unchanged while the values drift; it ends at a cap of 100, which need
-    not be a fixed point.
+    The subtraction repeats while it makes ``|pi(f)|`` strictly smaller, so
+    the loop ends.  Whether it stops depends on the values alone, so the
+    result is a fixed point: centering it again returns it bit for bit.
     """
     values = f.values
     mean = pi_expectation(pi, values)
-    for _ in range(100):
-        if mean == 0.0:
-            break
+    while mean != 0.0:
         shifted = values - mean
         shifted_mean = pi_expectation(pi, shifted)
-        if np.array_equal(shifted, values) or abs(shifted_mean) > abs(mean):
+        if abs(shifted_mean) >= abs(mean):
             break
         values, mean = shifted, shifted_mean
-    return Observable(_readonly(values), centered=True)
+    return Observable(_readonly(values))
 
 
 def make_model(rates, f_values, nu=None) -> MJPModel:
@@ -270,9 +272,7 @@ def make_model(rates, f_values, nu=None) -> MJPModel:
     nu_dist = probability_vector(np.eye(q.n)[0] if nu is None else nu)
     if nu_dist.n != q.n:
         raise ValidationError("initial distribution has wrong length")
-    return MJPModel(
-        q=q, pi=pi, f=f, nu=nu_dist, reversible=check_detailed_balance(q, pi)
-    )
+    return MJPModel(q=q, pi=pi, f=f, nu=nu_dist)
 
 
 def stationary_model(model: MJPModel) -> MJPModel:
@@ -282,5 +282,4 @@ def stationary_model(model: MJPModel) -> MJPModel:
 
 def flip_observable(model: MJPModel) -> MJPModel:
     """The same chain observed through -f; used for lower-tail bounds."""
-    f = Observable(_readonly(-model.f.values), centered=model.f.centered)
-    return replace(model, f=f)
+    return replace(model, f=Observable(_readonly(-model.f.values)))

@@ -43,20 +43,12 @@ def pi_variance(pi: ProbDist, g) -> float:
     return float(pi.weights @ (g - m) ** 2)
 
 
-def eigh_descending(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix by LAPACK.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and the matching eigenvectors in the columns.  Only the lower triangle
-    of ``a`` is read.
-    """
-    vals, vecs = np.linalg.eigh(a)
-    return vals[::-1], vecs[:, ::-1]
-
-
-def top_eigenvalue(a: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix, without eigenvectors."""
-    return float(np.linalg.eigvalsh(a)[-1])
+def sym_coords(q: QMatrix, pi: ProbDist) -> np.ndarray:
+    """D^{1/2} ((L+L*)/2) D^{-1/2} with D = diag(pi): the symmetrized generator
+    made ordinarily symmetric, then symmetrized again against rounding."""
+    sqrt_pi = np.sqrt(pi.weights)
+    b = (symmetrized_generator(q, pi) * sqrt_pi[:, None]) / sqrt_pi[None, :]
+    return 0.5 * (b + b.T)
 
 
 @dataclass(frozen=True)
@@ -64,11 +56,10 @@ class SpectralData:
     """Pi-orthonormal eigendecomposition of the symmetrized generator.
 
     ``eigvecs`` holds the eigenvectors (as functions on states) in columns,
-    pi-orthonormal, with the constant function first.  ``sym_coords`` is the
-    ordinary-symmetric similarity transform D^{1/2} sym D^{-1/2} reused by
-    the tilted eigenvalue computations.  ``resolvent`` is the reduced
-    resolvent S = sum_{k>=1} pr_k / lambda_k: zero on constants, inverse
-    elsewhere.  Every function of the data reads its weights from ``pi``.
+    pi-orthonormal, with the constant function first.  ``sym_coords`` is
+    ``sym_coords(q, pi)``, reused by the tilted eigenvalue computations.
+    ``resolvent`` is the reduced resolvent S = sum_{k>=1} pr_k / lambda_k:
+    zero on constants, inverse elsewhere.  Every function of the data reads its weights from ``pi``.
     """
 
     sym_coords: np.ndarray
@@ -94,8 +85,8 @@ class SpectralData:
 def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     """Eigendecomposition of (L+L*)/2 with the kernel pinned exactly.
 
-    The similarity transform B = D^{1/2} sym D^{-1/2} (D = diag(pi)) is
-    ordinarily symmetric with unit eigenvector sqrt(pi) for eigenvalue 0.
+    The similarity transform B = ``sym_coords(q, pi)`` is ordinarily
+    symmetric with unit eigenvector sqrt(pi) for eigenvalue 0.
     That vector is deflated by a Householder reflection before running the
     symmetric eigensolver on the trailing block, so the kernel direction is
     exact and downstream formulas can divide by the remaining eigenvalues
@@ -104,15 +95,15 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     n = q.n
     w = pi.weights
     sqrt_pi = np.sqrt(w)
-    b = (symmetrized_generator(q, pi) * sqrt_pi[:, None]) / sqrt_pi[None, :]
-    b = 0.5 * (b + b.T)
+    b = sym_coords(q, pi)
 
     house = _householder_first_column(sqrt_pi)
     reduced = house.T @ b @ house
     # exact deflation: eigenvalue 0 with eigenvector sqrt(pi) is known
     reduced[0, :] = 0.0
     reduced[:, 0] = 0.0
-    tail_vals, tail_vecs = eigh_descending(reduced[1:, 1:])
+    tail_vals, tail_vecs = np.linalg.eigh(reduced[1:, 1:])
+    tail_vals, tail_vecs = tail_vals[::-1], tail_vecs[:, ::-1]  # descending
 
     if n >= 2 and tail_vals[0] >= -1e-12:
         raise DegenerateGapError(float(tail_vals[0]))

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .markov import Observable, ProbDist, QMatrix, _expm
-from .spectral import SpectralData, top_eigenvalue
+from .spectral import SpectralData, sym_coords
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_CAP_FACTOR = 1e6
@@ -67,8 +67,7 @@ def lambda0(sd: SpectralData, f: Observable, r: float) -> float:
     """
     if r == 0.0:
         return 0.0
-    tilted = sd.sym_coords + r * np.diag(f.values)
-    return top_eigenvalue(tilted)
+    return float(np.linalg.eigvalsh(sd.sym_coords + r * np.diag(f.values))[-1])
 
 
 def feynman_kac_norm(
@@ -200,9 +199,7 @@ def rate_function_variational(
         raise InfeasibleSliceError(u, fmin, fmax)
     u = min(max(u, fmin), fmax)
 
-    sqrt_pi = np.sqrt(pi.weights)
-    b = (q.rates * sqrt_pi[:, None]) / sqrt_pi[None, :]
-    b_sym = 0.5 * (b + b.T)
+    b_sym = sym_coords(q, pi)
 
     def energy(h: np.ndarray) -> float:
         return float(-h @ b_sym @ h)

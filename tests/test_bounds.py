@@ -552,3 +552,25 @@ class TestCurveAndDomination:
             for r in np.linspace(0.0, r_top, 15):
                 lam = lambda0(a.sd, m.f, float(r))
                 assert lam <= general_bernstein_eigen_bound(a, float(r)) + 1e-10
+
+
+class TestDiagnosticsKeys:
+    # solver outputs and flags only; the analysis owns gap, variances and norms
+    KEPT = {
+        "general": {"argmax_r", "boundary"},
+        "perturbation": set(),
+        "poincare": set(),
+        "bernstein_general": set(),
+        "fsobolev": {"argmax_r", "r_cap", "F", "unverified"},
+    }
+
+    def test_each_family_keeps_only_its_keys(self, two_state):
+        assert set(self.KEPT) == set(bounds.FAMILIES)
+        a = analyze(two_state)
+        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        for fam, keys in self.KEPT.items():
+            p = evaluate_family(two_state, 5.0, 0.3, fam, analysis=a, fsobolev=verdict)
+            assert set(p.diagnostics) == keys, fam
+        u_b = 1.5 * perturbation_branch_threshold(a)
+        p = evaluate_family(two_state, 5.0, u_b, "perturbation", analysis=a)
+        assert p.branch == "b" and p.diagnostics == {}

@@ -23,7 +23,6 @@ class TestModelFile:
         path = model_file(seed=2024)
         model = load_model(path)
         np.testing.assert_allclose(model.pi.weights, [2 / 3, 1 / 3], atol=1e-14)
-        assert model.f.centered
         assert model.reversible
 
     def test_nu_defaults_to_first_state(self, model_file):
@@ -321,6 +320,46 @@ class TestCliSubcommands:
             )
         )
         assert summary["fsobolev_verdict"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--out", "{out}"],
+            ["validate", "--out", "{out}"],
+            ["spectrum", "--no-timestamp"],
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2", "--threads", "1"],
+            ["rate", "--u-grid", "0.1:0.3:2", "--threads", "1"],
+        ],
+        ids=["spectrum_out", "validate_out", "spectrum_no_timestamp",
+             "bounds_threads", "rate_threads"],
+    )
+    def test_flag_the_command_would_not_read_refused(self, model_file, tmp_path, argv):
+        out = tmp_path / "out.json"
+        argv = [a.format(out=out) for a in argv] + ["--model", model_file()]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_bounds_rates_are_the_compare_rates(self, model_file, tmp_path):
+        model = model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F)
+        families = ["general", "perturbation", "poincare", "bernstein_general",
+                    "fsobolev"]
+        common = ["--model", model, "--u-grid", "0.1:0.4:4", "--families",
+                  ",".join(families), "--fsobolev-c", "0.2", "--no-timestamp"]
+        b_out, c_out = tmp_path / "b.csv", tmp_path / "c.csv"
+        assert main(["bounds", "--t", "5", *common, "--out", str(b_out)]) == 0
+        assert main(
+            ["compare", "--t", "1,5", "--samples", "200", *common, "--out", str(c_out)]
+        ) == 0
+        b_rows = [ln.split(",") for ln in b_out.read_text().splitlines()[1:]]
+        c_lines = c_out.read_text().splitlines()
+        c_head = c_lines[0].split(",")
+        c_rows = [dict(zip(c_head, ln.split(","))) for ln in c_lines[1:]]
+        assert len(b_rows) == 4 * len(families) and len(c_rows) == 2 * 4
+        for c in c_rows:
+            cells = {r[1]: r[2] for r in b_rows if r[0] == c["u"]}
+            assert cells == {fam: c[f"{fam}_rate"] for fam in families}
 
     def test_unknown_family_rejected(self, model_file):
         assert main(

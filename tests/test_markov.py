@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mjpbounds import (
+    MJPModel,
     ModelFile,
     Observable,
+    ProbDist,
     center_observable,
     check_detailed_balance,
+    flip_observable,
     invariant_distribution,
     is_irreducible,
     make_model,
@@ -224,6 +227,10 @@ class TestDetailedBalance:
         m = make_model([[-3, 1, 2], [1, -1.5, 0.5], [2, 0.5, -2.5]], [1, 2, 3])
         assert check_detailed_balance(m.q, m.pi)
 
+    def test_flipped_observable_keeps_the_verdict(self, two_state, three_cycle):
+        for m in (two_state, three_cycle):
+            assert flip_observable(m).reversible == m.reversible
+
 
 class TestCenterObservable:
     def test_constant_maps_to_zero(self, two_state):
@@ -243,6 +250,14 @@ class TestCenterObservable:
         f2 = center_observable(f1, three_dense.pi)
         np.testing.assert_array_equal(f1.values, f2.values)
         assert abs(pi_expectation(three_dense.pi, f2)) <= 1e-14
+
+    def test_random_models_are_fixed_points(self):
+        # the 996th draw, n = 6, kept pi(f) at 9.38e-19 while f drifted under
+        # a rule that also went on at an equal |pi(f)|
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            m = random_irreducible_model(rng)
+            np.testing.assert_array_equal(center_observable(m.f, m.pi).values, m.f.values)
 
     def test_birth_death_eight_is_a_fixed_point(self, tmp_path):
         # 8-state birth-death chain, up 1 and down 1.5, f = linspace(-1, 1, 8):
@@ -267,6 +282,21 @@ class TestProbabilityVector:
     def test_flags_positivity(self):
         assert probability_vector([0.5, 0.5]).strictly_positive
         assert not probability_vector([1.0, 0.0]).strictly_positive
+
+    def test_positivity_read_from_the_weights(self):
+        assert ProbDist(np.full(4, 0.25)).strictly_positive
+        assert not ProbDist(np.array([0.5, 0.5, 0.0])).strictly_positive
+
+
+class TestModelTypesHoldOnlyArrays:
+    def test_derived_flags_are_not_constructor_fields(self, two_state):
+        with pytest.raises(TypeError):
+            ProbDist(np.full(2, 0.5), strictly_positive=True)
+        with pytest.raises(TypeError):
+            Observable(np.array([1.0, -1.0]), centered=True)
+        m = two_state
+        with pytest.raises(TypeError):
+            MJPModel(q=m.q, pi=m.pi, f=m.f, nu=m.nu, reversible=False)
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from mjpbounds import (
     ProbDist,
     SpectralData,
     adjoint_generator,
+    analyze,
     center_observable,
     check_f_sobolev,
     evaluate_family,
@@ -30,7 +31,7 @@ from mjpbounds import (
 )
 from mjpbounds.bounds import _ascend_violation
 from mjpbounds.errors import DegenerateGapError, NotCenteredError
-from mjpbounds.spectral import eigh_descending, top_eigenvalue
+from mjpbounds.spectral import sym_coords
 
 from conftest import random_irreducible_model
 
@@ -77,32 +78,32 @@ class TestPiInner:
         assert pi_inner(two_state.pi, f, f) == pytest.approx(2.0, abs=1e-14)
 
 
-class TestEighDescending:
-    @staticmethod
-    def _check_contract(a):
-        vals, vecs = eigh_descending(a)
-        n = a.shape[0]
-        assert np.all(np.diff(vals) <= 0.0)
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
-        assert top_eigenvalue(a) == pytest.approx(vals[0], abs=1e-12)
+class TestSpectralContract:
+    """Eigenvalues descending, eigenvectors pi-orthonormal, and
+    ``sym @ v_k = lambda_k v_k`` for the symmetrized generator ``sym``."""
 
-    def test_random_symmetric_matrices(self):
+    @staticmethod
+    def _check_contract(m):
+        sd = spectral_decomposition(m.q, m.pi)
+        vals, vecs = sd.eigenvalues, sd.eigvecs
+        assert np.all(np.diff(vals) <= 0.0)
+        gram = vecs.T @ (vecs * m.pi.weights[:, None])
+        np.testing.assert_allclose(gram, np.eye(m.n), atol=1e-12)
+        sym = symmetrized_generator(m.q, m.pi)
+        np.testing.assert_allclose(sym @ vecs, vecs * vals, atol=1e-10)
+        return sd
+
+    def test_random_chains(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 3, 4, 6, 9):
-            for _ in range(4):
-                a = rng.standard_normal((n, n))
-                self._check_contract(a + a.T)
+        for _ in range(24):
+            self._check_contract(random_irreducible_model(rng))
 
     def test_repeated_eigenvalue(self):
-        rng = np.random.default_rng(12)
-        basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        a = basis @ np.diag([2.0, 2.0, 2.0, -1.0, 0.5]) @ basis.T
-        a = 0.5 * (a + a.T)
-        self._check_contract(a)
-        np.testing.assert_allclose(
-            eigh_descending(a)[0], [2.0, 2.0, 2.0, 0.5, -1.0], atol=1e-12
-        )
+        # unit rates between all five states: 0 once, then -5 four times
+        n = 5
+        m = make_model(np.ones((n, n)) - n * np.eye(n), np.arange(n, dtype=float))
+        sd = self._check_contract(m)
+        np.testing.assert_allclose(sd.eigenvalues, [0.0] + [-5.0] * 4, atol=1e-12)
 
 
 class TestSpectralDecomposition:
@@ -137,11 +138,19 @@ class TestSpectralDecomposition:
             np.testing.assert_allclose(gram, np.eye(m.n), atol=1e-10)
             assert np.all(sd.eigenvalues <= 1e-10)
 
+    def test_sym_coords_is_the_stored_matrix(self):
+        rng = np.random.default_rng(19)
+        for _ in range(8):
+            m = random_irreducible_model(rng)
+            stored = analyze(m).sd.sym_coords
+            np.testing.assert_array_equal(stored, sym_coords(m.q, m.pi))
+            np.testing.assert_array_equal(stored, stored.T)
+
     def test_reducible_input_reported_as_degenerate(self):
         q = validate_q_matrix(
             [[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -2, 2], [0, 0, 2, -2]]
         )
-        pi = ProbDist(np.array([0.25, 0.25, 0.25, 0.25]), strictly_positive=True)
+        pi = ProbDist(np.array([0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(DegenerateGapError):
             spectral_decomposition(q, pi)
 
@@ -204,7 +213,7 @@ class TestResolventPower:
 class TestSigmaHat:
     def test_zero_observable(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
-        f0 = Observable(np.zeros(2), centered=True)
+        f0 = Observable(np.zeros(2))
         assert sigma_hat_sq(sd, f0) == 0.0
 
     def test_two_state_hand_value(self, two_state):

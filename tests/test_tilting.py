@@ -42,7 +42,7 @@ class TestLambda0:
     def test_scale_invariance(self, three_cycle):
         a = analyze(three_cycle)
         s = 2.5
-        scaled = Observable(s * three_cycle.f.values, centered=True)
+        scaled = Observable(s * three_cycle.f.values)
         for r in (0.05, 0.3, 1.1):
             lhs = lambda0(a.sd, scaled, r)
             rhs = lambda0(a.sd, three_cycle.f, s * r)
@@ -269,7 +269,7 @@ class TestCramerStatic:
 
     def test_two_point_grid_oracle(self):
         pi = probability_vector([0.5, 0.5])
-        f = Observable(np.array([1.0, -1.0]), centered=True)
+        f = Observable(np.array([1.0, -1.0]))
         u = 0.5
         val = cramer_transform_static(pi, f, u)
         rs = np.arange(0.0, 5.0, 1e-5)
