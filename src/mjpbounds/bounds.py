@@ -35,6 +35,7 @@ from .spectral import (
 )
 from .tilting import (
     BernsteinParams,
+    above_max,
     bernstein_conjugate,
     chi2_prefactor,
     fenchel_conjugate,
@@ -346,7 +347,8 @@ def _rate_fsobolev(a: ModelAnalysis, u: float, verdict: FSobolevVerdict):
 
     The tilt domain ends where F^{-1} stops being defined on r*f, at
     ``r = F(0+)/min f``; an infinite F(0+) leaves the domain unbounded and
-    the search bracket expands adaptively.
+    the search bracket expands adaptively.  On an unbounded domain the rate
+    above ``max f`` is infinite, since ``F(pi(F^{-1}(r f))) <= r max f``.
     """
     F = verdict.F
     f_vals = a.model.f.values
@@ -357,10 +359,14 @@ def _rate_fsobolev(a: ModelAnalysis, u: float, verdict: FSobolevVerdict):
     def g_of_r(r: float) -> float:
         return float(F(float(w @ F.inverse(r * f_vals))))
 
-    conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
-    diag = {"r_cap": r_cap, "F": F.name, "argmax_r": conj.argmax_r}
+    if math.isinf(r_cap) and above_max(a.model.f, u):
+        rate, argmax_r = math.inf, None
+    else:
+        conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
+        rate, argmax_r = conj.value, conj.argmax_r
+    diag = {"r_cap": r_cap, "F": F.name, "argmax_r": argmax_r}
     diag["unverified"] = verdict.status != "holds"
-    return conj.value, "", diag
+    return rate, "", diag
 
 
 _RATES = {

@@ -5,8 +5,10 @@ Subcommands: ``validate``, ``spectrum``, ``simulate``, ``rate``, ``series``,
 floats are printed with 17 significant digits so files round-trip exactly.
 A timestamp comment line is written unless ``--no-timestamp`` is given, so
 that result bodies can be compared byte for byte.  Exit codes: 0 success,
-2 validation failure, 3 numerical failure, 4 domination-check failure under
-``compare --strict``.
+2 validation failure (an unwritable output included), 3 numerical failure,
+4 domination-check failure under ``compare --strict``.  Every setting is a
+flag; ``@path`` in the argument list reads more flags from a file, one
+token per line (argparse's ``fromfile_prefix_chars``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,15 +32,6 @@ from .tilting import lambda0, lambda0_star
 
 # every family but fsobolev, which needs --fsobolev-c
 DEFAULT_FAMILIES = tuple(fam for fam in bnd.FAMILIES if fam != "fsobolev")
-THREADS_ENV = "MJPBOUNDS_THREADS"
-# ``compare --config`` keys (its flags other than --model and --config, with
-# underscores) and the JSON types of their values; a t or u_grid list holds numbers
-CONFIG_KEYS = {
-    "t": (str, list), "u_grid": (str, list), "families": (str, list),
-    "samples": (int,), "seed": (int,), "threads": (int,), "fsobolev_c": (int, float),
-    "strict": (bool,), "no_timestamp": (bool,),
-    "out": (str,), "summary_out": (str,),
-}
 # a bound counts as beaten by Monte Carlo only when p_hat exceeds it by more
 # than this many 95% confidence half-widths
 DOMINATION_SIGMA = 3.0
@@ -68,24 +60,6 @@ def _parse_t_list(spec: str) -> list[float]:
     if not values:
         raise ValidationError("time list is empty")
     return values
-
-
-def _threads(value) -> int:
-    """Thread count: ``value`` if given, else ``MJPBOUNDS_THREADS``, else 1.
-
-    An empty ``MJPBOUNDS_THREADS`` counts as unset; any other value must be
-    an integer of at least 1.
-    """
-    if value is not None:
-        return value
-    env = os.environ.get(THREADS_ENV)
-    try:
-        threads = int(env or 1)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValidationError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
-    return threads
 
 
 def _write_row(fh, *cells):
@@ -158,7 +132,7 @@ def cmd_spectrum(args) -> int:
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
     est = empirical_tail(
-        mf.model, args.t, args.u, args.samples, seed, threads=_threads(args.threads)
+        mf.model, args.t, args.u, args.samples, seed, threads=args.threads
     )
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
     _write_csv(args.out, args.no_timestamp, "u,t,n,hits,p_hat,ci_lo,ci_hi", [row])
@@ -199,11 +173,7 @@ def _resolve_families(spec, fsobolev_c: float | None):
         if fsobolev_c is not None:
             fams.append("fsobolev")
         return fams
-    if isinstance(spec, (list, tuple)):
-        fams = [str(s).strip() for s in spec]
-    else:
-        fams = [s.strip() for s in spec.split(",") if s.strip()]
-    return fams
+    return [s.strip() for s in spec.split(",") if s.strip()]
 
 
 def _check_families(fams, fsobolev_c: float | None):
@@ -372,58 +342,18 @@ def run_compare(config: RunConfig) -> dict:
     return summary
 
 
-def _read_config(path) -> dict:
-    """Settings from a ``compare --config`` JSON object whose keys are all in
-    ``CONFIG_KEYS`` and whose values have their types (or are null, for unset);
-    anything else is refused."""
-    try:
-        with open(path, "rb") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # also bytes that are not UTF-8
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValidationError(
-            f"config {path} has unknown keys {unknown}; known: {', '.join(CONFIG_KEYS)}"
-        )
-    for key, value in cfg.items():
-        # exact types, since a JSON true or false is a Python int as well
-        numbers = value if key in ("t", "u_grid") and type(value) is list else []
-        wrong = type(value) not in CONFIG_KEYS[key] or any(
-            type(v) not in (int, float) for v in numbers
-        )
-        if value is not None and wrong:
-            raise ValidationError(f"config {path}: bad {key} value {json.dumps(value)}")
-    return cfg
-
-
 def cmd_compare(args) -> int:
-    if args.config:
-        for key, value in _read_config(args.config).items():
-            flag = getattr(args, key)
-            if flag is None or flag is False:  # a flag given on the command line wins
-                setattr(args, key, value)
-    if args.u_grid is None:
-        raise ValidationError("compare needs --u-grid (or u_grid in --config)")
-    u_grid = args.u_grid if isinstance(args.u_grid, list) else _parse_grid(args.u_grid)
-    if args.t is None:
-        raise ValidationError("compare needs --t (or t in --config)")
-    t_values = args.t if isinstance(args.t, list) else _parse_t_list(args.t)
     config = RunConfig(
         model=args.model,
-        t_values=[float(t) for t in t_values],
-        u_grid=sorted(float(u) for u in u_grid),
+        t_values=_parse_t_list(args.t),
+        u_grid=sorted(float(u) for u in _parse_grid(args.u_grid)),
         families=_resolve_families(args.families, args.fsobolev_c),
-        samples=args.samples if args.samples is not None else 10000,
+        samples=args.samples,
         seed=args.seed,
-        threads=_threads(args.threads),
+        threads=args.threads,
         out=args.out,
-        strict=bool(args.strict),
-        no_timestamp=bool(args.no_timestamp),
+        strict=args.strict,
+        no_timestamp=args.no_timestamp,
         fsobolev_c=args.fsobolev_c,
         summary_out=args.summary_out,
     )
@@ -442,7 +372,7 @@ def _add_common(sp, csv=True, threads=False):
     sp.add_argument("--model", required=True, help="model file (JSON or TOML)")
     sp.add_argument("--seed", type=int, default=None)
     if threads:
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=1)
     if csv:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", action="store_true")
@@ -452,62 +382,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mjpbounds",
         description="Concentration bounds for Markov jump process time averages",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="parse and validate a model file")
-    _add_common(sp, csv=False)
-    sp.set_defaults(fn=cmd_validate)
+    def command(name, fn, help, **common):
+        # no abbreviations: a misspelt flag such as --sample is refused, not
+        # taken for --samples
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(fn=fn)
+        _add_common(sp, **common)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="eigenvalues, gap, variances as JSON")
-    _add_common(sp, csv=False)
-    sp.set_defaults(fn=cmd_spectrum)
+    command("validate", cmd_validate, "parse and validate a model file", csv=False)
+    command("spectrum", cmd_spectrum, "eigenvalues, gap, variances as JSON", csv=False)
 
-    sp = sub.add_parser("simulate", help="empirical tail estimate")
-    _add_common(sp, threads=True)
+    sp = command("simulate", cmd_simulate, "empirical tail estimate", threads=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
-    sp.set_defaults(fn=cmd_simulate)
 
-    sp = sub.add_parser("rate", help="conjugate rate function on a u grid")
-    _add_common(sp)
+    sp = command("rate", cmd_rate, "conjugate rate function on a u grid")
     sp.add_argument("--u-grid", required=True, help="lo:hi:n")
-    sp.set_defaults(fn=cmd_rate)
 
-    sp = sub.add_parser("series", help="perturbation-series coefficients")
-    _add_common(sp)
+    sp = command("series", cmd_series, "perturbation-series coefficients")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--r-grid", default=None, help="lo:hi:n")
-    sp.set_defaults(fn=cmd_series)
 
-    sp = sub.add_parser("bounds", help="bound curves on a u grid")
-    _add_common(sp)
+    sp = command("bounds", cmd_bounds, "bound curves on a u grid")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--u-grid", required=True, help="lo:hi:n")
     sp.add_argument("--families", default=None, help="all or comma list")
     sp.add_argument("--fsobolev-c", type=float, default=None)
-    sp.set_defaults(fn=cmd_bounds)
 
-    sp = sub.add_parser("compare", help="bounds vs Monte Carlo, one CSV")
-    _add_common(sp, threads=True)
-    sp.add_argument("--t", default=None, help="comma list of horizons")
-    sp.add_argument("--u-grid", default=None, help="lo:hi:n")
+    sp = command("compare", cmd_compare, "bounds vs Monte Carlo, one CSV", threads=True)
+    sp.add_argument("--t", required=True, help="comma list of horizons")
+    sp.add_argument("--u-grid", required=True, help="lo:hi:n")
     sp.add_argument("--families", default=None)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--fsobolev-c", type=float, default=None)
     sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--config", default=None, help="JSON config; flags win")
     sp.add_argument("--summary-out", default=None, help="JSON summary path")
-    sp.set_defaults(fn=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except UnicodeDecodeError as exc:  # an @file that is not UTF-8, before Python 3.12
+        print(f"validation failure: argument file is not UTF-8: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output that cannot be opened
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

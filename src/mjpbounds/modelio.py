@@ -60,6 +60,8 @@ def read_model_file(path: str) -> ModelFile:
     for key in ("states", "q", "f"):
         if key not in raw:
             raise ParseError(path, f"missing required field {key!r}")
+    if not isinstance(raw["states"], list):
+        raise ParseError(path, "field 'states' must be an array")
     labels = [str(s) for s in raw["states"]]
     n = len(labels)
     if len(set(labels)) != n:
@@ -79,7 +81,7 @@ def read_model_file(path: str) -> ModelFile:
     if nu is not None and nu.shape != (n,):
         raise ParseError(path, f"field 'nu' must have length {n}")
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:  # a JSON true is an int too
         raise ParseError(path, "field 'seed' must be an integer")
     try:
         model = make_model(q, f, nu)

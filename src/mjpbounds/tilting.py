@@ -161,6 +161,13 @@ def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
 
 
+def above_max(f: Observable, u: float) -> bool:
+    """True iff ``u`` lies above ``max f`` by more than rounding, where the
+    time average cannot reach it and a conjugate over unbounded tilts is
+    infinite."""
+    return u > float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300
+
+
 def lambda0_star(sd: SpectralData, f: Observable, u: float) -> ConjugateResult:
     """Fenchel conjugate of the tilted top eigenvalue at threshold u >= 0.
 
@@ -171,8 +178,7 @@ def lambda0_star(sd: SpectralData, f: Observable, u: float) -> ConjugateResult:
     """
     if not u >= 0:  # also refuses NaN
         raise ValidationError(f"threshold must be nonnegative, got {u}")
-    f_max = float(np.max(f.values))
-    if u > f_max * (1.0 + 1e-12) + 1e-300:
+    if above_max(f, u):
         return ConjugateResult(u=u, value=math.inf, argmax_r=None)
     cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
     return fenchel_conjugate(lambda r: lambda0(sd, f, r), u, r_max=cap)

@@ -190,6 +190,28 @@ class TestFSobolev:
         p = evaluate_family(two_state, 1.0, 0.0, "fsobolev", fsobolev=verdict)
         assert p.rate == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rate_at_max_f_is_minus_c_log_of_its_mass(self, two_state):
+        # sup_r (r - c log(pi(e^{r f / c}))) is approached as r grows: -c log pi(f = 1)
+        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        p = evaluate_family(two_state, 3.0, 1.0, "fsobolev", fsobolev=verdict)
+        assert p.rate == pytest.approx(-0.5 * math.log(2 / 3), abs=1e-12)  # 0.2027
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rate_infinite_above_max_f(self):
+        # F(pi(F^-1(r f))) <= r max f, so an unbounded tilt domain gives an
+        # infinite rate above max f, as the general family's does
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4, 5):
+            m = random_irreducible_model(rng, n)
+        assert m.f.values.max() == pytest.approx(0.085, abs=1e-3)
+        verdict = check_f_sobolev(m, log_sobolev(0.3))
+        for u in (0.125, 0.25, 0.375, 0.5):
+            p = evaluate_family(m, 3.0, u, "fsobolev", fsobolev=verdict)
+            assert p.rate == math.inf and p.bound == 0.0
+            assert p.diagnostics["argmax_r"] is None
+            assert evaluate_family(m, 3.0, u, "general").rate == math.inf
+
     def test_finite_zero_limit_caps_tilt_domain(self, two_state):
         # F(x) = 1 - 1/sqrt(x): increasing, concave, F(1) = 0, F(0+) = -inf
         # is already covered by log; use F(x) = (x-1)/(x+1) with finite slope

@@ -78,6 +78,19 @@ class TestModelFile:
         gc.collect()
         assert not [w for w in recwarn if issubclass(w.category, ResourceWarning)]
 
+    def test_boolean_seed_refused(self, model_file):
+        # a JSON true is an int to isinstance, and would run as seed 1
+        path = model_file(seed=True)
+        with pytest.raises(ParseError, match="seed"):
+            read_model_file(path)
+        assert main(["validate", "--model", path]) == 2
+
+    @pytest.mark.parametrize("states", ["ab", {"a": 0, "b": 1}], ids=["string", "object"])
+    def test_states_must_be_an_array(self, model_file, states):
+        # iterating either would give the labels "a" and "b"
+        with pytest.raises(ParseError, match="states"):
+            read_model_file(model_file(extra={"states": states}))
+
     @pytest.mark.skipif(sys.version_info >= (3, 11), reason="tomllib available")
     def test_toml_rejected_without_tomllib(self, tmp_path):
         p = tmp_path / "m.toml"
@@ -293,6 +306,22 @@ class TestCliSubcommands:
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         assert [(r[1], r[-1]) for r in rows] == [("fsobolev", note), ("poincare", "")] * 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fsobolev_rate_infinite_above_max_f(self, model_file, tmp_path):
+        # max f is 1; an unbounded tilt domain cannot keep the rate finite
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(), "--t", "3",
+                "--u-grid", "1.5:1.5:1", "--families", "fsobolev,general",
+                "--fsobolev-c", "0.5", "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[2], r[4]) for r in rows] == [
+            ("fsobolev", "inf", "0"), ("general", "inf", "0")
+        ]
+
     def test_fsobolev_constant_without_the_family_runs_no_check(
         self, model_file, tmp_path, monkeypatch
     ):
@@ -340,6 +369,25 @@ class TestCliSubcommands:
             main(argv)
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2", "--out", "{bad}"],
+            ["simulate", "--t", "1", "--u", "0.2", "--samples", "100", "--out", "{bad}"],
+            ["compare", "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "100",
+             "--out", "{bad}"],
+            ["compare", "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "100",
+             "--out", "{csv}", "--summary-out", "{bad}"],
+        ],
+        ids=["bounds_out", "simulate_out", "compare_out", "compare_summary_out"],
+    )
+    def test_unwritable_output_exits_2(self, model_file, tmp_path, capsys, argv):
+        bad = tmp_path / "nosuch" / "out"
+        argv = [a.format(bad=bad, csv=tmp_path / "cmp.csv") for a in argv]
+        assert main([*argv, "--model", model_file()]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert not bad.parent.exists()
 
     def test_bounds_rates_are_the_compare_rates(self, model_file, tmp_path):
         model = model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F)
@@ -577,48 +625,6 @@ class TestCompare:
         assert gap != ""
         assert float(gap) > 0.0
 
-    def test_config_file_defaults_flags_win(self, model_file, tmp_path):
-        path = model_file()
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "t": [1.0],
-                    "u_grid": [0.1, 0.2],
-                    "samples": 1000,
-                    "seed": 4,
-                    "no_timestamp": True,
-                }
-            )
-        )
-        out1 = tmp_path / "a.csv"
-        assert main(
-            [
-                "compare", "--model", path, "--config", str(cfg),
-                "--out", str(out1),
-            ]
-        ) == 0
-        # the seed flag overrides the config seed
-        out2 = tmp_path / "b.csv"
-        assert main(
-            [
-                "compare", "--model", path, "--config", str(cfg),
-                "--seed", "9", "--out", str(out2),
-            ]
-        ) == 0
-        assert out1.read_bytes() != out2.read_bytes()
-
-    def test_threads_env_default(self, model_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MJPBOUNDS_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert main(
-            [
-                "compare", "--model", model_file(), "--t", "1",
-                "--u-grid", "0.2:0.2:1", "--samples", "2000",
-                "--no-timestamp", "--out", str(out),
-            ]
-        ) == 0
-
     def test_reads_model_once(self, model_file, tmp_path, monkeypatch):
         calls = []
         read = cli.read_model_file
@@ -633,33 +639,6 @@ class TestCompare:
         ) == 0
         assert len(calls) == 1
         assert json.loads(summary.read_text())["seed"] == 5
-
-    def test_config_threads_beat_env_and_lose_to_flag(
-        self, model_file, tmp_path, monkeypatch
-    ):
-        seen = []
-        averages = cli.time_averages
-
-        def spy(*args, threads, **kwargs):
-            seen.append(threads)
-            return averages(*args, threads=threads, **kwargs)
-
-        monkeypatch.setattr(cli, "time_averages", spy)
-        monkeypatch.setenv("MJPBOUNDS_THREADS", "4")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {"threads": 3, "t": [1.0], "u_grid": [0.2], "samples": 500,
-                 "families": "poincare"}
-            )
-        )
-        argv = [
-            "compare", "--model", model_file(), "--config", str(cfg),
-            "--out", str(tmp_path / "cmp.csv"),
-        ]
-        assert main(argv) == 0
-        assert main(argv + ["--threads", "2"]) == 0
-        assert seen == [3, 2]
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -677,105 +656,6 @@ class TestCompare:
         assert f"need at least one thread, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    @pytest.mark.parametrize("env", ["-3", "0", "abc"])
-    def test_bad_thread_variable_refused_unless_the_flag_wins(
-        self, model_file, tmp_path, capsys, monkeypatch, command, env
-    ):
-        monkeypatch.setenv("MJPBOUNDS_THREADS", env)
-        out = tmp_path / "out.csv"
-        grid = ["--u", "0.2"] if command == "simulate" else ["--u-grid", "0.2:0.2:1"]
-        argv = [
-            command, "--model", model_file(), "--t", "1", *grid,
-            "--samples", "500", "--out", str(out),
-        ]
-        assert main(argv) == 2
-        assert f"MJPBOUNDS_THREADS must be an integer >= 1, got {env!r}" in (
-            capsys.readouterr().err
-        )
-        assert not out.exists()
-        assert main(argv + ["--threads", "1"]) == 0
-        assert out.exists()
-
-    def test_empty_thread_variable_counts_as_unset(
-        self, model_file, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("MJPBOUNDS_THREADS", "")
-        assert main(
-            [
-                "simulate", "--model", model_file(), "--t", "1", "--u", "0.2",
-                "--samples", "500", "--out", str(tmp_path / "out.csv"),
-            ]
-        ) == 0
-
-    def test_config_thread_count_zero_refused(self, model_file, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"threads": 0, "t": [1.0], "u_grid": [0.2], "samples": 500})
-        )
-        out, summary = tmp_path / "cmp.csv", tmp_path / "cmp.json"
-        assert main(
-            [
-                "compare", "--model", model_file(), "--config", str(cfg),
-                "--out", str(out), "--summary-out", str(summary),
-            ]
-        ) == 2
-        assert "need at least one thread, got 0" in capsys.readouterr().err
-        assert not out.exists() and not summary.exists()
-
-    @pytest.mark.parametrize(
-        "text, reason",
-        [
-            ("{not json", "is not valid JSON"),
-            ('[["samples", 50]]', "must hold a JSON object"),
-            ('{"sample": 50, "t": [1], "u_grid": [0.2]}', "unknown keys ['sample']"),
-            (
-                '{"domination_sigma": 1.0, "t": [1], "u_grid": [0.2]}',
-                "unknown keys ['domination_sigma']",
-            ),
-            ('{"resume": true, "t": [1], "u_grid": [0.2]}', "unknown keys ['resume']"),
-            ('{"samples": "many", "t": [1], "u_grid": [0.2]}', "bad samples value"),
-            ('{"t": 5, "u_grid": [0.2]}', "bad t value"),
-            ('{"seed": 1.5, "t": [1], "u_grid": [0.2]}', "bad seed value"),
-            ('{"threads": "two", "t": [1], "u_grid": [0.2]}', "bad threads value"),
-        ],
-        ids=[
-            "invalid_json", "not_an_object", "misspelt_key", "domination_sigma",
-            "resume", "samples_string", "t_number", "seed_float", "threads_string",
-        ],
-    )
-    def test_bad_config_rejected(self, model_file, tmp_path, capsys, text, reason):
-        # every config but the unparsable ones is complete apart from its fault,
-        # and stderr names the check that refused it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        out = tmp_path / "cmp.csv"
-        assert main(
-            [
-                "compare", "--model", model_file(), "--config", str(cfg),
-                "--families", "poincare", "--out", str(out),
-            ]
-        ) == 2
-        assert reason in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "content", [None, b'{"t": "\xff"}'], ids=["missing", "not_utf8"]
-    )
-    def test_unreadable_config_file(self, model_file, tmp_path, content):
-        cfg = tmp_path / "cfg.json"
-        if content is not None:
-            cfg.write_bytes(content)
-        out = tmp_path / "cmp.csv"
-        assert main(
-            [
-                "compare", "--model", model_file(), "--config", str(cfg),
-                "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "500",
-                "--families", "poincare", "--out", str(out),
-            ]
-        ) == 2
-        assert not out.exists()
-
     def test_resume_flag_refused(self, model_file, tmp_path, capsys):
         # compare writes each CSV whole; there is no append mode
         out = tmp_path / "cmp.csv"
@@ -789,6 +669,40 @@ class TestCompare:
         assert exc.value.code == 2
         assert "--resume" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_flag_refused(self, model_file, tmp_path, capsys):
+        # settings are flags, on the command line or in an @file of flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"samples": 500}')
+        out = tmp_path / "cmp.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "compare", "--model", model_file(), "--t", "1",
+                    "--u-grid", "0.2:0.2:1", "--config", str(cfg), "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("env", ["abc", "0", "4", ""], ids=["abc", "0", "4", "empty"])
+    def test_thread_variable_ignored(
+        self, model_file, tmp_path, monkeypatch, command, env
+    ):
+        # the thread count is --threads, else 1; no environment variable sets it
+        grid = ["--u", "0.2"] if command == "simulate" else ["--u-grid", "0.2:0.2:1"]
+        argv = [
+            command, "--model", model_file(), "--t", "1", *grid, "--samples", "500",
+            "--no-timestamp", "--out", str(tmp_path / "out.csv"),
+        ]
+        monkeypatch.delenv("MJPBOUNDS_THREADS", raising=False)
+        assert main(argv) == 0
+        plain = (tmp_path / "out.csv").read_bytes()
+        monkeypatch.setenv("MJPBOUNDS_THREADS", env)
+        assert main(argv) == 0
+        assert (tmp_path / "out.csv").read_bytes() == plain
 
     def test_strict_exits_4_when_a_bound_is_beaten(
         self, model_file, tmp_path, monkeypatch
@@ -810,3 +724,100 @@ class TestCompare:
         assert failures == [("general", 0.1), ("general", 0.3)]
         oks = [row.split(",")[-2] for row in out.read_text().splitlines()[1:]]
         assert oks == ["0", "0"]
+
+
+def _exit_code(argv):
+    """The exit code of ``main(argv)``, also when argparse raises ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestArgsFile:
+    # ``@path`` reads more arguments from a file, one token per line
+
+    @staticmethod
+    def args_file(tmp_path, *tokens):
+        path = tmp_path / "run.args"
+        path.write_text("".join(f"{token}\n" for token in tokens))
+        return f"@{path}"
+
+    def test_file_settings_apply_and_a_later_flag_wins(self, model_file, tmp_path):
+        model = model_file()
+        settings = ["--t", "1", "--u-grid", "0.1:0.2:2", "--samples", "1000",
+                    "--seed", "4", "--no-timestamp"]
+
+        def body(*argv):
+            out = tmp_path / "cmp.csv"
+            assert main(["compare", "--model", model, *argv, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        from_file = body(self.args_file(tmp_path, *settings))
+        assert from_file.startswith(b"u,t,n,hits,")
+        assert from_file == body(*settings)
+        later = body(self.args_file(tmp_path, *settings), "--seed", "9")
+        assert later == body(*settings, "--seed", "9")
+        assert later != from_file
+
+    def test_file_threads_reach_the_simulator_and_a_later_flag_wins(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        seen = []
+        averages = cli.time_averages
+
+        def spy(*args, threads, **kwargs):
+            seen.append(threads)
+            return averages(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "time_averages", spy)
+        settings = self.args_file(
+            tmp_path, "--threads", "3", "--t", "1", "--u-grid", "0.2:0.2:1",
+            "--samples", "500", "--families", "poincare",
+        )
+        argv = ["compare", "--model", model_file(), settings,
+                "--out", str(tmp_path / "cmp.csv")]
+        assert main(argv) == 0
+        assert main(argv + ["--threads", "2"]) == 0
+        assert seen == [3, 2]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None, b"--samples\n\xff\n", b"--sample\n50\n", b"--domination-sigma\n1.0\n",
+            b"--resume\n", b"--samples\nmany\n", b"--seed\n1.5\n", b"--threads\ntwo\n",
+        ],
+        ids=[
+            "missing", "not_utf8", "misspelt_flag", "domination_sigma", "resume",
+            "samples_string", "seed_float", "threads_string",
+        ],
+    )
+    def test_bad_file_exits_2(self, model_file, tmp_path, content):
+        # strict decoding (Python < 3.12) raises on the byte 0xff; 3.12 passes
+        # it on escaped, and --samples refuses it as a number
+        path = tmp_path / "run.args"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "cmp.csv"
+        assert _exit_code(
+            [
+                "compare", "--model", model_file(), "--t", "1", "--u-grid", "0.2:0.2:1",
+                "--families", "poincare", f"@{path}", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+
+    def test_file_thread_count_zero_refused(self, model_file, tmp_path, capsys):
+        settings = self.args_file(
+            tmp_path, "--threads", "0", "--t", "1", "--u-grid", "0.2:0.2:1",
+            "--samples", "500",
+        )
+        out, summary = tmp_path / "cmp.csv", tmp_path / "cmp.json"
+        assert main(
+            [
+                "compare", "--model", model_file(), settings,
+                "--out", str(out), "--summary-out", str(summary),
+            ]
+        ) == 2
+        assert "need at least one thread, got 0" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
