@@ -5,24 +5,21 @@ Tilted eigenvalues and rate functions
 Tilting the symmetrized generator by r * diag(f) produces a convex
 eigenvalue curve lambda_0(r) with lambda_0(0) = 0.  Its Fenchel conjugate
 sup_r (ru - lambda_0(r)) is the exponential decay rate of the master tail
-bound, and it coincides with a constrained variational problem on the unit
-sphere of L2(pi) -- checked here by brute force.  The sub-gamma closed form
-used by the Bernstein-type families is validated against numerical
-conjugation.
+bound; near u = 0 it is Gaussian, u^2 / (2 sigma_hat^2), with the asymptotic
+variance sigma_hat^2.  The sub-gamma closed form used by the Bernstein-type
+families is validated against numerical conjugation.  (The acceptance suite
+checks the conjugate against the constrained variational problem and the
+semigroup norm against its eigenvalue bound.)
 """
-
-import numpy as np
 
 from mjpbounds import (
     BernsteinParams,
     analyze,
     bernstein_conjugate,
     fenchel_conjugate,
-    feynman_kac_norm,
     lambda0,
     lambda0_star,
     make_model,
-    rate_function_variational,
 )
 
 model = make_model([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [3.0, 1.0, -4.0]],
@@ -35,23 +32,15 @@ for r in (0.0, 0.1, 0.5, 1.0, 2.0):
     print(f"  lambda0({r:4.1f}) = {lambda0(a.sd, model.f, r):.6f}")
 print("convex, flat at 0; slope at infinity approaches max f.")
 
-print("\nOperator norm of the tilted semigroup vs its eigenvalue bound")
-print("-" * 60)
-for r, t in ((0.2, 1.0), (0.5, 2.0)):
-    norm = feynman_kac_norm(model.q, model.pi, model.f, r, t)
-    cap = np.exp(t * lambda0(a.sd, model.f, r))
-    print(f"  r={r}, t={t}:  ||exp(t(Q + r diag f))||_pi = {norm:.6f} <= {cap:.6f}")
-
-print("\nConjugate rate vs the constrained variational oracle")
+print("\nConjugate rate near u = 0 against its Gaussian limit u^2/(2 sigma_hat^2)")
 print("-" * 60)
 fmax = model.f.values.max()
 print(f"  (finite exactly on [min f, max f] = [{model.f.values.min():.3f}, {fmax:.3f}])")
-print(f"  {'u':>6}  {'conjugate':>12}  {'variational':>12}  {'diff':>9}")
-for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-    u = frac * fmax
+print(f"  {'u':>8}  {'conjugate':>14}  {'u^2/(2 s^2)':>14}  {'ratio':>8}")
+for u in (0.3, 0.1, 0.03, 0.01, 0.003):
     conj = lambda0_star(a.sd, model.f, u).value
-    var = rate_function_variational(model.q, model.pi, model.f, u)
-    print(f"  {u:6.3f}  {conj:12.8f}  {var:12.8f}  {abs(conj - var):9.1e}")
+    gauss = u * u / (2.0 * a.sigma_hat2)
+    print(f"  {u:8.3f}  {conj:14.8e}  {gauss:14.8e}  {conj / gauss:8.5f}")
 
 beyond = lambda0_star(a.sd, model.f, 1.5 * fmax)
 print(f"  u beyond max f: value = {beyond.value} (the average can never exceed max f)")

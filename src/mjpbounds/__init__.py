@@ -3,8 +3,7 @@
 The library validates a rate-matrix model, analyzes the generator's
 pi-weighted spectral data, evaluates a family of exponential tail bounds for
 P_nu(A_t/t >= u) where A_t integrates a centered observable along the path,
-and checks every bound against exact trajectory simulation and brute-force
-small-instance oracles.
+and estimates the same tail probabilities by exact trajectory simulation.
 """
 
 from .bounds import (
@@ -77,10 +76,8 @@ from .tilting import (
     bernstein_conjugate,
     chi2_prefactor,
     fenchel_conjugate,
-    feynman_kac_norm,
     lambda0,
     lambda0_star,
-    rate_function_variational,
 )
 
 __version__ = "0.1.0"

@@ -204,14 +204,6 @@ def _rate_bernstein_general(a: ModelAnalysis, u: float):
     return rate, "", {}
 
 
-def general_bernstein_eigen_bound(a: ModelAnalysis, r: float) -> float:
-    """Closed-form majorant of the tilted top eigenvalue on [0, gap/||f+||)."""
-    c = a.fplus_sup / a.gap
-    if not 0.0 <= r < 1.0 / c:
-        raise ValidationError(f"r = {r} outside [0, {1.0 / c})")
-    return r * r * (a.sigma_hat2 / 2.0) / (1.0 - c * r)
-
-
 @dataclass(frozen=True)
 class FSobolevFunction:
     """Strictly increasing concave F with F(1) = 0, plus inverse and F(0+)."""

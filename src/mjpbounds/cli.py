@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -62,31 +63,53 @@ def _parse_t_list(spec: str) -> list[float]:
     return values
 
 
-def _write_row(fh, *cells):
-    """Write one CSV row: floats with 17 significant digits, ``None`` as an
-    empty cell, anything else with ``str``."""
-    text = (
-        "" if c is None else _fmt(c) if isinstance(c, (float, np.floating)) else str(c)
-        for c in cells
-    )
-    fh.write(",".join(text) + "\n")
+def _csv_text(no_timestamp, header, rows) -> str:
+    """A whole CSV: the timestamp comment unless ``no_timestamp``, the column
+    ``header``, then one line per row, with floats to 17 significant digits,
+    ``None`` as an empty cell and anything else by ``str``."""
+
+    def cell(c):
+        if c is None:
+            return ""
+        return _fmt(c) if isinstance(c, (float, np.floating)) else str(c)
+
+    lines = [header] + [",".join(map(cell, row)) for row in rows]
+    if not no_timestamp:
+        lines.insert(0, "# generated " + datetime.now(timezone.utc).isoformat())
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(outputs):
+    """Write each ``(path, text)`` of ``outputs`` whole; a path of ``None`` or
+    ``-`` is stdout.
+
+    Commands compute every output before calling this, and every file is
+    opened for appending, which leaves it as it is, before any is written.  If
+    one cannot be opened, the files that this call created are removed and
+    the ``OSError`` propagates, so a refused or failed run writes no file."""
+    made = []
+    try:
+        for path, _ in outputs:
+            if path not in (None, "-"):
+                new = not os.path.lexists(path)
+                open(path, "a").close()
+                if new:
+                    made.append(path)
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
 
 
 def _write_csv(path, no_timestamp, header, rows):
-    """Write a whole CSV to ``path`` (``None`` or ``-`` is stdout): the
-    timestamp comment unless ``no_timestamp``, the column ``header``, then
-    ``rows``.  Commands compute every row before calling this, so a refused
-    or failed run leaves no file."""
-    fh = sys.stdout if path in (None, "-") else open(path, "w")
-    try:
-        if not no_timestamp:
-            fh.write("# generated " + datetime.now(timezone.utc).isoformat() + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            _write_row(fh, *row)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    """Write a whole CSV to ``path`` (``None`` or ``-`` is stdout)."""
+    _write_outputs([(path, _csv_text(no_timestamp, header, rows))])
 
 
 def _load(args):
@@ -275,9 +298,10 @@ def run_compare(config: RunConfig) -> dict:
 
     Every path is simulated once, to the largest horizon, and each family's
     rate is evaluated once per threshold and applied at every horizon.  All
-    of it happens before the output opens, so a refused or failed run writes
-    no file.  The CSV holds one row per (u, t) cell, in the order of
-    ``t_values``, and the summary's ``domination_failures`` cover every row.
+    of it happens before the outputs open, and the CSV and the summary are
+    written both or neither, so a refused or failed run writes no file.  The
+    CSV holds one row per (u, t) cell, in the order of ``t_values``, and the
+    summary's ``domination_failures`` cover every row.
     Returns the JSON-ready summary.
     """
     config.validate()
@@ -320,7 +344,6 @@ def run_compare(config: RunConfig) -> dict:
         sharp = sharpness_on and est.p_hat > 0.0
         row.append(-math.log(est.p_hat) / t - sharp_rate[u] if sharp else None)
         rows.append(row)
-    _write_csv(config.out, config.no_timestamp, header, rows)
 
     summary = {
         "model": config.model,
@@ -335,10 +358,10 @@ def run_compare(config: RunConfig) -> dict:
         "sharpness_diagnostic": sharpness_on,
         "fsobolev_verdict": verdict.status if verdict else None,
     }
+    outputs = [(config.out, _csv_text(config.no_timestamp, header, rows))]
     if config.summary_out:
-        with open(config.summary_out, "w") as sf:
-            json.dump(summary, sf, indent=2)
-            sf.write("\n")
+        outputs.append((config.summary_out, json.dumps(summary, indent=2) + "\n"))
+    _write_outputs(outputs)
     return summary
 
 

@@ -69,18 +69,6 @@ class NonFiniteError(NumericalError):
         super().__init__(f"objective returned non-finite value {value} at r = {r}")
 
 
-class DimensionTooLargeError(ValidationError):
-    def __init__(self, n, limit):
-        self.n, self.limit = n, limit
-        super().__init__(f"brute-force oracle supports n <= {limit}, got n = {n}")
-
-
-class InfeasibleSliceError(ValidationError):
-    def __init__(self, u, lo, hi):
-        self.u = u
-        super().__init__(f"threshold u = {u} lies outside the range [{lo}, {hi}] of f")
-
-
 class FSobolevNotVerifiedError(ValidationError):
     def __init__(self, verdict):
         self.verdict = verdict

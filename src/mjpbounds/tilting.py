@@ -5,9 +5,7 @@ the observable produces a selfadjoint operator whose top eigenvalue
 ``lambda_0(r)`` controls the weighted operator norm of the exponential
 semigroup ``exp(t(L + r M_f))``.  The Fenchel conjugate
 ``sup_r (ru - lambda_0(r))`` is the decay rate of the master concentration
-inequality; it coincides with a constrained variational problem over the
-unit sphere of L2(pi), which this module also solves by brute force for two
-and three states as an independent oracle.
+inequality.
 """
 
 from __future__ import annotations
@@ -17,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLargeError,
-    InfeasibleSliceError,
-    NonFiniteError,
-    ValidationError,
-)
-from .markov import Observable, ProbDist, QMatrix, _expm
-from .spectral import SpectralData, sym_coords
+from .errors import NonFiniteError, ValidationError
+from .markov import Observable, ProbDist
+from .spectral import SpectralData
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_CAP_FACTOR = 1e6
-VARIATIONAL_GRID = 4001
 
 
 @dataclass(frozen=True)
@@ -68,22 +60,6 @@ def lambda0(sd: SpectralData, f: Observable, r: float) -> float:
     if r == 0.0:
         return 0.0
     return float(np.linalg.eigvalsh(sd.sym_coords + r * np.diag(f.values))[-1])
-
-
-def feynman_kac_norm(
-    q: QMatrix, pi: ProbDist, f: Observable, r: float, t: float
-) -> float:
-    """Weighted operator 2-norm of exp(t(Q + r diag f)).
-
-    Computed as the largest singular value of the sqrt(pi)-similarity
-    transform of the matrix exponential.
-    """
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
-    m = _expm(t * (q.rates + r * np.diag(f.values)))
-    sqrt_pi = np.sqrt(pi.weights)
-    a = (m * sqrt_pi[:, None]) / sqrt_pi[None, :]
-    return float(np.linalg.norm(a, 2))
 
 
 def chi2_prefactor(nu: ProbDist, pi: ProbDist) -> float:
@@ -182,101 +158,3 @@ def lambda0_star(sd: SpectralData, f: Observable, u: float) -> ConjugateResult:
         return ConjugateResult(u=u, value=math.inf, argmax_r=None)
     cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
     return fenchel_conjugate(lambda r: lambda0(sd, f, r), u, r_max=cap)
-
-
-def rate_function_variational(
-    q: QMatrix, pi: ProbDist, f: Observable, u: float
-) -> float:
-    """Constrained minimum of -<Lg, g> over the unit sphere with <f g, g> = u.
-
-    Brute-force oracle for two and three states.  In sqrt(pi) coordinates the
-    constraint set is parametrized through the squared coordinates: for n = 2
-    it is a finite set of points, for n = 3 a segment in the simplex scanned
-    on a grid of ``VARIATIONAL_GRID`` points and polished by golden-section
-    search, with all sign patterns of the coordinates enumerated.
-    """
-    n = q.n
-    if n > 3:
-        raise DimensionTooLargeError(n, 3)
-    values = f.values
-    fmin, fmax = float(np.min(values)), float(np.max(values))
-    tol_edge = 1e-12 * max(1.0, abs(fmin), abs(fmax))
-    if u < fmin - tol_edge or u > fmax + tol_edge:
-        raise InfeasibleSliceError(u, fmin, fmax)
-    u = min(max(u, fmin), fmax)
-
-    b_sym = sym_coords(q, pi)
-
-    def energy(h: np.ndarray) -> float:
-        return float(-h @ b_sym @ h)
-
-    if n == 2:
-        return _variational_two_states(values, u, energy)
-    return _variational_three_states(b_sym, values, u, energy)
-
-
-def _variational_two_states(values, u, energy) -> float:
-    f0, f1 = values
-    if abs(f0 - f1) < 1e-300:
-        raise ValidationError("observable is constant; rate function degenerates")
-    alpha = (u - f1) / (f0 - f1)
-    alpha = min(max(alpha, 0.0), 1.0)
-    h0 = math.sqrt(alpha)
-    h1 = math.sqrt(1.0 - alpha)
-    return min(energy(np.array([h0, s * h1])) for s in (1.0, -1.0))
-
-
-def _simplex_slice(values, u: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points p of the three-state simplex with sum_x p_x f(x) = u and p_k = s.
-
-    k is the state outside the pair of f-values with the widest spread, the
-    pivot that keeps the slice solve stable.  Returns the points whose other
-    two coordinates are nonnegative (up to 1e-15, then clipped to 0), and the
-    mask of the entries of ``s`` they come from.
-    """
-    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    i, j, k = max(pairs, key=lambda p: abs(values[p[0]] - values[p[1]]))
-    fi, fj, fk = values[i], values[j], values[k]
-    # p_i + p_j = 1 - s, fi p_i + fj p_j = u - fk s
-    pi_ = ((1.0 - s) * fj - (u - fk * s)) / (fj - fi)
-    pj_ = (1.0 - s) - pi_
-    ok = (pi_ >= -1e-15) & (pj_ >= -1e-15)
-    p = np.empty((s.size, 3))
-    p[:, i] = np.clip(pi_, 0.0, None)
-    p[:, j] = np.clip(pj_, 0.0, None)
-    p[:, k] = s
-    return p[ok], ok
-
-
-_SIGN_PATTERNS_3 = [np.array([1.0, a, b]) for a in (1.0, -1.0) for b in (1.0, -1.0)]
-
-
-def _variational_three_states(b_sym, values, u, energy) -> float:
-    # the slice's points are the squared sqrt(pi) coordinates
-    s_vals = np.linspace(0.0, 1.0, VARIATIONAL_GRID)
-    p, ok = _simplex_slice(values, u, s_vals)
-    if p.shape[0] == 0:
-        return math.inf
-    h = np.sqrt(p)
-    best = math.inf
-    best_s = None
-    for sg in _SIGN_PATTERNS_3:
-        hs = h * sg
-        energies = -np.einsum("mi,ij,mj->m", hs, b_sym, hs)
-        idx = int(np.argmin(energies))
-        if energies[idx] < best:
-            best = float(energies[idx])
-            best_s = float(s_vals[ok][idx])
-
-    def best_over_signs(s: float) -> float:
-        p1, _ = _simplex_slice(values, u, np.array([s]))
-        if p1.shape[0] == 0:
-            return math.inf
-        h1 = np.sqrt(p1[0])
-        return min(energy(h1 * sg) for sg in _SIGN_PATTERNS_3)
-
-    step = 1.0 / (VARIATIONAL_GRID - 1)
-    lo = max(best_s - step, 0.0)
-    hi = min(best_s + step, 1.0)
-    _, neg_best = _golden_max(lambda s: -best_over_signs(s), lo, hi, 1e-13)
-    return min(best, -neg_best)

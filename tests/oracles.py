@@ -1,10 +1,12 @@
 """Brute-force and closed-form oracles that only the tests use.
 
 Each one computes a quantity the library also computes, by an independent
-route: the Donsker-Varadhan information scanned over the slice
-``{beta : beta(f) = u}`` against the general rate, a bound from a supplied
-rate function, the static Cramer transform, the second closed form of the
-sub-gamma conjugate, and strong connectivity by depth-first search.
+route: the Donsker-Varadhan information minimised over the slice
+``{beta : beta(f) = u}`` against the general rate, the weighted norm of the
+Feynman-Kac semigroup against its eigenvalue bound, the sub-gamma majorant
+of the tilted top eigenvalue, a bound from a supplied rate function, the
+static Cramer transform, the second closed form of the sub-gamma conjugate,
+and strong connectivity by depth-first search.
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ import numpy as np
 
 from mjpbounds import BernsteinParams, MJPModel, analyze, fenchel_conjugate, lambda0_star
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
-from mjpbounds.errors import (
-    DimensionTooLargeError,
-    InfeasibleSliceError,
-    ValidationError,
-)
-from mjpbounds.markov import Observable, ProbDist, QMatrix
-from mjpbounds.tilting import R_CAP_FACTOR, _simplex_slice
+from mjpbounds.errors import ValidationError
+from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
+from mjpbounds.spectral import sym_coords
+from mjpbounds.tilting import R_CAP_FACTOR, _golden_max
 
 
 def donsker_varadhan_info(q: QMatrix, pi: ProbDist, beta) -> float:
@@ -49,39 +48,114 @@ class InfoRepresentationReport:
     argmin_beta: np.ndarray
 
 
+def _simplex_slice(values, u: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points p of the three-state simplex with sum_x p_x f(x) = u and p_k = s.
+
+    k is the state outside the pair of f-values with the widest spread, the
+    pivot that keeps the slice solve stable.  Returns the points whose other
+    two coordinates are nonnegative (up to 1e-15, then clipped to 0), and the
+    mask of the entries of ``s`` they come from.
+    """
+    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+    i, j, k = max(pairs, key=lambda p: abs(values[p[0]] - values[p[1]]))
+    fi, fj, fk = values[i], values[j], values[k]
+    # p_i + p_j = 1 - s, fi p_i + fj p_j = u - fk s
+    pi_ = ((1.0 - s) * fj - (u - fk * s)) / (fj - fi)
+    pj_ = (1.0 - s) - pi_
+    ok = (pi_ >= -1e-15) & (pj_ >= -1e-15)
+    p = np.empty((s.size, 3))
+    p[:, i] = np.clip(pi_, 0.0, None)
+    p[:, j] = np.clip(pj_, 0.0, None)
+    p[:, k] = s
+    return p[ok], ok
+
+
 def verify_info_representation(
     model: MJPModel, u: float, grid_density: int = 10001
 ) -> InfoRepresentationReport:
     """Brute-force check that the information infimum equals the general rate.
 
-    The slice ``{beta : beta(f) = u}`` is a single point for two states and a
-    segment for three; the segment is grid-scanned.  Intended for n in {2, 3}.
+    The information of ``beta`` is ``-h^T B h`` with ``h = sqrt(beta)`` and
+    ``B = sym_coords(q, pi)``.  The slice ``{beta : beta(f) = u}`` is a single
+    point for two states and a segment for three; the segment is scanned on
+    ``grid_density`` points and the best one polished by golden-section
+    search (the information is convex in ``beta``).  No other signs of ``h``
+    are tried: ``B`` has nonnegative off-diagonal entries, so
+    ``-|h|^T B |h| <= -h^T B h`` and the minimum lies at ``h >= 0``.  For n in
+    {2, 3}.
     """
     n = model.n
     if n > 3:
-        raise DimensionTooLargeError(n, 3)
+        raise ValidationError(f"brute-force oracle supports n <= 3, got n = {n}")
     f = model.f.values
     fmin, fmax = float(np.min(f)), float(np.max(f))
-    if u < fmin - 1e-12 or u > fmax + 1e-12:
-        raise InfeasibleSliceError(u, fmin, fmax)
-    a = analyze(model)
-    conj = lambda0_star(a.sd, model.f, u)
+    tol_edge = 1e-12 * max(1.0, abs(fmin), abs(fmax))
+    if u < fmin - tol_edge or u > fmax + tol_edge:
+        raise ValidationError(
+            f"threshold u = {u} lies outside the range [{fmin}, {fmax}] of f"
+        )
+    u_in = min(max(u, fmin), fmax)
+    b_sym = sym_coords(model.q, model.pi)
+
+    def infos(betas: np.ndarray) -> np.ndarray:
+        h = np.sqrt(betas)
+        return -np.einsum("mi,ij,mj->m", h, b_sym, h)
 
     if n == 2:
-        b0 = (u - f[1]) / (f[0] - f[1])
-        b0 = min(max(b0, 0.0), 1.0)
-        betas = np.array([[b0, 1.0 - b0]])
+        b0 = min(max((u_in - f[1]) / (f[0] - f[1]), 0.0), 1.0)
+        beta = np.array([b0, 1.0 - b0])
+        info = float(infos(beta[None, :])[0])
     else:
-        betas, _ = _simplex_slice(f, u, np.linspace(0.0, 1.0, grid_density))
-    infos = np.array([donsker_varadhan_info(model.q, model.pi, b) for b in betas])
-    k = int(np.argmin(infos))
+        s_vals = np.linspace(0.0, 1.0, grid_density)
+        betas, ok = _simplex_slice(f, u_in, s_vals)
+        grid_infos = infos(betas)
+        k = int(np.argmin(grid_infos))
+        beta, info = betas[k], float(grid_infos[k])
+
+        def neg_info(s: float) -> float:
+            p, _ = _simplex_slice(f, u_in, np.array([s]))
+            return -float(infos(p)[0]) if p.shape[0] else -math.inf
+
+        step = 1.0 / (grid_density - 1)
+        s_k = float(s_vals[ok][k])
+        s_best, neg_best = _golden_max(
+            neg_info, max(s_k - step, 0.0), min(s_k + step, 1.0), 1e-13
+        )
+        if -neg_best < info:
+            info = -neg_best
+            beta = _simplex_slice(f, u_in, np.array([s_best]))[0][0]
+    conj = lambda0_star(analyze(model).sd, model.f, u).value
     return InfoRepresentationReport(
         u=u,
-        info_infimum=float(infos[k]),
-        conjugate_value=conj.value,
-        gap=abs(float(infos[k]) - conj.value),
-        argmin_beta=betas[k],
+        info_infimum=info,
+        conjugate_value=conj,
+        gap=abs(info - conj),
+        argmin_beta=beta,
     )
+
+
+def feynman_kac_norm(
+    q: QMatrix, pi: ProbDist, f: Observable, r: float, t: float
+) -> float:
+    """Weighted operator 2-norm of exp(t(Q + r diag f)).
+
+    Computed as the largest singular value of the sqrt(pi)-similarity
+    transform of the matrix exponential.
+    """
+    if t < 0:
+        raise ValidationError(f"time must be nonnegative, got {t}")
+    m = _expm(t * (q.rates + r * np.diag(f.values)))
+    sqrt_pi = np.sqrt(pi.weights)
+    a = (m * sqrt_pi[:, None]) / sqrt_pi[None, :]
+    return float(np.linalg.norm(a, 2))
+
+
+def general_bernstein_eigen_bound(a: ModelAnalysis, r: float) -> float:
+    """Closed-form majorant of the tilted top eigenvalue on [0, gap/||f+||)."""
+    c = a.fplus_sup / a.gap
+    if not 0.0 <= r < 1.0 / c:
+        raise ValidationError(f"r = {r} outside [0, {1.0 / c})")
+    return r * r * (a.sigma_hat2 / 2.0) / (1.0 - c * r)
 
 
 def bound_via_alpha(

@@ -24,23 +24,15 @@ from mjpbounds import (
     two_sided,
 )
 from mjpbounds import bounds
-from mjpbounds.bounds import (
-    ASCENT_STEPS,
-    FSobolevFunction,
-    general_bernstein_eigen_bound,
-    perturbation_branch_threshold,
-)
-from mjpbounds.errors import (
-    FSobolevNotVerifiedError,
-    InfeasibleSliceError,
-    ValidationError,
-)
+from mjpbounds.bounds import ASCENT_STEPS, FSobolevFunction, perturbation_branch_threshold
+from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
 from oracles import (
     bound_via_alpha,
     cramer_transform_static,
     donsker_varadhan_info,
+    general_bernstein_eigen_bound,
     verify_info_representation,
 )
 
@@ -377,6 +369,11 @@ class TestInfoRepresentation:
         # slice equation: beta0 - 2 beta1 = 0.5 with beta0 + beta1 = 1
         np.testing.assert_allclose(rep.argmin_beta, [5 / 6, 1 / 6], atol=1e-12)
         assert rep.gap <= 1e-6
+        # at u = max f the slice is the point mass on the argmax state, whose
+        # information is that state's exit rate
+        rep = verify_info_representation(two_state, 1.0)
+        np.testing.assert_allclose(rep.argmin_beta, [1.0, 0.0], atol=1e-12)
+        assert rep.info_infimum == pytest.approx(two_state.q.exit_rates[0], abs=1e-10)
 
     def test_three_state_grid_gap_small_and_shrinking(self, three_dense):
         gaps = [
@@ -387,8 +384,13 @@ class TestInfoRepresentation:
         assert gaps[2] <= gaps[0] + 1e-12
 
     def test_infeasible_slice(self, two_state):
-        with pytest.raises(InfeasibleSliceError):
+        with pytest.raises(ValidationError, match="lies outside the range"):
             verify_info_representation(two_state, 1.4)
+
+    def test_dimension_guard(self):
+        m = random_irreducible_model(np.random.default_rng(9), n=4)
+        with pytest.raises(ValidationError, match="supports n <= 3, got n = 4"):
+            verify_info_representation(m, 0.1)
 
 
 class TestBoundViaAlpha:

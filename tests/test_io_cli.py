@@ -379,15 +379,23 @@ class TestCliSubcommands:
              "--out", "{bad}"],
             ["compare", "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "100",
              "--out", "{csv}", "--summary-out", "{bad}"],
+            ["compare", "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "100",
+             "--out", "{bad}", "--summary-out", "{json}"],
         ],
-        ids=["bounds_out", "simulate_out", "compare_out", "compare_summary_out"],
+        ids=["bounds_out", "simulate_out", "compare_out", "compare_summary_out",
+             "compare_out_with_summary"],
     )
     def test_unwritable_output_exits_2(self, model_file, tmp_path, capsys, argv):
+        # one output that cannot be opened: the run writes none of them
         bad = tmp_path / "nosuch" / "out"
-        argv = [a.format(bad=bad, csv=tmp_path / "cmp.csv") for a in argv]
-        assert main([*argv, "--model", model_file()]) == 2
+        argv = [
+            a.format(bad=bad, csv=tmp_path / "cmp.csv", json=tmp_path / "cmp.json")
+            for a in argv
+        ]
+        model = model_file()
+        assert main([*argv, "--model", model]) == 2
         assert "cannot write output" in capsys.readouterr().err
-        assert not bad.parent.exists()
+        assert [str(p) for p in tmp_path.iterdir()] == [model]
 
     def test_bounds_rates_are_the_compare_rates(self, model_file, tmp_path):
         model = model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F)

@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjpbounds import (
     Observable,
@@ -20,7 +22,6 @@ from mjpbounds import (
     make_model,
     phi_series,
     probability_vector,
-    rate_function_variational,
     pi_inner,
     pi_variance,
     resolvent_power,
@@ -33,7 +34,7 @@ from mjpbounds.bounds import _ascend_violation
 from mjpbounds.errors import DegenerateGapError, NotCenteredError
 from mjpbounds.spectral import sym_coords
 
-from conftest import random_irreducible_model
+from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
 
 
 class TestAdjointGenerator:
@@ -153,6 +154,32 @@ class TestSpectralDecomposition:
         pi = ProbDist(np.array([0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(DegenerateGapError):
             spectral_decomposition(q, pi)
+
+
+@st.composite
+def chains_and_vectors(draw):
+    """A random irreducible chain with n in 2..6, or the non-reversible
+    three-cycle, and a vector of its size."""
+    if draw(st.booleans()):
+        m = make_model(THREE_CYCLE_Q, THREE_CYCLE_F)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = random_irreducible_model(rng, n=draw(st.integers(2, 6)))
+    h = draw(st.lists(st.floats(-10.0, 10.0), min_size=m.n, max_size=m.n))
+    return m, np.array(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_and_vectors())
+def test_sign_flips_never_lower_the_information(chain):
+    # why the variational oracle scans only h >= 0: the off-diagonal entries
+    # (pi_x q_xy + pi_y q_yx) / (2 sqrt(pi_x pi_y)) are nonnegative
+    m, h = chain
+    b = sym_coords(m.q, m.pi)
+    assert np.all(b[~np.eye(m.n, dtype=bool)] >= 0.0)
+    abs_h = np.abs(h)
+    scale = abs_h @ np.abs(b) @ abs_h
+    assert -abs_h @ b @ abs_h <= -h @ b @ h + 1e-12 * scale
 
 
 class TestReducedResolvent:
@@ -323,10 +350,10 @@ class TestSpectralDataOwnsPi:
             (lambda0, "pi"), (lambda0_star, "pi"), (lambda0_coefficients, "pi"),
             (sigma_hat_sq, "pi"), (make_model, "tol"), (validate_q_matrix, "tol"),
             (invariant_distribution, "tol"), (probability_vector, "tol"),
-            (lambda0_star, "tol"), (rate_function_variational, "grid"),
-            (phi_series, "tol"), (phi_series, "n_cap"), (check_f_sobolev, "sweep"),
-            (check_f_sobolev, "seed"), (_ascend_violation, "steps"),
-            (_ascend_violation, "lr"), (check_f_sobolev, "n_restarts"),
+            (lambda0_star, "tol"), (phi_series, "tol"), (phi_series, "n_cap"),
+            (check_f_sobolev, "sweep"), (check_f_sobolev, "seed"),
+            (_ascend_violation, "steps"), (_ascend_violation, "lr"),
+            (check_f_sobolev, "n_restarts"),
             (evaluate_family, "F"), (evaluate_family, "assume_fsobolev"),
             (evaluate_family, "fsobolev_verdict"),
         ],

@@ -10,16 +10,13 @@ from mjpbounds import (
     bernstein_conjugate,
     chi2_prefactor,
     fenchel_conjugate,
-    feynman_kac_norm,
     lambda0,
     lambda0_star,
     probability_vector,
-    rate_function_variational,
 )
-from mjpbounds.errors import DimensionTooLargeError, NonFiniteError, ValidationError
+from mjpbounds.errors import NonFiniteError, ValidationError
 
-from conftest import random_irreducible_model
-from oracles import bernstein_conjugate_vform, cramer_transform_static
+from oracles import bernstein_conjugate_vform, cramer_transform_static, feynman_kac_norm
 
 
 class TestLambda0:
@@ -217,45 +214,6 @@ class TestLambda0Star:
             lambda0_star(a.sd, two_state.f, u)
         with pytest.raises(ValidationError, match="u >= 0"):
             bernstein_conjugate(BernsteinParams(v=1.0, c=1.0), u)
-
-
-class TestVariationalOracle:
-    def test_zero_threshold_attained_at_constants(self, two_state, three_cycle):
-        for m in (two_state, three_cycle):
-            assert rate_function_variational(m.q, m.pi, m.f, 0.0) == pytest.approx(
-                0.0, abs=1e-10
-            )
-
-    def test_max_f_single_feasible_point(self, two_state):
-        # at u = max f the only unit vector supported on the argmax state has
-        # energy equal to its exit rate
-        val = rate_function_variational(two_state.q, two_state.pi, two_state.f, 1.0)
-        x_star = int(np.argmax(two_state.f.values))
-        assert val == pytest.approx(two_state.q.exit_rates[x_star], abs=1e-10)
-
-    def test_agrees_with_conjugate_two_states(self, two_state):
-        a = analyze(two_state)
-        fmax = two_state.f.values.max()
-        for u in np.linspace(0.05, 0.95, 10) * fmax:
-            conj = lambda0_star(a.sd, two_state.f, float(u)).value
-            var = rate_function_variational(two_state.q, two_state.pi, two_state.f, float(u))
-            assert abs(conj - var) <= 1e-5
-
-    def test_agrees_with_conjugate_three_states(self, three_dense):
-        a = analyze(three_dense)
-        fmax = three_dense.f.values.max()
-        for u in np.linspace(0.1, 0.9, 7) * fmax:
-            conj = lambda0_star(a.sd, three_dense.f, float(u)).value
-            var = rate_function_variational(
-                three_dense.q, three_dense.pi, three_dense.f, float(u)
-            )
-            assert abs(conj - var) <= 1e-5
-
-    def test_dimension_guard(self):
-        rng = np.random.default_rng(9)
-        m = random_irreducible_model(rng, n=4)
-        with pytest.raises(DimensionTooLargeError):
-            rate_function_variational(m.q, m.pi, m.f, 0.1)
 
 
 class TestCramerStatic:
