@@ -369,11 +369,6 @@ class TestInfoRepresentation:
         # slice equation: beta0 - 2 beta1 = 0.5 with beta0 + beta1 = 1
         np.testing.assert_allclose(rep.argmin_beta, [5 / 6, 1 / 6], atol=1e-12)
         assert rep.gap <= 1e-6
-        # at u = max f the slice is the point mass on the argmax state, whose
-        # information is that state's exit rate
-        rep = verify_info_representation(two_state, 1.0)
-        np.testing.assert_allclose(rep.argmin_beta, [1.0, 0.0], atol=1e-12)
-        assert rep.info_infimum == pytest.approx(two_state.q.exit_rates[0], abs=1e-10)
 
     def test_three_state_grid_gap_small_and_shrinking(self, three_dense):
         gaps = [

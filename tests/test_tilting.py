@@ -16,7 +16,12 @@ from mjpbounds import (
 )
 from mjpbounds.errors import NonFiniteError, ValidationError
 
-from oracles import bernstein_conjugate_vform, cramer_transform_static, feynman_kac_norm
+from oracles import (
+    bernstein_conjugate_vform,
+    cramer_transform_static,
+    feynman_kac_norm,
+    verify_info_representation,
+)
 
 
 class TestLambda0:
@@ -214,6 +219,18 @@ class TestLambda0Star:
             lambda0_star(a.sd, two_state.f, u)
         with pytest.raises(ValidationError, match="u >= 0"):
             bernstein_conjugate(BernsteinParams(v=1.0, c=1.0), u)
+
+
+class TestVariationalOracle:
+    def test_max_f_single_feasible_point(self, two_state):
+        # at u = max f the slice is the point mass on the argmax state, whose
+        # information is that state's exit rate
+        rep = verify_info_representation(two_state, 1.0)
+        x_star = int(np.argmax(two_state.f.values))
+        np.testing.assert_allclose(rep.argmin_beta, np.eye(2)[x_star], atol=1e-12)
+        assert rep.info_infimum == pytest.approx(
+            two_state.q.exit_rates[x_star], abs=1e-10
+        )
 
 
 class TestCramerStatic:
