@@ -24,13 +24,9 @@ from .combinatorics import (
     SeriesCoefficients,
     beta,
     beta_total,
-    class_census,
-    enumerate_classes,
     lambda0_coefficients,
     motzkin,
-    motzkin_binomial,
     phi,
-    phi_series,
 )
 from .markov import (
     MJPModel,

@@ -428,6 +428,6 @@ def iid_sum_bound(
     per replica.  (The single-prefactor variant ``prefactor * e^{-n t rate}``
     is a caller-side choice; this function ships the product form.)
     """
-    if n_replicas < 1:
-        raise ValidationError(f"need at least one replica, got {n_replicas}")
+    if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 1:
+        raise ValidationError(f"need a whole number of replicas >= 1, got {n_replicas}")
     return _tail_bound(prefactor**n_replicas, t, n_replicas * float(rate_fn(u)))

@@ -86,7 +86,13 @@ def _write_outputs(outputs):
     Commands compute every output before calling this, and every file is
     opened for appending, which leaves it as it is, before any is written.  If
     one cannot be opened, the files that this call created are removed and
-    the ``OSError`` propagates, so a refused or failed run writes no file."""
+    the ``OSError`` propagates, so a refused or failed run writes no file.
+    Two outputs that resolve to one file would leave only the last text, so
+    they are refused before anything is opened."""
+    files = [os.path.realpath(path) for path, _ in outputs if path not in (None, "-")]
+    if len(set(files)) < len(files):
+        same = max(files, key=files.count)
+        raise ValidationError(f"two outputs name the same file: {same}")
     made = []
     try:
         for path, _ in outputs:

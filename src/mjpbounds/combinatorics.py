@@ -15,21 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, OrderTooLargeError
-from .errors import OutOfRangeError, TooLargeError
+from .errors import DomainError, NumericalError, OrderTooLargeError, OutOfRangeError
 from .markov import Observable
 from .spectral import SpectralData
 
 # range check on the requested series order, not a cost limit: order 200
 # takes about 2 ms on an 8-state and 10 ms on a 64-state chain (2-core x86)
 ORDER_CAP = 200
-ENUMERATION_CAP = 14
-PHI_SERIES_TOL = 1e-14
-PHI_SERIES_CAP = 600
 
 
 def motzkin(n_max: int) -> list[int]:
@@ -49,111 +44,23 @@ def motzkin(n_max: int) -> list[int]:
     return m
 
 
-def motzkin_binomial(n: int) -> int:
-    """Independent closed form m_n = sum_m C(n, 2m) (2m)!/(m!(m+1)!)."""
-    if n < 0:
-        raise OutOfRangeError(f"need n >= 0, got {n}")
-    return sum(
-        math.comb(n, 2 * m) * math.factorial(2 * m)
-        // (math.factorial(m) * math.factorial(m + 1))
-        for m in range(n // 2 + 1)
-    )
-
-
 def beta(n: int, m: int) -> int:
     """Number of rotation classes of weak compositions of n-1 into n parts
     with exactly m non-adjacent zeros.
 
-    Evaluates both closed forms,
-    ``C(n-1, m) C(n-1-m, n-2m) / (n-1)`` and
-    ``C(n-m-1, m-1) C(n-2, n-m-1) / m``,
-    and insists they agree.  Returns 0 for m above floor(n/2), where two
-    zeros would have to be adjacent.
+    Closed form ``C(n-1, m) C(n-1-m, n-2m) / (n-1)``; 0 for m above
+    floor(n/2), where two zeros would have to be adjacent.
     """
     if n < 2 or m < 1:
         raise OutOfRangeError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if m > n // 2:
         return 0
-    num = math.comb(n - 1, m) * math.comb(n - 1 - m, n - 2 * m)
-    if num % (n - 1) != 0:
-        raise OutOfRangeError(f"closed form for beta({n},{m}) is not integral")
-    first = num // (n - 1)
-    alt_num = math.comb(n - m - 1, m - 1) * math.comb(n - 2, n - m - 1)
-    if alt_num % m != 0 or alt_num // m != first:
-        raise OutOfRangeError(f"the two closed forms for beta({n},{m}) disagree")
-    return first
+    return math.comb(n - 1, m) * math.comb(n - 1 - m, n - 2 * m) // (n - 1)
 
 
 def beta_total(n: int) -> int:
     """beta_n = sum over m of beta(n, m); equals the Motzkin number m_{n-2}."""
     return sum(beta(n, m) for m in range(1, n // 2 + 1))
-
-
-@dataclass(frozen=True)
-class CompositionClass:
-    """Rotation class of a weak composition, keyed by its minimal rotation."""
-
-    representative: tuple[int, ...]
-    size: int
-    zeros: int
-    adjacent_zeros: bool
-
-
-def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
-    return min(t[i:] + t[:i] for i in range(len(t)))
-
-
-def _has_cyclic_adjacent_zeros(t: tuple[int, ...]) -> bool:
-    n = len(t)
-    return any(t[i] == 0 and t[(i + 1) % n] == 0 for i in range(n))
-
-
-def enumerate_classes(n: int) -> list[CompositionClass]:
-    """All rotation classes of weak compositions of n-1 into n parts.
-
-    Every class has exactly n members because gcd(n, n-1) = 1; this is
-    asserted during the census.  Per class the zero count and the cyclic
-    zero-adjacency flag are recorded.
-    """
-    if n < 2:
-        raise OutOfRangeError(f"need n >= 2, got {n}")
-    if n > ENUMERATION_CAP:
-        raise TooLargeError(n, ENUMERATION_CAP)
-    total = n - 1
-    counts: dict[tuple[int, ...], int] = {}
-    for dividers in combinations(range(total + n - 1), n - 1):
-        comp = []
-        prev = -1
-        for d in dividers:
-            comp.append(d - prev - 1)
-            prev = d
-        comp.append(total + n - 2 - prev)
-        key = _min_rotation(tuple(comp))
-        counts[key] = counts.get(key, 0) + 1
-    classes = []
-    for rep, size in sorted(counts.items()):
-        if size != n:
-            raise OutOfRangeError(
-                f"rotation class {rep} has {size} members, expected {n}"
-            )
-        classes.append(
-            CompositionClass(
-                representative=rep,
-                size=size,
-                zeros=rep.count(0),
-                adjacent_zeros=_has_cyclic_adjacent_zeros(rep),
-            )
-        )
-    return classes
-
-
-def class_census(n: int) -> dict[int, int]:
-    """Count classes with m non-adjacent zeros; the enumeration oracle for beta."""
-    census: dict[int, int] = {}
-    for cls in enumerate_classes(n):
-        if not cls.adjacent_zeros:
-            census[cls.zeros] = census.get(cls.zeros, 0) + 1
-    return census
 
 
 def phi(x: float) -> float:
@@ -166,25 +73,6 @@ def phi(x: float) -> float:
         raise DomainError(x, 0.0, 1.0 / 3.0)
     arg = 1.0 - 4.0 * x * x / (1.0 - x) ** 2
     return 0.5 * (1.0 - x) * (1.0 - math.sqrt(max(arg, 0.0)))
-
-
-def phi_series(x: float) -> float:
-    """Partial sum of sum beta_n x^n, until the terms drop below PHI_SERIES_TOL
-    or n reaches PHI_SERIES_CAP.  Near x = 1/3 the cap comes first and the sum
-    falls short of ``phi``: 0.3200 against 0.3333 at x = 1/3.
-
-    Uses the closed form for beta(n, m) only, so it is an oracle independent
-    of the Motzkin recurrence and of ``phi``.
-    """
-    if not 0.0 <= x <= 1.0 / 3.0 + 1e-15:
-        raise DomainError(x, 0.0, 1.0 / 3.0)
-    terms = []
-    for n in range(2, PHI_SERIES_CAP + 1):
-        term = float(beta_total(n)) * x**n
-        terms.append(term)
-        if n > 8 and term < PHI_SERIES_TOL:
-            break
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

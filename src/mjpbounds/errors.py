@@ -89,12 +89,6 @@ class OutOfRangeError(ValidationError):
         super().__init__(msg)
 
 
-class TooLargeError(ValidationError):
-    def __init__(self, n, limit):
-        self.n, self.limit = n, limit
-        super().__init__(f"enumeration supports n <= {limit}, got n = {n}")
-
-
 class DomainError(ValidationError):
     def __init__(self, x, lo, hi):
         self.x = x

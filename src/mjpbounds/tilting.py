@@ -150,11 +150,15 @@ def lambda0_star(sd: SpectralData, f: Observable, u: float) -> ConjugateResult:
     Finite exactly on [min f, max f]; beyond max f the conjugate is infinite
     and the result carries ``value = inf``.  At u = max f the supremum is
     approached only as r grows, so the search is capped and the result is
-    flagged as a boundary value.
+    flagged as a boundary value.  For f = 0 (a constant observable, centered)
+    the tilt does nothing and lambda_0 = 0, so the conjugate at u = 0 is 0.
     """
     if not u >= 0:  # also refuses NaN
         raise ValidationError(f"threshold must be nonnegative, got {u}")
     if above_max(f, u):
         return ConjugateResult(u=u, value=math.inf, argmax_r=None)
-    cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
+    sup = f.sup_norm
+    if sup == 0.0:
+        return ConjugateResult(u=u, value=0.0, argmax_r=0.0)
+    cap = R_CAP_FACTOR * (1.0 + 1.0 / sup)
     return fenchel_conjugate(lambda r: lambda0(sd, f, r), u, r_max=cap)

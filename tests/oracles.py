@@ -6,17 +6,30 @@ route: the Donsker-Varadhan information minimised over the slice
 Feynman-Kac semigroup against its eigenvalue bound, the sub-gamma majorant
 of the tilted top eigenvalue, a bound from a supplied rate function, the
 static Cramer transform, the second closed form of the sub-gamma conjugate,
-and strong connectivity by depth-first search.
+strong connectivity by depth-first search, and for the series combinatorics
+a census of rotation classes by enumeration, a binomial sum for the Motzkin
+numbers, a partial sum of the majorant's series and the second closed form
+of beta(n, m).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from mjpbounds import BernsteinParams, MJPModel, analyze, fenchel_conjugate, lambda0_star
+from mjpbounds import (
+    BernsteinParams,
+    MJPModel,
+    analyze,
+    beta_total,
+    fenchel_conjugate,
+    lambda0_star,
+)
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
 from mjpbounds.errors import ValidationError
 from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
@@ -224,3 +237,68 @@ def strongly_connected(adj) -> bool:
 
     adj = np.asarray(adj, dtype=bool)
     return reaches_all(adj) and reaches_all(adj.T)
+
+
+def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
+    return min(t[i:] + t[:i] for i in range(len(t)))
+
+
+def _has_cyclic_adjacent_zeros(t: tuple[int, ...]) -> bool:
+    n = len(t)
+    return any(t[i] == 0 and t[(i + 1) % n] == 0 for i in range(n))
+
+
+def enumerate_classes(n: int) -> Counter:
+    """Rotation classes of the weak compositions of n-1 into n parts, each
+    keyed by its minimal rotation and mapped to its number of members.
+
+    Stars and bars: the n-1 bar positions among 2n-2 slots fix a composition.
+    The count is C(2n-2, n-1), so keep n small.
+    """
+    sizes: Counter = Counter()
+    for bars in combinations(range(2 * n - 2), n - 1):
+        ends = (-1, *bars, 2 * n - 2)
+        sizes[_min_rotation(tuple(b - a - 1 for a, b in zip(ends, ends[1:])))] += 1
+    return sizes
+
+
+def class_census(n: int) -> Counter:
+    """Number of rotation classes with m zeros, no two cyclically adjacent,
+    keyed by m: the enumeration of what ``beta(n, m)`` counts in closed form."""
+    return Counter(
+        rep.count(0)
+        for rep in enumerate_classes(n)
+        if not _has_cyclic_adjacent_zeros(rep)
+    )
+
+
+def motzkin_binomial(n: int) -> int:
+    """Motzkin number m_n = sum_m C(n, 2m) (2m)! / (m! (m+1)!)."""
+    return sum(
+        math.comb(n, 2 * m) * math.factorial(2 * m)
+        // (math.factorial(m) * math.factorial(m + 1))
+        for m in range(n // 2 + 1)
+    )
+
+
+def beta_second_form(n: int, m: int) -> Fraction:
+    """beta(n, m) for 1 <= m <= n // 2 as C(n-m-1, m-1) C(n-2, n-m-1) / m,
+    exact, so that equality with an integer also shows it is integral."""
+    return Fraction(math.comb(n - m - 1, m - 1) * math.comb(n - 2, n - m - 1), m)
+
+
+def phi_series(x: float) -> float:
+    """Partial sum of sum_n beta_n x^n over n >= 2, until a term past n = 8
+    drops below 1e-14 or n reaches 600.
+
+    Near x = 1/3 the terms decay only polynomially, so the cap comes first and
+    the sum falls short of ``phi``: 0.3200 against 0.3333 at x = 1/3.  Uses
+    ``beta``'s closed form only, not the Motzkin recurrence and not ``phi``.
+    """
+    terms = []
+    for n in range(2, 601):
+        term = float(beta_total(n)) * x**n
+        terms.append(term)
+        if n > 8 and term < 1e-14:
+            break
+    return math.fsum(terms)

@@ -18,7 +18,6 @@ from mjpbounds import (
     beta,
     beta_total,
     check_f_sobolev,
-    class_census,
     empirical_tail,
     empirical_variance_rate,
     evaluate_family,
@@ -29,9 +28,7 @@ from mjpbounds import (
     log_sobolev,
     make_model,
     motzkin,
-    motzkin_binomial,
     phi,
-    phi_series,
     pi_inner,
     pi_variance,
     resolvent_power,
@@ -46,8 +43,11 @@ from mjpbounds.cli import main as cli_main
 from conftest import random_irreducible_model
 from oracles import (
     bernstein_conjugate_vform,
+    class_census,
     feynman_kac_norm,
     general_bernstein_eigen_bound,
+    motzkin_binomial,
+    phi_series,
     verify_info_representation,
 )
 

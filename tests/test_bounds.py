@@ -503,6 +503,11 @@ class TestIidSumBound:
         assert iid_sum_bound(lambda u: 0.0, 3, 0.3, t=2.0) == 1.0
         assert iid_sum_bound(lambda u: math.inf, 3, 0.3, t=2.0) == 0.0
 
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0, math.nan])
+    def test_replica_count_must_be_a_whole_number(self, n):
+        with pytest.raises(ValidationError, match="replicas"):
+            iid_sum_bound(lambda u: 0.25, n, 0.3, t=2.0)
+
     def test_single_replica_unchanged(self):
         assert iid_sum_bound(lambda u: 0.25, 1, 0.3, t=2.0) == pytest.approx(
             math.exp(-0.5)

@@ -3,30 +3,34 @@ import math
 import numpy as np
 import pytest
 
+import mjpbounds
 from mjpbounds import (
     analyze,
     beta,
     beta_total,
-    class_census,
-    enumerate_classes,
     lambda0,
     lambda0_coefficients,
     make_model,
     motzkin,
-    motzkin_binomial,
     phi,
-    phi_series,
 )
+from mjpbounds import combinatorics
 from mjpbounds.combinatorics import ORDER_CAP
 from mjpbounds.errors import (
     DomainError,
     NumericalError,
     OrderTooLargeError,
     OutOfRangeError,
-    TooLargeError,
 )
 
 from conftest import random_irreducible_model
+from oracles import (
+    beta_second_form,
+    class_census,
+    enumerate_classes,
+    motzkin_binomial,
+    phi_series,
+)
 
 
 def trace_formula_coefficients(sd, f, order):
@@ -97,13 +101,15 @@ class TestBeta:
         for n in range(21):
             assert beta_total(n + 2) == ms[n]
 
+    def test_matches_second_closed_form(self):
+        for n in range(2, 61):
+            for m in range(1, n // 2 + 1):
+                assert beta(n, m) == beta_second_form(n, m), (n, m)
+
 
 class TestEnumeration:
     def test_two_slots(self):
-        classes = enumerate_classes(2)
-        assert len(classes) == 1
-        assert classes[0].representative == (0, 1)
-        assert classes[0].size == 2
+        assert enumerate_classes(2) == {(0, 1): 2}
 
     def test_census_matches_closed_form(self):
         for n in range(2, 11):
@@ -113,13 +119,20 @@ class TestEnumeration:
             assert sum(census.values()) == beta_total(n)
 
     def test_all_class_sizes_equal_n(self):
+        # gcd(n, n-1) = 1, so no composition is fixed by a nontrivial rotation
         for n in range(2, 11):
-            for cls in enumerate_classes(n):
-                assert cls.size == n
+            assert set(enumerate_classes(n).values()) == {n}
 
-    def test_size_guard(self):
-        with pytest.raises(TooLargeError):
-            enumerate_classes(15)
+
+def test_oracles_are_not_in_the_library():
+    # the checks above live in tests/oracles.py; the library ships none
+    for name in (
+        "enumerate_classes", "class_census", "CompositionClass",
+        "motzkin_binomial", "phi_series", "ENUMERATION_CAP", "PHI_SERIES_TOL",
+        "PHI_SERIES_CAP", "TooLargeError",
+    ):
+        for module in (mjpbounds, combinatorics, mjpbounds.errors):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 class TestPhi:

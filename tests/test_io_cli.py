@@ -155,6 +155,16 @@ class TestCliSubcommands:
         ) == 0
         assert out.read_text().splitlines()[-1] == "1.5,inf,,0"
 
+    def test_rate_of_constant_observable(self, model_file, tmp_path):
+        out = tmp_path / "rate.csv"
+        assert main(
+            [
+                "rate", "--model", model_file(f=[1.0, 1.0]), "--u-grid", "0:0.5:2",
+                "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        assert out.read_text().splitlines()[1:] == ["0,0,0,1", "0.5,inf,,0"]
+
     def test_series_output(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
         assert main(
@@ -397,6 +407,26 @@ class TestCliSubcommands:
         assert "cannot write output" in capsys.readouterr().err
         assert [str(p) for p in tmp_path.iterdir()] == [model]
 
+    @pytest.mark.parametrize("summary", ["same.txt", "link.txt"])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_outputs_naming_one_file_exit_2(
+        self, model_file, tmp_path, capsys, summary, exists
+    ):
+        # the summary would overwrite the CSV, by the same name or a symlink
+        same = tmp_path / "same.txt"
+        if exists:
+            same.write_text("kept\n")
+        (tmp_path / "link.txt").symlink_to(same)
+        model = model_file()
+        before = sorted(os.listdir(tmp_path))
+        argv = ["compare", "--model", model, "--t", "1", "--u-grid", "0.2:0.2:1",
+                "--samples", "100", "--out", str(same),
+                "--summary-out", str(tmp_path / "." / summary)]
+        assert main(argv) == 2
+        assert "same file" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not exists or same.read_text() == "kept\n"
+
     def test_bounds_rates_are_the_compare_rates(self, model_file, tmp_path):
         model = model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F)
         families = ["general", "perturbation", "poincare", "bernstein_general",
@@ -616,6 +646,22 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("u,t,n,hits,")
         assert len(lines) == 2
+        assert not (tmp_path / "-").exists()
+
+    def test_out_and_summary_both_stdout(self, model_file, tmp_path, monkeypatch,
+                                         capsys):
+        path = model_file()
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            [
+                "compare", "--model", path, "--t", "1", "--u-grid", "0.2:0.2:1",
+                "--samples", "100", "--families", "poincare", "--no-timestamp",
+                "--out", "-", "--summary-out", "-",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("u,t,n,hits,")
+        assert json.loads(out.split("\n", 2)[2])["rows_written"] == 1
         assert not (tmp_path / "-").exists()
 
     def test_sharpness_column_for_stationary_reversible(self, model_file, tmp_path):

@@ -20,7 +20,6 @@ from mjpbounds import (
     lambda0_coefficients,
     lambda0_star,
     make_model,
-    phi_series,
     probability_vector,
     pi_inner,
     pi_variance,
@@ -350,7 +349,7 @@ class TestSpectralDataOwnsPi:
             (lambda0, "pi"), (lambda0_star, "pi"), (lambda0_coefficients, "pi"),
             (sigma_hat_sq, "pi"), (make_model, "tol"), (validate_q_matrix, "tol"),
             (invariant_distribution, "tol"), (probability_vector, "tol"),
-            (lambda0_star, "tol"), (phi_series, "tol"), (phi_series, "n_cap"),
+            (lambda0_star, "tol"),
             (check_f_sobolev, "sweep"), (check_f_sobolev, "seed"),
             (_ascend_violation, "steps"), (_ascend_violation, "lr"),
             (check_f_sobolev, "n_restarts"),

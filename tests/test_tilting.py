@@ -9,9 +9,11 @@ from mjpbounds import (
     analyze,
     bernstein_conjugate,
     chi2_prefactor,
+    evaluate_family,
     fenchel_conjugate,
     lambda0,
     lambda0_star,
+    make_model,
     probability_vector,
 )
 from mjpbounds.errors import NonFiniteError, ValidationError
@@ -211,6 +213,15 @@ class TestLambda0Star:
         vals = [lambda0_star(a.sd, three_cycle.f, u).value for u in us]
         assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
 
+    def test_constant_observable(self):
+        # centered, f = 0: lambda0 = 0 for every tilt, so the conjugate is 0
+        # at u = 0 and infinite above
+        model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, 1.0])
+        a = analyze(model)
+        res = lambda0_star(a.sd, model.f, 0.0)
+        assert (res.value, res.argmax_r, res.boundary) == (0.0, 0.0, False)
+        assert math.isinf(lambda0_star(a.sd, model.f, 0.5).value)
+        assert evaluate_family(model, 1.0, 0.0, "general", analysis=a).rate == 0.0
 
     @pytest.mark.parametrize("u", [-0.1, math.nan])
     def test_negative_or_nan_threshold_rejected(self, two_state, u):
