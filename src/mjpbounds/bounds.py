@@ -177,8 +177,6 @@ def _rate_perturbation(a: ModelAnalysis, u: float):
     the sub-gamma conjugate with variance sigma_hat^2 and scale 2||f||/gap;
     beyond it the rate is linear, evaluated at the interval's endpoint.
     """
-    if a.f_sup <= 0:
-        raise ValidationError("observable is constant; perturbation bound degenerates")
     if u <= perturbation_branch_threshold(a):
         bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
         return bernstein_conjugate(bp, u), "a", {}
@@ -385,7 +383,9 @@ def evaluate_family(
     family reads its F from the verdict ``fsobolev``; the other families
     ignore it.  A threshold that is NaN or infinite and a time that is NaN,
     infinite or negative are refused, as they would otherwise come out as
-    the trivial bound 1.
+    the trivial bound 1.  A constant observable centers to ``f = 0``, so
+    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u <= 0``
+    and ``inf`` above.
     """
     if not math.isfinite(u):
         raise ValidationError(f"threshold u must be finite, got {u}")
@@ -394,7 +394,10 @@ def evaluate_family(
         raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
     extra = (_admitted(fsobolev, model),) if family == "fsobolev" else ()
     a = _analysis(model, analysis)
-    rate, branch, diag = rate_fn(a, u, *extra)
+    if a.f_sup == 0.0:
+        rate, branch, diag = (0.0 if u <= 0 else math.inf), "", {}
+    else:
+        rate, branch, diag = rate_fn(a, u, *extra)
     return _finish(family, u, t, rate, a.prefactor, branch, diag)
 
 

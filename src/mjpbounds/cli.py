@@ -346,9 +346,10 @@ def run_compare(config: RunConfig) -> dict:
                 )
             row += [p.rate, bound, int(ok)]
         # empirical decay rate exceeds the bound's rate; the excess shrinks
-        # to 0 as t grows on reversible chains
+        # to 0 as t grows on reversible chains.  + 0.0 writes 0, not -0, when
+        # every path hits (-log 1 is -0.0) and the rate is 0
         sharp = sharpness_on and est.p_hat > 0.0
-        row.append(-math.log(est.p_hat) / t - sharp_rate[u] if sharp else None)
+        row.append(-math.log(est.p_hat) / t - sharp_rate[u] + 0.0 if sharp else None)
         rows.append(row)
 
     summary = {

@@ -12,6 +12,10 @@ matter how the samples are partitioned into blocks or threads.  Every path
 uses draw 0 for its initial state and draws 2k+1 and 2k+2 for the holding
 time and jump target of its k-th sweep, so all live paths of a block share
 one draw counter, and its hash is computed once per sweep, not once per path.
+A block keeps that counter in a one-element cell and passes
+``counter_uniforms`` a stride-0 view of the cell, sliced to the live paths:
+each call still names one draw index per path, at no cost per path, and the
+keys it is given are never written.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ _U_MAX = 1.0 - 2.0**-53
 def _mix64(z):
     """SplitMix64 finalizer; a bijective avalanche mix on uint64 (mod 2^64).
 
-    The first step writes a fresh array and the others update it in place,
-    so ``z`` is never changed; a scalar gives a 0-d array.
+    Mixes the uint64 array ``z`` in place and returns it, so callers pass an
+    array of their own, not one they were given.
     """
-    z = np.add(z, _GAMMA, out=np.empty(np.shape(z), dtype=np.uint64))
     s = np.empty_like(z)
+    z += _GAMMA
     z ^= np.right_shift(z, _U64(30), out=s)
     z *= _MUL1
     z ^= np.right_shift(z, _U64(27), out=s)
@@ -66,29 +70,37 @@ def _mix64_int(z: int) -> int:
 
 def stream_keys(seed: int, stream_indices) -> np.ndarray:
     """Per-sample substream keys derived from (seed, sample index)."""
-    idx = np.asarray(stream_indices, dtype=np.uint64)
-    base = _mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF))
-    return _mix64(base ^ (_mix64(idx ^ _STREAM_SALT)))
+    z = np.array(stream_indices, dtype=np.uint64)
+    z ^= _STREAM_SALT
+    z = _mix64(z)
+    z ^= _U64(_mix64_int(seed & _MASK64))
+    return _mix64(z)
 
 
 def counter_uniforms(keys, draw_indices) -> np.ndarray:
     """Open-interval uniforms for (key, draw counter) pairs, vectorized.
 
     When ``draw_indices`` holds one value, a 0-d array or a view whose
-    strides are all 0 (``np.broadcast_to(draw, keys.shape)`` costs O(1)),
-    that value is hashed once, as a Python int, and XORed into every key;
-    the bits are those of the per-pair hash.
+    strides are all 0, that value is hashed once, as a Python int, and XORed
+    into every key; the bits are those of the per-pair hash.  The simulator
+    passes such a view, sliced from one per block whose single cell it sets
+    before each call, so every call still names one draw index per path.
+    The result has the broadcast shape of ``keys`` and ``draw_indices``, and
+    is mixed in a fresh array: ``keys`` is never written.
     """
     k = np.asarray(keys, dtype=np.uint64)
     d = np.asarray(draw_indices, dtype=np.uint64)
+    shape = k.shape if k.shape == d.shape else np.broadcast_shapes(k.shape, d.shape)
+    z = np.empty(shape, dtype=np.uint64)
     if d.size and not any(d.strides):
-        hd = np.broadcast_to(_U64(_mix64_int(int(d.flat[0]) ^ _DRAW_SALT_I)), d.shape)
+        np.bitwise_xor(k, _U64(_mix64_int(d.item(0) ^ _DRAW_SALT_I)), out=z)
     else:
-        hd = _mix64(d ^ _DRAW_SALT)
-    z = _mix64(k ^ hd)
+        # d has an axis here, so d ^ _DRAW_SALT is an array of our own
+        np.bitwise_xor(k, _mix64(d ^ _DRAW_SALT), out=z)
+    z = _mix64(z)
     z >>= _U64(11)
-    u = z.view(np.int64).astype(np.float64)  # below 2**53: exact, faster than uint64
-    u += 0.5
+    u = z.view(np.float64)  # z's buffer; z < 2**53 converts to float exactly
+    np.add(z.view(np.int64), 0.5, out=u)
     u *= 2.0**-53
     return np.minimum(u, _U_MAX, out=u)
 
@@ -179,22 +191,25 @@ def _jump_tables(model: MJPModel):
 def _next_states(tables, state, u):
     """Jump target of each path, out of ``state`` with uniform ``u``.
 
-    Bit for bit ``targets[x, (u > cum[x]).sum()]``.  The search starts at the
-    guide entry of u's bucket, which never passes the answer, and steps right
+    ``tables`` holds the ``_jump_tables`` flattened, then the bucket count:
+    ``(targets.ravel(), cum.ravel(), guide.ravel(), n_buckets)``.  Bit for
+    bit ``targets[x, (u > cum[x]).sum()]``.  The search starts at the guide
+    entry of u's bucket, which never passes the answer, and steps right
     while ``u > cum``; with four buckets per entry of a row it takes O(1)
-    steps on average.  ``j`` indexes the flattened tables.
+    steps on average.  ``j`` indexes the flattened tables.  Neither ``state``
+    nor ``u`` is written.
     """
-    targets, cum, guide = tables
-    n_buckets = guide.shape[1]
+    targets, cum, guide, n_buckets = tables
     # u * n_buckets is n_buckets at u = 1.0 and may round up to it just below
-    b = np.minimum((u * n_buckets).astype(np.int64), n_buckets - 1)
-    j = guide.ravel()[state * n_buckets + b]
-    cum_flat = cum.ravel()
-    c = np.flatnonzero(u > cum_flat[j])
+    j = (u * n_buckets).astype(np.int64)
+    np.minimum(j, n_buckets - 1, out=j)
+    j += state * n_buckets
+    j = guide.take(j)
+    c = (u > cum.take(j)).nonzero()[0]
     while c.size:
         j[c] += 1
-        c = c[u[c] > cum_flat[j[c]]]
-    return targets.ravel()[j]
+        c = c[u[c] > cum[j[c]]]
+    return targets.take(j)
 
 
 def sample_trajectory(
@@ -252,15 +267,19 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     sample consumes draws from its own substream only, so the result is
     independent of blocking.  Compaction only drops paths, so every live path
     is at the same draw: sweep k uses draws 2k+1 and 2k+2 of each, and one
-    counter ``draw`` serves them all.
+    counter ``draw`` serves them all.  It is written into ``cell``, and
+    ``draws``, a stride-0 view of the cell sliced to the live paths, names it
+    once per path.
     """
     exit_rates = model.q.exit_rates
     f_vals = model.f.values
     last = horizons.size
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
+    cell = np.zeros(1, dtype=np.uint64)
+    draws = np.broadcast_to(cell, (count,))
     cum_nu = _cumulative(model.nu.weights)
-    u0 = counter_uniforms(keys, np.broadcast_to(_U64(0), keys.shape))
+    u0 = counter_uniforms(keys, draws)
     state = (u0[:, None] > cum_nu[None, :]).sum(axis=1).astype(np.int64)
 
     ids = np.arange(start, start + count)
@@ -270,14 +289,15 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     nxt = np.zeros(count, dtype=np.int64)  # index of the next horizon to reach
 
     while True:
-        # holding time -log(U) / q_x, then t_new = tau + dt, in dt's buffer
-        t_new = counter_uniforms(keys, np.broadcast_to(_U64(draw), keys.shape))
+        # t_new = tau + dt for the holding time dt = -log(U) / q_x, computed
+        # as tau - log(U) / q_x in U's buffer: a - b is a + (-b), bit for bit
+        cell[0] = draw
+        t_new = counter_uniforms(keys, draws)
         np.log(t_new, out=t_new)
-        np.negative(t_new, out=t_new)
-        t_new /= np.take(exit_rates, state)
-        t_new += tau
-        fx = np.take(f_vals, state)
-        crossed = c = np.flatnonzero(t_new >= np.take(horizons, nxt))
+        t_new /= exit_rates.take(state)
+        np.subtract(tau, t_new, out=t_new)
+        fx = f_vals.take(state)
+        crossed = c = (t_new >= horizons.take(nxt)).nonzero()[0]
         while c.size:  # several horizons may fall in one holding interval
             k = nxt[c]
             h = horizons[k]
@@ -291,14 +311,16 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
         acc += tau
         tau = t_new
 
-        if crossed.size and nxt[crossed].max() == last:  # some path is done
-            live = np.flatnonzero(nxt < last)
+        if crossed.size and nxt.take(crossed).max() == last:  # some path is done
+            live = (nxt < last).nonzero()[0]
             if not live.size:
                 break
             ids, keys, state, nxt, acc, tau = (
-                a[live] for a in (ids, keys, state, nxt, acc, tau)
+                a.take(live) for a in (ids, keys, state, nxt, acc, tau)
             )
-        u = counter_uniforms(keys, np.broadcast_to(_U64(draw + 1), keys.shape))
+            draws = draws[: live.size]
+        cell[0] = draw + 1
+        u = counter_uniforms(keys, draws)
         state = _next_states(tables, state, u)
         draw += 2
 
@@ -326,7 +348,8 @@ def time_averages(
         raise ValidationError(f"need at least one sample, got {n_samples}")
     if threads < 1:
         raise ValidationError(f"need at least one thread, got {threads}")
-    tables = _jump_tables(model)
+    targets, cum, guide = _jump_tables(model)
+    tables = (targets.ravel(), cum.ravel(), guide.ravel(), guide.shape[1])
     out = np.empty((hs.size, n_samples))
     blocks = [
         (s, min(_BLOCK, n_samples - s)) for s in range(0, n_samples, _BLOCK)

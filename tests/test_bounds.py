@@ -27,7 +27,7 @@ from mjpbounds import bounds
 from mjpbounds.bounds import ASCENT_STEPS, FSobolevFunction, perturbation_branch_threshold
 from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
 
-from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
+from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_Q, random_irreducible_model
 from oracles import (
     bound_via_alpha,
     cramer_transform_static,
@@ -53,6 +53,19 @@ class TestBoundGeneral:
         p = evaluate_family(two_state, 5.0, 1.5, "general")
         assert math.isinf(p.rate)
         assert p.bound == 0.0
+
+
+@pytest.mark.parametrize("family", bounds.FAMILIES)
+def test_constant_observable_is_exact_in_every_family(family):
+    # f centers to 0, so A_t / t = 0 on every path: P(A_t / t >= u) is 1 at
+    # u <= 0 and 0 above
+    model = make_model(TWO_STATE_Q, [1.0, 1.0])
+    verdict = FSobolevVerdict.assumed(model, log_sobolev(0.5))
+    rates = [
+        evaluate_family(model, 5.0, u, family, fsobolev=verdict).rate
+        for u in (-0.1, 0.0, 0.3)
+    ]
+    assert rates == [0.0, 0.0, math.inf]
 
 
 class TestBoundPerturbation:

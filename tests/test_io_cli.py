@@ -165,6 +165,36 @@ class TestCliSubcommands:
         ) == 0
         assert out.read_text().splitlines()[1:] == ["0,0,0,1", "0.5,inf,,0"]
 
+    def test_bounds_of_constant_observable(self, model_file, tmp_path):
+        # f centers to 0, so A_t / t = 0: every family is exact
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(f=[1.0, 1.0]), "--t", "5",
+                "--u-grid", "0:0.5:2", "--families", "all", "--out", str(out),
+                "--no-timestamp",
+            ]
+        ) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [*bnd.FAMILIES[:4]] * 2
+        assert {(r[0], r[2], r[4]) for r in rows} == {("0", "0", "1"), ("0.5", "inf", "0")}
+
+    def test_compare_of_constant_observable(self, model_file, tmp_path):
+        # every path hits at u = 0, where the general rate is 0: the
+        # sharpness gap is 0, not -0
+        out = tmp_path / "compare.csv"
+        assert main(
+            [
+                "compare", "--model", model_file(f=[1.0, 1.0]), "--t", "1",
+                "--u-grid", "0:0.5:2", "--samples", "100", "--out", str(out),
+                "--no-timestamp",
+            ]
+        ) == 0
+        first, second = out.read_text().splitlines()[1:]
+        assert first == "0,1,100,100,1,0.98150325089650714,1" + ",0,1,1" * 4 + ",0"
+        assert second.startswith("0.5,1,100,0,0,0,")
+        assert second.endswith(",inf,0,1" * 4 + ",")
+
     def test_series_output(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
         assert main(

@@ -134,6 +134,29 @@ class TestCounterRng:
             if draw == 0 and k.size:  # the top-draw key clamps below 1
                 assert ref[-1] == U_MAX
 
+    @pytest.mark.parametrize("draw", [np.uint64(3), np.arange(64, dtype=np.uint64)])
+    def test_keys_never_written(self, draw):
+        # the hash is mixed in a fresh array, for an owned array and a view
+        own = stream_keys(5, np.arange(64, dtype=np.uint64))
+        wide = np.repeat(own, 2)
+        for keys in (own, wide[::2], wide.reshape(2, 64)[0]):
+            before = keys.tobytes()
+            counter_uniforms(keys, draw)
+            counter_uniforms(keys, np.broadcast_to(draw, keys.shape))
+            assert keys.tobytes() == before
+
+    def test_sliced_stride_zero_view_reads_its_cell(self):
+        # the simulator's layout: one cell per block, a stride-0 view of it
+        # sliced to the live paths, and the cell overwritten between calls
+        n, m = 1000, 379
+        keys = stream_keys(11, np.arange(m, dtype=np.uint64))
+        cell = np.zeros(1, dtype=np.uint64)
+        view = np.broadcast_to(cell, (n,))[:m]
+        for draw in (0, 1, 2, 7, 2**40 + 3):
+            cell[0] = draw
+            ref = counter_uniforms(keys, np.full(m, draw, dtype=np.uint64))
+            assert counter_uniforms(keys, view).tobytes() == ref.tobytes()
+
     def test_counter_stream_matches_vectorized_draws(self):
         for seed, stream in ((0, 0), (7, 3), (2**63 + 5, 123456)):
             cs = CounterStream(seed, stream)
@@ -353,9 +376,9 @@ class TestJumpTargets:
         # zero rates repeat entries of the cumulative row, small integer
         # rates put entries on bucket edges
         model = _model_with_first_row(rates0)
-        tables = _jump_tables(model)
-        targets, cum, guide = tables
+        targets, cum, guide = _jump_tables(model)
         n_buckets = guide.shape[1]
+        tables = (targets.ravel(), cum.ravel(), guide.ravel(), n_buckets)
         # 1 - 2**-54 rounds to 1.0, and u * n_buckets then equals n_buckets
         edges = np.arange(n_buckets + 1) / n_buckets
         points = np.concatenate([edges, cum.ravel(), [2.0**-54, 1 - 2.0**-54]])
@@ -368,6 +391,16 @@ class TestJumpTargets:
         linear = (u[:, None] > cum[state]).sum(axis=1)
         np.testing.assert_array_equal(picked, targets[state, linear])
         assert np.all(model.q.rates[state, picked] > 0.0)  # never a zero-rate target
+
+    def test_state_and_u_never_written(self, wide_sparse):
+        targets, cum, guide = _jump_tables(wide_sparse)
+        tables = (targets.ravel(), cum.ravel(), guide.ravel(), guide.shape[1])
+        rng = np.random.default_rng(3)
+        state = rng.integers(0, wide_sparse.n, 500)
+        u = np.append(rng.random(499), 1.0)
+        before = state.tobytes(), u.tobytes()
+        _next_states(tables, state, u)
+        assert (state.tobytes(), u.tobytes()) == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_wide_sparse_chain_bits_pinned(self, wide_sparse, threads):
