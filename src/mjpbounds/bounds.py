@@ -14,8 +14,9 @@ families differ only in the rate, which does not depend on t:
                          positive-part sup norm; sharpest closed form
 - ``fsobolev``           rate from a user-supplied functional inequality
 
-``evaluate_family`` is the one way to a bound.  Lower tails come from
-replaying a family on -f; two-sided bounds add both tails.
+``evaluate_family`` is the one way to a bound, at one threshold or at a
+grid of them; each family's rate function takes the whole grid.  Lower
+tails come from replaying a family on -f; two-sided bounds add both tails.
 """
 
 from __future__ import annotations
@@ -158,18 +159,29 @@ def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
     raise ValidationError("analysis belongs to a different chain than the model")
 
 
-def _rate_general(a: ModelAnalysis, u: float):
-    """Master rate: the conjugate of the tilted top eigenvalue."""
-    conj = lambda0_star(a.sd, a.model.f, u)
-    return conj.value, "", {"argmax_r": conj.argmax_r, "boundary": conj.boundary}
+def _rate_general(a: ModelAnalysis, us: list[float]):
+    """Master rate: the conjugate of the tilted top eigenvalue, solved for
+    the whole grid in one ``lambda0_star`` call.  ``weyl_slack`` is the
+    eigensolver's rounding bound on the rate, reported and not subtracted."""
+    return [
+        (c.value, "", {"argmax_r": c.argmax_r, "boundary": c.boundary,
+                       "weyl_slack": c.weyl_slack})
+        for c in lambda0_star(a.sd, a.model.f, us)
+    ]
 
 
 def perturbation_branch_threshold(a: ModelAnalysis) -> float:
-    """Largest u on which the sub-gamma branch of the perturbation bound applies."""
+    """Largest u on which the sub-gamma branch of the perturbation bound applies.
+
+    A constant observable (``f = 0`` once centered) has no such threshold and
+    is refused.
+    """
+    if a.f_sup == 0.0:
+        raise ValidationError("perturbation branch threshold needs a nonconstant observable")
     return 2.0 * a.sigma_hat2 * a.gap / a.f_sup
 
 
-def _rate_perturbation(a: ModelAnalysis, u: float):
+def _rate_perturbation(a: ModelAnalysis, us: list[float]):
     """Two-branch rate from the perturbation-series bound on the eigenvalue.
 
     Below the threshold ``2 sigma_hat^2 gap / ||f||`` the maximizing tilt
@@ -177,29 +189,33 @@ def _rate_perturbation(a: ModelAnalysis, u: float):
     the sub-gamma conjugate with variance sigma_hat^2 and scale 2||f||/gap;
     beyond it the rate is linear, evaluated at the interval's endpoint.
     """
-    if u <= perturbation_branch_threshold(a):
-        bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
-        return bernstein_conjugate(bp, u), "a", {}
-    rate = (a.gap / (3.0 * a.f_sup)) * (u - a.gap * a.sigma_hat2 / (2.0 * a.f_sup))
-    return rate, "b", {}
+    u_branch = perturbation_branch_threshold(a)
+    bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
+    slope = a.gap / (3.0 * a.f_sup)
+    offset = a.gap * a.sigma_hat2 / (2.0 * a.f_sup)
+    return [
+        (bernstein_conjugate(bp, u), "a", {}) if u <= u_branch
+        else (slope * (u - offset), "b", {})
+        for u in us
+    ]
 
 
-def _rate_poincare(a: ModelAnalysis, u: float):
+def _rate_poincare(a: ModelAnalysis, us: list[float]):
     """Sub-gamma rate with variance 2 Var_pi(f)/gap and scale ||f||/gap.
 
     Uses the spectral-gap constant, the sharpest admissible choice for the
     variance inequality behind this bound.
     """
-    rate = bernstein_conjugate(BernsteinParams(v=a.sigma_tilde2, c=a.f_sup / a.gap), u)
-    return rate, "", {}
+    bp = BernsteinParams(v=a.sigma_tilde2, c=a.f_sup / a.gap)
+    return [(bernstein_conjugate(bp, u), "", {}) for u in us]
 
 
-def _rate_bernstein_general(a: ModelAnalysis, u: float):
+def _rate_bernstein_general(a: ModelAnalysis, us: list[float]):
     """Sharpest closed form: variance sigma_hat^2, scale ||max(f,0)||/gap."""
     if a.fplus_sup <= 0:
         raise ValidationError("centered observable must take positive values")
-    rate = bernstein_conjugate(BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap), u)
-    return rate, "", {}
+    bp = BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap)
+    return [(bernstein_conjugate(bp, u), "", {}) for u in us]
 
 
 @dataclass(frozen=True)
@@ -332,7 +348,7 @@ def _admitted(verdict: FSobolevVerdict | None, model: MJPModel) -> FSobolevVerdi
     return verdict
 
 
-def _rate_fsobolev(a: ModelAnalysis, u: float, verdict: FSobolevVerdict):
+def _rate_fsobolev(a: ModelAnalysis, us: list[float], verdict: FSobolevVerdict):
     """Rate ``sup_r (ru - F(pi(F^{-1}(r f))))`` over the admissible tilts.
 
     The tilt domain ends where F^{-1} stops being defined on r*f, at
@@ -349,14 +365,17 @@ def _rate_fsobolev(a: ModelAnalysis, u: float, verdict: FSobolevVerdict):
     def g_of_r(r: float) -> float:
         return float(F(float(w @ F.inverse(r * f_vals))))
 
-    if math.isinf(r_cap) and above_max(a.model.f, u):
-        rate, argmax_r = math.inf, None
-    else:
-        conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
-        rate, argmax_r = conj.value, conj.argmax_r
-    diag = {"r_cap": r_cap, "F": F.name, "argmax_r": argmax_r}
-    diag["unverified"] = verdict.status != "holds"
-    return rate, "", diag
+    def rate_at(u: float):
+        if math.isinf(r_cap) and above_max(a.model.f, u):
+            rate, argmax_r = math.inf, None
+        else:
+            conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
+            rate, argmax_r = conj.value, conj.argmax_r
+        diag = {"r_cap": r_cap, "F": F.name, "argmax_r": argmax_r}
+        diag["unverified"] = verdict.status != "holds"
+        return rate, "", diag
+
+    return [rate_at(u) for u in us]
 
 
 _RATES = {
@@ -372,33 +391,44 @@ FAMILIES = tuple(_RATES)
 def evaluate_family(
     model: MJPModel,
     t: float,
-    u: float,
+    u,
     family: str,
     analysis: ModelAnalysis | None = None,
     fsobolev: FSobolevVerdict | None = None,
-) -> BoundPoint:
-    """The bound of the named family at threshold ``u`` and horizon ``t``.
+):
+    """The bound of the named family at threshold ``u`` and horizon ``t``, or
+    the list of its bounds at every threshold of a 1-D grid ``u``.
 
-    ``analysis`` may come from any model on the same chain.  The ``fsobolev``
-    family reads its F from the verdict ``fsobolev``; the other families
-    ignore it.  A threshold that is NaN or infinite and a time that is NaN,
-    infinite or negative are refused, as they would otherwise come out as
-    the trivial bound 1.  A constant observable centers to ``f = 0``, so
-    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u <= 0``
-    and ``inf`` above.
+    The family's rate function gets the whole grid at once.  ``analysis``
+    may come from any model on the same chain.  The ``fsobolev`` family
+    reads its F from the verdict ``fsobolev``; the other families ignore it.
+    A threshold that is NaN or infinite and a time that is NaN, infinite or
+    negative are refused, as they would otherwise come out as the trivial
+    bound 1.  A constant observable centers to ``f = 0``, so ``A_t / t`` is
+    0 on every path: every family gives rate 0 at ``u <= 0`` and ``inf``
+    above.
     """
-    if not math.isfinite(u):
+    grid = np.asarray(u, dtype=float)
+    if grid.ndim > 1:
+        raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
         raise ValidationError(f"threshold u must be finite, got {u}")
     rate_fn = _RATES.get(family)
     if rate_fn is None:
         raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
     extra = (_admitted(fsobolev, model),) if family == "fsobolev" else ()
     a = _analysis(model, analysis)
+    us = np.atleast_1d(grid).tolist()
     if a.f_sup == 0.0:
-        rate, branch, diag = (0.0 if u <= 0 else math.inf), "", {}
+        rates = [((0.0 if uk <= 0 else math.inf), "", {}) for uk in us]
     else:
-        rate, branch, diag = rate_fn(a, u, *extra)
-    return _finish(family, u, t, rate, a.prefactor, branch, diag)
+        rates = rate_fn(a, us, *extra)
+    prefactor = a.prefactor
+    points = [
+        _finish(family, uk, t, rate, prefactor, branch, diag)
+        for uk, (rate, branch, diag) in zip(us, rates)
+    ]
+    return points if grid.ndim else points[0]
 
 
 def lower_tail(

@@ -172,10 +172,11 @@ def cmd_rate(args) -> int:
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
-    rows = []
-    for u in _parse_grid(args.u_grid):
-        res = lambda0_star(a.sd, model.f, float(u))
-        rows.append((u, res.value, res.argmax_r, int(res.finite)))
+    grid = _parse_grid(args.u_grid)
+    rows = [
+        (u, res.value, res.argmax_r, int(res.finite))
+        for u, res in zip(grid, lambda0_star(a.sd, model.f, grid))
+    ]
     _write_csv(args.out, args.no_timestamp, "u,lambda0_star,argmax_r,finite", rows)
     return 0
 
@@ -220,17 +221,17 @@ def _bound_table(model, families, u_grid, t, fsobolev_c):
     """The analysis of ``model``, the checked verdict of ``fsobolev_c * log``
     (``None`` unless ``fsobolev`` is among ``families``), and the bound of
     every family at every threshold of ``u_grid`` at horizon ``t``, as
-    ``{u: {family: BoundPoint}}``."""
+    ``{u: {family: BoundPoint}}``.  Each family is evaluated once, on the
+    whole grid."""
     analysis, verdict = bnd.analyze(model), None
     if "fsobolev" in families:
         verdict = bnd.check_f_sobolev(model, bnd.log_sobolev(fsobolev_c))
-    table = {
-        u: {
-            fam: bnd.evaluate_family(model, t, u, fam, analysis=analysis, fsobolev=verdict)
-            for fam in families
-        }
-        for u in map(float, u_grid)
-    }
+    us = [float(u) for u in u_grid]
+    columns = [
+        bnd.evaluate_family(model, t, us, fam, analysis=analysis, fsobolev=verdict)
+        for fam in families
+    ]
+    table = {u: {p.family: p for p in row} for u, row in zip(us, zip(*columns))}
     return analysis, verdict, table
 
 
@@ -323,11 +324,11 @@ def run_compare(config: RunConfig) -> dict:
 
     sharp_rate = {}
     if sharpness_on:  # the general rate, which the sharpness column subtracts
-        for u, row in points.items():
-            general = row.get("general")
-            sharp_rate[u] = general.rate if general else lambda0_star(
-                analysis.sd, model.f, u
-            ).value
+        if "general" in families:
+            sharp_rate = {u: row["general"].rate for u, row in points.items()}
+        else:
+            conj = lambda0_star(analysis.sd, model.f, list(points))
+            sharp_rate = {c.u: c.value for c in conj}
     horizons = sorted(config.t_values)
     sims = time_averages(model, horizons, config.samples, seed, threads=config.threads)
     averages = dict(zip(horizons, sims))

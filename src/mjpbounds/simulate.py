@@ -167,24 +167,34 @@ def _jump_tables(model: MJPModel):
     ``x * (n - 1)`` plus the number of entries of ``cum[x]`` below the lower
     edge of bucket b of ``4 (n - 1)`` equal buckets of [0, 1): the index
     into the flattened ``cum`` where the search for a u of that bucket may
-    start (Chen & Asau's indexed search).
+    start (Chen & Asau's indexed search).  Every table is built for all
+    states at once, bit for bit as row by row.
     """
     n = model.n
-    rates = model.q.rates
     exit_rates = model.q.exit_rates
     n_buckets = 4 * (n - 1)
     # lowered by 2**-50 relative, so that rounding cannot lift an edge above
     # a u with int(u * n_buckets) == b
     edges = np.arange(n_buckets) / n_buckets * (1.0 - 2.0**-50)
-    targets = np.empty((n, n - 1), dtype=np.int64)
-    cum = np.ones((n, n - 1))  # an absorbing row stays 1.0; it is never left
-    guide = np.empty((n, n_buckets), dtype=np.int64)
-    for x in range(n):
-        others = [y for y in range(n) if y != x]
-        targets[x] = others
-        if exit_rates[x] > 0.0:
-            cum[x] = _cumulative(rates[x, others] / exit_rates[x])
-        guide[x] = x * (n - 1) + np.searchsorted(cum[x], edges, side="left")
+    cols = np.arange(n - 1)
+    # row x lists every state but x, in order
+    targets = cols + (cols >= np.arange(n)[:, None])
+    moving = exit_rates > 0.0
+    p = np.zeros((n, n - 1))
+    p[moving] = (
+        np.take_along_axis(model.q.rates, targets, axis=1)[moving] / exit_rates[moving, None]
+    )
+    # _cumulative of each row: running sums before the last positive entry,
+    # 1.0 from it on; an absorbing row stays 1.0, it is never left
+    last = (n - 2) - np.argmax(p[:, ::-1] > 0.0, axis=1)
+    cum = np.where(cols < last[:, None], np.cumsum(p, axis=1), 1.0)
+    cum[~moving] = 1.0
+    # an entry c of cum[x] lies below edges[b] exactly for b >= k(c), with
+    # k(c) the number of edges <= c; so the count below each edge is the
+    # running total of a histogram of k over each row
+    k = np.searchsorted(edges, cum, side="right") + (n_buckets + 1) * np.arange(n)[:, None]
+    hist = np.bincount(k.ravel(), minlength=n * (n_buckets + 1)).reshape(n, -1)
+    guide = (n - 1) * np.arange(n)[:, None] + np.cumsum(hist[:, :n_buckets], axis=1)
     return targets, cum, guide
 
 

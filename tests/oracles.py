@@ -6,7 +6,8 @@ route: the Donsker-Varadhan information minimised over the slice
 Feynman-Kac semigroup against its eigenvalue bound, the sub-gamma majorant
 of the tilted top eigenvalue, a bound from a supplied rate function, the
 static Cramer transform, the second closed form of the sub-gamma conjugate,
-strong connectivity by depth-first search, and for the series combinatorics
+strong connectivity by depth-first search, the simulator's jump tables built
+state by state, and for the series combinatorics
 a census of rotation classes by enumeration, a binomial sum for the Motzkin
 numbers, a partial sum of the majorant's series and the second closed form
 of beta(n, m).
@@ -33,6 +34,7 @@ from mjpbounds import (
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
 from mjpbounds.errors import ValidationError
 from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
+from mjpbounds.simulate import _cumulative
 from mjpbounds.spectral import sym_coords
 from mjpbounds.tilting import R_CAP_FACTOR, _golden_max
 
@@ -237,6 +239,27 @@ def strongly_connected(adj) -> bool:
 
     adj = np.asarray(adj, dtype=bool)
     return reaches_all(adj) and reaches_all(adj.T)
+
+
+def jump_tables_loop(model: MJPModel):
+    """``simulate._jump_tables`` built one state at a time: each row's
+    targets listed, its ``_cumulative`` row taken and its guide row found
+    by ``searchsorted`` against the bucket edges."""
+    n = model.n
+    rates = model.q.rates
+    exit_rates = model.q.exit_rates
+    n_buckets = 4 * (n - 1)
+    edges = np.arange(n_buckets) / n_buckets * (1.0 - 2.0**-50)
+    targets = np.empty((n, n - 1), dtype=np.int64)
+    cum = np.ones((n, n - 1))
+    guide = np.empty((n, n_buckets), dtype=np.int64)
+    for x in range(n):
+        others = [y for y in range(n) if y != x]
+        targets[x] = others
+        if exit_rates[x] > 0.0:
+            cum[x] = _cumulative(rates[x, others] / exit_rates[x])
+        guide[x] = x * (n - 1) + np.searchsorted(cum[x], edges, side="left")
+    return targets, cum, guide
 
 
 def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:

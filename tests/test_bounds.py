@@ -94,6 +94,13 @@ class TestBoundPerturbation:
             assert abs(lo.rate - hi.rate) <= 1e-9
 
 
+    def test_branch_threshold_refuses_constant_observable(self):
+        # f centers to 0, so 2 sigma_hat^2 gap / ||f|| would divide by zero
+        a = analyze(make_model(TWO_STATE_Q, [1.0, 1.0]))
+        with pytest.raises(ValidationError, match="nonconstant"):
+            perturbation_branch_threshold(a)
+
+
 class TestBoundPoincare:
     def test_zero_threshold(self, two_state):
         assert evaluate_family(two_state, 1.0, 0.0, "poincare").rate == 0.0
@@ -464,11 +471,32 @@ class TestAnalysisBelongsToItsModel:
             evaluate_family(other, 20.0, 0.3, "general", analysis=analyze(two_state))
 
 
+@pytest.mark.parametrize("family", bounds.FAMILIES)
+def test_grid_gives_the_pointwise_bounds(three_dense, family):
+    # one call on a grid, one rate function call: the same points as one
+    # call per threshold, whatever else is on the grid
+    verdict = FSobolevVerdict.assumed(three_dense, log_sobolev(0.5))
+    a = analyze(three_dense)
+    fmax = float(three_dense.f.values.max())
+    grid = [0.0, 0.05, 0.4 * fmax, 0.95 * fmax, 1.5 * fmax, 0.05]
+    points = evaluate_family(three_dense, 2.0, grid, family, analysis=a, fsobolev=verdict)
+    assert points == [
+        evaluate_family(three_dense, 2.0, u, family, analysis=a, fsobolev=verdict)
+        for u in grid
+    ]
+
+
 @pytest.mark.parametrize("family", ["general", "bernstein_general"])
 class TestEvaluateFamilyRejectsBadInputs:
     def test_nan_threshold(self, two_state, family):
         with pytest.raises(ValidationError):
             evaluate_family(two_state, 2.0, math.nan, family)
+        with pytest.raises(ValidationError):
+            evaluate_family(two_state, 2.0, [0.1, math.nan], family)
+
+    def test_grid_of_more_than_one_dimension(self, two_state, family):
+        with pytest.raises(ValidationError, match="1-D"):
+            evaluate_family(two_state, 2.0, [[0.1, 0.2]], family)
 
     def test_infinite_threshold(self, two_state, family):
         with pytest.raises(ValidationError):
@@ -594,7 +622,7 @@ class TestCurveAndDomination:
 class TestDiagnosticsKeys:
     # solver outputs and flags only; the analysis owns gap, variances and norms
     KEPT = {
-        "general": {"argmax_r", "boundary"},
+        "general": {"argmax_r", "boundary", "weyl_slack"},
         "perturbation": set(),
         "poincare": set(),
         "bernstein_general": set(),

@@ -155,6 +155,22 @@ class TestCliSubcommands:
         ) == 0
         assert out.read_text().splitlines()[-1] == "1.5,inf,,0"
 
+    def test_rate_grid_through_max_f(self, model_file, tmp_path):
+        # one grid call covers u = 0, the boundary row at max f = 1 and the
+        # infinite rows above it
+        out = tmp_path / "rate.csv"
+        assert main(
+            [
+                "rate", "--model", model_file(), "--u-grid", "0:1.5:7",
+                "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == 7
+        assert rows[0] == ["0", "0", "0", "1"]
+        assert [r[0] for r in rows if r[3] == "0"] == ["1.25", "1.5"]
+        assert float(rows[4][1]) == pytest.approx(1.0, abs=1e-3)
+
     def test_rate_of_constant_observable(self, model_file, tmp_path):
         out = tmp_path / "rate.csv"
         assert main(
@@ -608,12 +624,16 @@ class TestCompare:
         self, model_file, tmp_path, monkeypatch, families
     ):
         # the two-state chain is reversible, so every cell has a sharpness
-        # cell; it reuses the general rate, or solves its own once per u
+        # cell; it reuses the general rate, or solves its own: either way
+        # one grid call solves every u once
         calls = {"sim": 0, "bounds": 0, "cli": 0}
+        solved = []
 
         def counting(key, fn):
             def spy(*args, **kwargs):
                 calls[key] += 1
+                if key != "sim":
+                    solved.append(len(args[2]))
                 return fn(*args, **kwargs)
 
             return spy
@@ -629,8 +649,9 @@ class TestCompare:
             ]
         ) == 0
         general = "general" in families
-        solves = {"bounds": 4, "cli": 0} if general else {"bounds": 0, "cli": 4}
+        solves = {"bounds": 1, "cli": 0} if general else {"bounds": 0, "cli": 1}
         assert calls == {"sim": 1, **solves}
+        assert solved == [4]
 
     def test_summary_and_domination(self, model_file, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -19,6 +20,7 @@ from mjpbounds import (
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
+from mjpbounds.markov import QMatrix
 from mjpbounds.simulate import (
     _DRAW_SALT_I,
     _GAMMA_I,
@@ -34,6 +36,7 @@ from mjpbounds.simulate import (
     counter_uniforms,
     stream_keys,
 )
+from oracles import jump_tables_loop
 
 # sha256 of the bytes of time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000,
 # seed=2026), taken with the kernel that counted (u > cum[x]).sum() per jump
@@ -361,6 +364,33 @@ def _model_with_first_row(rates0):
         rates[x, x - 1] = rates[x, (x + 1) % n] = 1.0
     np.fill_diagonal(rates, -rates.sum(axis=1))
     return make_model(rates, np.arange(n, dtype=float))
+
+
+class TestJumpTables:
+    @staticmethod
+    def assert_match_loop(model):
+        for built, oracle in zip(_jump_tables(model), jump_tables_loop(model)):
+            assert built.dtype == oracle.dtype
+            np.testing.assert_array_equal(built, oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_random_chains_match_loop(self, n, seed):
+        self.assert_match_loop(random_irreducible_model(np.random.default_rng(seed), n))
+
+    @pytest.mark.parametrize(
+        "rates0", [[1.0, 0.0, 0.0], [2.0, 3.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 2.0]]
+    )
+    def test_trailing_zero_rates_match_loop(self, rates0):
+        self.assert_match_loop(_model_with_first_row(rates0))
+
+    def test_absorbing_state_matches_loop(self, three_dense):
+        rates = three_dense.q.rates.copy()
+        rates[1] = 0.0
+        absorbing = dataclasses.replace(three_dense, q=QMatrix(rates))
+        self.assert_match_loop(absorbing)
+        _, cum, _ = _jump_tables(absorbing)
+        np.testing.assert_array_equal(cum[1], 1.0)
 
 
 class TestJumpTargets:

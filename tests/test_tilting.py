@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_irreducible_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjpbounds import (
     BernsteinParams,
@@ -17,6 +20,7 @@ from mjpbounds import (
     probability_vector,
 )
 from mjpbounds.errors import NonFiniteError, ValidationError
+from mjpbounds.tilting import R_CAP_FACTOR, _tilted_eigh
 
 from oracles import (
     bernstein_conjugate_vform,
@@ -230,6 +234,87 @@ class TestLambda0Star:
             lambda0_star(a.sd, two_state.f, u)
         with pytest.raises(ValidationError, match="u >= 0"):
             bernstein_conjugate(BernsteinParams(v=1.0, c=1.0), u)
+
+
+class TestBatchedConjugate:
+    """``lambda0_star`` on a grid: safeguarded Newton on one stacked eigensolve
+    per step, checked against golden-section search on ``lambda0``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 0.99), min_size=1, max_size=5),
+    )
+    def test_matches_golden_section_oracle(self, n, seed, fractions):
+        model = random_irreducible_model(np.random.default_rng(seed), n)
+        sd, f = analyze(model).sd, model.f
+        cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
+        grid = np.array(fractions) * f.values.max()
+        for res in lambda0_star(sd, f, grid):
+            oracle = fenchel_conjugate(lambda r: lambda0(sd, f, r), res.u, r_max=cap)
+            # r u and lambda0(r) cancel in the rate, so rounding is relative
+            # to the size of the tilted matrix, ||B + r diag f||_2
+            norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f.values)))
+            scale = max(abs(oracle.value), float(norm.max()))
+            assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=1e-12 * scale)
+            assert res.value >= oracle.value - 1e-12 * scale
+            assert not res.boundary
+
+    def test_grid_entry_is_the_scalar_result_bit_for_bit(self, three_dense):
+        sd, f = analyze(three_dense).sd, three_dense.f
+        fmax = float(f.values.max())
+        grid = [0.3, 0.0, fmax, 1e-3, 0.3, 2.0 * fmax, 0.9 * fmax, 0.5]
+        results = lambda0_star(sd, f, grid)
+        assert results == [lambda0_star(sd, f, u) for u in grid]
+        assert results == lambda0_star(sd, f, np.array(grid))
+        zero, at_max, beyond = results[1], results[2], results[5]
+        assert (zero.value, zero.argmax_r, zero.boundary) == (0.0, 0.0, False)
+        assert at_max.boundary and at_max.finite
+        assert (beyond.value, beyond.argmax_r) == (math.inf, None)
+
+    def test_argmax_solves_the_slope_equation(self, three_cycle, three_dense):
+        # lambda0'(r*) = u, by a central difference of lambda0, which the
+        # solver does not call
+        h = 1e-5
+        for model in (three_cycle, three_dense):
+            sd, f = analyze(model).sd, model.f
+            grid = np.linspace(0.05, 0.9, 6) * f.values.max()
+            for res in lambda0_star(sd, f, grid):
+                r = res.argmax_r
+                slope = (lambda0(sd, f, r + h) - lambda0(sd, f, r - h)) / (2.0 * h)
+                assert slope == pytest.approx(res.u, abs=1e-9)
+
+    def test_newton_derivatives_match_finite_differences(self, three_cycle, three_dense):
+        # Hellmann-Feynman slope against lambda0's central difference, Kato
+        # curvature against the slope's
+        h = 1e-5
+        for model in (three_cycle, three_dense):
+            sd, f = analyze(model).sd, model.f
+            r = np.array([0.1, 0.7, 2.0])
+            top, slope, curvature, _ = _tilted_eigh(sd, f.values, r)
+            lam = [lambda0(sd, f, x) for x in r]
+            np.testing.assert_allclose(top, lam, rtol=0.0, atol=1e-13)
+            fd_slope = [(lambda0(sd, f, x + h) - lambda0(sd, f, x - h)) / (2 * h) for x in r]
+            np.testing.assert_allclose(slope, fd_slope, rtol=0.0, atol=1e-9)
+            up, down = (_tilted_eigh(sd, f.values, r + s)[1] for s in (h, -h))
+            fd_curv = (up - down) / (2 * h)
+            np.testing.assert_allclose(curvature, fd_curv, rtol=1e-7)
+
+    def test_weyl_slack_is_the_eigensolver_bound_at_the_argmax(self, three_dense):
+        sd, f = analyze(three_dense).sd, three_dense.f
+        res = lambda0_star(sd, f, 0.4)
+        norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f.values)))
+        expected = 8.0 * 3 * np.finfo(float).eps * norm.max()
+        assert res.weyl_slack == pytest.approx(expected, rel=1e-12)
+        assert lambda0_star(sd, f, 0.0).weyl_slack == 0.0
+
+    def test_grid_of_more_than_one_dimension_or_a_negative_entry_rejected(self, two_state):
+        sd = analyze(two_state).sd
+        with pytest.raises(ValidationError, match="1-D"):
+            lambda0_star(sd, two_state.f, [[0.1, 0.2]])
+        with pytest.raises(ValidationError, match="nonnegative"):
+            lambda0_star(sd, two_state.f, [0.1, -0.2])
 
 
 class TestVariationalOracle:
