@@ -9,21 +9,13 @@ bound; near u = 0 it is Gaussian, u^2 / (2 sigma_hat^2), with the asymptotic
 variance sigma_hat^2.  lambda0_star solves it for a whole u grid at once:
 safeguarded Newton steps on lambda_0'(r) = u, each one stacked eigensolve
 that gives lambda_0, its slope (Hellmann-Feynman) and its curvature
-(second-order perturbation theory).  The sub-gamma closed form used by the
-Bernstein-type families is validated against golden-section conjugation.  (The acceptance suite
-checks the conjugate against the constrained variational problem and the
-semigroup norm against its eigenvalue bound.)
+(second-order perturbation theory).  (The acceptance suite checks the
+conjugate against the constrained variational problem, the semigroup norm
+against its eigenvalue bound, and the sub-gamma closed form used by the
+Bernstein-type families against golden-section conjugation.)
 """
 
-from mjpbounds import (
-    BernsteinParams,
-    analyze,
-    bernstein_conjugate,
-    fenchel_conjugate,
-    lambda0,
-    lambda0_star,
-    make_model,
-)
+from mjpbounds import analyze, lambda0, lambda0_star, make_model
 
 model = make_model([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [3.0, 1.0, -4.0]],
                    [2.0, -1.0, 0.5])
@@ -50,14 +42,3 @@ print(f"  eigensolver rounding of these rates (Weyl bound): <= {slack:.1e}")
 
 beyond = lambda0_star(a.sd, model.f, 1.5 * fmax)
 print(f"  u beyond max f: value = {beyond.value} (the average can never exceed max f)")
-
-print("\nSub-gamma conjugate: closed form vs golden-section search")
-print("-" * 60)
-v, c = a.sigma_hat2, a.fplus_sup / a.gap
-bp = BernsteinParams(v=v, c=c)
-for u in (0.2, 0.6, 1.2):
-    closed = bernstein_conjugate(bp, u)
-    numeric = fenchel_conjugate(
-        lambda r: r * r * v / (2.0 * (1.0 - r * c)), u, r_max=1.0 / c
-    ).value
-    print(f"  u={u}:  closed = {closed:.10f}   numeric = {numeric:.10f}")

@@ -9,8 +9,8 @@ For each threshold u and horizon t the library produces bounds
 with rates of increasing explicitness: the exact conjugate ("general"), the
 two-branch perturbation-series rate, the variance-inequality rate
 ("poincare"), the sharpest closed form ("bernstein_general"), and a rate
-from a log-Sobolev inequality, whose checked verdict hands its F to
-evaluate_family.  Empirical tail estimates over 10^5
+from a log-Sobolev inequality, whose checked verdict hands its constant
+to evaluate_family.  Empirical tail estimates over 10^5
 trajectories must stay below every bound -- and do.  On reversible chains
 the general bound is asymptotically sharp: its rate is approached by
 -log(p_hat)/t as the horizon grows.
@@ -24,7 +24,6 @@ from mjpbounds import (
     empirical_tail,
     evaluate_family,
     lambda0_star,
-    log_sobolev,
     lower_tail,
     make_model,
     stationary_model,
@@ -35,7 +34,7 @@ from mjpbounds import (
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
 a = analyze(model)
 fmax = model.f.values.max()
-verdict = check_f_sobolev(model, log_sobolev(0.5))
+verdict = check_f_sobolev(model, 0.5)
 print(f"log-Sobolev inequality with constant 0.5: verdict = {verdict.status}")
 
 families = ["general", "perturbation", "poincare", "bernstein_general", "fsobolev"]

@@ -9,14 +9,12 @@ and estimates the same tail probabilities by exact trajectory simulation.
 from .bounds import (
     FAMILIES,
     BoundPoint,
-    FSobolevFunction,
     FSobolevVerdict,
     ModelAnalysis,
     analyze,
     check_f_sobolev,
     evaluate_family,
     iid_sum_bound,
-    log_sobolev,
     lower_tail,
     two_sided,
 )
@@ -71,7 +69,6 @@ from .tilting import (
     ConjugateResult,
     bernstein_conjugate,
     chi2_prefactor,
-    fenchel_conjugate,
     lambda0,
     lambda0_star,
 )

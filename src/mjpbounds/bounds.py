@@ -12,7 +12,8 @@ families differ only in the rate, which does not depend on t:
 - ``poincare``           sub-gamma rate with variance 2 Var_pi(f) / gap
 - ``bernstein_general``  sub-gamma rate with the asymptotic variance and the
                          positive-part sup norm; sharpest closed form
-- ``fsobolev``           rate from a user-supplied functional inequality
+- ``fsobolev``           rate from a log-Sobolev inequality with a given
+                         constant: c times the static Cramer rate of f
 
 ``evaluate_family`` is the one way to a bound, at one threshold or at a
 grid of them; each family's rate function takes the whole grid.  Lower
@@ -36,10 +37,9 @@ from .spectral import (
 )
 from .tilting import (
     BernsteinParams,
-    above_max,
     bernstein_conjugate,
     chi2_prefactor,
-    fenchel_conjugate,
+    conjugate_grid,
     lambda0_star,
 )
 
@@ -219,33 +219,9 @@ def _rate_bernstein_general(a: ModelAnalysis, us: list[float]):
 
 
 @dataclass(frozen=True)
-class FSobolevFunction:
-    """Strictly increasing concave F with F(1) = 0, plus inverse and F(0+)."""
-
-    fn: object
-    inverse: object
-    zero_limit: float
-    name: str = "F"
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def log_sobolev(c: float) -> FSobolevFunction:
-    """F = c * log: the functional inequality becomes a log-Sobolev inequality."""
-    if c <= 0:
-        raise ValidationError(f"constant must be positive, got {c}")
-    return FSobolevFunction(
-        fn=lambda x: c * np.log(x),
-        inverse=lambda y: np.exp(np.asarray(y, dtype=float) / c),
-        zero_limit=-math.inf,
-        name=f"{c}*log",
-    )
-
-
-@dataclass(frozen=True)
 class FSobolevVerdict:
-    """Whether the functional inequality of ``F`` holds on ``model``'s chain.
+    """Whether the log-Sobolev inequality with constant ``c``, the functional
+    inequality of ``F = c log``, holds on ``model``'s chain.
 
     ``status`` is ``holds``, ``violated`` (with a ``witness``),
     ``inconclusive``, or ``assumed`` for an inequality taken on trust.  The
@@ -253,21 +229,25 @@ class FSobolevVerdict:
     ``nu``, since the inequality reads only ``Q`` and ``pi``.
     """
 
-    F: FSobolevFunction
+    c: float
     model: MJPModel
     status: str
     max_violation: float = math.nan
     witness: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.c < math.inf:  # also refuses NaN
+            raise ValidationError(f"constant must be positive and finite, got {self.c}")
+
     @classmethod
-    def assumed(cls, model: MJPModel, F: FSobolevFunction) -> FSobolevVerdict:
-        """The inequality of ``F`` on ``model``'s chain, taken without a check;
-        bounds from it are flagged ``unverified``."""
-        return cls(F, model, "assumed")
+    def assumed(cls, model: MJPModel, c: float) -> FSobolevVerdict:
+        """The inequality with constant ``c`` on ``model``'s chain, taken
+        without a check; bounds from it are flagged ``unverified``."""
+        return cls(c, model, "assumed")
 
 
-def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
-    """pi(g^2 F(g^2)) + <Lg, g>_pi; the inequality holds iff this is <= 0.
+def _violation(model: MJPModel, c: float, g: np.ndarray):
+    """pi(g^2 c log(g^2)) + <Lg, g>_pi; the inequality holds iff this is <= 0.
 
     ``g`` is one function on the states or a matrix whose columns are
     functions; the result is one value per function.
@@ -276,12 +256,13 @@ def _violation(model: MJPModel, F: FSobolevFunction, g: np.ndarray):
     g2 = g * g
     mask = g2 > 0.0
     term = np.zeros_like(g2)
-    term[mask] = g2[mask] * F(g2[mask])
+    term[mask] = g2[mask] * (c * np.log(g2[mask]))
     return w @ term + w @ (g * (model.q.rates @ g))
 
 
-def check_f_sobolev(model: MJPModel, F: FSobolevFunction) -> FSobolevVerdict:
-    """Search for a violation of the functional inequality on the unit sphere.
+def check_f_sobolev(model: MJPModel, c: float) -> FSobolevVerdict:
+    """Search for a violation of the log-Sobolev inequality with constant
+    ``c`` on the unit sphere.
 
     The candidates are the columns of one matrix, scored by one
     ``_violation`` call; the first largest violation decides.  Two states
@@ -292,21 +273,24 @@ def check_f_sobolev(model: MJPModel, F: FSobolevFunction) -> FSobolevVerdict:
     """
     w = model.pi.weights
     sweep = model.n == 2
+    # built first, so that a bad constant is refused before the search
+    verdict = FSobolevVerdict(c, model, "holds" if sweep else "inconclusive")
     if sweep:
         theta = np.linspace(0.0, math.pi, FSOBOLEV_SWEEP)
         g = np.stack([np.cos(theta) / math.sqrt(w[0]), np.sin(theta) / math.sqrt(w[1])])
     else:
         rng = np.random.default_rng(FSOBOLEV_SEED)
         g = rng.standard_normal((FSOBOLEV_RESTARTS, model.n)).T
-        g = _ascend_violation(model, F, g / np.sqrt(w @ g**2))
-    v = _violation(model, F, g)
+        g = _ascend_violation(model, c, g / np.sqrt(w @ g**2))
+    v = _violation(model, c, g)
     k = int(np.argmax(v))
     if v[k] > 1e-8:
-        return FSobolevVerdict(F, model, "violated", float(v[k]), g[:, k].copy())
-    return FSobolevVerdict(F, model, "holds" if sweep else "inconclusive", float(v[k]))
+        return replace(verdict, status="violated", max_violation=float(v[k]),
+                       witness=g[:, k].copy())
+    return replace(verdict, max_violation=float(v[k]))
 
 
-def _ascend_violation(model, F, g):
+def _ascend_violation(model, c, g):
     """Projected gradient ascent on the violation over the pi-unit sphere, of
     every column of ``g`` at once.  Each step scores the live columns and
     their renormalized forward-difference probes in two ``_violation`` calls;
@@ -318,11 +302,11 @@ def _ascend_violation(model, F, g):
     live = np.arange(g.shape[1])
     for _ in range(ASCENT_STEPS):
         x = g[:, live]
-        base = _violation(model, F, x)
+        base = _violation(model, c, x)
         # probes[:, k, j] is column j of x moved by eps along state k
         probes = (x[:, None, :] + eps * np.eye(n)[:, :, None]).reshape(n, -1)
         probes /= np.sqrt(w @ probes**2)
-        grad = (_violation(model, F, probes).reshape(n, -1) - base) / eps
+        grad = (_violation(model, c, probes).reshape(n, -1) - base) / eps
         moving = np.max(np.abs(grad), axis=0) >= 1e-10
         live = live[moving]
         if live.size == 0:
@@ -349,33 +333,37 @@ def _admitted(verdict: FSobolevVerdict | None, model: MJPModel) -> FSobolevVerdi
 
 
 def _rate_fsobolev(a: ModelAnalysis, us: list[float], verdict: FSobolevVerdict):
-    """Rate ``sup_r (ru - F(pi(F^{-1}(r f))))`` over the admissible tilts.
+    """Rate ``sup_r (r u - c K(r/c))`` of ``F = c log``, where
+    ``K(s) = log pi(e^{s f})``: c times the Cramer rate of f under pi.
 
-    The tilt domain ends where F^{-1} stops being defined on r*f, at
-    ``r = F(0+)/min f``; an infinite F(0+) leaves the domain unbounded and
-    the search bracket expands adaptively.  On an unbounded domain the rate
-    above ``max f`` is infinite, since ``F(pi(F^{-1}(r f))) <= r max f``.
+    Solved for the whole grid by ``conjugate_grid``; infinite above max f,
+    since ``c K(r/c) <= r max f``.  The slope is the tilted mean ``K'(r/c)``
+    and the curvature the tilted variance over c.  ``K`` is taken shifted
+    by ``s max f``, so that no ``exp`` can overflow and the objective at
+    ``u = max f`` is exactly ``-c log pi(e^{s(f - max f)})``.
     """
-    F = verdict.F
-    f_vals = a.model.f.values
+    c = verdict.c
+    f = a.model.f.values
     w = a.model.pi.weights
-    f_min = float(np.min(f_vals))
-    r_cap = F.zero_limit / f_min if math.isfinite(F.zero_limit) else math.inf
+    f_max = float(np.max(f))
 
-    def g_of_r(r: float) -> float:
-        return float(F(float(w @ F.inverse(r * f_vals))))
+    def moments(r, u):
+        t = np.outer(r / c, f - f_max)
+        # log pi(e^{t}) as log1p of a sum of terms <= 0: no cancellation at
+        # small tilts, where the value r u - c K is tiny
+        log_z = np.log1p(np.sum(w * np.expm1(t), axis=1))
+        p = w * np.exp(t)
+        p /= np.sum(p, axis=1)[:, None]
+        # row sums rather than p @ f, whose rounding depends on the stack size
+        mean = np.sum(p * f, axis=1)
+        var = np.sum(p * (f - mean[:, None]) ** 2, axis=1)
+        return r * (u - f_max) - c * log_z, mean, var / c, 0.0
 
-    def rate_at(u: float):
-        if math.isinf(r_cap) and above_max(a.model.f, u):
-            rate, argmax_r = math.inf, None
-        else:
-            conj = fenchel_conjugate(g_of_r, u, r_max=r_cap, tol=1e-12)
-            rate, argmax_r = conj.value, conj.argmax_r
-        diag = {"r_cap": r_cap, "F": F.name, "argmax_r": argmax_r}
-        diag["unverified"] = verdict.status != "holds"
-        return rate, "", diag
-
-    return [rate_at(u) for u in us]
+    unverified = verdict.status != "holds"
+    return [
+        (res.value, "", {"argmax_r": res.argmax_r, "unverified": unverified})
+        for res in conjugate_grid(moments, a.model.f, us, a.var_pi_f / c)
+    ]
 
 
 _RATES = {
@@ -401,7 +389,8 @@ def evaluate_family(
 
     The family's rate function gets the whole grid at once.  ``analysis``
     may come from any model on the same chain.  The ``fsobolev`` family
-    reads its F from the verdict ``fsobolev``; the other families ignore it.
+    reads its constant from the verdict ``fsobolev``; the other families
+    ignore it.
     A threshold that is NaN or infinite and a time that is NaN, infinite or
     negative are refused, as they would otherwise come out as the trivial
     bound 1.  A constant observable centers to ``f = 0``, so ``A_t / t`` is

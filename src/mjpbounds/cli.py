@@ -225,7 +225,7 @@ def _bound_table(model, families, u_grid, t, fsobolev_c):
     whole grid."""
     analysis, verdict = bnd.analyze(model), None
     if "fsobolev" in families:
-        verdict = bnd.check_f_sobolev(model, bnd.log_sobolev(fsobolev_c))
+        verdict = bnd.check_f_sobolev(model, fsobolev_c)
     us = [float(u) for u in u_grid]
     columns = [
         bnd.evaluate_family(model, t, us, fam, analysis=analysis, fsobolev=verdict)

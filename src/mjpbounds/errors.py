@@ -63,18 +63,12 @@ class NotCenteredError(ValidationError):
         super().__init__(f"observable is not centered: pi(f) = {mean}")
 
 
-class NonFiniteError(NumericalError):
-    def __init__(self, r, value):
-        self.r, self.value = r, value
-        super().__init__(f"objective returned non-finite value {value} at r = {r}")
-
-
 class FSobolevNotVerifiedError(ValidationError):
     def __init__(self, verdict):
         self.verdict = verdict
         super().__init__(
             f"functional inequality was not verified (verdict: {verdict}); "
-            "pass FSobolevVerdict.assumed(model, F) to override"
+            "pass FSobolevVerdict.assumed(model, c) to override"
         )
 
 

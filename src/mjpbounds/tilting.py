@@ -7,6 +7,8 @@ semigroup ``exp(t(L + r M_f))``.  The Fenchel conjugate
 ``sup_r (ru - lambda_0(r))`` is the decay rate of the master concentration
 inequality; ``lambda0_star`` solves it for a whole grid of thresholds by
 safeguarded Newton steps on one stacked eigensolve per step.
+``conjugate_grid`` runs those steps for any cumulant bound given by its
+value, slope and curvature at a stack of tilts.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import ValidationError
 from .markov import Observable, ProbDist
 from .spectral import SpectralData
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_CAP_FACTOR = 1e6
 NEWTON_RTOL = 1e-12
 # c of the Weyl slack c * n * eps * ||B + r diag f||_2 on a computed eigenvalue
@@ -37,8 +38,8 @@ class ConjugateResult:
     bounds, by Weyl's inequality, how far eigensolver rounding can have moved
     ``lambda_0(argmax_r)``, so ``value - weyl_slack`` bounds the conjugate
     from below up to the rounding of ``r u - lambda_0``; it is 0 where the
-    value needs no eigensolve, and ``None`` for a conjugate of a function
-    that is not an eigenvalue.
+    value needs no eigensolve (u = 0, or a conjugate of a function that is
+    not an eigenvalue), and ``None`` where the value is infinite.
     """
 
     u: float
@@ -79,62 +80,6 @@ def chi2_prefactor(nu: ProbDist, pi: ProbDist) -> float:
     return float(math.sqrt(np.sum(nu.weights**2 / pi.weights)))
 
 
-def _golden_max(h, lo: float, hi: float, tol: float):
-    """Golden-section maximization of a concave function on [lo, hi]."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    h1, h2 = h(x1), h(x2)
-    while hi - lo > tol:
-        if h1 < h2:
-            lo, x1, h1 = x1, x2, h2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            h2 = h(x2)
-        else:
-            hi, x2, h2 = x2, x1, h1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            h1 = h(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, h(xm)
-
-
-def fenchel_conjugate(
-    g, u: float, r_max: float = math.inf, tol: float = 1e-10
-) -> ConjugateResult:
-    """sup over r in [0, r_max) of ru - g(r), for convex g with g(0) = 0.
-
-    The objective is concave, so a geometrically expanded bracket followed by
-    golden-section search locates the supremum; the value is clamped at 0
-    (always attainable at r = 0).  Raises on NaN from g inside the domain.
-    """
-
-    def objective(r: float) -> float:
-        val = g(r)
-        if math.isnan(val):
-            raise NonFiniteError(r, val)
-        return r * u - val
-
-    hi_cap = r_max * (1.0 - 1e-12)
-    h_prev = 0.0
-    r_cur = min(1.0, hi_cap)
-    hit_cap = False
-    while True:
-        h_cur = objective(r_cur)
-        if h_cur < h_prev:
-            break
-        if r_cur >= hi_cap:
-            hit_cap = True
-            break
-        h_prev = h_cur
-        r_cur = min(2.0 * r_cur, hi_cap)
-
-    lo, hi = 0.0, r_cur
-    r_tol = max(tol, tol * hi)
-    r_star, h_star = _golden_max(objective, lo, hi, r_tol)
-    value = max(h_star, 0.0)
-    argmax = 0.0 if value == 0.0 and h_star <= 0.0 else r_star
-    return ConjugateResult(u=u, value=value, argmax_r=argmax, boundary=hit_cap)
-
-
 def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     """Closed-form conjugate of the sub-gamma bound r^2 v / (2(1 - rc)).
 
@@ -145,13 +90,6 @@ def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
         raise ValidationError(f"need v > 0, c >= 0, finite u >= 0; got {bp} at u={u}")
     root = math.sqrt(1.0 + 2.0 * u * bp.c / bp.v)
     return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
-
-
-def above_max(f: Observable, u: float) -> bool:
-    """True iff ``u`` lies above ``max f`` by more than rounding, where the
-    time average cannot reach it and a conjugate over unbounded tilts is
-    infinite."""
-    return u > float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300
 
 
 def _tilted_eigh(sd: SpectralData, f: np.ndarray, r: np.ndarray):
@@ -176,33 +114,33 @@ def _tilted_eigh(sd: SpectralData, f: np.ndarray, r: np.ndarray):
     return top, coupling[:, -1], curvature, np.maximum(-w[:, 0], top)
 
 
-def _newton_conjugate(sd: SpectralData, f: Observable, u: np.ndarray):
-    """``sup_{r >= 0} (r u - lambda_0(r))`` for every ``u`` of a 1-D array
-    with ``0 < u <= max f`` (to rounding), all at once.
+def _newton_conjugate(moments, u: np.ndarray, sup: float, curvature0: float):
+    """``sup_{r >= 0} (r u - g(r))`` for every ``u`` of a 1-D array with
+    ``0 < u <= max f`` (to rounding), all at once, for a convex ``g`` with
+    ``g(0) = 0`` that grows with slope at most ``max f``.
 
-    The maximizer solves ``lambda_0'(r) = u``.  Each step runs one stacked
-    ``_tilted_eigh`` over the thresholds still live.  A threshold keeps a
-    bracket ``[lo, hi]`` on its root (``hi`` is infinite until a tilt
-    overshoots) and takes the Newton step when it lands inside the bracket
-    and at most halves the previous step; otherwise it bisects, or doubles
-    while ``hi`` is infinite (``rtsafe`` of Numerical Recipes).  It leaves
-    the stack once its step falls below ``NEWTON_RTOL`` relative, or
-    ``NEWTON_RTOL**2 / ||f||`` absolute (where ``r u`` moves by under
-    1e-24), and reports the tilt it last evaluated.  One whose slope stays
-    below u up to the tilt cap ends there, flagged ``boundary``.  The start
-    is the Gaussian guess ``u / lambda_0''(0)``, with ``lambda_0''(0)`` the
-    asymptotic variance ``-2 <Sf, f>``.
+    ``moments(r, u)`` takes a stack of tilts and their thresholds and
+    returns, per tilt, the objective ``r u - g(r)``, the slope ``g'(r)``,
+    the curvature ``g''(r)`` and a bound on the rounding of ``g(r)``.  The
+    maximizer solves ``g'(r) = u``.  Each step makes one ``moments`` call on
+    the thresholds still live.  A threshold keeps a bracket ``[lo, hi]`` on
+    its root (``hi`` is infinite until a tilt overshoots) and takes the
+    Newton step when it lands inside the bracket and at most halves the
+    previous step; otherwise it bisects, or doubles while ``hi`` is infinite
+    (``rtsafe`` of Numerical Recipes).  It leaves the stack once its step
+    falls below ``NEWTON_RTOL`` relative, or ``NEWTON_RTOL**2 / sup``
+    absolute (where ``r u`` moves by under 1e-24), and reports the tilt it
+    last evaluated.  One whose slope stays below u up to the tilt cap ends
+    there, flagged ``boundary``.  The start is the Gaussian guess
+    ``u / curvature0``, with ``curvature0 = g''(0)``; ``sup`` is ``||f||``.
 
-    Returns the argmax, value, boundary flag and Weyl slack per threshold.
+    Returns the argmax, value, boundary flag and rounding bound per threshold.
     """
-    fv = f.values
-    sup = f.sup_norm
     r_top = R_CAP_FACTOR * (1.0 + 1.0 / sup) * (1.0 - 1e-12)
     r_floor = NEWTON_RTOL / sup
-    var0 = -2.0 * float(sd.pi.weights @ (fv * (sd.resolvent @ fv)))
     r = np.full(u.shape, r_top)
-    if var0 > 0.0:
-        np.minimum(u / var0, r_top, out=r)
+    if curvature0 > 0.0:
+        np.minimum(u / curvature0, r_top, out=r)
     lo, hi = np.zeros_like(r), np.full_like(r, math.inf)
     step_prev = np.full_like(r, math.inf)
     value, slack = np.empty_like(r), np.empty_like(r)
@@ -210,9 +148,7 @@ def _newton_conjugate(sd: SpectralData, f: Observable, u: np.ndarray):
     live = np.arange(u.size)
     while live.size:
         x, uk = r[live], u[live]
-        top, slope, curvature, norm = _tilted_eigh(sd, fv, x)
-        value[live] = x * uk - top
-        slack[live] = WEYL_C * fv.size * np.finfo(float).eps * norm
+        value[live], slope, curvature, slack[live] = moments(x, uk)
         g = slope - uk
         below = g < 0.0
         lo[live] = np.where(below, x, lo[live])
@@ -235,17 +171,19 @@ def _newton_conjugate(sd: SpectralData, f: Observable, u: np.ndarray):
     return r, value, boundary, slack
 
 
-def lambda0_star(sd: SpectralData, f: Observable, u):
-    """Fenchel conjugate of the tilted top eigenvalue at threshold ``u >= 0``,
-    or at every threshold of a 1-D grid ``u`` (one result per threshold).
+def conjugate_grid(moments, f: Observable, u, curvature0: float):
+    """``sup_{r >= 0} (r u - g(r))`` at threshold ``u >= 0``, or at every
+    threshold of a 1-D grid ``u`` (one ``ConjugateResult`` per threshold),
+    for a ``g`` as ``_newton_conjugate`` takes, given by its ``moments``.
 
-    Finite exactly on [min f, max f]; beyond max f the conjugate is infinite
-    and the result carries ``value = inf``.  At u = max f the supremum is
-    approached only as r grows, so the search is capped and the result is
-    flagged as a boundary value.  At u = 0 the supremum is 0, at r = 0, which
-    also covers f = 0 (a constant observable, centered).  The other
-    thresholds are solved together by ``_newton_conjugate``; each one's
-    result is the same, bit for bit, whatever else is on the grid.
+    Beyond max f by more than rounding, where the time average cannot reach
+    u, the conjugate is infinite and the result carries ``value = inf``.  At
+    u = max f the supremum is approached only as r
+    grows, so the search is capped and the result is flagged as a boundary
+    value.  At u = 0 the supremum is 0, at r = 0, which also covers f = 0
+    (a constant observable, centered).  The other thresholds are solved
+    together by ``_newton_conjugate``; each one's result is the same, bit
+    for bit, whatever else is on the grid.
     """
     grid = np.asarray(u, dtype=float)
     us = np.atleast_1d(grid)
@@ -253,18 +191,35 @@ def lambda0_star(sd: SpectralData, f: Observable, u):
         raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
     if not np.all(us >= 0):  # also refuses NaN
         raise ValidationError(f"threshold must be nonnegative, got {u}")
+    f_max = float(np.max(f.values))
     results = [
         ConjugateResult(uk, math.inf, None)
-        if above_max(f, uk)
+        if uk > f_max * (1.0 + 1e-12) + 1e-300
         else ConjugateResult(uk, 0.0, 0.0, weyl_slack=0.0)
         for uk in us.tolist()
     ]
     solve = [k for k, res in enumerate(results) if res.u > 0.0 and res.finite]
     if solve:
-        solved = _newton_conjugate(sd, f, us[solve])
+        solved = _newton_conjugate(moments, us[solve], f.sup_norm, curvature0)
         for k, r, h, edge, slack in zip(solve, *(a.tolist() for a in solved)):
-            # r u - lambda_0(r) can round below 0 near r = 0, where the
-            # supremum 0 is attained exactly
+            # r u - g(r) can round below 0 near r = 0, where the supremum 0
+            # is attained exactly
             if h > 0.0:
                 results[k] = ConjugateResult(results[k].u, h, r, edge, slack)
     return results if grid.ndim else results[0]
+
+
+def lambda0_star(sd: SpectralData, f: Observable, u):
+    """Fenchel conjugate of the tilted top eigenvalue at threshold ``u >= 0``,
+    or at every threshold of a 1-D grid ``u``, by ``conjugate_grid``: each
+    step is one stacked ``_tilted_eigh``, the rounding bound is the Weyl
+    slack, and ``lambda_0''(0)`` is the asymptotic variance ``-2 <Sf, f>``.
+    """
+    fv = f.values
+
+    def moments(r, u):
+        top, slope, curvature, norm = _tilted_eigh(sd, fv, r)
+        return r * u - top, slope, curvature, WEYL_C * fv.size * np.finfo(float).eps * norm
+
+    var0 = -2.0 * float(sd.pi.weights @ (fv * (sd.resolvent @ fv)))
+    return conjugate_grid(moments, f, u, var0)

@@ -1,8 +1,10 @@
 """Brute-force and closed-form oracles that only the tests use.
 
 Each one computes a quantity the library also computes, by an independent
-route: the Donsker-Varadhan information minimised over the slice
-``{beta : beta(f) = u}`` against the general rate, the weighted norm of the
+route: a Fenchel conjugate by bracket doubling and golden-section search
+against the library's Newton solver, the Donsker-Varadhan information
+minimised over the slice ``{beta : beta(f) = u}`` against the general rate,
+the weighted norm of the
 Feynman-Kac semigroup against its eigenvalue bound, the sub-gamma majorant
 of the tilted top eigenvalue, a bound from a supplied rate function, the
 static Cramer transform, the second closed form of the sub-gamma conjugate,
@@ -25,18 +27,82 @@ import numpy as np
 
 from mjpbounds import (
     BernsteinParams,
+    ConjugateResult,
     MJPModel,
     analyze,
     beta_total,
-    fenchel_conjugate,
     lambda0_star,
 )
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
-from mjpbounds.errors import ValidationError
+from mjpbounds.errors import NumericalError, ValidationError
 from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
 from mjpbounds.simulate import _cumulative
 from mjpbounds.spectral import sym_coords
-from mjpbounds.tilting import R_CAP_FACTOR, _golden_max
+from mjpbounds.tilting import R_CAP_FACTOR
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class NonFiniteError(NumericalError):
+    def __init__(self, r, value):
+        self.r, self.value = r, value
+        super().__init__(f"objective returned non-finite value {value} at r = {r}")
+
+
+def _golden_max(h, lo: float, hi: float, tol: float):
+    """Golden-section maximization of a concave function on [lo, hi]."""
+    x1 = hi - _INV_GOLDEN * (hi - lo)
+    x2 = lo + _INV_GOLDEN * (hi - lo)
+    h1, h2 = h(x1), h(x2)
+    while hi - lo > tol:
+        if h1 < h2:
+            lo, x1, h1 = x1, x2, h2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            h2 = h(x2)
+        else:
+            hi, x2, h2 = x2, x1, h1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            h1 = h(x1)
+    xm = 0.5 * (lo + hi)
+    return xm, h(xm)
+
+
+def fenchel_conjugate(
+    g, u: float, r_max: float = math.inf, tol: float = 1e-10
+) -> ConjugateResult:
+    """sup over r in [0, r_max) of ru - g(r), for convex g with g(0) = 0.
+
+    The objective is concave, so a geometrically expanded bracket followed by
+    golden-section search locates the supremum; the value is clamped at 0
+    (always attainable at r = 0).  Raises on NaN from g inside the domain.
+    """
+
+    def objective(r: float) -> float:
+        val = g(r)
+        if math.isnan(val):
+            raise NonFiniteError(r, val)
+        return r * u - val
+
+    hi_cap = r_max * (1.0 - 1e-12)
+    h_prev = 0.0
+    r_cur = min(1.0, hi_cap)
+    hit_cap = False
+    while True:
+        h_cur = objective(r_cur)
+        if h_cur < h_prev:
+            break
+        if r_cur >= hi_cap:
+            hit_cap = True
+            break
+        h_prev = h_cur
+        r_cur = min(2.0 * r_cur, hi_cap)
+
+    lo, hi = 0.0, r_cur
+    r_tol = max(tol, tol * hi)
+    r_star, h_star = _golden_max(objective, lo, hi, r_tol)
+    value = max(h_star, 0.0)
+    argmax = 0.0 if value == 0.0 and h_star <= 0.0 else r_star
+    return ConjugateResult(u=u, value=value, argmax_r=argmax, boundary=hit_cap)
 
 
 def donsker_varadhan_info(q: QMatrix, pi: ProbDist, beta) -> float:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjpbounds import (
     BernsteinParams,
@@ -12,10 +14,8 @@ from mjpbounds import (
     check_f_sobolev,
     empirical_tail,
     evaluate_family,
-    fenchel_conjugate,
     iid_sum_bound,
     lambda0,
-    log_sobolev,
     lower_tail,
     make_model,
     probability_vector,
@@ -24,7 +24,7 @@ from mjpbounds import (
     two_sided,
 )
 from mjpbounds import bounds
-from mjpbounds.bounds import ASCENT_STEPS, FSobolevFunction, perturbation_branch_threshold
+from mjpbounds.bounds import ASCENT_STEPS, perturbation_branch_threshold
 from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_Q, random_irreducible_model
@@ -32,6 +32,7 @@ from oracles import (
     bound_via_alpha,
     cramer_transform_static,
     donsker_varadhan_info,
+    fenchel_conjugate,
     general_bernstein_eigen_bound,
     verify_info_representation,
 )
@@ -60,7 +61,7 @@ def test_constant_observable_is_exact_in_every_family(family):
     # f centers to 0, so A_t / t = 0 on every path: P(A_t / t >= u) is 1 at
     # u <= 0 and 0 above
     model = make_model(TWO_STATE_Q, [1.0, 1.0])
-    verdict = FSobolevVerdict.assumed(model, log_sobolev(0.5))
+    verdict = FSobolevVerdict.assumed(model, 0.5)
     rates = [
         evaluate_family(model, 5.0, u, family, fsobolev=verdict).rate
         for u in (-0.1, 0.0, 0.3)
@@ -160,87 +161,121 @@ class TestBoundBernsteinGeneral:
 
 class TestFSobolev:
     def test_small_log_constant_holds_on_sweep(self, two_state):
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         assert verdict.status == "holds"
 
     def test_huge_constant_violated_with_witness(self, two_state):
-        F = log_sobolev(500.0)
-        verdict = check_f_sobolev(two_state, F)
+        c = 500.0
+        verdict = check_f_sobolev(two_state, c)
         assert verdict.status == "violated"
         g = verdict.witness
         w = two_state.pi.weights
         # the witness really violates the inequality
-        lhs = float(w @ (g * g * F(g * g)))
+        lhs = float(w @ (g * g * (c * np.log(g * g))))
         rhs = -float(w @ (g * (two_state.q.rates @ g)))
         assert lhs > rhs
 
     def test_halving_a_passing_function_still_passes(self, two_state):
-        assert check_f_sobolev(two_state, log_sobolev(0.5)).status == "holds"
-        assert check_f_sobolev(two_state, log_sobolev(0.25)).status == "holds"
+        assert check_f_sobolev(two_state, 0.5).status == "holds"
+        assert check_f_sobolev(two_state, 0.25).status == "holds"
 
     def test_three_state_search_inconclusive_for_modest_constant(self, three_cycle):
-        verdict = check_f_sobolev(three_cycle, log_sobolev(0.2))
+        verdict = check_f_sobolev(three_cycle, 0.2)
         assert verdict.status in ("inconclusive", "holds")
         assert verdict.max_violation <= 1e-8
 
     def test_unverified_rejected_without_override(self, two_state):
-        verdict = check_f_sobolev(two_state, log_sobolev(500.0))
+        verdict = check_f_sobolev(two_state, 500.0)
         with pytest.raises(FSobolevNotVerifiedError):
             evaluate_family(two_state, 1.0, 0.3, "fsobolev", fsobolev=verdict)
 
     def test_log_case_reduces_to_static_cramer(self, two_state):
         c = 0.5
-        F = log_sobolev(c)
-        verdict = check_f_sobolev(two_state, F)
+        verdict = check_f_sobolev(two_state, c)
         for u in (0.1, 0.3, 0.6):
             p = evaluate_family(two_state, 1.0, u, "fsobolev", fsobolev=verdict)
             target = c * cramer_transform_static(two_state.pi, two_state.f, u)
             assert p.rate == pytest.approx(target, abs=1e-8)
 
     def test_zero_threshold_rate_zero(self, two_state):
-        verdict = FSobolevVerdict.assumed(two_state, log_sobolev(0.5))
+        verdict = FSobolevVerdict.assumed(two_state, 0.5)
         p = evaluate_family(two_state, 1.0, 0.0, "fsobolev", fsobolev=verdict)
-        assert p.rate == pytest.approx(0.0, abs=1e-12)
+        assert p.rate == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_at_max_f_is_minus_c_log_of_its_mass(self, two_state):
         # sup_r (r - c log(pi(e^{r f / c}))) is approached as r grows: -c log pi(f = 1)
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         p = evaluate_family(two_state, 3.0, 1.0, "fsobolev", fsobolev=verdict)
         assert p.rate == pytest.approx(-0.5 * math.log(2 / 3), abs=1e-12)  # 0.2027
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rate_at_max_f_of_a_three_state_chain(self, three_dense):
+        # the log-MGF is taken shifted by s max f, so no exp overflows as the
+        # tilt grows, and the limit -c log pi(f = max f) comes out to rounding
+        verdict = FSobolevVerdict.assumed(three_dense, 0.5)
+        f = three_dense.f.values
+        assert float(f.max()) == 1.3
+        p = evaluate_family(three_dense, 2.0, 1.3, "fsobolev", fsobolev=verdict)
+        mass = float(three_dense.pi.weights[f == f.max()].sum())
+        assert p.rate == pytest.approx(-0.5 * math.log(mass), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_infinite_above_max_f(self):
-        # F(pi(F^-1(r f))) <= r max f, so an unbounded tilt domain gives an
-        # infinite rate above max f, as the general family's does
+        # c log pi(e^{r f / c}) <= r max f, so the rate is infinite above
+        # max f, as the general family's is
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
             m = random_irreducible_model(rng, n)
         assert m.f.values.max() == pytest.approx(0.085, abs=1e-3)
-        verdict = check_f_sobolev(m, log_sobolev(0.3))
+        verdict = check_f_sobolev(m, 0.3)
         for u in (0.125, 0.25, 0.375, 0.5):
             p = evaluate_family(m, 3.0, u, "fsobolev", fsobolev=verdict)
             assert p.rate == math.inf and p.bound == 0.0
             assert p.diagnostics["argmax_r"] is None
             assert evaluate_family(m, 3.0, u, "general").rate == math.inf
 
-    def test_finite_zero_limit_caps_tilt_domain(self, two_state):
-        # F(x) = 1 - 1/sqrt(x): increasing, concave, F(1) = 0, F(0+) = -inf
-        # is already covered by log; use F(x) = (x-1)/(x+1) with finite slope
-        # instead: F(0) = -1, so the cap F(0)/min f is finite
-        F = FSobolevFunction(
-            fn=lambda x: (np.asarray(x, dtype=float) - 1.0)
-            / (np.asarray(x, dtype=float) + 1.0),
-            inverse=lambda y: (1.0 + np.asarray(y, dtype=float))
-            / (1.0 - np.asarray(y, dtype=float)),
-            zero_limit=-1.0,
-            name="mobius",
-        )
-        verdict = FSobolevVerdict.assumed(two_state, F)
-        p = evaluate_family(two_state, 1.0, 0.2, "fsobolev", fsobolev=verdict)
-        f_min = float(two_state.f.values.min())
-        assert p.diagnostics["r_cap"] == pytest.approx(-1.0 / f_min)
-        assert p.rate >= 0.0
+    @pytest.mark.parametrize("c", [0.0, -0.5, math.nan, math.inf])
+    def test_constant_must_be_positive_and_finite(self, two_state, c):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            check_f_sobolev(two_state, c)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            FSobolevVerdict.assumed(two_state, c)
+
+
+class TestFSobolevAccuracy:
+    """The fsobolev rate is c times the Cramer rate of f under pi, checked
+    against golden-section search on the log-MGF and against the relative
+    entropy of the tilted distribution at the maximizer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.05, 0.3, 1.0, 4.0]),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5),
+    )
+    def test_c_times_static_cramer_and_relative_entropy(self, n, seed, c, fractions):
+        model = random_irreducible_model(np.random.default_rng(seed), n)
+        verdict = FSobolevVerdict.assumed(model, c)
+        grid = np.array(fractions) * model.f.values.max()
+        for p in evaluate_family(model, 1.0, grid, "fsobolev", fsobolev=verdict):
+            cramer = cramer_transform_static(model.pi, model.f, p.u)
+            assert p.rate == pytest.approx(c * cramer, rel=1e-10)
+            # at s* = r*/c the tilted mean is u, and KL(pi_s* || pi) is the
+            # Cramer rate s* u - log pi(e^{s* f})
+            logits = p.diagnostics["argmax_r"] / c * model.f.values
+            tilted = model.pi.weights * np.exp(logits - logits.max())
+            tilted /= tilted.sum()
+            kl = float(tilted @ np.log(tilted / model.pi.weights))
+            assert p.rate == pytest.approx(c * kl, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", bounds.FAMILIES)
+def test_negative_threshold_refused_in_every_family(two_state, family):
+    verdict = FSobolevVerdict.assumed(two_state, 0.5)
+    with pytest.raises(ValidationError):
+        evaluate_family(two_state, 1.0, -0.3, family, fsobolev=verdict)
 
 
 def _verdict_panel_chain(name):
@@ -266,16 +301,16 @@ class TestFSobolevBatchedSearch:
             return scored(*args)
 
         monkeypatch.setattr(bounds, "_violation", counted)
-        check_f_sobolev(three_cycle, log_sobolev(0.2))
+        check_f_sobolev(three_cycle, 0.2)
         assert 0 < len(calls) <= 2 * ASCENT_STEPS + 1
 
     def test_each_column_ascends_as_if_alone(self, three_dense):
-        F = log_sobolev(0.3 * analyze(three_dense).gap)
+        c = 0.3 * analyze(three_dense).gap
         g = np.random.default_rng(1).standard_normal((3, 6))
         g /= np.sqrt(three_dense.pi.weights @ g**2)
-        together = bounds._ascend_violation(three_dense, F, g)
+        together = bounds._ascend_violation(three_dense, c, g)
         for j in range(g.shape[1]):
-            alone = bounds._ascend_violation(three_dense, F, g[:, [j]])
+            alone = bounds._ascend_violation(three_dense, c, g[:, [j]])
             # the 1e-7 difference step turns rounding into ~1e-9 per gradient;
             # a probe credited to the wrong column would move g by O(1)
             np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-6)
@@ -288,11 +323,11 @@ class TestFSobolevBatchedSearch:
     )
     def test_verdict_panel(self, name, c_over_gap, status):
         m = _verdict_panel_chain(name)
-        F = log_sobolev(c_over_gap * analyze(m).gap)
-        verdict = check_f_sobolev(m, F)
+        c = c_over_gap * analyze(m).gap
+        verdict = check_f_sobolev(m, c)
         assert verdict.status == status
         if status == "violated":
-            assert float(bounds._violation(m, F, verdict.witness)) == pytest.approx(
+            assert float(bounds._violation(m, c, verdict.witness)) == pytest.approx(
                 verdict.max_violation, rel=1e-12
             )
         else:
@@ -300,16 +335,16 @@ class TestFSobolevBatchedSearch:
 
 
 class TestFSobolevVerdictPolicy:
-    """The verdict carries its F and its chain, and one policy reads it."""
+    """The verdict carries its constant and its chain, and one policy reads it."""
 
     def test_verdict_of_another_chain_refused(self, two_state):
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
         with pytest.raises(ValidationError, match="different chain"):
             evaluate_family(other, 5.0, 0.3, "fsobolev", fsobolev=verdict)
 
     def test_verdict_serves_every_model_on_its_chain(self, two_state):
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         stat = evaluate_family(
             stationary_model(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict
         )
@@ -326,21 +361,19 @@ class TestFSobolevVerdictPolicy:
 
     @pytest.mark.parametrize(
         "verdict_of",
-        [lambda m, F: FSobolevVerdict(F, m, "inconclusive"), FSobolevVerdict.assumed],
+        [lambda m, c: FSobolevVerdict(c, m, "inconclusive"), FSobolevVerdict.assumed],
         ids=["inconclusive", "assumed"],
     )
     def test_unshown_inequality_gives_a_flagged_bound(self, three_cycle, verdict_of):
-        F = log_sobolev(0.2)
-        verdict = verdict_of(three_cycle, F)
+        verdict = verdict_of(three_cycle, 0.2)
         p = evaluate_family(three_cycle, 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert p.diagnostics["unverified"]
-        assert p.diagnostics["F"] == F.name
         assert p.rate > 0.0
 
     def test_holds_gives_an_unflagged_bound(self, two_state):
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         assert verdict.status == "holds"
-        assert verdict.F.name == "0.5*log" and verdict.model is two_state
+        assert verdict.c == 0.5 and verdict.model is two_state
         p = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert not p.diagnostics["unverified"]
 
@@ -475,7 +508,7 @@ class TestAnalysisBelongsToItsModel:
 def test_grid_gives_the_pointwise_bounds(three_dense, family):
     # one call on a grid, one rate function call: the same points as one
     # call per threshold, whatever else is on the grid
-    verdict = FSobolevVerdict.assumed(three_dense, log_sobolev(0.5))
+    verdict = FSobolevVerdict.assumed(three_dense, 0.5)
     a = analyze(three_dense)
     fmax = float(three_dense.f.values.max())
     grid = [0.0, 0.05, 0.4 * fmax, 0.95 * fmax, 1.5 * fmax, 0.05]
@@ -587,7 +620,7 @@ class TestCurveAndDomination:
         for m in (two_state, three_cycle):
             a = analyze(m)
             fmax = m.f.values.max()
-            verdict = check_f_sobolev(m, log_sobolev(0.2))
+            verdict = check_f_sobolev(m, 0.2)
             for t in (1.0, 5.0):
                 avg = time_averages(m, t, 30000, seed=17)
                 for u in (0.1 * fmax, 0.4 * fmax):
@@ -626,13 +659,13 @@ class TestDiagnosticsKeys:
         "perturbation": set(),
         "poincare": set(),
         "bernstein_general": set(),
-        "fsobolev": {"argmax_r", "r_cap", "F", "unverified"},
+        "fsobolev": {"argmax_r", "unverified"},
     }
 
     def test_each_family_keeps_only_its_keys(self, two_state):
         assert set(self.KEPT) == set(bounds.FAMILIES)
         a = analyze(two_state)
-        verdict = check_f_sobolev(two_state, log_sobolev(0.5))
+        verdict = check_f_sobolev(two_state, 0.5)
         for fam, keys in self.KEPT.items():
             p = evaluate_family(two_state, 5.0, 0.3, fam, analysis=a, fsobolev=verdict)
             assert set(p.diagnostics) == keys, fam

@@ -13,18 +13,19 @@ from mjpbounds import (
     bernstein_conjugate,
     chi2_prefactor,
     evaluate_family,
-    fenchel_conjugate,
     lambda0,
     lambda0_star,
     make_model,
     probability_vector,
 )
-from mjpbounds.errors import NonFiniteError, ValidationError
+from mjpbounds.errors import ValidationError
 from mjpbounds.tilting import R_CAP_FACTOR, _tilted_eigh
 
 from oracles import (
+    NonFiniteError,
     bernstein_conjugate_vform,
     cramer_transform_static,
+    fenchel_conjugate,
     feynman_kac_norm,
     verify_info_representation,
 )
