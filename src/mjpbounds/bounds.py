@@ -36,6 +36,7 @@ from .spectral import (
     spectral_decomposition,
 )
 from .tilting import (
+    WEYL_C,
     BernsteinParams,
     bernstein_conjugate,
     chi2_prefactor,
@@ -43,7 +44,6 @@ from .tilting import (
     lambda0_star,
 )
 
-FSOBOLEV_SWEEP = 200001
 FSOBOLEV_SEED = 0
 FSOBOLEV_RESTARTS = 32
 ASCENT_STEPS = 200
@@ -261,30 +261,35 @@ def _violation(model: MJPModel, c: float, g: np.ndarray):
 
 
 def check_f_sobolev(model: MJPModel, c: float) -> FSobolevVerdict:
-    """Search for a violation of the log-Sobolev inequality with constant
-    ``c`` on the unit sphere.
+    """Whether the log-Sobolev inequality with constant ``c`` holds on
+    ``model``'s chain, by one check for every chain size.
 
-    The candidates are the columns of one matrix, scored by one
-    ``_violation`` call; the first largest violation decides.  Two states
-    admit an exhaustive one-angle sweep, so ``holds`` is a certificate up to
-    grid resolution there.  Larger state spaces get ``FSOBOLEV_RESTARTS``
-    random starts ascended by ``_ascend_violation``, which can only return
-    ``violated`` (with the witness) or ``inconclusive``.
+    It is the inequality of the additive symmetrization, reversible with gap
+    ``sd.gap``, so it holds iff ``c <= alpha`` of Diaconis & Saloff-Coste
+    (Ann. Appl. Probab. 1996): ``alpha >= gap p x / log1p(x)``, ``p = min pi``,
+    ``x = (1 - 2p)/p`` (Cor. A.4, exact on two states by Thm A.1), and
+    ``alpha <= gap/2`` (Lemma 3.1).  ``holds`` if ``c`` is at most that bound
+    at the gap less its Weyl slack.  Otherwise the random starts and
+    ``1 +- 0.1 phi_1`` (``phi_1`` the gap eigenvector) are ascended, and the
+    first largest violation is the witness: ``violated`` above 1e-8, or on two
+    states above the exact alpha at the gap plus its slack; else ``inconclusive``.
     """
+    # built first, so that a bad constant is refused before the analysis
+    verdict = FSobolevVerdict(c, model, "inconclusive")
+    sd = spectral_decomposition(model.q, model.pi)
+    slack = WEYL_C * model.n * np.finfo(float).eps * np.linalg.norm(sd.sym_coords, 2)
+    p = float(np.min(model.pi.weights))
+    x = (1.0 - 2.0 * p) / p
+    ratio = 0.5 if x == 0.0 else p * x / math.log1p(x)
+    if c <= max(0.0, sd.gap - slack) * ratio:
+        return replace(verdict, status="holds")
     w = model.pi.weights
-    sweep = model.n == 2
-    # built first, so that a bad constant is refused before the search
-    verdict = FSobolevVerdict(c, model, "holds" if sweep else "inconclusive")
-    if sweep:
-        theta = np.linspace(0.0, math.pi, FSOBOLEV_SWEEP)
-        g = np.stack([np.cos(theta) / math.sqrt(w[0]), np.sin(theta) / math.sqrt(w[1])])
-    else:
-        rng = np.random.default_rng(FSOBOLEV_SEED)
-        g = rng.standard_normal((FSOBOLEV_RESTARTS, model.n)).T
-        g = _ascend_violation(model, c, g / np.sqrt(w @ g**2))
+    g = np.random.default_rng(FSOBOLEV_SEED).standard_normal((FSOBOLEV_RESTARTS, model.n)).T
+    g = np.hstack([g, 1.0 + sd.eigvecs[:, [1, 1]] * [0.1, -0.1]])
+    g = _ascend_violation(model, c, g / np.sqrt(w @ g**2))
     v = _violation(model, c, g)
     k = int(np.argmax(v))
-    if v[k] > 1e-8:
+    if v[k] > 1e-8 or (model.n == 2 and c > (sd.gap + slack) * ratio):
         return replace(verdict, status="violated", max_violation=float(v[k]),
                        witness=g[:, k].copy())
     return replace(verdict, max_violation=float(v[k]))

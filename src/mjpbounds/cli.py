@@ -207,7 +207,9 @@ def _resolve_families(spec, fsobolev_c: float | None):
 
 
 def _check_families(fams, fsobolev_c: float | None):
-    """Refuse an unknown or repeated family, and fsobolev without its constant."""
+    """Refuse no family, an unknown or repeated one, and fsobolev without its constant."""
+    if not fams:
+        raise ValidationError("family list is empty")
     for fam in fams:
         if fam not in bnd.FAMILIES:
             raise ValidationError(f"unknown family {fam!r}")

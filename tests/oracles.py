@@ -261,7 +261,10 @@ def cramer_transform_static(
     """Cramer transform of the single-draw observable f(X_0) under pi.
 
     Returns ``sup_{r>=0} (ru - log sum_x pi_x e^{r f(x)})``; infinite beyond
-    max f.
+    max f.  The log-MGF is taken shifted by ``r max f``, as
+    ``log1p(sum_x pi_x expm1(r (f(x) - max f)))``: weights that do not sum
+    to exactly 1 leave no error of order eps in it, which at small u would
+    swamp the rate.
     """
     if u < 0:
         raise ValidationError(f"threshold must be nonnegative, got {u}")
@@ -271,8 +274,7 @@ def cramer_transform_static(
         return math.inf
 
     def log_mgf(r: float) -> float:
-        shift = r * f_max if r > 0 else 0.0
-        return shift + math.log(float(pi.weights @ np.exp(r * values - shift)))
+        return r * f_max + math.log1p(float(pi.weights @ np.expm1(r * (values - f_max))))
 
     cap = R_CAP_FACTOR * (1.0 + 1.0 / max(f.sup_norm, 1e-300))
     return fenchel_conjugate(log_mgf, u, r_max=cap, tol=tol).value

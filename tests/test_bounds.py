@@ -179,10 +179,70 @@ class TestFSobolev:
         assert check_f_sobolev(two_state, 0.5).status == "holds"
         assert check_f_sobolev(two_state, 0.25).status == "holds"
 
-    def test_three_state_search_inconclusive_for_modest_constant(self, three_cycle):
+    def test_three_state_search_inconclusive_for_modest_constant(self, three_dense):
+        # 0.44 gap lies between the closed-form lower bound on alpha (0.433
+        # gap, as pi is not uniform) and gap/2, where only the search speaks
+        verdict = check_f_sobolev(three_dense, 1.3)
+        assert verdict.status == "inconclusive"
+        assert verdict.max_violation <= 1e-8 and verdict.witness is None
+
+    def test_three_cycle_certified_below_the_closed_form(self, three_cycle):
+        # uniform pi on 3 states: alpha >= gap (1/3) / log 2 = 0.7213
         verdict = check_f_sobolev(three_cycle, 0.2)
-        assert verdict.status in ("inconclusive", "holds")
-        assert verdict.max_violation <= 1e-8
+        assert verdict.status == "holds"
+        assert math.isnan(verdict.max_violation) and verdict.witness is None
+        assert check_f_sobolev(three_cycle, 0.74).status == "violated"
+
+    def test_two_state_alpha_is_exact(self, two_state):
+        # Thm A.1: alpha = gap (1 - 2p) / log((1 - p)/p) = 3 (1/3) / log 2
+        assert check_f_sobolev(two_state, 1.44).status == "holds"
+        verdict = check_f_sobolev(two_state, 1.45)
+        assert verdict.status == "violated"
+        assert float(bounds._violation(two_state, 1.45, verdict.witness)) > 1e-8
+
+    def test_uniform_two_state_alpha_is_half_the_gap(self):
+        m = make_model([[-2.0, 2.0], [2.0, -2.0]], [1.0, -1.0])
+        assert analyze(m).gap == pytest.approx(4.0, rel=1e-15)
+        assert check_f_sobolev(m, 2.0 * (1 - 1e-12)).status == "holds"
+        assert check_f_sobolev(m, 2.0 * (1 + 1e-12)).status == "violated"
+
+    def test_random_two_state_holds_exactly_below_alpha(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            a, b = rng.uniform(0.05, 5.0, size=2)
+            m = make_model([[-a, a], [b, -b]], [1.0, -1.0])
+            p = min(a, b) / (a + b)
+            alpha = (a + b) * (1 - 2 * p) / math.log((1 - p) / p)
+            for k in (0.5, 1 - 1e-12, 1 + 1e-12, 2.0):
+                status = check_f_sobolev(m, k * alpha).status
+                assert status == ("holds" if k < 1 else "violated"), (a, b, k)
+
+    def test_gap_lost_to_rounding_certifies_nothing(self):
+        # a path of 8 states, bulk rate 1e5 and 1e-11 on the middle edge:
+        # the computed gap is below the Weyl slack of its eigensolve
+        n, eps, b = 8, 1e-11, 1e5
+        rates = np.zeros((n, n))
+        for x in range(n - 1):
+            rates[x, x + 1] = rates[x + 1, x] = eps if x == n // 2 - 1 else b
+        np.fill_diagonal(rates, -rates.sum(axis=1))
+        m = make_model(rates, np.linspace(-1.0, 1.0, n))
+        gap = analyze(m).gap
+        for k in (1e-3, 0.05, 0.3):
+            assert check_f_sobolev(m, k * gap).status != "holds"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.5, 1.0))
+    def test_no_holds_contradicted_by_a_wider_search(self, n, seed, scale):
+        m = random_irreducible_model(np.random.default_rng(seed), n)
+        gap = analyze(m).gap
+        p = float(m.pi.weights.min())
+        c = scale * gap * (1 - 2 * p) / math.log((1 - p) / p) if p < 0.5 else scale * gap / 2
+        verdict = check_f_sobolev(m, c)
+        if verdict.status != "holds":
+            return
+        g = np.random.default_rng(seed).standard_normal((n, 128))
+        g = bounds._ascend_violation(m, c, g / np.sqrt(m.pi.weights @ g**2))
+        assert float(np.max(bounds._violation(m, c, g))) <= 1e-10
 
     def test_unverified_rejected_without_override(self, two_state):
         verdict = check_f_sobolev(two_state, 500.0)
@@ -253,22 +313,26 @@ class TestFSobolevAccuracy:
         st.integers(2, 8),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.05, 0.3, 1.0, 4.0]),
-        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5),
+        st.lists(st.floats(0.001, 0.99), min_size=1, max_size=5),
     )
     def test_c_times_static_cramer_and_relative_entropy(self, n, seed, c, fractions):
         model = random_irreducible_model(np.random.default_rng(seed), n)
         verdict = FSobolevVerdict.assumed(model, c)
         grid = np.array(fractions) * model.f.values.max()
+        w = model.pi.weights
         for p in evaluate_family(model, 1.0, grid, "fsobolev", fsobolev=verdict):
+            # abs=0: the rates at small u are far below approx's default 1e-12
             cramer = cramer_transform_static(model.pi, model.f, p.u)
-            assert p.rate == pytest.approx(c * cramer, rel=1e-10)
+            assert p.rate == pytest.approx(c * cramer, rel=1e-10, abs=0)
             # at s* = r*/c the tilted mean is u, and KL(pi_s* || pi) is the
-            # Cramer rate s* u - log pi(e^{s* f})
-            logits = p.diagnostics["argmax_r"] / c * model.f.values
-            tilted = model.pi.weights * np.exp(logits - logits.max())
-            tilted /= tilted.sum()
-            kl = float(tilted @ np.log(tilted / model.pi.weights))
-            assert p.rate == pytest.approx(c * kl, rel=1e-10)
+            # Cramer rate s* u - log pi(e^{s* f}); with l = log d pi_s*/d pi
+            # and h = e^l - 1 it is pi((1 + h) l - h), a sum of terms >= 0
+            s = p.diagnostics["argmax_r"] / c * model.f.values
+            s -= s.max()
+            log_density = s - math.log(float(w @ np.exp(s)))
+            h = np.expm1(log_density)
+            kl = float(w @ ((1 + h) * log_density - h))
+            assert p.rate == pytest.approx(c * kl, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("family", bounds.FAMILIES)
@@ -301,8 +365,12 @@ class TestFSobolevBatchedSearch:
             return scored(*args)
 
         monkeypatch.setattr(bounds, "_violation", counted)
-        check_f_sobolev(three_cycle, 0.2)
+        # between the closed-form lower bound 0.7213 and gap/2 = 0.75
+        check_f_sobolev(three_cycle, 0.74)
         assert 0 < len(calls) <= 2 * ASCENT_STEPS + 1
+        calls.clear()
+        check_f_sobolev(three_cycle, 0.2)  # certified: no search
+        assert calls == []
 
     def test_each_column_ascends_as_if_alone(self, three_dense):
         c = 0.3 * analyze(three_dense).gap
@@ -315,11 +383,12 @@ class TestFSobolevBatchedSearch:
             # a probe credited to the wrong column would move g by O(1)
             np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-6)
 
-    # the statuses the search gave when it scored one start or probe per call
+    # 0.05 gap is below the closed-form lower bound on alpha on every chain
+    # of the panel, and alpha <= gap/2, with a violation the search finds
     @pytest.mark.parametrize("name", ["three_cycle", "rand3", "rand4", "rand5", "rand6"])
     @pytest.mark.parametrize(
         "c_over_gap, status",
-        [(0.05, "inconclusive"), (0.5, "violated"), (1.0, "violated")],
+        [(0.05, "holds"), (0.5, "violated"), (0.55, "violated"), (1.0, "violated")],
     )
     def test_verdict_panel(self, name, c_over_gap, status):
         m = _verdict_panel_chain(name)
@@ -330,8 +399,9 @@ class TestFSobolevBatchedSearch:
             assert float(bounds._violation(m, c, verdict.witness)) == pytest.approx(
                 verdict.max_violation, rel=1e-12
             )
+            assert verdict.max_violation > 1e-8
         else:
-            assert verdict.max_violation <= 1e-8 and verdict.witness is None
+            assert math.isnan(verdict.max_violation) and verdict.witness is None
 
 
 class TestFSobolevVerdictPolicy:

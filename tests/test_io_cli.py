@@ -15,7 +15,9 @@ from mjpbounds import cli
 from mjpbounds.cli import main, run_compare, RunConfig
 from mjpbounds.errors import ParseError, ValidationError
 
-from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_F, TWO_STATE_Q
+from conftest import (
+    THREE_CYCLE_F, THREE_CYCLE_Q, THREE_DENSE_F, THREE_DENSE_Q, TWO_STATE_F, TWO_STATE_Q,
+)
 
 
 class TestModelFile:
@@ -312,10 +314,11 @@ class TestCliSubcommands:
                 "bounds", "--t", "5", "--u-grid", "0.1:0.3:2",
                 "--families", "poincare,poincare",
             ],
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2", "--families", ","],
         ],
         ids=[
             "bounds_negative_t", "rate_nan_u", "bounds_infinite_u",
-            "bounds_repeated_family",
+            "bounds_repeated_family", "bounds_empty_family_list",
         ],
     )
     def test_refused_bounds_and_rate_write_no_file(self, model_file, tmp_path, argv):
@@ -341,22 +344,26 @@ class TestCliSubcommands:
         assert {ln.split(",")[1] for ln in lines[1:]} == {"poincare", "general"}
 
     @pytest.mark.parametrize(
-        "chain, note", [("two_state", ""), ("three_cycle", "unverified")]
+        "chain, note",
+        [("two_state", ""), ("three_cycle", ""), ("three_dense", "unverified")],
     )
     def test_fsobolev_row_flags_an_unverified_inequality(
         self, model_file, tmp_path, chain, note
     ):
-        # two states get a full sweep (verdict holds); on the 3-cycle the
-        # random restarts find no violation (verdict inconclusive), so the
-        # rate rests on an inequality that is assumed, not shown
-        q, f = {"two_state": (TWO_STATE_Q, TWO_STATE_F),
-                "three_cycle": (THREE_CYCLE_Q, THREE_CYCLE_F)}[chain]
+        # 0.2 is below the closed-form lower bound on the log-Sobolev
+        # constant of both the 2-state chain and the 3-cycle (verdict
+        # holds); 1.3 on the dense 3-state chain is between that bound and
+        # gap/2, where the search finds no violation (verdict inconclusive),
+        # so the rate rests on an inequality that is assumed, not shown
+        q, f, c = {"two_state": (TWO_STATE_Q, TWO_STATE_F, "0.2"),
+                   "three_cycle": (THREE_CYCLE_Q, THREE_CYCLE_F, "0.2"),
+                   "three_dense": (THREE_DENSE_Q, THREE_DENSE_F, "1.3")}[chain]
         out = tmp_path / "bounds.csv"
         assert main(
             [
                 "bounds", "--model", model_file(q=q, f=f), "--t", "2",
                 "--u-grid", "0.1:0.3:2", "--families", "fsobolev,poincare",
-                "--fsobolev-c", "0.2", "--out", str(out), "--no-timestamp",
+                "--fsobolev-c", c, "--out", str(out), "--no-timestamp",
             ]
         ) == 0
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
@@ -556,8 +563,8 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "families",
-        [["general", "poincare", "general"], ["nosuch"], ["fsobolev"]],
-        ids=["repeated", "unknown", "fsobolev_without_constant"],
+        [["general", "poincare", "general"], ["nosuch"], ["fsobolev"], []],
+        ids=["repeated", "unknown", "fsobolev_without_constant", "empty"],
     )
     def test_library_refuses_bad_families_and_writes_no_file(
         self, model_file, tmp_path, families
@@ -583,7 +590,7 @@ class TestCompare:
             ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),
             ("--t", "1,1"), ("--u-grid", "0.1:0.1:2"), ("--u-grid", "-0.2:0.3:2"),
             ("--fsobolev-c", "10"), ("--u-grid", "inf:inf:1"),
-            ("--families", "general,poincare,general"),
+            ("--families", "general,poincare,general"), ("--families", ","),
         ],
     )
     def test_refused_cell_settings_write_no_file(
@@ -682,7 +689,7 @@ class TestCompare:
                 out=str(tmp_path / "c.csv"), fsobolev_c=0.2,
             )
         )
-        assert summary["fsobolev_verdict"] == "inconclusive"
+        assert summary["fsobolev_verdict"] == "holds"
 
     def test_out_dash_writes_stdout(self, model_file, tmp_path, monkeypatch, capsys):
         path = model_file()
