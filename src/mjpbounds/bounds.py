@@ -260,7 +260,9 @@ def _violation(model: MJPModel, c: float, g: np.ndarray):
     return w @ term + w @ (g * (model.q.rates @ g))
 
 
-def check_f_sobolev(model: MJPModel, c: float) -> FSobolevVerdict:
+def check_f_sobolev(
+    model: MJPModel, c: float, analysis: ModelAnalysis | None = None
+) -> FSobolevVerdict:
     """Whether the log-Sobolev inequality with constant ``c`` holds on
     ``model``'s chain, by one check for every chain size.
 
@@ -273,10 +275,12 @@ def check_f_sobolev(model: MJPModel, c: float) -> FSobolevVerdict:
     ``1 +- 0.1 phi_1`` (``phi_1`` the gap eigenvector) are ascended, and the
     first largest violation is the witness: ``violated`` above 1e-8, or on two
     states above the exact alpha at the gap plus its slack; else ``inconclusive``.
+    ``analysis`` may come from any model on the same chain, as for
+    ``evaluate_family``.
     """
     # built first, so that a bad constant is refused before the analysis
     verdict = FSobolevVerdict(c, model, "inconclusive")
-    sd = spectral_decomposition(model.q, model.pi)
+    sd = _analysis(model, analysis).sd
     slack = WEYL_C * model.n * np.finfo(float).eps * np.linalg.norm(sd.sym_coords, 2)
     p = float(np.min(model.pi.weights))
     x = (1.0 - 2.0 * p) / p

@@ -160,9 +160,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
-    est = empirical_tail(
-        mf.model, args.t, args.u, args.samples, seed, threads=args.threads
-    )
+    est = empirical_tail(mf.model, args.t, args.u, args.samples, seed)
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
     _write_csv(args.out, args.no_timestamp, "u,t,n,hits,p_hat,ci_lo,ci_hi", [row])
     return 0
@@ -227,7 +225,7 @@ def _bound_table(model, families, u_grid, t, fsobolev_c):
     whole grid."""
     analysis, verdict = bnd.analyze(model), None
     if "fsobolev" in families:
-        verdict = bnd.check_f_sobolev(model, fsobolev_c)
+        verdict = bnd.check_f_sobolev(model, fsobolev_c, analysis=analysis)
     us = [float(u) for u in u_grid]
     columns = [
         bnd.evaluate_family(model, t, us, fam, analysis=analysis, fsobolev=verdict)
@@ -265,7 +263,6 @@ class RunConfig:
     families: list[str]
     samples: int
     seed: int | None  # None: the model file's seed, else 0
-    threads: int = 1
     out: str | None = None
     strict: bool = False
     no_timestamp: bool = False
@@ -332,7 +329,7 @@ def run_compare(config: RunConfig) -> dict:
             conj = lambda0_star(analysis.sd, model.f, list(points))
             sharp_rate = {c.u: c.value for c in conj}
     horizons = sorted(config.t_values)
-    sims = time_averages(model, horizons, config.samples, seed, threads=config.threads)
+    sims = time_averages(model, horizons, config.samples, seed)
     averages = dict(zip(horizons, sims))
 
     rows, failures = [], []
@@ -383,7 +380,6 @@ def cmd_compare(args) -> int:
         families=_resolve_families(args.families, args.fsobolev_c),
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
         out=args.out,
         strict=args.strict,
         no_timestamp=args.no_timestamp,
@@ -405,7 +401,11 @@ def _add_common(sp, csv=True, threads=False):
     sp.add_argument("--model", required=True, help="model file (JSON or TOML)")
     sp.add_argument("--seed", type=int, default=None)
     if threads:
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help="at least 1; changes neither the work nor the result (the "
+            "simulator runs its blocks in one loop)",
+        )
     if csv:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--no-timestamp", action="store_true")
@@ -462,6 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # the one check of --threads, which has no other effect
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError(f"need at least one thread, got {args.threads}")
         return args.fn(args)
     except UnicodeDecodeError as exc:  # an @file that is not UTF-8, before Python 3.12
         print(f"validation failure: argument file is not UTF-8: {exc}", file=sys.stderr)

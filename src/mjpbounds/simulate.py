@@ -8,7 +8,7 @@ chosen with probability q_xy / q_x.
 Randomness comes from a counter-based generator: draw k of sample i is a
 64-bit hash of (seed, i, k) mapped to (0, 1).  Every sample owns its own
 substream, so tail estimates are bitwise reproducible for a fixed seed no
-matter how the samples are partitioned into blocks or threads.  Every path
+matter how the samples are partitioned into blocks.  Every path
 uses draw 0 for its initial state and draws 2k+1 and 2k+2 for the holding
 time and jump target of its k-th sweep, so all live paths of a block share
 one draw counter, and its hash is computed once per sweep, not once per path.
@@ -21,7 +21,6 @@ keys it is given are never written.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ValidationError, ZeroHorizonError
 from .markov import MJPModel, Observable, stationary_model
 
-_BLOCK = 16384  # fixed work unit; threads share blocks, results do not depend on it
+_BLOCK = 16384  # paths per block: bounds the memory of a run; results do not depend on it
 
 _U64 = np.uint64
 _GAMMA = _U64(0x9E3779B97F4A7C15)
@@ -335,10 +334,8 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
         draw += 2
 
 
-def time_averages(
-    model: MJPModel, t, n_samples: int, seed: int, threads: int = 1
-) -> np.ndarray:
-    """Per-sample time averages A_t/t; bitwise identical for any thread count.
+def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
+    """Per-sample time averages A_t/t, simulated in blocks of ``_BLOCK`` paths.
 
     ``t`` is one horizon, giving one value per sample, or a strictly
     ascending sequence of horizons, giving one row per horizon.  All
@@ -356,24 +353,12 @@ def time_averages(
         raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
-    if threads < 1:
-        raise ValidationError(f"need at least one thread, got {threads}")
     targets, cum, guide = _jump_tables(model)
     tables = (targets.ravel(), cum.ravel(), guide.ravel(), guide.shape[1])
     out = np.empty((hs.size, n_samples))
-    blocks = [
-        (s, min(_BLOCK, n_samples - s)) for s in range(0, n_samples, _BLOCK)
-    ]
-
-    def run(block):
-        _time_average_block(model, hs, seed, *block, tables, out)
-
-    if threads <= 1 or len(blocks) == 1:
-        for b in blocks:
-            run(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
+    for start in range(0, n_samples, _BLOCK):
+        count = min(_BLOCK, n_samples - start)
+        _time_average_block(model, hs, seed, start, count, tables, out)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -403,7 +388,6 @@ def empirical_tail(
     u: float,
     n_samples: int,
     seed: int,
-    threads: int = 1,
     averages: np.ndarray | None = None,
 ) -> TailEstimate:
     """Estimate P_nu(A_t/t >= u) over independent trajectories.
@@ -417,16 +401,14 @@ def empirical_tail(
         raise ValidationError("threshold u must not be NaN")
     a = averages
     if a is None:
-        a = time_averages(model, t, n_samples, seed, threads=threads)
+        a = time_averages(model, t, n_samples, seed)
     elif np.shape(a) != (n_samples,):
         raise ValidationError(f"need one average per sample, got shape {np.shape(a)}")
     hits = int(np.count_nonzero(a >= u))
     return _tail_estimate(u, t, n_samples, hits)
 
 
-def empirical_variance_rate(
-    model: MJPModel, t: float, n_samples: int, seed: int, threads: int = 1
-) -> float:
+def empirical_variance_rate(model: MJPModel, t: float, n_samples: int, seed: int) -> float:
     """Sample variance of the integral A_t across trajectories, divided by t.
 
     The chain is started from its invariant distribution, matching the
@@ -434,6 +416,6 @@ def empirical_variance_rate(
     """
     if n_samples < 2:
         raise ValidationError(f"need at least two samples, got {n_samples}")
-    averages = time_averages(stationary_model(model), t, n_samples, seed, threads)
+    averages = time_averages(stationary_model(model), t, n_samples, seed)
     integrals = averages * t
     return float(np.var(integrals, ddof=1) / t)

@@ -573,6 +573,17 @@ class TestAnalysisBelongsToItsModel:
         with pytest.raises(ValidationError):
             evaluate_family(other, 20.0, 0.3, "general", analysis=analyze(two_state))
 
+    def test_fsobolev_check_reads_an_analysis_of_its_chain(self, two_state, three_cycle):
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        with pytest.raises(ValidationError):
+            check_f_sobolev(other, 0.5, analysis=analyze(two_state))
+        # 0.74 lies between the closed-form lower bound and gap/2: the search runs
+        plain = check_f_sobolev(three_cycle, 0.74)
+        other_start = analyze(stationary_model(three_cycle))
+        shared = check_f_sobolev(three_cycle, 0.74, analysis=other_start)
+        assert (shared.status, shared.max_violation) == (plain.status, plain.max_violation)
+        assert shared.witness.tobytes() == plain.witness.tobytes()
+
 
 @pytest.mark.parametrize("family", bounds.FAMILIES)
 def test_grid_gives_the_pointwise_bounds(three_dense, family):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,28 @@ class TestCliSubcommands:
             ("fsobolev", "inf", "0"), ("general", "inf", "0")
         ]
 
+    def test_fsobolev_family_builds_one_spectral_decomposition(
+        self, model_file, tmp_path, monkeypatch
+    ):
+        # the log-Sobolev check reads the analysis that the bound families read,
+        # also where it searches (1.3 on this chain is inconclusive)
+        calls = []
+        decompose = bnd.spectral_decomposition
+
+        def spy(*args):
+            calls.append(1)
+            return decompose(*args)
+
+        monkeypatch.setattr(bnd, "spectral_decomposition", spy)
+        assert main(
+            [
+                "bounds", "--model", model_file(q=THREE_DENSE_Q, f=THREE_DENSE_F),
+                "--t", "5", "--u-grid", "0.1:0.3:2", "--families", "fsobolev,poincare",
+                "--fsobolev-c", "1.3", "--out", str(tmp_path / "b.csv"),
+            ]
+        ) == 0
+        assert len(calls) == 1
+
     def test_fsobolev_constant_without_the_family_runs_no_check(
         self, model_file, tmp_path, monkeypatch
     ):
@@ -533,6 +556,20 @@ class TestCompare:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_threads_flag_starts_no_thread(self, model_file, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # 40000 samples span three simulator blocks
+        assert main(
+            [
+                "compare", "--model", model_file(seed=7), "--t", "1",
+                "--u-grid", "0.2:0.2:1", "--samples", "40000", "--families", "poincare",
+                "--threads", "4", "--out", str(tmp_path / "cmp.csv"),
+            ]
+        ) == 0
 
     def test_seed_changes_output(self, model_file, tmp_path):
         path = model_file()
@@ -872,26 +909,26 @@ class TestArgsFile:
         assert later == body(*settings, "--seed", "9")
         assert later != from_file
 
-    def test_file_threads_reach_the_simulator_and_a_later_flag_wins(
+    def test_file_samples_reach_the_simulator_and_a_later_flag_wins(
         self, model_file, tmp_path, monkeypatch
     ):
         seen = []
         averages = cli.time_averages
 
-        def spy(*args, threads, **kwargs):
-            seen.append(threads)
-            return averages(*args, threads=threads, **kwargs)
+        def spy(model, t, n_samples, seed):
+            seen.append(n_samples)
+            return averages(model, t, n_samples, seed)
 
         monkeypatch.setattr(cli, "time_averages", spy)
         settings = self.args_file(
-            tmp_path, "--threads", "3", "--t", "1", "--u-grid", "0.2:0.2:1",
-            "--samples", "500", "--families", "poincare",
+            tmp_path, "--samples", "300", "--t", "1", "--u-grid", "0.2:0.2:1",
+            "--families", "poincare",
         )
         argv = ["compare", "--model", model_file(), settings,
                 "--out", str(tmp_path / "cmp.csv")]
         assert main(argv) == 0
-        assert main(argv + ["--threads", "2"]) == 0
-        assert seen == [3, 2]
+        assert main(argv + ["--samples", "200"]) == 0
+        assert seen == [300, 200]
 
     @pytest.mark.parametrize(
         "content",

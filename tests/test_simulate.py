@@ -8,6 +8,7 @@ from conftest import random_irreducible_model
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mjpbounds import simulate
 from mjpbounds import (
     CounterStream,
     Observable,
@@ -185,11 +186,6 @@ class TestHorizonAndThresholdChecks:
         with pytest.raises(ZeroHorizonError):
             time_averages(two_state, 0.0, 10, seed=0)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_non_positive_thread_count_rejected(self, two_state, threads):
-        with pytest.raises(ValidationError, match=f"got {threads}"):
-            time_averages(two_state, 1.0, 10, seed=0, threads=threads)
-
     def test_nan_threshold_rejected(self, two_state):
         with pytest.raises(ValidationError, match="NaN"):
             empirical_tail(two_state, 1.0, math.nan, 10, seed=0)
@@ -198,14 +194,21 @@ class TestHorizonAndThresholdChecks:
 class TestManyHorizons:
     HORIZONS = (0.5, 1.0, 1.0 + 1e-9, 7.0)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_equal_single_horizon_runs_bitwise(self, three_dense, threads):
-        # 40000 samples span three blocks, so two threads share the work
-        rows = time_averages(three_dense, self.HORIZONS, 40000, seed=8, threads=threads)
+    def test_rows_equal_single_horizon_runs_bitwise(self, three_dense):
+        # 40000 samples span three blocks
+        rows = time_averages(three_dense, self.HORIZONS, 40000, seed=8)
         assert rows.shape == (len(self.HORIZONS), 40000)
         for row, h in zip(rows, self.HORIZONS):
             single = time_averages(three_dense, h, 40000, seed=8)
             assert row.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("block", [7, 1000, 4096])
+    def test_bits_do_not_depend_on_the_block_size(self, three_dense, monkeypatch, block):
+        # every path draws from its own substream, so blocks only bound memory
+        whole = time_averages(three_dense, self.HORIZONS, 5000, seed=8)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        rows = time_averages(three_dense, self.HORIZONS, 5000, seed=8)
+        assert rows.tobytes() == whole.tobytes()
 
     def test_one_horizon_in_a_list_gives_one_row(self, two_state):
         one = time_averages(two_state, 3.0, 100, seed=2)
@@ -432,19 +435,13 @@ class TestJumpTargets:
         _next_states(tables, state, u)
         assert (state.tobytes(), u.tobytes()) == before
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_wide_sparse_chain_bits_pinned(self, wide_sparse, threads):
-        # 20000 samples span two blocks, so two threads share the work
-        avg = time_averages(
-            wide_sparse, (0.25, 1.0, 2.0), 20000, seed=2026, threads=threads
-        )
+    def test_wide_sparse_chain_bits_pinned(self, wide_sparse):
+        # 20000 samples span two blocks
+        avg = time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000, seed=2026)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == WIDE_SPARSE_SHA256
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dense_chain_bits_pinned(self, three_dense, threads):
-        avg = time_averages(
-            three_dense, (0.5, 2.0, 5.0), 20000, seed=2027, threads=threads
-        )
+    def test_dense_chain_bits_pinned(self, three_dense):
+        avg = time_averages(three_dense, (0.5, 2.0, 5.0), 20000, seed=2027)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == THREE_DENSE_SHA256
 
 
@@ -479,12 +476,6 @@ class TestEmpiricalTail:
         small = empirical_tail(two_state, 5.0, 0.3, 100000, seed=13)
         big = empirical_tail(two_state, 5.0, 0.3, 1000000, seed=14)
         assert abs(small.p_hat - big.p_hat) <= small.ci_half_width + big.ci_half_width
-
-    def test_deterministic_across_thread_counts(self, three_cycle):
-        a = empirical_tail(three_cycle, 3.0, 0.2, 50000, seed=5, threads=1)
-        b = empirical_tail(three_cycle, 3.0, 0.2, 50000, seed=5, threads=4)
-        c = empirical_tail(three_cycle, 3.0, 0.2, 50000, seed=5, threads=7)
-        assert a == b == c
 
     def test_precomputed_averages_shortcut(self, two_state):
         avg = time_averages(two_state, 2.0, 5000, seed=3)
