@@ -194,9 +194,12 @@ class TestHorizonAndThresholdChecks:
 class TestManyHorizons:
     HORIZONS = (0.5, 1.0, 1.0 + 1e-9, 7.0)
 
-    def test_rows_equal_single_horizon_runs_bitwise(self, three_dense):
-        # 40000 samples span three blocks
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_rows_equal_single_horizon_runs_bitwise(self, three_dense, monkeypatch, split):
+        # 40000 samples span three blocks, or five when the blocks are halved
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         rows = time_averages(three_dense, self.HORIZONS, 40000, seed=8)
+        monkeypatch.undo()
         assert rows.shape == (len(self.HORIZONS), 40000)
         for row, h in zip(rows, self.HORIZONS):
             single = time_averages(three_dense, h, 40000, seed=8)
@@ -435,12 +438,16 @@ class TestJumpTargets:
         _next_states(tables, state, u)
         assert (state.tobytes(), u.tobytes()) == before
 
-    def test_wide_sparse_chain_bits_pinned(self, wide_sparse):
-        # 20000 samples span two blocks
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_wide_sparse_chain_bits_pinned(self, wide_sparse, monkeypatch, split):
+        # 20000 samples span two blocks, or three when the blocks are halved
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         avg = time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000, seed=2026)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == WIDE_SPARSE_SHA256
 
-    def test_dense_chain_bits_pinned(self, three_dense):
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_dense_chain_bits_pinned(self, three_dense, monkeypatch, split):
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         avg = time_averages(three_dense, (0.5, 2.0, 5.0), 20000, seed=2027)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == THREE_DENSE_SHA256
 
