@@ -16,12 +16,22 @@ A block keeps that counter in a one-element cell and passes
 ``counter_uniforms`` a stride-0 view of the cell, sliced to the live paths:
 each call still names one draw index per path, at no cost per path, and the
 keys it is given are never written.
+
+A jump is picked in a few whole-array steps.  Each state's row of the jump
+tables lists only its positive-rate targets, a guide table of four buckets
+per entry of the longest row says where the search for a uniform starts, and
+the tables record the most steps any uniform needs from there.  Every path
+takes that many steps, unless they are more than ``_FIXED_STEPS``; then
+only the paths short of their target step on.  A
+path's state is its slot in the flattened tables, which give the exit rate,
+the value of f and the guide row of each slot's target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,67 +168,130 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
 
 
 def _jump_tables(model: MJPModel):
-    """Per-state jump targets, cumulative probabilities and guide table.
+    """Per-state jump targets, cumulative probabilities, guide table and the
+    number of search steps a pick takes at most.
 
-    Self-jumps are excluded.  A jump out of x with uniform u in (0, 1] goes
-    to ``targets[x, (u > cum[x]).sum()]``, where ``cum[x]`` is the
-    ``_cumulative`` row of the jump probabilities.  ``guide[x, b]`` is
-    ``x * (n - 1)`` plus the number of entries of ``cum[x]`` below the lower
-    edge of bucket b of ``4 (n - 1)`` equal buckets of [0, 1): the index
-    into the flattened ``cum`` where the search for a u of that bucket may
-    start (Chen & Asau's indexed search).  Every table is built for all
-    states at once, bit for bit as row by row.
+    Row x lists the D_x states that x jumps to at a positive rate, in order,
+    and is padded to the largest out-degree D with target x and ``cum`` 1.0.
+    ``cum[x]`` is the ``_cumulative`` row of the jump probabilities over
+    those targets, then 1.0; a jump out of x with uniform u in (0, 1] goes to
+    ``targets[x, (u > cum[x]).sum()]``.  A zero rate adds 0.0 to the running
+    sum, exactly, so these are the picks and the sums of a row over every
+    state but x, and the padding is never passed.  An absorbing row is
+    padding only; it is never left.
+
+    ``guide[x, b]`` is ``x * D`` plus the number of entries of ``cum[x]``
+    below the lower edge of bucket b of ``4 D`` equal buckets of [0, 1), and
+    one more column for the u at or just below 1.0 whose ``u * 4 D`` rounds to
+    ``4 D``: the index into the flattened tables where the search for a u of
+    that bucket starts (Chen & Asau's indexed search).
+    ``steps`` is the largest number of entries any u in (0, 1] passes beyond
+    the guide start of its bucket, over every row and bucket.  Every table
+    is built for all states at once.
     """
     n = model.n
+    rates = model.q.rates
     exit_rates = model.q.exit_rates
-    n_buckets = 4 * (n - 1)
-    # lowered by 2**-50 relative, so that rounding cannot lift an edge above
-    # a u with int(u * n_buckets) == b
-    edges = np.arange(n_buckets) / n_buckets * (1.0 - 2.0**-50)
-    cols = np.arange(n - 1)
-    # row x lists every state but x, in order
-    targets = cols + (cols >= np.arange(n)[:, None])
-    moving = exit_rates > 0.0
-    p = np.zeros((n, n - 1))
-    p[moving] = (
-        np.take_along_axis(model.q.rates, targets, axis=1)[moving] / exit_rates[moving, None]
+    positive = rates > 0.0  # the diagonal is never positive
+    degree = positive.sum(axis=1)
+    width = max(1, int(degree.max()))
+    n_buckets = 4 * width
+    cols = np.arange(width)
+    states = np.arange(n)[:, None]
+    pad = cols >= degree[:, None]
+    # a stable sort puts each row's positive-rate targets first, in order
+    moves = np.argsort(~positive, axis=1, kind="stable")[:, :width]
+    targets = np.where(pad, states, moves)
+    p = np.divide(
+        np.take_along_axis(rates, targets, axis=1),
+        exit_rates[:, None],
+        out=np.zeros((n, width)),
+        where=~pad,  # a row with a move has a positive exit rate
     )
-    # _cumulative of each row: running sums before the last positive entry,
-    # 1.0 from it on; an absorbing row stays 1.0, it is never left
-    last = (n - 2) - np.argmax(p[:, ::-1] > 0.0, axis=1)
-    cum = np.where(cols < last[:, None], np.cumsum(p, axis=1), 1.0)
-    cum[~moving] = 1.0
-    # an entry c of cum[x] lies below edges[b] exactly for b >= k(c), with
-    # k(c) the number of edges <= c; so the count below each edge is the
-    # running total of a histogram of k over each row
-    k = np.searchsorted(edges, cum, side="right") + (n_buckets + 1) * np.arange(n)[:, None]
-    hist = np.bincount(k.ravel(), minlength=n * (n_buckets + 1)).reshape(n, -1)
-    guide = (n - 1) * np.arange(n)[:, None] + np.cumsum(hist[:, :n_buckets], axis=1)
-    return targets, cum, guide
+    # _cumulative of each row: running sums before the last target, 1.0 from it on
+    cum = np.where(cols < degree[:, None] - 1, np.cumsum(p, axis=1), 1.0)
+
+    def below(k):
+        """Per row and bucket b, the entries whose bucket index ``k`` is <= b."""
+        k = k + (n_buckets + 2) * states
+        hist = np.bincount(k.ravel(), minlength=n * (n_buckets + 2)).reshape(n, -1)
+        return np.cumsum(hist[:, : n_buckets + 1], axis=1)
+
+    # lowered by 2**-50 relative, so that rounding cannot lift an edge above
+    # a u with int(u * n_buckets) == b; an entry c lies below edges[b]
+    # exactly for b >= the number of edges <= c
+    edges = np.arange(n_buckets + 1) / n_buckets * (1.0 - 2.0**-50)
+    start = below(np.searchsorted(edges, cum, side="right"))
+    # c < u for some u of bucket b exactly when the next double above c falls
+    # in bucket b or lower, as int(u * n_buckets) rises with u; no u passes
+    # 1.0.  The next double above a positive c has the bits of c plus one
+    above = (cum.view(np.int64) + 1).view(np.float64)
+    first_above = (above * n_buckets).astype(np.int64)
+    passed = below(np.where(cum < 1.0, first_above, n_buckets + 1))
+    steps = int((passed - start).max())
+    guide = width * states + start
+    return targets, cum, guide, steps
 
 
-def _next_states(tables, state, u):
-    """Jump target of each path, out of ``state`` with uniform ``u``.
+# a pick steps every path this many times at most; with more steps it steps
+# only the paths still short of their target, which measured as fast at 2
+# steps and faster at 3 (random chains of 8 to 64 states)
+_FIXED_STEPS = 2
 
-    ``tables`` holds the ``_jump_tables`` flattened, then the bucket count:
-    ``(targets.ravel(), cum.ravel(), guide.ravel(), n_buckets)``.  Bit for
-    bit ``targets[x, (u > cum[x]).sum()]``.  The search starts at the guide
-    entry of u's bucket, which never passes the answer, and steps right
-    while ``u > cum``; with four buckets per entry of a row it takes O(1)
-    steps on average.  ``j`` indexes the flattened tables.  Neither ``state``
-    nor ``u`` is written.
+
+class _Tables(NamedTuple):
+    """The ``_jump_tables`` flattened, indexed by slot: slot ``x * D + k``
+    is entry k of row x, and slot ``n * D + x`` stands for state x itself,
+    where a path starts.  ``rate``, ``f`` and ``base`` hold the exit rate,
+    the value of f and the guide row offset of each slot's target state."""
+
+    cum: np.ndarray
+    guide: np.ndarray
+    n_buckets: int
+    steps: int
+    rate: np.ndarray
+    f: np.ndarray
+    base: np.ndarray
+
+    @classmethod
+    def of(cls, model: MJPModel) -> _Tables:
+        targets, cum, guide, steps = _jump_tables(model)
+        to = np.append(targets.ravel(), np.arange(model.n))
+        return cls(
+            cum.ravel(),
+            guide.ravel(),
+            guide.shape[1] - 1,
+            steps,
+            model.q.exit_rates.take(to),
+            model.f.values.take(to),
+            to * guide.shape[1],
+        )
+
+
+def _next_slots(tables: _Tables, slot, u):
+    """Slot of each path's jump, out of the target of ``slot`` with uniform ``u``.
+
+    Bit for bit the slot of ``targets[x, (u > cum[x]).sum()]`` for x the
+    target of ``slot``.  The search starts at the guide entry of u's bucket,
+    which never passes the answer, and steps right while ``u > cum``.  A path
+    at its answer stays there, so every path takes ``tables.steps`` such
+    steps; when that is above ``_FIXED_STEPS``, only the paths not at their
+    answer step on instead.
+    Neither ``slot`` nor ``u`` is written.
     """
-    targets, cum, guide, n_buckets = tables
-    # u * n_buckets is n_buckets at u = 1.0 and may round up to it just below
-    j = (u * n_buckets).astype(np.int64)
-    np.minimum(j, n_buckets - 1, out=j)
-    j += state * n_buckets
-    j = guide.take(j)
+    cum = tables.cum
+    j = (u * tables.n_buckets).astype(np.int64)
+    j += tables.base.take(slot)
+    j = tables.guide.take(j)
+    if tables.steps <= _FIXED_STEPS:
+        for _ in range(tables.steps):
+            j += u > cum.take(j)
+        return j
     c = (u > cum.take(j)).nonzero()[0]
     while c.size:
         j[c] += 1
         c = c[u[c] > cum[j[c]]]
-    return targets.take(j)
+    return j
 
 
 def sample_trajectory(
@@ -238,7 +311,7 @@ def sample_trajectory(
     states = [state]
     if horizon == 0.0:
         return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
-    targets, cum, _ = _jump_tables(model)
+    targets, cum, _, _ = _jump_tables(model)
     exit_rates = model.q.exit_rates
     t = 0.0
     while True:
@@ -268,8 +341,9 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     """Time averages A_h/h of samples start..start+count-1 at every horizon h.
 
     ``horizons`` is strictly ascending; row k of ``out`` receives the averages
-    at ``horizons[k]``.  Each path runs once, to the last horizon.  When it
-    first reaches an earlier horizon h inside a holding interval it records
+    at ``horizons[k]``.  Each path runs once, to the last horizon, and holds
+    its state as its ``_Tables`` slot.  When it first reaches an earlier
+    horizon h inside a holding interval it records
     ``acc + f(state) * (h - tau)``, the float operations of a path stopped at
     h, so every row equals a one-horizon run bit for bit.  The live paths are
     compacted in the sweeps where some path passes the last horizon; each
@@ -280,8 +354,7 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     ``draws``, a stride-0 view of the cell sliced to the live paths, names it
     once per path.
     """
-    exit_rates = model.q.exit_rates
-    f_vals = model.f.values
+    rates, f_vals = tables.rate, tables.f
     last = horizons.size
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
@@ -289,7 +362,8 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     draws = np.broadcast_to(cell, (count,))
     cum_nu = _cumulative(model.nu.weights)
     u0 = counter_uniforms(keys, draws)
-    state = (u0[:, None] > cum_nu[None, :]).sum(axis=1).astype(np.int64)
+    slot = (u0[:, None] > cum_nu[None, :]).sum(axis=1)
+    slot += rates.size - model.n  # the slot of the state itself
 
     ids = np.arange(start, start + count)
     tau = np.zeros(count)
@@ -303,9 +377,9 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
         cell[0] = draw
         t_new = counter_uniforms(keys, draws)
         np.log(t_new, out=t_new)
-        t_new /= exit_rates.take(state)
+        t_new /= rates.take(slot)
         np.subtract(tau, t_new, out=t_new)
-        fx = f_vals.take(state)
+        fx = f_vals.take(slot)
         crossed = c = (t_new >= horizons.take(nxt)).nonzero()[0]
         while c.size:  # several horizons may fall in one holding interval
             k = nxt[c]
@@ -324,13 +398,14 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
             live = (nxt < last).nonzero()[0]
             if not live.size:
                 break
-            ids, keys, state, nxt, acc, tau = (
-                a.take(live) for a in (ids, keys, state, nxt, acc, tau)
+            ids, keys, slot, nxt, acc, tau = (
+                a.take(live) for a in (ids, keys, slot, nxt, acc, tau)
             )
             draws = draws[: live.size]
         cell[0] = draw + 1
         u = counter_uniforms(keys, draws)
-        state = _next_states(tables, state, u)
+        slot = _next_slots(tables, slot, u)
+        del u  # freed before the next sweep allocates its arrays
         draw += 2
 
 
@@ -353,8 +428,7 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
         raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
-    targets, cum, guide = _jump_tables(model)
-    tables = (targets.ravel(), cum.ravel(), guide.ravel(), guide.shape[1])
+    tables = _Tables.of(model)
     out = np.empty((hs.size, n_samples))
     for start in range(0, n_samples, _BLOCK):
         count = min(_BLOCK, n_samples - start)

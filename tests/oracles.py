@@ -309,25 +309,45 @@ def strongly_connected(adj) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+def _bucket_top(b: int, n_buckets: int) -> float:
+    """The largest u in (0, 1] with ``int(u * n_buckets) == b``, found by
+    stepping from ``(b + 1) / n_buckets`` one double at a time."""
+    u = min(1.0, (b + 1) / n_buckets)
+    while int(u * n_buckets) > b:
+        u = float(np.nextafter(u, 0.0))
+    while u < 1.0 and int(np.nextafter(u, 2.0) * n_buckets) == b:
+        u = float(np.nextafter(u, 2.0))
+    return u
+
+
 def jump_tables_loop(model: MJPModel):
     """``simulate._jump_tables`` built one state at a time: each row's
-    targets listed, its ``_cumulative`` row taken and its guide row found
-    by ``searchsorted`` against the bucket edges."""
+    positive-rate targets listed and padded with the row's own state, its
+    ``_cumulative`` row taken and padded with 1.0, its guide row found by
+    ``searchsorted`` against the bucket edges, and the steps of each bucket
+    counted from its guide start to the pick of the bucket's largest u."""
     n = model.n
     rates = model.q.rates
     exit_rates = model.q.exit_rates
-    n_buckets = 4 * (n - 1)
-    edges = np.arange(n_buckets) / n_buckets * (1.0 - 2.0**-50)
-    targets = np.empty((n, n - 1), dtype=np.int64)
-    cum = np.ones((n, n - 1))
-    guide = np.empty((n, n_buckets), dtype=np.int64)
-    for x in range(n):
-        others = [y for y in range(n) if y != x]
-        targets[x] = others
-        if exit_rates[x] > 0.0:
-            cum[x] = _cumulative(rates[x, others] / exit_rates[x])
-        guide[x] = x * (n - 1) + np.searchsorted(cum[x], edges, side="left")
-    return targets, cum, guide
+    moves = [np.flatnonzero(rates[x] > 0.0) for x in range(n)]
+    width = max(1, max(m.size for m in moves))
+    n_buckets = 4 * width
+    edges = np.arange(n_buckets + 1) / n_buckets * (1.0 - 2.0**-50)
+    tops = [_bucket_top(b, n_buckets) for b in range(n_buckets + 1)]
+    targets = np.empty((n, width), dtype=np.int64)
+    cum = np.ones((n, width))
+    guide = np.empty((n, n_buckets + 1), dtype=np.int64)
+    steps = 0
+    for x, ys in enumerate(moves):
+        targets[x] = x  # an absorbing row is padding only
+        targets[x, : ys.size] = ys
+        if ys.size:
+            cum[x, : ys.size] = _cumulative(rates[x, ys] / exit_rates[x])
+        start = np.searchsorted(cum[x], edges, side="left")
+        guide[x] = x * width + start
+        for b, u in enumerate(tops):
+            steps = max(steps, int((u > cum[x]).sum() - start[b]))
+    return targets, cum, guide, steps
 
 
 def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:

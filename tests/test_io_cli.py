@@ -571,6 +571,23 @@ class TestCompare:
             ]
         ) == 0
 
+    def test_clustered_tiny_rates_body_pinned(self, tmp_path):
+        # state 0's thirty rates of 1e-4 crowd its first buckets, so a pick
+        # steps only the paths short of their target.  The body was recorded
+        # with the jump tables that listed every state but x in row x; its
+        # bound cells are 0, 1 and inf, so only the simulation can move it.
+        # The installed console script runs the same command in CI.
+        data = Path(__file__).resolve().parent / "data"
+        out = tmp_path / "clustered.csv"
+        assert main(
+            [
+                "compare", "--model", str(data / "clustered_tiny_rates.json"),
+                "--t", "0.5,1,2,4,8", "--u-grid", "0:2:2", "--families", "general",
+                "--samples", "4000", "--no-timestamp", "--out", str(out),
+            ]
+        ) == 0
+        assert out.read_bytes() == (data / "clustered_tiny_rates.compare.csv").read_bytes()
+
     def test_seed_changes_output(self, model_file, tmp_path):
         path = model_file()
         bodies = []

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from mjpbounds.simulate import (
     _cumulative,
     _jump_tables,
     _mix64_int,
-    _next_states,
+    _next_slots,
+    _Tables,
     counter_uniforms,
     stream_keys,
 )
@@ -47,6 +50,14 @@ WIDE_SPARSE_SHA256 = "24ebb3424c1bd4ba4d9a84b5b513c5822b8cc36113e4234bdd834d80af
 # sha256 of the bytes of time_averages(three_dense, (0.5, 2.0, 5.0), 20000,
 # seed=2027), taken with the kernel that hashed one draw index per path
 THREE_DENSE_SHA256 = "195b591ff1acd96bce3290b35c62d14e2e7e463c189a2488d3cd2b05b96b6480"
+# sha256 of the bytes of time_averages(_model_with_first_row([1e-9] * 30 + [1.0]),
+# (0.25, 1.0, 2.0), 20000, seed=2028), taken with the kernel whose tables
+# listed every state but x in each row x
+CLUSTERED_SHA256 = "3eaa400b4f631df8a54dd4b2b84a1f870f302839282236be798eddafe1077461"
+# tracemalloc peak of time_averages on a 4-state chain, 200000 paths at
+# horizons (5, 20, 50), less the result: 2111485 bytes with the tables that
+# listed every state but x, plus two float arrays of one block as a margin
+SIMULATOR_PEAK_BUDGET = 2111485 + 2 * 8 * 16384
 
 
 # the largest draw the generator returns; ((2**53 - 1) + 0.5) * 2**-53 is 1.0
@@ -375,9 +386,11 @@ def _model_with_first_row(rates0):
 class TestJumpTables:
     @staticmethod
     def assert_match_loop(model):
-        for built, oracle in zip(_jump_tables(model), jump_tables_loop(model)):
-            assert built.dtype == oracle.dtype
-            np.testing.assert_array_equal(built, oracle)
+        built, oracle = _jump_tables(model), jump_tables_loop(model)
+        for b, o in zip(built[:3], oracle[:3]):
+            assert b.dtype == o.dtype
+            np.testing.assert_array_equal(b, o)
+        assert built[3] == oracle[3]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
@@ -395,48 +408,106 @@ class TestJumpTables:
         rates[1] = 0.0
         absorbing = dataclasses.replace(three_dense, q=QMatrix(rates))
         self.assert_match_loop(absorbing)
-        _, cum, _ = _jump_tables(absorbing)
+        targets, cum, _, _ = _jump_tables(absorbing)
         np.testing.assert_array_equal(cum[1], 1.0)
+        np.testing.assert_array_equal(targets[1], 1)
+
+    def test_rows_list_only_the_moves_a_state_can_make(self):
+        # state 0 jumps to 2 and 4 only; the ring states jump to two each
+        model = _model_with_first_row([0.0, 1.0, 0.0, 3.0])
+        targets, cum, guide, steps = _jump_tables(model)
+        assert targets.shape == (5, 2) and guide.shape == (5, 4 * 2 + 1)
+        assert targets[0].tolist() == [2, 4]
+        np.testing.assert_array_equal(cum[0], [0.25, 1.0])
+        assert steps == 1
+
+    def test_random_chains_take_few_steps(self, wide_sparse):
+        # every path steps once on a 4-state chain; on the 64-state one, whose
+        # rows hold 17 to 39 positive rates, only the paths short of their
+        # target step on
+        four = random_irreducible_model(np.random.default_rng(4), n=4)
+        assert _jump_tables(four)[3] == 1 <= simulate._FIXED_STEPS
+        targets, _, _, steps = _jump_tables(wide_sparse)
+        degree = (wide_sparse.q.rates > 0.0).sum(axis=1)
+        assert targets.shape[1] == degree.max()
+        assert steps == 4 > simulate._FIXED_STEPS
+
+
+def _adversarial_uniforms(cum, n_buckets):
+    """Bucket edges, ``cum`` entries, their neighbouring doubles and the
+    values just above 0 and below 1, kept in (0, 1]; 1 - 2**-54 rounds to
+    1.0, where ``u * n_buckets`` is ``n_buckets``."""
+    edges = np.arange(n_buckets + 1) / n_buckets
+    points = np.concatenate([edges, cum.ravel(), [2.0**-54, 1 - 2.0**-54]])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return u[(u > 0.0) & (u <= 1.0)]
+
+
+# zero rates repeat entries of the cumulative row over all states, tiny rates
+# crowd entries into one bucket, small integer rates put entries on bucket edges
+_FIRST_ROWS = st.lists(
+    st.one_of(st.integers(0, 3).map(float), st.floats(1e-9, 1e3), st.just(1e-9)),
+    min_size=1,
+    max_size=12,
+).filter(any)
 
 
 class TestJumpTargets:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.integers(0, 3).map(float), st.floats(1e-9, 1e3)),
-            min_size=1,
-            max_size=12,
-        ).filter(any)
-    )
+    @given(_FIRST_ROWS)
+    @example([1e-9] * 11 + [1.0])  # eleven entries in bucket 0
     def test_guide_table_pick_equals_linear_count(self, rates0):
-        # zero rates repeat entries of the cumulative row, small integer
-        # rates put entries on bucket edges
         model = _model_with_first_row(rates0)
-        targets, cum, guide = _jump_tables(model)
-        n_buckets = guide.shape[1]
-        tables = (targets.ravel(), cum.ravel(), guide.ravel(), n_buckets)
-        # 1 - 2**-54 rounds to 1.0, and u * n_buckets then equals n_buckets
-        edges = np.arange(n_buckets + 1) / n_buckets
-        points = np.concatenate([edges, cum.ravel(), [2.0**-54, 1 - 2.0**-54]])
-        u = np.concatenate(
-            [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
-        )
-        u = np.tile(u[(u > 0.0) & (u <= 1.0)], model.n)
+        targets, cum, _, steps = _jump_tables(model)
+        tables = _Tables.of(model)
+        u = np.tile(_adversarial_uniforms(cum, tables.n_buckets), model.n)
         state = np.repeat(np.arange(model.n), u.size // model.n)
-        picked = _next_states(tables, state, u)
+        slot = state + tables.rate.size - model.n  # the slot of the state itself
         linear = (u[:, None] > cum[state]).sum(axis=1)
-        np.testing.assert_array_equal(picked, targets[state, linear])
-        assert np.all(model.q.rates[state, picked] > 0.0)  # never a zero-rate target
+        # every path stepped steps times, and only the paths short of their target
+        for fixed in (steps, steps - 1):
+            with mock.patch.object(simulate, "_FIXED_STEPS", fixed):
+                picked = _next_slots(tables, slot, u)
+            np.testing.assert_array_equal(picked, state * targets.shape[1] + linear)
+        # never a zero-rate target
+        assert np.all(model.q.rates[state, targets.ravel()[picked]] > 0.0)
+
+    @staticmethod
+    def assert_steps_bound_every_search(model):
+        targets, cum, guide, steps = _jump_tables(model)
+        n_buckets = guide.shape[1] - 1
+        u = _adversarial_uniforms(cum, n_buckets)
+        for x in range(model.n):
+            start = guide[x, (u * n_buckets).astype(np.int64)] - x * targets.shape[1]
+            answer = (u[:, None] > cum[x]).sum(axis=1)
+            assert np.all((start <= answer) & (answer - start <= steps))
+            # a move the state can make: never padding, never a zero rate
+            assert np.all(answer < (model.q.rates[x] > 0.0).sum())
+            assert np.all(model.q.rates[x, targets[x, answer]] > 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FIRST_ROWS)
+    @example([1e-9] * 11 + [1.0])
+    @example([1.0] + [1e-9] * 11)  # the tiny rates crowd the top bucket
+    def test_steps_bound_every_search_of_a_first_row(self, rates0):
+        self.assert_steps_bound_every_search(_model_with_first_row(rates0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_steps_bound_every_search_of_random_chains(self, n, seed):
+        model = random_irreducible_model(np.random.default_rng(seed), n)
+        self.assert_steps_bound_every_search(model)
 
     def test_state_and_u_never_written(self, wide_sparse):
-        targets, cum, guide = _jump_tables(wide_sparse)
-        tables = (targets.ravel(), cum.ravel(), guide.ravel(), guide.shape[1])
+        tables = _Tables.of(wide_sparse)
         rng = np.random.default_rng(3)
-        state = rng.integers(0, wide_sparse.n, 500)
+        slot = rng.integers(0, tables.rate.size, 500)
         u = np.append(rng.random(499), 1.0)
-        before = state.tobytes(), u.tobytes()
-        _next_states(tables, state, u)
-        assert (state.tobytes(), u.tobytes()) == before
+        before = slot.tobytes(), u.tobytes()
+        for fixed in (0, tables.steps):
+            with mock.patch.object(simulate, "_FIXED_STEPS", fixed):
+                _next_slots(tables, slot, u)
+        assert (slot.tobytes(), u.tobytes()) == before
 
     @pytest.mark.parametrize("split", [1, 2])
     def test_wide_sparse_chain_bits_pinned(self, wide_sparse, monkeypatch, split):
@@ -446,10 +517,34 @@ class TestJumpTargets:
         assert hashlib.sha256(avg.tobytes()).hexdigest() == WIDE_SPARSE_SHA256
 
     @pytest.mark.parametrize("split", [1, 2])
+    def test_clustered_tiny_rates_bits_pinned(self, monkeypatch, split):
+        # state 0's thirty tiny rates crowd its first bucket, so a pick steps
+        # only the paths short of their target; 20000 samples span two
+        # blocks, or three when the blocks are halved
+        model = _model_with_first_row([1e-9] * 30 + [1.0])
+        assert _jump_tables(model)[3] > simulate._FIXED_STEPS
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
+        avg = time_averages(model, (0.25, 1.0, 2.0), 20000, seed=2028)
+        assert hashlib.sha256(avg.tobytes()).hexdigest() == CLUSTERED_SHA256
+
+    @pytest.mark.parametrize("split", [1, 2])
     def test_dense_chain_bits_pinned(self, three_dense, monkeypatch, split):
         monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         avg = time_averages(three_dense, (0.5, 2.0, 5.0), 20000, seed=2027)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == THREE_DENSE_SHA256
+
+
+class TestMemory:
+    def test_peak_beyond_the_result_within_budget(self):
+        # the shape of the mc_small benchmark: 13 blocks of a 4-state chain
+        model = random_irreducible_model(np.random.default_rng(4), n=4)
+        tracemalloc.start()
+        try:
+            out = time_averages(model, (5.0, 20.0, 50.0), 200000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < SIMULATOR_PEAK_BUDGET
 
 
 class TestErgodicity:
