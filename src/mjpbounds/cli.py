@@ -46,10 +46,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid must look like lo:hi:n, got {spec!r}") from exc
     if n < 1:
         raise ValidationError(f"grid needs at least one point, got {n}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"grid endpoints must be finite, got {spec!r}")
-    if n == 1:
-        return np.array([lo])
+    if not math.isfinite(hi - lo):  # also refuses a span that overflows
+        raise ValidationError(f"grid endpoints and their span must be finite, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 

@@ -398,9 +398,13 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
             live = (nxt < last).nonzero()[0]
             if not live.size:
                 break
-            ids, keys, slot, nxt, acc, tau = (
-                a.take(live) for a in (ids, keys, slot, nxt, acc, tau)
-            )
+            # one array at a time: each old array is freed before the next is made
+            ids = ids.take(live)
+            keys = keys.take(live)
+            slot = slot.take(live)
+            nxt = nxt.take(live)
+            acc = acc.take(live)
+            tau = tau.take(live)
             draws = draws[: live.size]
         cell[0] = draw + 1
         u = counter_uniforms(keys, draws)

@@ -344,7 +344,7 @@ def test_negative_threshold_refused_in_every_family(two_state, family):
 
 def _verdict_panel_chain(name):
     """The 3-cycle, or the random chain of the given size drawn in turn from
-    one generator: ``rand3`` to ``rand6``."""
+    one generator: ``rand3`` to ``rand6`` and ``rand32``."""
     if name == "three_cycle":
         return make_model(THREE_CYCLE_Q, THREE_CYCLE_F)
     rng = np.random.default_rng(13)
@@ -354,20 +354,21 @@ def _verdict_panel_chain(name):
 
 
 class TestFSobolevBatchedSearch:
-    """All starts and probes are scored as one matrix per step."""
+    """All starts are scored and stepped as one matrix per step."""
 
     def test_violation_calls_bounded_by_steps(self, three_cycle, monkeypatch):
+        # one scoring pass per step, and one for the verdict
         calls = []
-        scored = bounds._violation
+        scored = bounds._violation_terms
 
         def counted(*args):
             calls.append(1)
             return scored(*args)
 
-        monkeypatch.setattr(bounds, "_violation", counted)
+        monkeypatch.setattr(bounds, "_violation_terms", counted)
         # between the closed-form lower bound 0.7213 and gap/2 = 0.75
         check_f_sobolev(three_cycle, 0.74)
-        assert 0 < len(calls) <= 2 * ASCENT_STEPS + 1
+        assert len(calls) == ASCENT_STEPS + 1
         calls.clear()
         check_f_sobolev(three_cycle, 0.2)  # certified: no search
         assert calls == []
@@ -379,13 +380,46 @@ class TestFSobolevBatchedSearch:
         together = bounds._ascend_violation(three_dense, c, g)
         for j in range(g.shape[1]):
             alone = bounds._ascend_violation(three_dense, c, g[:, [j]])
-            # the 1e-7 difference step turns rounding into ~1e-9 per gradient;
-            # a probe credited to the wrong column would move g by O(1)
-            np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-6)
+            # the columns differ only by the rounding of the batched products;
+            # a gradient credited to the wrong column would move g by O(1)
+            np.testing.assert_allclose(together[:, j], alone[:, 0], atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.05, 2.0))
+    def test_one_step_follows_the_central_difference_gradient(self, n, seed, c_over_gap):
+        rng = np.random.default_rng(seed)
+        m = random_irreducible_model(rng, n)
+        c = c_over_gap * analyze(m).gap
+        w, q = m.pi.weights, m.q.rates
+        # random starts, one with a zero entry, and the constant function
+        g = np.hstack([rng.standard_normal((n, 3)), np.ones((n, 1))])
+        g[0, 1] = 0.0
+        g /= np.sqrt(w @ g**2)
+
+        def v_unit(x):
+            x = x / np.sqrt(w @ x**2)
+            x2 = x * x
+            xlog = np.where(x2 > 0, x2 * np.log(np.where(x2 > 0, x2, 1.0)), 0.0)
+            return w @ (c * xlog + x * (q @ x))
+
+        # probes[:, k, j] is column j of g moved by h along state k
+        h = 1e-6
+        step = h * np.eye(n)[:, :, None]
+        probes = np.hstack([(g[:, None, :] + s).reshape(n, -1) for s in (step, -step)])
+        up, down = np.split(v_unit(probes), 2)
+        x = g + bounds.ASCENT_LR * (up - down).reshape(n, -1) / (2 * h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "ASCENT_STEPS", 1)
+            stepped = bounds._ascend_violation(m, c, g)
+        np.testing.assert_allclose(stepped, x / np.sqrt(w @ x**2), rtol=0, atol=1e-6)
+        # the constant function is a critical point: V and its gradient are 0
+        np.testing.assert_allclose(stepped[:, 3], 1.0, rtol=0, atol=1e-12)
 
     # 0.05 gap is below the closed-form lower bound on alpha on every chain
     # of the panel, and alpha <= gap/2, with a violation the search finds
-    @pytest.mark.parametrize("name", ["three_cycle", "rand3", "rand4", "rand5", "rand6"])
+    @pytest.mark.parametrize(
+        "name", ["three_cycle", "rand3", "rand4", "rand5", "rand6", "rand32"]
+    )
     @pytest.mark.parametrize(
         "c_over_gap, status",
         [(0.05, "holds"), (0.5, "violated"), (0.55, "violated"), (1.0, "violated")],
@@ -658,7 +692,7 @@ class TestIidSumBound:
         assert iid_sum_bound(lambda u: 0.0, 3, 0.3, t=2.0) == 1.0
         assert iid_sum_bound(lambda u: math.inf, 3, 0.3, t=2.0) == 0.0
 
-    @pytest.mark.parametrize("n", [0, 2.5, 3.0, math.nan])
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0, math.nan, True, np.True_])
     def test_replica_count_must_be_a_whole_number(self, n):
         with pytest.raises(ValidationError, match="replicas"):
             iid_sum_bound(lambda u: 0.25, n, 0.3, t=2.0)

@@ -265,7 +265,9 @@ class TestCliSubcommands:
         ) == 3
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan:1:2", "inf:inf:1"])
+    @pytest.mark.parametrize(
+        "grid", ["nan:1:2", "inf:inf:1", "1e308:-1e308:1", "1e308:-1e308:3"]
+    )
     def test_series_non_finite_r_grid_exits_2(self, model_file, tmp_path, grid):
         out = tmp_path / "series.csv"
         assert main(

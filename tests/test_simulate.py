@@ -55,9 +55,9 @@ THREE_DENSE_SHA256 = "195b591ff1acd96bce3290b35c62d14e2e7e463c189a2488d3cd2b05b9
 # listed every state but x in each row x
 CLUSTERED_SHA256 = "3eaa400b4f631df8a54dd4b2b84a1f870f302839282236be798eddafe1077461"
 # tracemalloc peak of time_averages on a 4-state chain, 200000 paths at
-# horizons (5, 20, 50), less the result: 2111485 bytes with the tables that
-# listed every state but x, plus two float arrays of one block as a margin
-SIMULATOR_PEAK_BUDGET = 2111485 + 2 * 8 * 16384
+# horizons (5, 20, 50), less the result: 1738684 bytes with the per-path
+# arrays compacted one at a time, plus two float arrays of one block as a margin
+SIMULATOR_PEAK_BUDGET = 1738684 + 2 * 8 * 16384
 
 
 # the largest draw the generator returns; ((2**53 - 1) + 0.5) * 2**-53 is 1.0
