@@ -8,12 +8,15 @@ that result bodies can be compared byte for byte.  Exit codes: 0 success,
 2 validation failure (an unwritable output included), 3 numerical failure,
 4 domination-check failure under ``compare --strict``.  Every setting is a
 flag; ``@path`` in the argument list reads more flags from a file, one
-token per line (argparse's ``fromfile_prefix_chars``).
+token per line (argparse's ``fromfile_prefix_chars``).  ``main`` parses with
+one parser, built on its first call and kept for the rest of the process;
+``build_parser`` returns a fresh one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -457,9 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args makes a fresh namespace every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # the one check of --threads, which has no other effect
         if getattr(args, "threads", 1) < 1:
             raise ValidationError(f"need at least one thread, got {args.threads}")

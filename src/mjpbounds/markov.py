@@ -124,10 +124,12 @@ def probability_vector(weights) -> ProbDist:
 def validate_q_matrix(raw) -> QMatrix:
     """Check the two rate-matrix conditions and renormalize the diagonal.
 
-    With tol = ``DEFAULT_TOL``, off-diagonal entries below ``-tol`` and row
-    sums beyond ``tol`` are rejected; entries in ``[-tol, 0)`` are clamped to
-    0 and the diagonal is recomputed as minus the off-diagonal row sum, so
-    downstream math never sees rounding drift from file inputs.
+    With tol = ``DEFAULT_TOL``, off-diagonal entries below ``-tol`` are
+    rejected, and so is a row whose sum exceeds ``tol`` times the largest
+    absolute entry of that row (an all-zero row, absorbing, sums to 0);
+    entries in ``[-tol, 0)`` are clamped to 0 and the diagonal is recomputed
+    as minus the off-diagonal row sum, so downstream math never sees
+    rounding drift from file inputs.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
@@ -140,10 +142,10 @@ def validate_q_matrix(raw) -> QMatrix:
     if np.any(bad):
         x, y = np.argwhere(bad)[0]
         raise NegativeRateError(int(x), int(y), float(a[x, y]))
-    scale = max(1.0, float(np.max(np.abs(a))))
     rowsum = a.sum(axis=1)
-    if np.any(np.abs(rowsum) > DEFAULT_TOL * scale):
-        x = int(np.argmax(np.abs(rowsum)))
+    bad_rows = np.abs(rowsum) > DEFAULT_TOL * np.max(np.abs(a), axis=1)
+    if np.any(bad_rows):
+        x = int(np.argmax(bad_rows))
         raise RowSumViolationError(x, float(rowsum[x]))
     q = np.where(off, np.clip(a, 0.0, None), 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))

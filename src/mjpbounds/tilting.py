@@ -180,8 +180,9 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     u, the conjugate is infinite and the result carries ``value = inf``.  At
     u = max f the supremum is approached only as r
     grows, so the search is capped and the result is flagged as a boundary
-    value.  At u = 0 the supremum is 0, at r = 0, which also covers f = 0
-    (a constant observable, centered).  The other thresholds are solved
+    value.  At u = 0 the supremum is 0, at r = 0.  For f = 0 (a constant
+    observable, centered) every u > 0 is out of reach, however small, and
+    its conjugate is infinite.  The other thresholds are solved
     together by ``_newton_conjugate``; each one's result is the same, bit
     for bit, whatever else is on the grid.
     """
@@ -191,10 +192,10 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
         raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
     if not np.all(us >= 0):  # also refuses NaN
         raise ValidationError(f"threshold must be nonnegative, got {u}")
-    f_max = float(np.max(f.values))
+    reach = float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300 if f.sup_norm > 0.0 else 0.0
     results = [
         ConjugateResult(uk, math.inf, None)
-        if uk > f_max * (1.0 + 1e-12) + 1e-300
+        if uk > reach
         else ConjugateResult(uk, 0.0, 0.0, weyl_slack=0.0)
         for uk in us.tolist()
     ]

@@ -184,6 +184,17 @@ class TestCliSubcommands:
         ) == 0
         assert out.read_text().splitlines()[1:] == ["0,0,0,1", "0.5,inf,,0"]
 
+    def test_rate_of_constant_observable_at_a_tiny_threshold(self, model_file, tmp_path):
+        # f centers to 0, so even u = 1e-300 is out of reach
+        out = tmp_path / "rate.csv"
+        assert main(
+            [
+                "rate", "--model", model_file(q=[[-1.7, 1.7], [2.0, -2.0]], f=[1.0, 1.0]),
+                "--u-grid", "1e-300:1e-300:1", "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        assert out.read_text().splitlines()[1:] == ["1e-300,inf,,0"]
+
     def test_bounds_of_constant_observable(self, model_file, tmp_path):
         # f centers to 0, so A_t / t = 0: every family is exact
         out = tmp_path / "bounds.csv"
@@ -213,6 +224,21 @@ class TestCliSubcommands:
         assert first == "0,1,100,100,1,0.98150325089650714,1" + ",0,1,1" * 4 + ",0"
         assert second.startswith("0.5,1,100,0,0,0,")
         assert second.endswith(",inf,0,1" * 4 + ",")
+
+    def test_compare_of_constant_observable_at_a_tiny_threshold(self, model_file, tmp_path):
+        # without the general family, the sharpness column solves the general
+        # rate itself, on this reversible chain
+        out = tmp_path / "compare.csv"
+        assert main(
+            [
+                "compare", "--model", model_file(q=[[-1.7, 1.7], [2.0, -2.0]], f=[1.0, 1.0]),
+                "--t", "1", "--u-grid", "0:1e-300:2", "--samples", "100",
+                "--families", "poincare", "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        first, second = out.read_text().splitlines()[1:]
+        assert first.startswith("0,1,100,100,1,") and first.endswith(",0,1,1,0")
+        assert second.startswith("1e-300,1,100,0,0,0,") and second.endswith(",inf,0,1,")
 
     def test_series_output(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
@@ -989,3 +1015,92 @@ class TestArgsFile:
         ) == 2
         assert "need at least one thread, got 0" in capsys.readouterr().err
         assert not out.exists() and not summary.exists()
+
+
+class TestSharedParser:
+    # ``main`` parses with one parser per process; argparse fills a fresh
+    # namespace on every call, so no setting carries over to the next call
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_many_calls_build_one_parser(self, model_file, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def spy():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        model = model_file()
+        for argv in (["validate", "--model", model], ["spectrum", "--model", model],
+                     ["rate", "--model", model, "--u-grid", "0:0.5:2"]) * 2:
+            assert main(argv) == 0
+        assert len(built) == 1
+        # build_parser itself still returns a tree of its own
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_strict_does_not_carry_over(self, model_file, tmp_path, monkeypatch):
+        # every cell counts as beaten, as in TestCompare's strict test
+        monkeypatch.setattr(cli, "DOMINATION_SIGMA", -1e9)
+        argv = [
+            "compare", "--model", model_file(seed=3), "--t", "1", "--u-grid", "0.1:0.3:2",
+            "--samples", "2000", "--families", "general", "--out", str(tmp_path / "c.csv"),
+        ]
+        assert main(argv + ["--strict"]) == 4
+        assert main(argv) == 0
+
+    def test_families_do_not_carry_over(self, model_file, tmp_path):
+        def families(*extra):
+            out = tmp_path / "b.csv"
+            assert main(
+                [
+                    "bounds", "--model", model_file(), "--t", "5", "--u-grid", "0.1:0.3:2",
+                    "--no-timestamp", "--out", str(out), *extra,
+                ]
+            ) == 0
+            return {ln.split(",")[1] for ln in out.read_text().splitlines()[1:]}
+
+        assert families("--families", "poincare") == {"poincare"}
+        assert families() == set(cli.DEFAULT_FAMILIES)
+
+    def test_file_settings_do_not_carry_over(self, model_file, tmp_path):
+        settings = tmp_path / "run.args"
+        settings.write_text("--seed\n9\n--samples\n300\n")
+
+        def body(*extra):
+            out = tmp_path / "cmp.csv"
+            assert main(
+                [
+                    "compare", "--model", model_file(), "--t", "1", "--u-grid", "0.2:0.2:1",
+                    "--families", "poincare", "--no-timestamp", "--out", str(out), *extra,
+                ]
+            ) == 0
+            return out.read_bytes()
+
+        plain = body()
+        assert b",300," in body(f"@{settings}")
+        assert body() == plain
+
+    def test_refused_call_leaves_no_trace(self, model_file, tmp_path):
+        out = tmp_path / "cmp.csv"
+        good = [
+            "compare", "--model", model_file(), "--t", "1,2", "--u-grid", "0.1:0.3:2",
+            "--samples", "500", "--no-timestamp", "--out", str(out),
+        ]
+        assert main(good) == 0
+        first = out.read_bytes()
+        out.unlink()
+        cli._parser.cache_clear()
+        # a misspelt flag is refused by argparse itself
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--model", model_file(), "--t", "1", "--u-grid", "0.2:0.2:1",
+                  "--sample", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert main(good) == 0
+        assert out.read_bytes() == first

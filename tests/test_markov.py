@@ -46,6 +46,24 @@ class TestValidateQMatrix:
             validate_q_matrix([[-1, 0.5], [2, -2]])
         assert err.value.x == 0
 
+    def test_row_sum_judged_by_its_own_row(self):
+        # row 1 sums to -5e-5; a rate of 1e8 in row 0 does not excuse it
+        with pytest.raises(RowSumViolationError) as err:
+            validate_q_matrix([[-1e8, 1e8, 0], [0.5, -1.0, 0.49995], [1, 1, -2]])
+        assert err.value.x == 1
+
+    def test_row_sum_judged_below_scale_one(self):
+        q = 1e-13 * np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        validate_q_matrix(q)
+        q[2, 2] += 5e-13
+        with pytest.raises(RowSumViolationError) as err:
+            validate_q_matrix(q)
+        assert err.value.x == 2
+
+    def test_absorbing_zero_row_accepted(self):
+        q = validate_q_matrix([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, -3.0]])
+        np.testing.assert_array_equal(q.exit_rates, [1.0, 0.0, 3.0])
+
     def test_zero_matrix_valid_but_reducible(self):
         q = validate_q_matrix([[0, 0], [0, 0]])
         assert not is_irreducible(q)

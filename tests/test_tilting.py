@@ -228,6 +228,15 @@ class TestLambda0Star:
         assert math.isinf(lambda0_star(a.sd, model.f, 0.5).value)
         assert evaluate_family(model, 1.0, 0.0, "general", analysis=a).rate == 0.0
 
+    def test_constant_observable_at_tiny_thresholds(self):
+        # every u > 0 is out of reach of f = 0, also below the rounding
+        # allowance of max f, and no Newton step divides by ||f|| = 0
+        model = make_model([[-1.7, 1.7], [2.0, -2.0]], [1.0, 1.0])
+        a = analyze(model)
+        res = lambda0_star(a.sd, model.f, [0.0, 5e-324, 1e-300, 0.5])
+        assert [r.value for r in res] == [0.0, math.inf, math.inf, math.inf]
+        assert math.isinf(lambda0_star(a.sd, model.f, 1e-300).value)
+
     @pytest.mark.parametrize("u", [-0.1, math.nan])
     def test_negative_or_nan_threshold_rejected(self, two_state, u):
         a = analyze(two_state)
