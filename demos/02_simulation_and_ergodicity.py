@@ -1,60 +1,49 @@
 """
-Exact trajectory simulation and the ergodic theorem
-===================================================
+Exact simulation and the ergodic theorem
+========================================
 
-Trajectories follow the jump-chain construction: exponential holding times
-with the state's exit rate, jump targets drawn from the embedded chain.  The
-time average of an observable along a path converges to its stationary
-expectation; this script watches that happen and checks the simulator's
-statistics against the model parameters.
+Paths follow the jump-chain construction: exponential holding times with
+the state's exit rate, jump targets drawn from the embedded chain.  The time
+average of an observable along a path converges to its stationary
+expectation; this script watches that happen on a few paths and checks the
+spread of the path integrals against the model's asymptotic variance.
 """
 
 import numpy as np
 
-from mjpbounds import (
-    CounterStream,
-    make_model,
-    sample_trajectory,
-    time_average,
-    time_averages,
-)
+from mjpbounds import analyze, empirical_variance_rate, make_model, time_averages
 
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
 
-print("One trajectory, horizon 10")
+print("Time averages of f on five paths, horizon 10")
 print("-" * 50)
-traj = sample_trajectory(model, 10.0, CounterStream(seed=42, stream=0))
-print("jump times :", np.round(traj.times[:8], 3), "...")
-print("states     :", traj.states[:8], "...")
-print("time average of f:", time_average(traj, model.f))
+avg = time_averages(model, 10.0, 5, seed=42)
+print("A_10 / 10 :", np.round(avg, 5))
 
-print("\nReplaying the same stream reproduces the path exactly")
+print("\nThe same seed replays the same paths, bit for bit")
 print("-" * 50)
-again = sample_trajectory(model, 10.0, CounterStream(seed=42, stream=0))
-print("identical:", np.array_equal(traj.times, again.times))
+again = time_averages(model, 10.0, 5, seed=42)
+print("identical:", avg.tobytes() == again.tobytes())
 
-print("\nHolding-time statistics")
+print("\nSample i draws from its own substream: more samples leave it alone")
 print("-" * 50)
-holds = {0: [], 1: []}
-for i in range(2000):
-    t = sample_trajectory(model, 30.0, CounterStream(seed=7, stream=i))
-    for k in range(len(t.times) - 1):
-        holds[int(t.states[k])].append(t.times[k + 1] - t.times[k])
-for x in (0, 1):
-    arr = np.array(holds[x])
-    print(
-        f"state {x}: mean holding {arr.mean():.4f}"
-        f"  vs 1/q_{x} = {1.0 / model.q.exit_rates[x]:.4f}"
-        f"  ({arr.size} visits)"
-    )
+more = time_averages(model, 10.0, 1000, seed=42)
+print("first five of 1000 identical:", more[:5].tobytes() == avg.tobytes())
 
 print("\nErgodic convergence of the time average (pi(f) = 0)")
 print("-" * 50)
-for horizon in (10.0, 100.0, 1000.0, 10000.0):
-    avg = time_averages(model, horizon, 2000, seed=3)
+horizons = (10.0, 100.0, 1000.0, 10000.0)
+for horizon, row in zip(horizons, time_averages(model, horizons, 2000, seed=3)):
     print(
-        f"t = {horizon:7.0f}:  mean = {avg.mean():+.5f}   "
-        f"spread (sd) = {avg.std():.5f}"
+        f"t = {horizon:7.0f}:  mean = {row.mean():+.5f}   "
+        f"spread (sd) = {row.std():.5f}"
     )
+
+print("\nVariance rate Var(A_t) / t against sigma_hat^2 = -2 <Sf, f>")
+print("-" * 50)
+sigma_hat2 = analyze(model).sigma_hat2
+for horizon in (1.0, 10.0, 100.0):
+    est = empirical_variance_rate(model, horizon, 8000, seed=6)
+    print(f"t = {horizon:5.0f}:  Var(A_t)/t = {est:.4f}   sigma_hat^2 = {sigma_hat2:.4f}")
 print("the spread shrinks like 1/sqrt(t): that rate is the subject of the")
 print("concentration bounds demonstrated in the later scripts.")

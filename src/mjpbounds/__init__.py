@@ -45,13 +45,9 @@ from .markov import (
 )
 from .modelio import ModelFile, load_model, read_model_file, save_model
 from .simulate import (
-    CounterStream,
     TailEstimate,
-    Trajectory,
     empirical_tail,
     empirical_variance_rate,
-    sample_trajectory,
-    time_average,
     time_averages,
 )
 from .spectral import (

@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output that cannot be opened
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

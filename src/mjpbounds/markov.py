@@ -124,12 +124,12 @@ def probability_vector(weights) -> ProbDist:
 def validate_q_matrix(raw) -> QMatrix:
     """Check the two rate-matrix conditions and renormalize the diagonal.
 
-    With tol = ``DEFAULT_TOL``, off-diagonal entries below ``-tol`` are
-    rejected, and so is a row whose sum exceeds ``tol`` times the largest
-    absolute entry of that row (an all-zero row, absorbing, sums to 0);
-    entries in ``[-tol, 0)`` are clamped to 0 and the diagonal is recomputed
-    as minus the off-diagonal row sum, so downstream math never sees
-    rounding drift from file inputs.
+    With tol = ``DEFAULT_TOL`` and s the largest absolute entry of a row, an
+    off-diagonal entry below ``-tol * s`` is rejected, and so is a row whose
+    sum exceeds ``tol * s`` in size (an all-zero row, absorbing, sums to 0);
+    entries in ``[-tol * s, 0)`` are clamped to 0 and the diagonal is
+    recomputed as minus the off-diagonal row sum, so downstream math never
+    sees rounding drift from file inputs.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
@@ -138,12 +138,13 @@ def validate_q_matrix(raw) -> QMatrix:
         raise ValidationError("rate matrix has non-finite entries")
     n = a.shape[0]
     off = ~np.eye(n, dtype=bool)
-    bad = (a < -DEFAULT_TOL) & off
+    row_tol = DEFAULT_TOL * np.max(np.abs(a), axis=1)
+    bad = (a < -row_tol[:, None]) & off
     if np.any(bad):
         x, y = np.argwhere(bad)[0]
         raise NegativeRateError(int(x), int(y), float(a[x, y]))
     rowsum = a.sum(axis=1)
-    bad_rows = np.abs(rowsum) > DEFAULT_TOL * np.max(np.abs(a), axis=1)
+    bad_rows = np.abs(rowsum) > row_tol
     if np.any(bad_rows):
         x = int(np.argmax(bad_rows))
         raise RowSumViolationError(x, float(rowsum[x]))

@@ -1,6 +1,6 @@
-"""Exact trajectory sampling and Monte Carlo tail estimation.
+"""Monte Carlo time averages and tail estimates, many paths at a time.
 
-Trajectories follow the jump-chain construction: the initial state is drawn
+Paths follow the jump-chain construction: the initial state is drawn
 from nu, the holding time in state x is exponential with rate q_x (sampled
 as -log(U)/q_x with U drawn in the open interval), and the jump target y is
 chosen with probability q_xy / q_x.
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError, ZeroHorizonError
-from .markov import MJPModel, Observable, stationary_model
+from .markov import MJPModel, stationary_model
 
 _BLOCK = 16384  # paths per block: bounds the memory of a run; results do not depend on it
 
@@ -112,29 +112,6 @@ def counter_uniforms(keys, draw_indices) -> np.ndarray:
     np.add(z.view(np.int64), 0.5, out=u)
     u *= 2.0**-53
     return np.minimum(u, _U_MAX, out=u)
-
-
-class CounterStream:
-    """Sequential view of one substream; used by single-trajectory sampling."""
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.key = int(stream_keys(seed, np.array([stream], dtype=np.uint64))[0])
-        self.cursor = 0
-
-    def uniform(self) -> float:
-        """The next draw; bit-identical to ``counter_uniforms(key, cursor)``."""
-        z = _mix64_int(self.key ^ _mix64_int(self.cursor ^ _DRAW_SALT_I))
-        self.cursor += 1
-        return min(((z >> 11) + 0.5) * (2.0**-53), _U_MAX)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant path: state entry times and the horizon."""
-
-    times: np.ndarray
-    states: np.ndarray
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -292,49 +269,6 @@ def _next_slots(tables: _Tables, slot, u):
         j[c] += 1
         c = c[u[c] > cum[j[c]]]
     return j
-
-
-def sample_trajectory(
-    model: MJPModel, horizon: float, rng_stream: CounterStream
-) -> Trajectory:
-    """One trajectory of the jump process, truncated at the horizon.
-
-    Deterministic given the stream: draw 0 picks the initial state, draws
-    1+2j and 2+2j supply the j-th holding time and jump target.  This is the
-    same draw layout the vectorized tail estimator uses, so a single sample
-    can be replayed in isolation.
-    """
-    if not math.isfinite(horizon) or horizon < 0:
-        raise ValidationError(f"horizon must be finite and nonnegative, got {horizon}")
-    state = int((rng_stream.uniform() > _cumulative(model.nu.weights)).sum())
-    times = [0.0]
-    states = [state]
-    if horizon == 0.0:
-        return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
-    targets, cum, _, _ = _jump_tables(model)
-    exit_rates = model.q.exit_rates
-    t = 0.0
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            break  # absorbing state holds forever
-        t += -math.log(rng_stream.uniform()) / rate
-        if t >= horizon:
-            break
-        u = rng_stream.uniform()
-        state = int(targets[state, (u > cum[state]).sum()])
-        times.append(t)
-        states.append(state)
-    return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
-
-
-def time_average(traj: Trajectory, f: Observable) -> float:
-    """Exact path integral of f divided by the horizon; no quadrature error."""
-    if traj.horizon == 0.0:
-        raise ZeroHorizonError()
-    bounds = np.append(traj.times, traj.horizon)
-    lengths = np.diff(bounds)
-    return float(np.sum(f.values[traj.states] * lengths) / traj.horizon)
 
 
 def _time_average_block(model, horizons, seed, start, count, tables, out):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, NotCenteredError
+from .errors import DegenerateGapError, NotCenteredError, NumericalError
 from .markov import Observable, ProbDist, QMatrix
 
 
@@ -90,22 +90,27 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     That vector is deflated by a Householder reflection before running the
     symmetric eigensolver on the trailing block, so the kernel direction is
     exact and downstream formulas can divide by the remaining eigenvalues
-    safely.
+    safely.  Rates whose products with pi overflow leave B or its
+    eigenvalues non-finite, which raises ``NumericalError``.
     """
     n = q.n
     w = pi.weights
     sqrt_pi = np.sqrt(w)
-    b = sym_coords(q, pi)
-
     house = _householder_first_column(sqrt_pi)
-    reduced = house.T @ b @ house
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = sym_coords(q, pi)
+        if not np.isfinite(b).all():
+            raise NumericalError("the symmetrized generator overflows")
+        reduced = house.T @ b @ house
     # exact deflation: eigenvalue 0 with eigenvector sqrt(pi) is known
     reduced[0, :] = 0.0
     reduced[:, 0] = 0.0
     tail_vals, tail_vecs = np.linalg.eigh(reduced[1:, 1:])
     tail_vals, tail_vecs = tail_vals[::-1], tail_vecs[:, ::-1]  # descending
 
-    if n >= 2 and tail_vals[0] >= -1e-12:
+    if not np.isfinite(tail_vals).all():
+        raise NumericalError("the eigenvalues of the symmetrized generator are not finite")
+    if n >= 2 and not tail_vals[0] < -1e-12:  # NaN fails this test too
         raise DegenerateGapError(float(tail_vals[0]))
 
     vals = np.concatenate(([0.0], tail_vals))

@@ -9,7 +9,9 @@ Feynman-Kac semigroup against its eigenvalue bound, the sub-gamma majorant
 of the tilted top eigenvalue, a bound from a supplied rate function, the
 static Cramer transform, the second closed form of the sub-gamma conjugate,
 strong connectivity by depth-first search, the simulator's jump tables built
-state by state, and for the series combinatorics
+state by state, the single-path simulator (one trajectory at a time from a
+sequential draw stream, on those tables) whose time averages
+``time_averages`` must replay, and for the series combinatorics
 a census of rotation classes by enumeration, a binomial sum for the Motzkin
 numbers, a partial sum of the majorant's series and the second closed form
 of beta(n, m).
@@ -34,9 +36,9 @@ from mjpbounds import (
     lambda0_star,
 )
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
-from mjpbounds.errors import NumericalError, ValidationError
+from mjpbounds.errors import NumericalError, ValidationError, ZeroHorizonError
 from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
-from mjpbounds.simulate import _cumulative
+from mjpbounds.simulate import _DRAW_SALT_I, _U_MAX, _cumulative, _mix64_int, stream_keys
 from mjpbounds.spectral import sym_coords
 from mjpbounds.tilting import R_CAP_FACTOR
 
@@ -348,6 +350,74 @@ def jump_tables_loop(model: MJPModel):
         for b, u in enumerate(tops):
             steps = max(steps, int((u > cum[x]).sum() - start[b]))
     return targets, cum, guide, steps
+
+
+class CounterStream:
+    """Sequential view of one substream: draw k of sample ``stream``, one
+    draw at a time, hashed with Python ints."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.key = int(stream_keys(seed, np.array([stream], dtype=np.uint64))[0])
+        self.cursor = 0
+
+    def uniform(self) -> float:
+        """The next draw; bit-identical to ``counter_uniforms(key, cursor)``."""
+        z = _mix64_int(self.key ^ _mix64_int(self.cursor ^ _DRAW_SALT_I))
+        self.cursor += 1
+        return min(((z >> 11) + 0.5) * (2.0**-53), _U_MAX)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Piecewise-constant path: state entry times and the horizon."""
+
+    times: np.ndarray
+    states: np.ndarray
+    horizon: float
+
+
+def sample_trajectory(
+    model: MJPModel, horizon: float, rng_stream: CounterStream
+) -> Trajectory:
+    """One trajectory of the jump process, truncated at the horizon.
+
+    Deterministic given the stream: draw 0 picks the initial state, draws
+    1+2j and 2+2j supply the j-th holding time and jump target, the draw
+    layout of ``time_averages``, so a single sample can be replayed in
+    isolation.  Jumps are picked from the tables of ``jump_tables_loop`` by
+    a linear count, so no table or search code is shared with the simulator.
+    """
+    if not math.isfinite(horizon) or horizon < 0:
+        raise ValidationError(f"horizon must be finite and nonnegative, got {horizon}")
+    state = int((rng_stream.uniform() > _cumulative(model.nu.weights)).sum())
+    times = [0.0]
+    states = [state]
+    if horizon == 0.0:
+        return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
+    targets, cum, _, _ = jump_tables_loop(model)
+    exit_rates = model.q.exit_rates
+    t = 0.0
+    while True:
+        rate = exit_rates[state]
+        if rate <= 0.0:
+            break  # absorbing state holds forever
+        t += -math.log(rng_stream.uniform()) / rate
+        if t >= horizon:
+            break
+        u = rng_stream.uniform()
+        state = int(targets[state, (u > cum[state]).sum()])
+        times.append(t)
+        states.append(state)
+    return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
+
+
+def time_average(traj: Trajectory, f: Observable) -> float:
+    """Exact path integral of f divided by the horizon; no quadrature error."""
+    if traj.horizon == 0.0:
+        raise ZeroHorizonError()
+    bounds = np.append(traj.times, traj.horizon)
+    lengths = np.diff(bounds)
+    return float(np.sum(f.values[traj.states] * lengths) / traj.horizon)
 
 
 def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:

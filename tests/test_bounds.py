@@ -25,6 +25,7 @@ from mjpbounds import (
 )
 from mjpbounds import bounds
 from mjpbounds.bounds import ASCENT_STEPS, perturbation_branch_threshold
+from mjpbounds.cli import DEFAULT_FAMILIES
 from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_Q, random_irreducible_model
@@ -582,6 +583,37 @@ class TestLowerTailAndTwoSided:
     def test_positive_threshold_rejected(self, two_state):
         with pytest.raises(ValidationError):
             lower_tail(two_state, 1.0, 0.2, "general")
+
+    @pytest.mark.parametrize("chain", ["three_dense", "three_cycle"])
+    def test_lower_tail_is_the_upper_tail_of_minus_f(self, chain, request):
+        # the chain built anew on -f, not by flip_observable; on these chains
+        # the upper-tail bounds of f also dominate the counts of a <= -u, so
+        # the Monte Carlo test below would pass with f left unflipped
+        m = request.getfixturevalue(chain)
+        neg = make_model(m.q.rates, -m.f.values, nu=m.nu.weights)
+        for fam in DEFAULT_FAMILIES:
+            for u in (0.3, 0.8):
+                low = lower_tail(m, 20.0, -u, fam)
+                up = evaluate_family(neg, 20.0, u, fam)
+                assert (low.rate, low.bound) == (up.rate, up.bound), (fam, u)
+
+    @pytest.mark.parametrize("chain", ["three_dense", "three_cycle"])
+    def test_both_tails_dominate_monte_carlo(self, chain, request):
+        # criterion 7's rule, p_hat <= bound + 3 half-widths, for the events
+        # a <= -u and |a| >= u, counted on the averages of one run; both
+        # chains are non-reversible, so -f is not f relabeled
+        m = stationary_model(request.getfixturevalue(chain))
+        t, n, seed = 20.0, 20000, 5
+        a = time_averages(m, t, n, seed)
+        for u in (0.5, 0.8):
+            low = empirical_tail(m, t, u, n, seed, averages=-a)
+            both = empirical_tail(m, t, u, n, seed, averages=np.abs(a))
+            assert 0 < low.hits <= both.hits  # informative cells
+            for fam in DEFAULT_FAMILIES:
+                bound = lower_tail(m, t, -u, fam).bound
+                assert low.p_hat <= bound + 3.0 * low.ci_half_width, (fam, u)
+                bound = two_sided(m, t, u, fam)
+                assert both.p_hat <= bound + 3.0 * both.ci_half_width, (fam, u)
 
 
 class TestAnalysisBelongsToItsModel:

@@ -292,6 +292,41 @@ class TestCliSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["spectrum"],
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2"],
+            ["rate", "--u-grid", "0:0.5:3"],
+        ],
+        ids=["spectrum", "bounds", "rate"],
+    )
+    def test_overflowing_symmetrized_generator_exits_3(
+        self, model_file, tmp_path, capsys, command
+    ):
+        # L + L* overflows; a NaN gap must not reach the output as a number
+        # or as a complaint about the rate
+        path = model_file(q=[[-0.007, 0.007], [1e308, -1e308]], f=[1.0, 0.0])
+        out = tmp_path / "out.csv"
+        argv = [command[0], "--model", path, *command[1:]]
+        if command[0] != "spectrum":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out.lower()
+        assert "numerical failure" in captured.err
+        assert not out.exists()
+
+    def test_eigensolver_failure_exits_3(self, model_file, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["spectrum", "--model", model_file()]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: Eigenvalues did not converge" in captured.err
+
+    @pytest.mark.parametrize(
         "grid", ["nan:1:2", "inf:inf:1", "1e308:-1e308:1", "1e308:-1e308:3"]
     )
     def test_series_non_finite_r_grid_exits_2(self, model_file, tmp_path, grid):

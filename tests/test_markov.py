@@ -75,6 +75,23 @@ class TestValidateQMatrix:
             validate_q_matrix([[-1, 1, 0], [0.5, -0.4, -0.1], [1, 0, -1]])
         assert (err.value.x, err.value.y) == (1, 2)
 
+    def test_negative_rate_judged_by_its_own_row(self):
+        # -5e-13 is as large as the row's positive rate, though above -1e-12
+        with pytest.raises(NegativeRateError) as err:
+            validate_q_matrix([[-1e-13, 1e-13, 0], [5e-13, 0, -5e-13], [1e-13, 1e-13, -2e-13]])
+        assert (err.value.x, err.value.y) == (1, 2)
+
+    def test_negative_drift_within_its_row_scale_clamped(self):
+        q = validate_q_matrix([[-1, 1 + 1e-14, -1e-14], [1, -2, 1], [0, 1, -1]])
+        np.testing.assert_array_equal(q.rates[0], [-(1 + 1e-14), 1 + 1e-14, 0.0])
+        # below -1e-12, but within 1e-12 of its row's rate of 1e8
+        q = validate_q_matrix([[-1e8, 1e8, -1e-5], [1, -2, 1], [1, 1, -2]])
+        np.testing.assert_array_equal(q.rates[0], [-1e8, 1e8, 0.0])
+
+    def test_all_zero_row_accepted_with_negative_drift_elsewhere(self):
+        q = validate_q_matrix([[-1, 1 + 1e-14, -1e-14], [0, 0, 0], [1, 1, -2]])
+        np.testing.assert_array_equal(q.rates[1], 0.0)
+
     def test_non_square_and_tiny(self):
         with pytest.raises(NonSquareError):
             validate_q_matrix([[-1, 1]])

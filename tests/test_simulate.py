@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 from mjpbounds import simulate
 from mjpbounds import (
-    CounterStream,
     Observable,
     analyze,
     empirical_tail,
     empirical_variance_rate,
     make_model,
-    sample_trajectory,
-    time_average,
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
@@ -31,7 +28,6 @@ from mjpbounds.simulate import (
     _MUL1_I,
     _MUL2_I,
     _STREAM_SALT,
-    Trajectory,
     _cumulative,
     _jump_tables,
     _mix64_int,
@@ -40,7 +36,13 @@ from mjpbounds.simulate import (
     counter_uniforms,
     stream_keys,
 )
-from oracles import jump_tables_loop
+from oracles import (
+    CounterStream,
+    Trajectory,
+    jump_tables_loop,
+    sample_trajectory,
+    time_average,
+)
 
 # sha256 of the bytes of time_averages(wide_sparse, (0.25, 1.0, 2.0), 20000,
 # seed=2026), taken with the kernel that counted (u > cum[x]).sum() per jump

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mjpbounds import (
     validate_q_matrix,
 )
 from mjpbounds.bounds import _ascend_violation
-from mjpbounds.errors import DegenerateGapError, NotCenteredError
+from mjpbounds.errors import DegenerateGapError, NotCenteredError, NumericalError
 from mjpbounds.spectral import sym_coords
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
@@ -153,6 +154,30 @@ class TestSpectralDecomposition:
         pi = ProbDist(np.array([0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(DegenerateGapError):
             spectral_decomposition(q, pi)
+
+    def test_overflowing_symmetrized_generator_raises(self):
+        # pi = (1, 7e-311), so the (b, a) entry q_ba + pi_a q_ab / pi_b of
+        # L + L* is 1e308 + 1e308, and overflows
+        m = make_model([[-0.007, 0.007], [1e308, -1e308]], [1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                analyze(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eigenvalue_raises(self, monkeypatch, bad):
+        eigh = np.linalg.eigh
+
+        def spoiled(a):
+            vals, vecs = eigh(a)
+            vals[-1] = bad  # the top of the tail, which the gap test reads
+            return vals, vecs
+
+        m = make_model(THREE_CYCLE_Q, THREE_CYCLE_F)
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+        with pytest.raises(NumericalError, match="not finite") as err:
+            spectral_decomposition(m.q, m.pi)
+        assert not isinstance(err.value, DegenerateGapError)
 
 
 @st.composite
