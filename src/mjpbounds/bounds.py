@@ -48,6 +48,8 @@ FSOBOLEV_SEED = 0
 FSOBOLEV_RESTARTS = 32
 ASCENT_STEPS = 200
 ASCENT_LR = 0.05
+# the sizes of the step along phi_1 that Lemma 3.1's witness tries
+LEMMA_EPS = 10.0 ** -np.arange(1.0, 7.0)
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,11 @@ def check_f_sobolev(
     (Ann. Appl. Probab. 1996): ``alpha >= gap p x / log1p(x)``, ``p = min pi``,
     ``x = (1 - 2p)/p`` (Cor. A.4, exact on two states by Thm A.1), and
     ``alpha <= gap/2`` (Lemma 3.1).  ``holds`` if ``c`` is at most that bound
-    at the gap less its Weyl slack.  Otherwise the random starts and
-    ``1 +- 0.1 phi_1`` (``phi_1`` the gap eigenvector) are ascended, and the
+    at the gap less its Weyl slack.  Above half the gap plus its slack,
+    ``violated`` by Lemma 3.1, with no search, if the best of
+    ``1 + eps phi_1`` over ``LEMMA_EPS`` (``phi_1`` the gap eigenvector,
+    pi-normalized) violates by more than 1e-8; it is the witness.  Otherwise
+    the random starts and ``1 +- 0.1 phi_1`` are ascended, and the
     first largest violation is the witness: ``violated`` above 1e-8, or on two
     states above the exact alpha at the gap plus its slack; else ``inconclusive``.
     ``analysis`` may come from any model on the same chain, as for
@@ -284,13 +289,21 @@ def check_f_sobolev(
     # built first, so that a bad constant is refused before the analysis
     verdict = FSobolevVerdict(c, model, "inconclusive")
     sd = _analysis(model, analysis).sd
-    slack = WEYL_C * model.n * np.finfo(float).eps * np.linalg.norm(sd.sym_coords, 2)
+    # B is negative semidefinite, so its 2-norm is minus its lowest eigenvalue
+    slack = WEYL_C * model.n * np.finfo(float).eps * -sd.eigenvalues[-1]
     p = float(np.min(model.pi.weights))
     x = (1.0 - 2.0 * p) / p
     ratio = 0.5 if x == 0.0 else p * x / math.log1p(x)
     if c <= max(0.0, sd.gap - slack) * ratio:
         return replace(verdict, status="holds")
     w = model.pi.weights
+    if c > 0.5 * (sd.gap + slack):
+        g = 1.0 + sd.eigvecs[:, [1]] * LEMMA_EPS
+        g /= np.sqrt(w @ g**2)
+        witness = g[:, int(np.argmax(_violation(model, c, g)))].copy()
+        v = float(_violation(model, c, witness))
+        if v > 1e-8:
+            return replace(verdict, status="violated", max_violation=v, witness=witness)
     g = np.random.default_rng(FSOBOLEV_SEED).standard_normal((FSOBOLEV_RESTARTS, model.n)).T
     g = np.hstack([g, 1.0 + sd.eigvecs[:, [1, 1]] * [0.1, -0.1]])
     g = _ascend_violation(model, c, g / np.sqrt(w @ g**2))

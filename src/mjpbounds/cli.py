@@ -30,7 +30,7 @@ import numpy as np
 from . import bounds as bnd
 from . import combinatorics as comb
 from .errors import NumericalError, ValidationError
-from .modelio import _fmt, read_model_file
+from .modelio import read_model_file
 from .simulate import empirical_tail, time_averages
 from .tilting import lambda0, lambda0_star
 
@@ -72,7 +72,7 @@ def _csv_text(no_timestamp, header, rows) -> str:
     def cell(c):
         if c is None:
             return ""
-        return _fmt(c) if isinstance(c, (float, np.floating)) else str(c)
+        return format(float(c), ".17g") if isinstance(c, (float, np.floating)) else str(c)
 
     lines = [header] + [",".join(map(cell, row)) for row in rows]
     if not no_timestamp:

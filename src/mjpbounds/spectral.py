@@ -5,7 +5,8 @@ The generator L acts on functions; its adjoint in L2(pi) has entries
 selfadjoint in L2(pi), its top eigenvalue is 0 with eigenvector the constant
 function, and every other eigenvalue is negative.  A similarity transform by
 sqrt(pi) turns pi-selfadjointness into ordinary symmetry, so LAPACK's
-symmetric eigensolver applies.  On top of the eigendecomposition this module
+symmetric eigensolver applies, to the matrix deflated onto the orthogonal
+complement of sqrt(pi).  On top of the eigendecomposition this module
 builds the reduced resolvent S (the inverse on the orthogonal complement of
 constants), its real powers, and the asymptotic variance -2<Sf, f>.
 """
@@ -86,62 +87,53 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     """Eigendecomposition of (L+L*)/2 with the kernel pinned exactly.
 
     The similarity transform B = ``sym_coords(q, pi)`` is ordinarily
-    symmetric with unit eigenvector sqrt(pi) for eigenvalue 0.
-    That vector is deflated by a Householder reflection before running the
-    symmetric eigensolver on the trailing block, so the kernel direction is
-    exact and downstream formulas can divide by the remaining eigenvalues
-    safely.  Rates whose products with pi overflow leave B or its
-    eigenvalues non-finite, which raises ``NumericalError``.
+    symmetric with unit eigenvector sqrt(pi) for eigenvalue 0.  The
+    symmetric eigensolver runs on B deflated onto the complement of sqrt(pi)
+    (``_complement_basis``), so the kernel direction is exact and
+    downstream formulas can divide by the remaining eigenvalues safely.
+    Rates whose products with pi overflow leave B or its eigenvalues
+    non-finite, which raises ``NumericalError``.
     """
-    n = q.n
-    w = pi.weights
-    sqrt_pi = np.sqrt(w)
-    house = _householder_first_column(sqrt_pi)
+    sqrt_pi = np.sqrt(pi.weights)
+    basis = _complement_basis(sqrt_pi)
     with np.errstate(over="ignore", invalid="ignore"):
         b = sym_coords(q, pi)
         if not np.isfinite(b).all():
             raise NumericalError("the symmetrized generator overflows")
-        reduced = house.T @ b @ house
-    # exact deflation: eigenvalue 0 with eigenvector sqrt(pi) is known
-    reduced[0, :] = 0.0
-    reduced[:, 0] = 0.0
-    tail_vals, tail_vecs = np.linalg.eigh(reduced[1:, 1:])
+        reduced = basis.T @ b @ basis
+    tail_vals, tail_vecs = np.linalg.eigh(reduced)
     tail_vals, tail_vecs = tail_vals[::-1], tail_vecs[:, ::-1]  # descending
 
     if not np.isfinite(tail_vals).all():
         raise NumericalError("the eigenvalues of the symmetrized generator are not finite")
-    if n >= 2 and not tail_vals[0] < -1e-12:  # NaN fails this test too
+    if q.n >= 2 and not tail_vals[0] < -1e-12:  # NaN fails this test too
         raise DegenerateGapError(float(tail_vals[0]))
 
     vals = np.concatenate(([0.0], tail_vals))
-    vecs_coords = np.zeros((n, n))
-    vecs_coords[0, 0] = 1.0
-    vecs_coords[1:, 1:] = tail_vecs
-    vecs_b = house @ vecs_coords
-    # back to functions on states; column 0 becomes the constant function
-    eigvecs = vecs_b / sqrt_pi[:, None]
+    eigvecs = np.empty((q.n, q.n))  # functions on states, the constant first
     eigvecs[:, 0] = 1.0
+    eigvecs[:, 1:] = basis @ tail_vecs / sqrt_pi[:, None]
 
     return SpectralData(
         sym_coords=b,
         eigenvalues=vals,
         eigvecs=eigvecs,
-        resolvent=-_resolvent_power(vals, eigvecs, w, 1.0),
+        resolvent=-_resolvent_power(vals, eigvecs, pi.weights, 1.0),
         pi=pi,
     )
 
 
-def _householder_first_column(v: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is the unit vector v."""
-    n = v.shape[0]
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    u = v - e0
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of the unit vector v:
+    the last n - 1 columns of the Householder reflection that maps e_0 to v."""
+    u = v.copy()
+    u[0] -= 1.0
     norm2 = u @ u
     if norm2 < 1e-30:
-        return np.eye(n)
-    h = np.eye(n) - 2.0 * np.outer(u, u) / norm2
-    return -h if h[0, 0] * v[0] < 0 else h
+        return np.eye(v.size)[:, 1:]
+    basis = 2.0 * np.outer(u, u[1:]) / -norm2
+    basis[1:] += np.eye(v.size - 1)
+    return basis
 
 
 def _resolvent_power(vals, eigvecs, pi_w, r):

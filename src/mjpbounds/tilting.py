@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .markov import Observable, ProbDist
-from .spectral import SpectralData
+from .spectral import SpectralData, sigma_hat_sq
 
 R_CAP_FACTOR = 1e6
 NEWTON_RTOL = 1e-12
@@ -214,7 +214,7 @@ def lambda0_star(sd: SpectralData, f: Observable, u):
     """Fenchel conjugate of the tilted top eigenvalue at threshold ``u >= 0``,
     or at every threshold of a 1-D grid ``u``, by ``conjugate_grid``: each
     step is one stacked ``_tilted_eigh``, the rounding bound is the Weyl
-    slack, and ``lambda_0''(0)`` is the asymptotic variance ``-2 <Sf, f>``.
+    slack, and ``lambda_0''(0)`` is ``sigma_hat_sq(sd, f)``, so ``f`` must be centered.
     """
     fv = f.values
 
@@ -222,5 +222,4 @@ def lambda0_star(sd: SpectralData, f: Observable, u):
         top, slope, curvature, norm = _tilted_eigh(sd, fv, r)
         return r * u - top, slope, curvature, WEYL_C * fv.size * np.finfo(float).eps * norm
 
-    var0 = -2.0 * float(sd.pi.weights @ (fv * (sd.resolvent @ fv)))
-    return conjugate_grid(moments, f, u, var0)
+    return conjugate_grid(moments, f, u, sigma_hat_sq(sd, f))

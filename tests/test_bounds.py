@@ -201,6 +201,16 @@ class TestFSobolev:
         assert verdict.status == "violated"
         assert float(bounds._violation(two_state, 1.45, verdict.witness)) > 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e200, 1e300])
+    def test_huge_constant_violated_by_lemma_3_1(self, three_dense, c):
+        # far above gap/2 = 1.4655 an ascent overflows to NaN, which reads
+        # inconclusive; 1 + eps phi_1 is a finite witness, found with no search
+        verdict = check_f_sobolev(three_dense, c)
+        assert verdict.status == "violated"
+        assert np.all(np.isfinite(verdict.witness))
+        assert float(bounds._violation(three_dense, c, verdict.witness)) == verdict.max_violation
+
     def test_uniform_two_state_alpha_is_half_the_gap(self):
         m = make_model([[-2.0, 2.0], [2.0, -2.0]], [1.0, -1.0])
         assert analyze(m).gap == pytest.approx(4.0, rel=1e-15)

@@ -94,6 +94,33 @@ class TestModelFile:
         with pytest.raises(ParseError, match="states"):
             read_model_file(model_file(extra={"states": states}))
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
+    def test_toml_twin_loads_the_same_model(self, model_file, tmp_path):
+        q = [[-3.0, 1.0, 2.0], [0.1, -0.4, 0.3], [2.0 / 3.0, 0.5, -7.0 / 6.0]]
+        f, nu = [1.0 / 3.0, -0.7, 2.5e-3], [0.2, 0.3, 0.5]
+
+        def arr(xs):
+            return "[" + ", ".join(arr(x) if isinstance(x, list) else repr(x) for x in xs) + "]"
+
+        toml = tmp_path / "m.toml"
+        toml.write_text(
+            f'states = ["s0", "s1", "s2"]\nq = {arr(q)}\nf = {arr(f)}\nnu = {arr(nu)}\nseed = 7\n'
+        )
+        a = read_model_file(model_file(q=q, f=f, nu=nu, seed=7))
+        b = read_model_file(str(toml))
+        for get in (lambda m: m.q.rates, lambda m: m.f.values,
+                    lambda m: m.nu.weights, lambda m: m.pi.weights):
+            np.testing.assert_array_equal(get(b.model), get(a.model))
+        assert (b.labels, b.seed) == (a.labels, a.seed) == (["s0", "s1", "s2"], 7)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
+    def test_malformed_toml_refused(self, tmp_path):
+        p = tmp_path / "broken.toml"
+        p.write_text('states = ["a", "b"\nq = [[-1.0, 1.0], [2.0, -2.0]]\n')
+        with pytest.raises(ParseError, match="invalid TOML"):
+            read_model_file(str(p))
+        assert main(["validate", "--model", str(p)]) == 2
+
     @pytest.mark.skipif(sys.version_info >= (3, 11), reason="tomllib available")
     def test_toml_rejected_without_tomllib(self, tmp_path):
         p = tmp_path / "m.toml"
@@ -448,6 +475,21 @@ class TestCliSubcommands:
         assert [(r[1], r[2], r[4]) for r in rows] == [
             ("fsobolev", "inf", "0"), ("general", "inf", "0")
         ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", ["1e200", "1e300"])
+    def test_huge_fsobolev_constant_refused(self, model_file, tmp_path, c):
+        # far above gap/2 = 1.4655 the inequality fails by Lemma 3.1: exit 2
+        # and no file, not an unverified bound of 0
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(q=THREE_DENSE_Q, f=THREE_DENSE_F),
+                "--t", "5", "--u-grid", "0.1:0.5:3", "--families", "fsobolev",
+                "--fsobolev-c", c, "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
 
     def test_fsobolev_family_builds_one_spectral_decomposition(
         self, model_file, tmp_path, monkeypatch

@@ -32,7 +32,7 @@ from mjpbounds import (
 )
 from mjpbounds.bounds import _ascend_violation
 from mjpbounds.errors import DegenerateGapError, NotCenteredError, NumericalError
-from mjpbounds.spectral import sym_coords
+from mjpbounds.spectral import _complement_basis, sym_coords
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
 
@@ -204,6 +204,21 @@ def test_sign_flips_never_lower_the_information(chain):
     abs_h = np.abs(h)
     scale = abs_h @ np.abs(b) @ abs_h
     assert -abs_h @ b @ abs_h <= -h @ b @ h + 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_spectrum_gives_the_two_norm_and_the_complement_basis_is_orthonormal(n, seed):
+    # B is negative semidefinite, so check_f_sobolev reads ||B||_2 as minus
+    # its lowest eigenvalue; the deflation runs on the complement of sqrt(pi)
+    m = random_irreducible_model(np.random.default_rng(seed), n)
+    sd = spectral_decomposition(m.q, m.pi)
+    assert -sd.eigenvalues[-1] == pytest.approx(np.linalg.norm(sd.sym_coords, 2), rel=1e-12)
+    sqrt_pi = np.sqrt(m.pi.weights)
+    basis = _complement_basis(sqrt_pi)
+    assert basis.shape == (n, n - 1)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n - 1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sqrt_pi @ basis, 0.0, rtol=0, atol=1e-14)
 
 
 class TestReducedResolvent:

@@ -18,7 +18,7 @@ from mjpbounds import (
     make_model,
     probability_vector,
 )
-from mjpbounds.errors import ValidationError
+from mjpbounds.errors import NotCenteredError, ValidationError
 from mjpbounds.tilting import R_CAP_FACTOR, _tilted_eigh
 
 from oracles import (
@@ -236,6 +236,13 @@ class TestLambda0Star:
         res = lambda0_star(a.sd, model.f, [0.0, 5e-324, 1e-300, 0.5])
         assert [r.value for r in res] == [0.0, math.inf, math.inf, math.inf]
         assert math.isinf(lambda0_star(a.sd, model.f, 1e-300).value)
+
+    def test_uncentered_observable_refused(self, two_state):
+        # lambda_0''(0) is sigma_hat_sq's -2 <Sf, f>, which needs pi(f) = 0;
+        # pi = (2/3, 1/3) gives this f the mean 1/3
+        sd = analyze(two_state).sd
+        with pytest.raises(NotCenteredError):
+            lambda0_star(sd, Observable(np.array([1.0, -1.0])), 0.3)
 
     @pytest.mark.parametrize("u", [-0.1, math.nan])
     def test_negative_or_nan_threshold_rejected(self, two_state, u):
