@@ -21,12 +21,12 @@ import math
 from mjpbounds import (
     analyze,
     check_f_sobolev,
-    empirical_tail,
     evaluate_family,
     lambda0_star,
     lower_tail,
     make_model,
     stationary_model,
+    tail_estimate,
     time_averages,
     two_sided,
 )
@@ -55,7 +55,7 @@ for t in (1.0, 5.0, 20.0):
     avg = time_averages(model, t, n, seed=2718)
     for frac in (0.1, 0.3, 0.5):
         u = frac * fmax
-        est = empirical_tail(model, t, u, n, seed=2718, averages=avg)
+        est = tail_estimate(avg, u, t)
         cells = []
         for fam in families:
             # the fsobolev family reads its F from the verdict; the others ignore it
@@ -72,7 +72,7 @@ u = 0.3 * fmax
 rate = lambda0_star(a.sd, stat.f, u).value
 print(f"bound rate at u = {u:.2f}: {rate:.5f}")
 for t, n_t in ((5.0, 200000), (20.0, 200000), (80.0, 400000)):
-    est = empirical_tail(stat, t, u, n_t, seed=31415)
+    est = tail_estimate(time_averages(stat, t, n_t, seed=31415), u, t)
     emp_rate = -math.log(est.p_hat) / t
     print(
         f"  t = {t:4.0f}:  -log(p_hat)/t = {emp_rate:.5f}"

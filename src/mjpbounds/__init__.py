@@ -46,8 +46,8 @@ from .markov import (
 from .modelio import ModelFile, load_model, read_model_file, save_model
 from .simulate import (
     TailEstimate,
-    empirical_tail,
     empirical_variance_rate,
+    tail_estimate,
     time_averages,
 )
 from .spectral import (

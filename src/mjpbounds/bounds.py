@@ -341,7 +341,7 @@ def _admitted(verdict: FSobolevVerdict | None, model: MJPModel) -> FSobolevVerdi
     if not _same_chain(verdict.model, model):
         raise ValidationError("verdict belongs to a different chain than the model")
     if verdict.status == "violated":
-        raise FSobolevNotVerifiedError(verdict.status)
+        raise FSobolevNotVerifiedError(verdict)
     return verdict
 
 

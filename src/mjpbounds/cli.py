@@ -31,7 +31,7 @@ from . import bounds as bnd
 from . import combinatorics as comb
 from .errors import NumericalError, ValidationError
 from .modelio import read_model_file
-from .simulate import empirical_tail, time_averages
+from .simulate import tail_estimate, time_averages
 from .tilting import lambda0, lambda0_star
 
 # every family but fsobolev, which needs --fsobolev-c
@@ -51,7 +51,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid needs at least one point, got {n}")
     if not math.isfinite(hi - lo):  # also refuses a span that overflows
         raise ValidationError(f"grid endpoints and their span must be finite, got {spec!r}")
-    return np.linspace(lo, hi, n)
+    try:
+        return np.linspace(lo, hi, n)
+    except (ValueError, MemoryError) as exc:  # a size numpy refuses or cannot hold
+        raise ValidationError(f"grid of {n} points is too large: {exc}") from exc
 
 
 def _parse_t_list(spec: str) -> list[float]:
@@ -161,7 +164,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
-    est = empirical_tail(mf.model, args.t, args.u, args.samples, seed)
+    averages = time_averages(mf.model, args.t, args.samples, seed)
+    est = tail_estimate(averages, args.u, args.t)
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
     _write_csv(args.out, args.no_timestamp, "u,t,n,hits,p_hat,ci_lo,ci_hi", [row])
     return 0
@@ -219,9 +223,9 @@ def _check_families(fams, fsobolev_c: float | None):
 
 
 def _bound_table(model, families, u_grid, t, fsobolev_c):
-    """The analysis of ``model``, the checked verdict of ``fsobolev_c * log``
-    (``None`` unless ``fsobolev`` is among ``families``), and the bound of
-    every family at every threshold of ``u_grid`` at horizon ``t``, as
+    """The checked verdict of ``fsobolev_c * log`` (``None`` unless
+    ``fsobolev`` is among ``families``) and the bound of every family at
+    every threshold of ``u_grid`` at horizon ``t``, as
     ``{u: {family: BoundPoint}}``.  Each family is evaluated once, on the
     whole grid."""
     analysis, verdict = bnd.analyze(model), None
@@ -233,7 +237,7 @@ def _bound_table(model, families, u_grid, t, fsobolev_c):
         for fam in families
     ]
     table = {u: {p.family: p for p in row} for u, row in zip(us, zip(*columns))}
-    return analysis, verdict, table
+    return verdict, table
 
 
 def cmd_bounds(args) -> int:
@@ -241,7 +245,7 @@ def cmd_bounds(args) -> int:
     families = _resolve_families(args.families, args.fsobolev_c)
     _check_families(families, args.fsobolev_c)
     u_grid = _parse_grid(args.u_grid)
-    _, _, table = _bound_table(mf.model, families, u_grid, args.t, args.fsobolev_c)
+    _, table = _bound_table(mf.model, families, u_grid, args.t, args.fsobolev_c)
     rows = []
     for u in u_grid:  # a grid with lo == hi repeats its threshold
         for fam, p in table[float(u)].items():
@@ -315,29 +319,25 @@ def run_compare(config: RunConfig) -> dict:
     mf, seed = _load(config)
     model = mf.model
     families = config.families
-    # any horizon: ``BoundPoint.at`` moves a bound to another
-    analysis, verdict, points = _bound_table(
-        model, families, config.u_grid, config.t_values[0], config.fsobolev_c
-    )
     sharpness_on = model.reversible
+    # the sharpness column subtracts the general rate, solved with the others
+    solved = families
+    if sharpness_on and "general" not in families:
+        solved = [*families, "general"]
+    # any horizon: ``BoundPoint.at`` moves a bound to another
+    verdict, points = _bound_table(
+        model, solved, config.u_grid, config.t_values[0], config.fsobolev_c
+    )
     header = _compare_header(families)
-
-    sharp_rate = {}
-    if sharpness_on:  # the general rate, which the sharpness column subtracts
-        if "general" in families:
-            sharp_rate = {u: row["general"].rate for u, row in points.items()}
-        else:
-            conj = lambda0_star(analysis.sd, model.f, list(points))
-            sharp_rate = {c.u: c.value for c in conj}
     horizons = sorted(config.t_values)
     sims = time_averages(model, horizons, config.samples, seed)
     averages = dict(zip(horizons, sims))
 
     rows, failures = [], []
     for t, u in itertools.product(config.t_values, config.u_grid):
-        est = empirical_tail(model, t, u, config.samples, seed, averages=averages[t])
+        est = tail_estimate(averages[t], u, t)
         row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
-        for p in points[u].values():
+        for p in (points[u][fam] for fam in families):
             bound = p.at(t).bound
             ok = est.p_hat <= bound + DOMINATION_SIGMA * est.ci_half_width
             if not ok:
@@ -350,7 +350,9 @@ def run_compare(config: RunConfig) -> dict:
         # to 0 as t grows on reversible chains.  + 0.0 writes 0, not -0, when
         # every path hits (-log 1 is -0.0) and the rate is 0
         sharp = sharpness_on and est.p_hat > 0.0
-        row.append(-math.log(est.p_hat) / t - sharp_rate[u] + 0.0 if sharp else None)
+        row.append(
+            -math.log(est.p_hat) / t - points[u]["general"].rate + 0.0 if sharp else None
+        )
         rows.append(row)
 
     summary = {

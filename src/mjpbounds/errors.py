@@ -67,8 +67,8 @@ class FSobolevNotVerifiedError(ValidationError):
     def __init__(self, verdict):
         self.verdict = verdict
         super().__init__(
-            f"functional inequality was not verified (verdict: {verdict}); "
-            "pass FSobolevVerdict.assumed(model, c) to override"
+            f"the log-Sobolev inequality with constant c = {verdict.c} is violated "
+            f"on this chain (max_violation = {verdict.max_violation:.6g} > 0)"
         )
 
 

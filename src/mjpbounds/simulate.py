@@ -367,7 +367,10 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
     tables = _Tables.of(model)
-    out = np.empty((hs.size, n_samples))
+    try:
+        out = np.empty((hs.size, n_samples))
+    except (ValueError, MemoryError) as exc:  # a size numpy refuses or cannot hold
+        raise ValidationError(f"{n_samples} samples are too many: {exc}") from exc
     for start in range(0, n_samples, _BLOCK):
         count = min(_BLOCK, n_samples - start)
         _time_average_block(model, hs, seed, start, count, tables, out)
@@ -377,47 +380,28 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
 _Z95 = 1.959963984540054
 
 
-def _tail_estimate(u, t, n_samples, hits) -> TailEstimate:
-    p_hat = hits / n_samples
-    if hits in (0, n_samples):
+def tail_estimate(averages, u: float, t: float) -> TailEstimate:
+    """Estimate P(A_t/t >= u) from the time averages ``averages`` at horizon
+    ``t``, one per sample, as from ``time_averages``."""
+    if math.isnan(u):
+        raise ValidationError("threshold u must not be NaN")
+    a = np.asarray(averages)
+    if a.ndim != 1 or a.size == 0:
+        raise ValidationError(f"need one average per sample, got shape {a.shape}")
+    n = a.size
+    hits = int(np.count_nonzero(a >= u))
+    p_hat = hits / n
+    if hits in (0, n):
         # Wilson half width stays informative where the normal CI collapses
         z2 = _Z95**2
         half = (
             _Z95
-            / (1.0 + z2 / n_samples)
-            * math.sqrt(p_hat * (1.0 - p_hat) / n_samples + z2 / (4.0 * n_samples**2))
+            / (1.0 + z2 / n)
+            * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n**2))
         )
     else:
-        half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return TailEstimate(
-        u=u, t=t, n_samples=n_samples, hits=hits, p_hat=p_hat, ci_half_width=half
-    )
-
-
-def empirical_tail(
-    model: MJPModel,
-    t: float,
-    u: float,
-    n_samples: int,
-    seed: int,
-    averages: np.ndarray | None = None,
-) -> TailEstimate:
-    """Estimate P_nu(A_t/t >= u) over independent trajectories.
-
-    ``averages`` may carry precomputed time averages from ``time_averages``
-    with the same (model, t, n_samples, seed), letting callers scan many
-    thresholds over one simulation sweep; with several horizons, pass the
-    row of ``t``.
-    """
-    if math.isnan(u):
-        raise ValidationError("threshold u must not be NaN")
-    a = averages
-    if a is None:
-        a = time_averages(model, t, n_samples, seed)
-    elif np.shape(a) != (n_samples,):
-        raise ValidationError(f"need one average per sample, got shape {np.shape(a)}")
-    hits = int(np.count_nonzero(a >= u))
-    return _tail_estimate(u, t, n_samples, hits)
+        half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n)
+    return TailEstimate(u=u, t=t, n_samples=n, hits=hits, p_hat=p_hat, ci_half_width=half)
 
 
 def empirical_variance_rate(model: MJPModel, t: float, n_samples: int, seed: int) -> float:

@@ -39,9 +39,14 @@ def pi_inner(pi: ProbDist, g, h) -> float:
 
 
 def pi_variance(pi: ProbDist, g) -> float:
+    """Variance of ``g`` under ``pi``; one that overflows raises ``NumericalError``."""
     g = np.asarray(g, dtype=float)
-    m = float(pi.weights @ g)
-    return float(pi.weights @ (g - m) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(pi.weights @ g)
+        var = float(pi.weights @ (g - m) ** 2)
+    if not np.isfinite(var):
+        raise NumericalError("the variance of the observable under pi overflows")
+    return var
 
 
 def sym_coords(q: QMatrix, pi: ProbDist) -> np.ndarray:
@@ -155,10 +160,14 @@ def sigma_hat_sq(sd: SpectralData, f: Observable) -> float:
     """Asymptotic variance -2 <Sf, f> of the time average under ``sd.pi``.
 
     Centering is checked relative to the size of f, since rounding leaves a
-    mean proportional to it.
+    mean proportional to it.  A variance that overflows raises
+    ``NumericalError``.
     """
     mean = float(sd.pi.weights @ f.values)
     if abs(mean) > 1e-10 * max(1.0, f.sup_norm):
         raise NotCenteredError(mean)
-    val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f.values, f.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f.values, f.values)
+    if not np.isfinite(val):
+        raise NumericalError("the asymptotic variance of the observable overflows")
     return max(val, 0.0)

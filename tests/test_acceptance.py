@@ -18,7 +18,6 @@ from mjpbounds import (
     beta,
     beta_total,
     check_f_sobolev,
-    empirical_tail,
     empirical_variance_rate,
     evaluate_family,
     lambda0,
@@ -32,6 +31,7 @@ from mjpbounds import (
     resolvent_power,
     stationary_model,
     symmetrized_generator,
+    tail_estimate,
     time_averages,
     transition_matrix,
 )
@@ -232,7 +232,7 @@ def test_criterion_7_monte_carlo_domination(two_state, three_cycle):
             avg = time_averages(m, t, n, seed=701)
             for frac in (0.1, 0.3, 0.5):
                 u = frac * fmax
-                est = empirical_tail(m, t, u, n, seed=701, averages=avg)
+                est = tail_estimate(avg, u, t)
                 for fam in FAMILIES_WITH_F:
                     p = evaluate_family(m, t, u, fam, analysis=a, fsobolev=verdict)
                     if est.p_hat > p.bound + 3.0 * est.ci_half_width:
@@ -256,7 +256,7 @@ def test_criterion_8_asymptotic_sharpness_trend(two_state):
     samples = (200000, 400000, 1000000)
     excesses, sigmas = [], []
     for t, n in zip(horizons, samples):
-        est = empirical_tail(m, t, u, n, seed=808)
+        est = tail_estimate(time_averages(m, t, n, seed=808), u, t)
         assert est.hits > 0
         se_p = math.sqrt(est.p_hat * (1.0 - est.p_hat) / n)
         excesses.append(-math.log(est.p_hat) / t - rate)

@@ -12,7 +12,6 @@ from mjpbounds import (
     FSobolevVerdict,
     bernstein_conjugate,
     check_f_sobolev,
-    empirical_tail,
     evaluate_family,
     iid_sum_bound,
     lambda0,
@@ -20,6 +19,7 @@ from mjpbounds import (
     make_model,
     probability_vector,
     stationary_model,
+    tail_estimate,
     time_averages,
     two_sided,
 )
@@ -616,8 +616,8 @@ class TestLowerTailAndTwoSided:
         t, n, seed = 20.0, 20000, 5
         a = time_averages(m, t, n, seed)
         for u in (0.5, 0.8):
-            low = empirical_tail(m, t, u, n, seed, averages=-a)
-            both = empirical_tail(m, t, u, n, seed, averages=np.abs(a))
+            low = tail_estimate(-a, u, t)
+            both = tail_estimate(np.abs(a), u, t)
             assert 0 < low.hits <= both.hits  # informative cells
             for fam in DEFAULT_FAMILIES:
                 bound = lower_tail(m, t, -u, fam).bound
@@ -781,7 +781,7 @@ class TestCurveAndDomination:
             for t in (1.0, 5.0):
                 avg = time_averages(m, t, 30000, seed=17)
                 for u in (0.1 * fmax, 0.4 * fmax):
-                    est = empirical_tail(m, t, u, 30000, seed=17, averages=avg)
+                    est = tail_estimate(avg, u, t)
                     for fam in (
                         "general",
                         "perturbation",

@@ -1,13 +1,20 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mjpbounds
 from mjpbounds import load_model, read_model_file, save_model
@@ -366,6 +373,50 @@ class TestCliSubcommands:
         ) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--u-grid", "0:1:100000000000000000000"],
+            ["bounds", "--t", "5", "--u-grid", "0:1:100000000000000000000"],
+            ["series", "--order", "2", "--r-grid", "0:1:100000000000000000000"],
+            ["simulate", "--t", "1", "--u", "0.1", "--samples", "100000000000000000000"],
+            ["compare", "--t", "1", "--u-grid", "0.1:0.2:2",
+             "--samples", "100000000000000000000"],
+        ],
+        ids=["rate", "bounds", "series", "simulate", "compare"],
+    )
+    def test_size_numpy_refuses_exits_2(self, model_file, tmp_path, capsys, argv):
+        # 1e20 elements: numpy refuses the shape before it allocates anything
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--model", model_file(), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and "too" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["rate", "--u-grid", "0:1:3"],
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.5:3"],
+            ["compare", "--t", "1", "--u-grid", "0.1:0.2:2", "--samples", "100",
+             "--families", "poincare"],
+        ],
+        ids=["spectrum", "rate", "bounds", "compare"],
+    )
+    def test_second_moment_overflow_exits_3(self, model_file, tmp_path, capsys, argv):
+        # pi(f^2) overflows for f = +-1e300: a numerical failure with no output,
+        # not a NaN variance or a rate of 0
+        model = model_file(q=THREE_DENSE_Q, f=[1e300, -1e300, 0.0])
+        out = tmp_path / "out.csv"
+        extra = [] if argv[0] == "spectrum" else ["--out", str(out)]
+        assert main([*argv, "--model", model, *extra]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_non_finite_horizon_exits_2(self, model_file, tmp_path, command, t):
@@ -478,9 +529,10 @@ class TestCliSubcommands:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", ["1e200", "1e300"])
-    def test_huge_fsobolev_constant_refused(self, model_file, tmp_path, c):
+    def test_huge_fsobolev_constant_refused(self, model_file, tmp_path, capsys, c):
         # far above gap/2 = 1.4655 the inequality fails by Lemma 3.1: exit 2
-        # and no file, not an unverified bound of 0
+        # and no file, not an unverified bound of 0.  The message names the
+        # constant and the violation, and no library call that no flag reaches
         out = tmp_path / "bounds.csv"
         assert main(
             [
@@ -490,6 +542,9 @@ class TestCliSubcommands:
             ]
         ) == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"constant c = {float(c)} is violated" in err
+        assert "max_violation = " in err and "FSobolevVerdict" not in err
 
     def test_fsobolev_family_builds_one_spectral_decomposition(
         self, model_file, tmp_path, monkeypatch
@@ -790,8 +845,8 @@ class TestCompare:
         self, model_file, tmp_path, monkeypatch, families
     ):
         # the two-state chain is reversible, so every cell has a sharpness
-        # cell; it reuses the general rate, or solves its own: either way
-        # one grid call solves every u once
+        # cell; it reads the general rate from the bound table, which solves
+        # general even when it is not requested: one grid call solves every u
         calls = {"sim": 0, "bounds": 0, "cli": 0}
         solved = []
 
@@ -814,10 +869,11 @@ class TestCompare:
                 "--out", str(tmp_path / "cmp.csv"),
             ]
         ) == 0
-        general = "general" in families
-        solves = {"bounds": 1, "cli": 0} if general else {"bounds": 0, "cli": 1}
-        assert calls == {"sim": 1, **solves}
+        assert calls == {"sim": 1, "bounds": 1, "cli": 0}
         assert solved == [4]
+        # a general rate solved only for the sharpness column gets no columns
+        header = (tmp_path / "cmp.csv").read_text().splitlines()[1].split(",")
+        assert ("general_rate" in header) == ("general" in families)
 
     def test_summary_and_domination(self, model_file, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -1181,3 +1237,89 @@ class TestSharedParser:
         assert not out.exists()
         assert main(good) == 0
         assert out.read_bytes() == first
+
+
+COMMANDS = ("validate", "spectrum", "simulate", "rate", "series", "bounds", "compare")
+
+
+def _positive():
+    # spread evenly in log scale over [1e-12, 1e6]
+    return st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
+
+
+def _magnitude():
+    return st.one_of(st.just(0.0), _positive())
+
+
+@st.composite
+def _runs(draw, command):
+    """A model file's contents and the flags of ``command`` on it."""
+    n = draw(st.integers(2, 5))
+    q = np.zeros((n, n))
+    for x in range(n):
+        for y in range(n):
+            # a positive cycle through every state keeps most chains irreducible
+            if y == (x + 1) % n:
+                q[x, y] = draw(_positive())
+            elif x != y:
+                q[x, y] = draw(_magnitude())
+    np.fill_diagonal(q, -q.sum(axis=1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    f = [s * draw(_magnitude()) for s in signs]
+    doc = {"states": [f"s{k}" for k in range(n)], "q": q.tolist(), "f": f}
+    # u and r relative to the observable's scale, t so that t * max q <= 1e4;
+    # grids and u are passed as "--u-grid=lo:hi:n", since argparse takes a
+    # lone "-0.5:1:2" for a flag
+    scale = max(map(abs, f)) or 1.0
+    t = draw(st.floats(-3.0, 4.0).map(lambda e: 10.0**e / -float(q.diagonal().min())))
+
+    def grid(lo, hi):
+        a, b = sorted((draw(st.floats(lo, hi)) * scale, draw(st.floats(lo, hi)) * scale))
+        return f"{a!r}:{b!r}:{draw(st.integers(1, 3))}"
+
+    families = draw(st.sets(st.sampled_from(bnd.FAMILIES), min_size=1))
+    fams = ["--families", ",".join(sorted(families)), "--fsobolev-c", repr(draw(_magnitude()))]
+    samples = ["--samples", str(draw(st.integers(1, 200)))]
+    if command == "simulate":
+        return doc, [command, "--t", repr(t), f"--u={draw(st.floats(-1.5, 1.5)) * scale!r}",
+                     *samples]
+    if command == "rate":
+        return doc, [command, f"--u-grid={grid(-0.5, 1.5)}"]
+    if command == "series":
+        order = str(draw(st.integers(1, 10)))
+        return doc, [command, "--order", order, f"--r-grid={grid(0.0, 2.0)}"]
+    if command == "bounds":
+        return doc, [command, "--t", repr(t), f"--u-grid={grid(-0.5, 1.5)}", *fams]
+    if command == "compare":
+        return doc, [command, "--t", repr(t), f"--u-grid={grid(-0.5, 1.5)}", *fams, *samples]
+    return doc, [command]
+
+
+class TestEveryRunEndsCleanly:
+    """Random chains of 2 to 5 states and random flags, 9 runs per command."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=9, derandomize=True, deadline=timedelta(seconds=5),
+              database=None)
+    @given(data=st.data())
+    def test_exit_code_output_and_warnings(self, command, data):
+        doc, argv = data.draw(_runs(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "model.json"
+            model.write_text(json.dumps(doc))
+            out = Path(tmp) / "out.csv"
+            csv = command not in ("validate", "spectrum")
+            argv = [*argv, "--model", str(model), *(["--out", str(out)] if csv else [])]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+            assert code in (0, 2, 3), (argv, stderr.getvalue())
+            if code:
+                assert not out.exists() and not stdout.getvalue(), argv
+                return
+            body = out.read_text() if csv else stdout.getvalue()
+            assert "nan" not in body.lower(), (argv, body)
+            runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert not runtime, (argv, [str(w.message) for w in runtime])

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mjpbounds
 from mjpbounds import (
     MJPModel,
     ModelFile,
@@ -307,6 +312,36 @@ class TestCenterObservable:
         path = str(tmp_path / "bd8.json")
         save_model(ModelFile(m, [f"s{i}" for i in range(n)], None), path)
         np.testing.assert_array_equal(read_model_file(path).model.f.values, m.f.values)
+
+    def test_state_of_tiny_weight_loads(self):
+        # pi_c = 6.7e-11: a pass that moves f_c by one ulp lowered |pi(f)| by
+        # 3.7e-27 from 3.7e-17, about 1e10 passes under a rule that went on
+        # at any decrease.  A child process with a timeout, so that such a
+        # loop fails this test instead of hanging the suite
+        code = (
+            "import numpy as np\n"
+            "from mjpbounds import center_observable, make_model\n"
+            "q = [[-2, 2, 0], [1, -1.000000000001, 1e-12], [0, 0.01, -0.01]]\n"
+            "m = make_model(q, [1, -2, -0.5])\n"
+            "again = center_observable(m.f, m.pi).values\n"
+            "assert again.tobytes() == m.f.values.tobytes()\n"
+            "print(m.pi.weights[2])\n"
+        )
+        src = str(Path(mjpbounds.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(6.667e-11, rel=1e-3)
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e300])
+    def test_subnormal_and_huge_observables_are_fixed_points(self, three_dense, scale):
+        # 0.9 * |pi(f)| rounds back up to |pi(f)| for a mean of a few
+        # subnormal ulps; the loop stops there too
+        f = center_observable(Observable(scale * np.array([5.0, -1.0, 2.0])), three_dense.pi)
+        np.testing.assert_array_equal(center_observable(f, three_dense.pi).values, f.values)
 
 
 class TestProbabilityVector:

@@ -14,9 +14,9 @@ from mjpbounds import simulate
 from mjpbounds import (
     Observable,
     analyze,
-    empirical_tail,
     empirical_variance_rate,
     make_model,
+    tail_estimate,
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
@@ -201,7 +201,7 @@ class TestHorizonAndThresholdChecks:
 
     def test_nan_threshold_rejected(self, two_state):
         with pytest.raises(ValidationError, match="NaN"):
-            empirical_tail(two_state, 1.0, math.nan, 10, seed=0)
+            tail_estimate(time_averages(two_state, 1.0, 10, seed=0), math.nan, 1.0)
 
 
 class TestManyHorizons:
@@ -568,30 +568,35 @@ class TestErgodicity:
 
 class TestEmpiricalTail:
     def test_threshold_above_max(self, two_state):
-        est = empirical_tail(two_state, 2.0, 1.5, 2000, seed=1)
+        est = tail_estimate(time_averages(two_state, 2.0, 2000, seed=1), 1.5, 2.0)
         assert est.hits == 0 and est.p_hat == 0.0
         assert est.ci_half_width > 0  # Wilson keeps the interval informative
 
     def test_threshold_at_min(self, two_state):
-        est = empirical_tail(two_state, 2.0, -2.0, 2000, seed=1)
+        est = tail_estimate(time_averages(two_state, 2.0, 2000, seed=1), -2.0, 2.0)
         assert est.p_hat == 1.0
 
     def test_self_consistency_against_larger_run(self, two_state):
-        small = empirical_tail(two_state, 5.0, 0.3, 100000, seed=13)
-        big = empirical_tail(two_state, 5.0, 0.3, 1000000, seed=14)
+        small = tail_estimate(time_averages(two_state, 5.0, 100000, seed=13), 0.3, 5.0)
+        big = tail_estimate(time_averages(two_state, 5.0, 1000000, seed=14), 0.3, 5.0)
         assert abs(small.p_hat - big.p_hat) <= small.ci_half_width + big.ci_half_width
 
-    def test_precomputed_averages_shortcut(self, two_state):
-        avg = time_averages(two_state, 2.0, 5000, seed=3)
-        direct = empirical_tail(two_state, 2.0, 0.25, 5000, seed=3)
-        reused = empirical_tail(two_state, 2.0, 0.25, 5000, seed=3, averages=avg)
-        assert direct == reused
+    def test_counts_the_given_averages(self):
+        # n is the number of averages, and a hit is an average >= u
+        est = tail_estimate([0.5, -1.0, 0.25, 0.2], 0.25, 3.0)
+        assert (est.u, est.t, est.n_samples, est.hits, est.p_hat) == (0.25, 3.0, 4, 2, 0.5)
+        assert est.ci_half_width == pytest.approx(1.959963984540054 * 0.25)
 
     def test_averages_of_several_horizons_rejected(self, two_state):
         # one row per horizon; counting hits over all rows would give p_hat > 1
         rows = time_averages(two_state, [2.0, 5.0], 500, seed=3)
         with pytest.raises(ValidationError, match="one average per sample"):
-            empirical_tail(two_state, 2.0, -5.0, 500, seed=3, averages=rows)
+            tail_estimate(rows, -5.0, 2.0)
+
+    @pytest.mark.parametrize("averages", [[], 0.5], ids=["empty", "scalar"])
+    def test_no_averages_rejected(self, averages):
+        with pytest.raises(ValidationError, match="one average per sample"):
+            tail_estimate(averages, 0.0, 1.0)
 
 
 class TestVarianceRate:

@@ -306,6 +306,17 @@ class TestSigmaHat:
             1e16 * sigma_hat_sq(sd, unit.f), rel=1e-9
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_second_moment_raises(self, three_dense):
+        # f = +-1e300 is finite and centered, but f^2 overflows, which would
+        # give a NaN asymptotic variance and an infinite pi-variance
+        m = make_model(three_dense.q.rates, [1e300, -1e300, 0.0])
+        sd = spectral_decomposition(m.q, m.pi)
+        with pytest.raises(NumericalError, match="overflows"):
+            sigma_hat_sq(sd, m.f)
+        with pytest.raises(NumericalError, match="overflows"):
+            pi_variance(m.pi, m.f.values)
+
     def test_dominated_by_poincare_variance(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
