@@ -748,6 +748,23 @@ class TestCompare:
         ) == 0
         assert out.read_bytes() == (data / "clustered_tiny_rates.compare.csv").read_bytes()
 
+    def test_spread_nu_body_pinned(self, tmp_path):
+        # nu puts weight on three of five states, one of them 1e-9, and none
+        # on the other two.  The body was recorded with the initial state
+        # picked by a linear count against the running sum of nu; its bound
+        # cells are 0, 1 and inf, so only the simulation can move it.  The
+        # installed console script runs the same command in CI.
+        data = Path(__file__).resolve().parent / "data"
+        out = tmp_path / "spread.csv"
+        assert main(
+            [
+                "compare", "--model", str(data / "spread_nu.json"),
+                "--t", "0.5,1,2,4,8", "--u-grid", "0:2:2", "--families", "general",
+                "--samples", "4000", "--no-timestamp", "--out", str(out),
+            ]
+        ) == 0
+        assert out.read_bytes() == (data / "spread_nu.compare.csv").read_bytes()
+
     def test_seed_changes_output(self, model_file, tmp_path):
         path = model_file()
         bodies = []

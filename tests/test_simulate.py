@@ -20,7 +20,7 @@ from mjpbounds import (
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
-from mjpbounds.markov import QMatrix
+from mjpbounds.markov import QMatrix, probability_vector
 from mjpbounds.simulate import (
     _DRAW_SALT_I,
     _GAMMA_I,
@@ -56,6 +56,10 @@ THREE_DENSE_SHA256 = "195b591ff1acd96bce3290b35c62d14e2e7e463c189a2488d3cd2b05b9
 # (0.25, 1.0, 2.0), 20000, seed=2028), taken with the kernel whose tables
 # listed every state but x in each row x
 CLUSTERED_SHA256 = "3eaa400b4f631df8a54dd4b2b84a1f870f302839282236be798eddafe1077461"
+# sha256 of the bytes of time_averages(spread_nu, (0.5, 2.0, 5.0), 20000,
+# seed=2029), taken with the kernel that picked the initial state by a linear
+# count against the running sum of nu
+SPREAD_NU_SHA256 = "3ab91c333b279bb3ed25bd603ed9eb02025d79a6c5081e0731857735bc1048b0"
 # tracemalloc peak of time_averages on a 4-state chain, 200000 paths at
 # horizons (5, 20, 50), less the result: 1738684 bytes with the per-path
 # arrays compacted one at a time, plus two float arrays of one block as a margin
@@ -99,6 +103,15 @@ def _top_draw_seed() -> int:
 def wide_sparse():
     """64-state irreducible chain with about half its off-diagonal rates zero."""
     return random_irreducible_model(np.random.default_rng(64), n=64)
+
+
+@pytest.fixture(scope="module")
+def spread_nu():
+    """7-state chain started from a nu of five positive weights, one of them
+    1e-9, and two zero weights, the last state's among them."""
+    model = random_irreducible_model(np.random.default_rng(7), n=7)
+    nu = probability_vector([0.25, 0.0, 0.3, 1e-9, 0.2, 0.25 - 1e-9, 0.0])
+    return dataclasses.replace(model, nu=nu)
 
 
 class TestCounterRng:
@@ -364,10 +377,10 @@ class TestTimeAverage:
         with pytest.raises(ZeroHorizonError):
             time_average(traj, Observable(np.array([1.0, 2.0])))
 
-    def test_matches_vectorized_engine(self, three_cycle, wide_sparse):
+    def test_matches_vectorized_engine(self, three_cycle, wide_sparse, spread_nu):
         # same draw sequence; segment sums may differ by accumulation order
         seed = 99
-        for model, t in ((three_cycle, 4.5), (wide_sparse, 2.0)):
+        for model, t in ((three_cycle, 4.5), (wide_sparse, 2.0), (spread_nu, 3.0)):
             vec = time_averages(model, t, 64, seed)
             for i in (0, 5, 31, 63):
                 traj = sample_trajectory(model, t, CounterStream(seed, i))
@@ -534,6 +547,13 @@ class TestJumpTargets:
         monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         avg = time_averages(three_dense, (0.5, 2.0, 5.0), 20000, seed=2027)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == THREE_DENSE_SHA256
+
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_spread_nu_bits_pinned(self, spread_nu, monkeypatch, split):
+        # 20000 paths start in four of the five states of positive weight
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
+        avg = time_averages(spread_nu, (0.5, 2.0, 5.0), 20000, seed=2029)
+        assert hashlib.sha256(avg.tobytes()).hexdigest() == SPREAD_NU_SHA256
 
 
 class TestMemory:
