@@ -406,21 +406,28 @@ def evaluate_family(
     ignore it.
     A threshold that is NaN or infinite and a time that is NaN, infinite or
     negative are refused, as they would otherwise come out as the trivial
-    bound 1.  A constant observable centers to ``f = 0``, so ``A_t / t`` is
-    0 on every path: every family gives rate 0 at ``u <= 0`` and ``inf``
-    above.
+    bound 1.  So is a negative threshold, in every family: the upper tail
+    there is not what the families bound, and ``lower_tail`` bounds
+    ``P(A_t / t <= u)``.  A constant observable centers to ``f = 0``, so
+    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u <= 0``
+    and ``inf`` above.
     """
     grid = np.asarray(u, dtype=float)
     if grid.ndim > 1:
         raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise ValidationError(f"threshold u must be finite, got {u}")
+    us = np.atleast_1d(grid).tolist()
+    if min(us, default=0.0) < 0 and model.f.sup_norm > 0:
+        raise ValidationError(
+            f"threshold u must be nonnegative, got {min(us)}; "
+            "bound the lower tail P(A_t/t <= u) with lower_tail"
+        )
     rate_fn = _RATES.get(family)
     if rate_fn is None:
         raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
     extra = (_admitted(fsobolev, model),) if family == "fsobolev" else ()
     a = _analysis(model, analysis)
-    us = np.atleast_1d(grid).tolist()
     if a.f_sup == 0.0:
         rates = [((0.0 if uk <= 0 else math.inf), "", {}) for uk in us]
     else:

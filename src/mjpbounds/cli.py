@@ -414,6 +414,12 @@ def _add_common(sp, csv=True, threads=False):
         sp.add_argument("--no-timestamp", action="store_true")
 
 
+def _grid_help(flag: str) -> str:
+    # argparse of Python 3.10-3.12 takes a separate value that starts with a
+    # minus sign for a flag
+    return f"lo:hi:n; join a grid that starts below 0 with =, as in {flag}=-0.2:0.2:3"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mjpbounds",
@@ -439,21 +445,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, required=True)
 
     sp = command("rate", cmd_rate, "conjugate rate function on a u grid")
-    sp.add_argument("--u-grid", required=True, help="lo:hi:n")
+    sp.add_argument("--u-grid", required=True, help=_grid_help("--u-grid"))
 
     sp = command("series", cmd_series, "perturbation-series coefficients")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--r-grid", default=None, help="lo:hi:n")
+    sp.add_argument("--r-grid", default=None, help=_grid_help("--r-grid"))
 
     sp = command("bounds", cmd_bounds, "bound curves on a u grid")
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--u-grid", required=True, help="lo:hi:n")
+    sp.add_argument("--u-grid", required=True, help=_grid_help("--u-grid"))
     sp.add_argument("--families", default=None, help="all or comma list")
     sp.add_argument("--fsobolev-c", type=float, default=None)
 
     sp = command("compare", cmd_compare, "bounds vs Monte Carlo, one CSV", threads=True)
     sp.add_argument("--t", required=True, help="comma list of horizons")
-    sp.add_argument("--u-grid", required=True, help="lo:hi:n")
+    sp.add_argument("--u-grid", required=True, help=_grid_help("--u-grid"))
     sp.add_argument("--families", default=None)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--fsobolev-c", type=float, default=None)

@@ -17,14 +17,15 @@ A block keeps that counter in a one-element cell and passes
 each call still names one draw index per path, at no cost per path, and the
 keys it is given are never written.
 
-A jump is picked in a few whole-array steps.  Each state's row of the jump
-tables lists only its positive-rate targets, a guide table of four buckets
-per entry of the longest row says where the search for a uniform starts, and
-the tables record the most steps any uniform needs from there.  Every path
-takes that many steps, unless they are more than ``_FIXED_STEPS``; then
-only the paths short of their target step on.  A
-path's state is its slot in the flattened tables, which give the exit rate,
-the value of f and the guide row of each slot's target.
+Every state of a path is picked by one search in a few whole-array steps.
+Row x of the jump tables lists only the positive-rate targets of state x, and
+row n the states of positive weight under nu, from which draw 0 picks the
+initial state.  A guide table of four buckets per entry of the longest row
+says where the search for a uniform starts, and the tables record the most
+steps any uniform needs from there.  Every path takes that many steps, unless
+they are more than ``_FIXED_STEPS``; then only the paths short of their
+target step on.  A path's state is its slot in the flattened tables, which
+give the exit rate, the value of f and the guide row of each slot's target.
 """
 
 from __future__ import annotations
@@ -134,28 +135,20 @@ class TailEstimate:
         return min(1.0, self.p_hat + self.ci_half_width)
 
 
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Running sum of the probabilities ``p`` up to their last positive entry,
-    then 1.0: a uniform u in (0, 1] picks index ``(u > row).sum()``, never
-    one of probability zero, even where the rounded sum falls short of u."""
-    row = np.ones(p.size)
-    last = np.flatnonzero(p)[-1]
-    row[:last] = np.cumsum(p[:last])
-    return row
-
-
 def _jump_tables(model: MJPModel):
-    """Per-state jump targets, cumulative probabilities, guide table and the
-    number of search steps a pick takes at most.
+    """Jump targets, cumulative probabilities, guide table and the number of
+    search steps a pick takes at most, for each state and for nu as row n.
 
     Row x lists the D_x states that x jumps to at a positive rate, in order,
-    and is padded to the largest out-degree D with target x and ``cum`` 1.0.
-    ``cum[x]`` is the ``_cumulative`` row of the jump probabilities over
-    those targets, then 1.0; a jump out of x with uniform u in (0, 1] goes to
-    ``targets[x, (u > cum[x]).sum()]``.  A zero rate adds 0.0 to the running
-    sum, exactly, so these are the picks and the sums of a row over every
-    state but x, and the padding is never passed.  An absorbing row is
-    padding only; it is never left.
+    and row n the states of positive weight under nu, whose weights are
+    divided by 1.0 as the rates of row x are by q_x.  Each row is padded to
+    the largest count D with ``cum`` 1.0 and target x (state 0 in row n).
+    ``cum[x]`` holds the running sums of those probabilities before the last
+    target, then 1.0; a pick with uniform u in (0, 1] is
+    ``targets[x, (u > cum[x]).sum()]``, never a state of probability zero.
+    A zero rate adds 0.0 to the running sum, exactly, so these are the picks
+    and the sums of a row over every state, and the padding is never passed.
+    An absorbing row is padding only; it is never left.
 
     ``guide[x, b]`` is ``x * D`` plus the number of entries of ``cum[x]``
     below the lower edge of bucket b of ``4 D`` equal buckets of [0, 1), and
@@ -164,34 +157,34 @@ def _jump_tables(model: MJPModel):
     that bucket starts (Chen & Asau's indexed search).
     ``steps`` is the largest number of entries any u in (0, 1] passes beyond
     the guide start of its bucket, over every row and bucket.  Every table
-    is built for all states at once.
+    is built for all rows at once.
     """
     n = model.n
-    rates = model.q.rates
-    exit_rates = model.q.exit_rates
-    positive = rates > 0.0  # the diagonal is never positive
+    weights = np.vstack([model.q.rates, model.nu.weights])
+    positive = weights > 0.0  # the diagonal is never positive
     degree = positive.sum(axis=1)
     width = max(1, int(degree.max()))
     n_buckets = 4 * width
     cols = np.arange(width)
-    states = np.arange(n)[:, None]
+    rows = np.arange(n + 1)[:, None]
     pad = cols >= degree[:, None]
-    # a stable sort puts each row's positive-rate targets first, in order
+    # a stable sort puts each row's positive-weight targets first, in order
     moves = np.argsort(~positive, axis=1, kind="stable")[:, :width]
-    targets = np.where(pad, states, moves)
+    targets = np.where(pad, rows % n, moves)
     p = np.divide(
-        np.take_along_axis(rates, targets, axis=1),
-        exit_rates[:, None],
-        out=np.zeros((n, width)),
-        where=~pad,  # a row with a move has a positive exit rate
+        np.take_along_axis(weights, targets, axis=1),
+        np.append(model.q.exit_rates, 1.0)[:, None],
+        out=np.zeros((n + 1, width)),
+        where=~pad,  # a row with a move has a positive divisor
     )
-    # _cumulative of each row: running sums before the last target, 1.0 from it on
+    # running sums before the last target, 1.0 from it on
     cum = np.where(cols < degree[:, None] - 1, np.cumsum(p, axis=1), 1.0)
 
     def below(k):
         """Per row and bucket b, the entries whose bucket index ``k`` is <= b."""
-        k = k + (n_buckets + 2) * states
-        hist = np.bincount(k.ravel(), minlength=n * (n_buckets + 2)).reshape(n, -1)
+        k = k + (n_buckets + 2) * rows
+        hist = np.bincount(k.ravel(), minlength=rows.size * (n_buckets + 2))
+        hist = hist.reshape(rows.size, -1)
         return np.cumsum(hist[:, : n_buckets + 1], axis=1)
 
     # lowered by 2**-50 relative, so that rounding cannot lift an edge above
@@ -206,7 +199,7 @@ def _jump_tables(model: MJPModel):
     first_above = (above * n_buckets).astype(np.int64)
     passed = below(np.where(cum < 1.0, first_above, n_buckets + 1))
     steps = int((passed - start).max())
-    guide = width * states + start
+    guide = width * rows + start
     return targets, cum, guide, steps
 
 
@@ -218,9 +211,9 @@ _FIXED_STEPS = 2
 
 class _Tables(NamedTuple):
     """The ``_jump_tables`` flattened, indexed by slot: slot ``x * D + k``
-    is entry k of row x, and slot ``n * D + x`` stands for state x itself,
-    where a path starts.  ``rate``, ``f`` and ``base`` hold the exit rate,
-    the value of f and the guide row offset of each slot's target state."""
+    is entry k of row x.  ``rate``, ``f`` and ``base`` hold the exit rate,
+    the value of f and the guide row offset of each slot's target state, and
+    ``start`` is the guide row offset of row n, from which every path starts."""
 
     cum: np.ndarray
     guide: np.ndarray
@@ -229,36 +222,40 @@ class _Tables(NamedTuple):
     rate: np.ndarray
     f: np.ndarray
     base: np.ndarray
+    start: int
 
     @classmethod
     def of(cls, model: MJPModel) -> _Tables:
         targets, cum, guide, steps = _jump_tables(model)
-        to = np.append(targets.ravel(), np.arange(model.n))
+        to = targets.ravel()
+        per_row = guide.shape[1]
         return cls(
             cum.ravel(),
             guide.ravel(),
-            guide.shape[1] - 1,
+            per_row - 1,
             steps,
             model.q.exit_rates.take(to),
             model.f.values.take(to),
-            to * guide.shape[1],
+            to * per_row,
+            model.n * per_row,
         )
 
 
-def _next_slots(tables: _Tables, slot, u):
-    """Slot of each path's jump, out of the target of ``slot`` with uniform ``u``.
+def _next_slots(tables: _Tables, base, u):
+    """Slot of each path's pick with uniform ``u`` from the row whose guide
+    offset is ``base``: ``tables.start`` for the initial state, and
+    ``tables.base.take(slot)`` for the jump out of the target of ``slot``.
 
-    Bit for bit the slot of ``targets[x, (u > cum[x]).sum()]`` for x the
-    target of ``slot``.  The search starts at the guide entry of u's bucket,
-    which never passes the answer, and steps right while ``u > cum``.  A path
-    at its answer stays there, so every path takes ``tables.steps`` such
-    steps; when that is above ``_FIXED_STEPS``, only the paths not at their
-    answer step on instead.
-    Neither ``slot`` nor ``u`` is written.
+    Bit for bit the slot of ``targets[x, (u > cum[x]).sum()]`` for x that
+    row.  The search starts at the guide entry of u's bucket, which never
+    passes the answer, and steps right while ``u > cum``.  A path at its
+    answer stays there, so every path takes ``tables.steps`` such steps; when
+    that is above ``_FIXED_STEPS``, only the paths not at their answer step
+    on instead.  Neither ``base`` nor ``u`` is written.
     """
     cum = tables.cum
     j = (u * tables.n_buckets).astype(np.int64)
-    j += tables.base.take(slot)
+    j += base
     j = tables.guide.take(j)
     if tables.steps <= _FIXED_STEPS:
         for _ in range(tables.steps):
@@ -271,16 +268,17 @@ def _next_slots(tables: _Tables, slot, u):
     return j
 
 
-def _time_average_block(model, horizons, seed, start, count, tables, out):
+def _time_average_block(horizons, seed, start, count, tables, out):
     """Time averages A_h/h of samples start..start+count-1 at every horizon h.
 
     ``horizons`` is strictly ascending; row k of ``out`` receives the averages
-    at ``horizons[k]``.  Each path runs once, to the last horizon, and holds
-    its state as its ``_Tables`` slot.  When it first reaches an earlier
-    horizon h inside a holding interval it records
-    ``acc + f(state) * (h - tau)``, the float operations of a path stopped at
-    h, so every row equals a one-horizon run bit for bit.  The live paths are
-    compacted in the sweeps where some path passes the last horizon; each
+    at ``horizons[k]``.  Each path starts at the slot that draw 0 picks from
+    row n, runs once, to the last horizon, and holds its state as its slot.
+    When it first reaches an earlier horizon h inside a holding interval it
+    records ``acc + f(state) * (h - tau)``, the float operations of a path
+    stopped at h, so every row equals a one-horizon run bit for bit.  The
+    live paths are compacted in the sweeps where some path passes the last
+    horizon; each
     sample consumes draws from its own substream only, so the result is
     independent of blocking.  Compaction only drops paths, so every live path
     is at the same draw: sweep k uses draws 2k+1 and 2k+2 of each, and one
@@ -294,10 +292,7 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
     cell = np.zeros(1, dtype=np.uint64)
     draws = np.broadcast_to(cell, (count,))
-    cum_nu = _cumulative(model.nu.weights)
-    u0 = counter_uniforms(keys, draws)
-    slot = (u0[:, None] > cum_nu[None, :]).sum(axis=1)
-    slot += rates.size - model.n  # the slot of the state itself
+    slot = _next_slots(tables, tables.start, counter_uniforms(keys, draws))
 
     ids = np.arange(start, start + count)
     tau = np.zeros(count)
@@ -342,7 +337,7 @@ def _time_average_block(model, horizons, seed, start, count, tables, out):
             draws = draws[: live.size]
         cell[0] = draw + 1
         u = counter_uniforms(keys, draws)
-        slot = _next_slots(tables, slot, u)
+        slot = _next_slots(tables, tables.base.take(slot), u)
         del u  # freed before the next sweep allocates its arrays
         draw += 2
 
@@ -373,7 +368,7 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
         raise ValidationError(f"{n_samples} samples are too many: {exc}") from exc
     for start in range(0, n_samples, _BLOCK):
         count = min(_BLOCK, n_samples - start)
-        _time_average_block(model, hs, seed, start, count, tables, out)
+        _time_average_block(hs, seed, start, count, tables, out)
     return out[0] if np.ndim(t) == 0 else out
 
 

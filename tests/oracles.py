@@ -38,7 +38,7 @@ from mjpbounds import (
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
 from mjpbounds.errors import NumericalError, ValidationError, ZeroHorizonError
 from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
-from mjpbounds.simulate import _DRAW_SALT_I, _U_MAX, _cumulative, _mix64_int, stream_keys
+from mjpbounds.simulate import _DRAW_SALT_I, _U_MAX, _mix64_int, stream_keys
 from mjpbounds.spectral import sym_coords
 from mjpbounds.tilting import R_CAP_FACTOR
 
@@ -322,29 +322,41 @@ def _bucket_top(b: int, n_buckets: int) -> float:
     return u
 
 
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Running sum of the probabilities ``p`` up to their last positive entry,
+    then 1.0: a uniform u in (0, 1] picks index ``(u > row).sum()``, never
+    one of probability zero, even where the rounded sum falls short of u."""
+    row = np.ones(p.size)
+    last = np.flatnonzero(p)[-1]
+    row[:last] = np.cumsum(p[:last])
+    return row
+
+
 def jump_tables_loop(model: MJPModel):
-    """``simulate._jump_tables`` built one state at a time: each row's
-    positive-rate targets listed and padded with the row's own state, its
-    ``_cumulative`` row taken and padded with 1.0, its guide row found by
-    ``searchsorted`` against the bucket edges, and the steps of each bucket
-    counted from its guide start to the pick of the bucket's largest u."""
+    """``simulate._jump_tables`` built one row at a time: the positive-rate
+    targets of each state x, then the states of positive weight under nu as
+    row n, are listed and padded with x (state 0 in row n), their
+    ``_cumulative`` row is taken and padded with 1.0, their guide row is
+    found by ``searchsorted`` against the bucket edges, and the steps of each
+    bucket are counted from its guide start to the pick of the bucket's
+    largest u."""
     n = model.n
-    rates = model.q.rates
-    exit_rates = model.q.exit_rates
-    moves = [np.flatnonzero(rates[x] > 0.0) for x in range(n)]
+    rows = [(model.q.rates[x], model.q.exit_rates[x]) for x in range(n)]
+    rows.append((model.nu.weights, 1.0))
+    moves = [np.flatnonzero(weights > 0.0) for weights, _ in rows]
     width = max(1, max(m.size for m in moves))
     n_buckets = 4 * width
     edges = np.arange(n_buckets + 1) / n_buckets * (1.0 - 2.0**-50)
     tops = [_bucket_top(b, n_buckets) for b in range(n_buckets + 1)]
-    targets = np.empty((n, width), dtype=np.int64)
-    cum = np.ones((n, width))
-    guide = np.empty((n, n_buckets + 1), dtype=np.int64)
+    targets = np.empty((n + 1, width), dtype=np.int64)
+    cum = np.ones((n + 1, width))
+    guide = np.empty((n + 1, n_buckets + 1), dtype=np.int64)
     steps = 0
-    for x, ys in enumerate(moves):
-        targets[x] = x  # an absorbing row is padding only
+    for x, ((weights, total), ys) in enumerate(zip(rows, moves)):
+        targets[x] = x if x < n else 0  # an absorbing row is padding only
         targets[x, : ys.size] = ys
         if ys.size:
-            cum[x, : ys.size] = _cumulative(rates[x, ys] / exit_rates[x])
+            cum[x, : ys.size] = _cumulative(weights[ys] / total)
         start = np.searchsorted(cum[x], edges, side="left")
         guide[x] = x * width + start
         for b, u in enumerate(tops):

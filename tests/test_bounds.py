@@ -349,7 +349,7 @@ class TestFSobolevAccuracy:
 @pytest.mark.parametrize("family", bounds.FAMILIES)
 def test_negative_threshold_refused_in_every_family(two_state, family):
     verdict = FSobolevVerdict.assumed(two_state, 0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"nonnegative, got -0\.3; .* lower_tail"):
         evaluate_family(two_state, 1.0, -0.3, family, fsobolev=verdict)
 
 

@@ -293,6 +293,35 @@ class TestCliSubcommands:
         assert [float(r[0]) for r in r_rows] == pytest.approx([0.01, 0.03, 0.05])
         assert all(len(r) == 4 for r in r_rows)
 
+    def test_series_negative_r_grid_in_the_equals_form(self, model_file, tmp_path):
+        # the form the help texts give for a grid that starts below 0
+        out = tmp_path / "series.csv"
+        assert main(
+            [
+                "series", "--model", model_file(), "--order", "2",
+                "--r-grid=-0.2:0.2:3", "--out", str(out), "--no-timestamp",
+            ]
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert lines[3] == "r,lambda0,partial_sum,abs_error"
+        assert [float(ln.split(",")[0]) for ln in lines[4:]] == [-0.2, 0.0, 0.2]
+
+    @pytest.mark.parametrize("family", bnd.FAMILIES)
+    def test_negative_threshold_refused_with_one_message(
+        self, model_file, tmp_path, capsys, family
+    ):
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(), "--t", "5", "--u-grid=-0.5:0.5:3",
+                "--families", family, "--fsobolev-c", "0.5", "--out", str(out),
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "threshold u must be nonnegative, got -0.5" in err
+        assert "lower_tail" in err
+        assert not out.exists()
+
     def test_series_beyond_old_cap(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
         assert main(

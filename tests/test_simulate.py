@@ -20,7 +20,7 @@ from mjpbounds import (
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
-from mjpbounds.markov import QMatrix, probability_vector
+from mjpbounds.markov import MJPModel, ProbDist, QMatrix, probability_vector
 from mjpbounds.simulate import (
     _DRAW_SALT_I,
     _GAMMA_I,
@@ -28,7 +28,6 @@ from mjpbounds.simulate import (
     _MUL1_I,
     _MUL2_I,
     _STREAM_SALT,
-    _cumulative,
     _jump_tables,
     _mix64_int,
     _next_slots,
@@ -335,10 +334,16 @@ class TestInitialState:
     @example([0.1] * 10 + [0.0])  # the rounded sum of the first ten is below 1.0
     @example([12.0, 14.0, 17.0, 19.0, 11.0, 0.0])  # below 1 - 2**-53 as well
     def test_pick_near_one_is_never_a_zero_weight_state(self, weights):
+        # the library's start pick, a search of row n of the jump tables, on
+        # a one-way ring of the states of nu (one absorbing state if n = 1)
         nu = np.array(weights) / math.fsum(weights)
-        row = _cumulative(nu)
-        for u in (U_MAX, 1.0):
-            assert nu[(u > row).sum()] > 0.0
+        n = nu.size
+        ring = QMatrix(np.roll(np.eye(n), 1, axis=1) - np.eye(n))
+        uniform = ProbDist(np.full(n, 1.0 / n))
+        model = MJPModel(ring, uniform, Observable(np.zeros(n)), ProbDist(nu))
+        tables = _Tables.of(model)
+        slot = _next_slots(tables, tables.start, np.array([U_MAX, 1.0]))
+        assert np.all(nu[_jump_tables(model)[0].ravel()[slot]] > 0.0)
 
     def test_largest_draw_starts_in_a_state_of_positive_weight(self):
         # a ring whose nu puts no weight on its last state; the cumulative
@@ -387,15 +392,18 @@ class TestTimeAverage:
                 assert time_average(traj, model.f) == pytest.approx(vec[i], abs=1e-13)
 
 
-def _model_with_first_row(rates0):
-    """Model whose state 0 jumps at ``rates0``; states 1.. form a two-way ring."""
+def _model_with_first_row(rates0, nu=None):
+    """Model whose state 0 jumps at ``rates0``; states 1.. form a two-way ring.
+    It starts from ``nu`` scaled to sum to 1, or from state 0."""
     n = len(rates0) + 1
     rates = np.zeros((n, n))
     rates[0, 1:] = rates0
     for x in range(1, n):
         rates[x, x - 1] = rates[x, (x + 1) % n] = 1.0
     np.fill_diagonal(rates, -rates.sum(axis=1))
-    return make_model(rates, np.arange(n, dtype=float))
+    if nu is not None:
+        nu = np.array(nu) / math.fsum(nu)
+    return make_model(rates, np.arange(n, dtype=float), nu)
 
 
 class TestJumpTables:
@@ -428,13 +436,25 @@ class TestJumpTables:
         np.testing.assert_array_equal(targets[1], 1)
 
     def test_rows_list_only_the_moves_a_state_can_make(self):
-        # state 0 jumps to 2 and 4 only; the ring states jump to two each
+        # state 0 jumps to 2 and 4 only; the ring states jump to two each, and
+        # row n, the point mass at state 0, lists state 0 and padding
         model = _model_with_first_row([0.0, 1.0, 0.0, 3.0])
         targets, cum, guide, steps = _jump_tables(model)
-        assert targets.shape == (5, 2) and guide.shape == (5, 4 * 2 + 1)
+        assert targets.shape == (6, 2) and guide.shape == (6, 4 * 2 + 1)
         assert targets[0].tolist() == [2, 4]
         np.testing.assert_array_equal(cum[0], [0.25, 1.0])
+        assert targets[5].tolist() == [0, 0]
+        np.testing.assert_array_equal(cum[5], [1.0, 1.0])
         assert steps == 1
+
+    def test_start_row_lists_the_states_of_positive_weight(self, spread_nu):
+        self.assert_match_loop(spread_nu)
+        targets, cum, _, _ = _jump_tables(spread_nu)
+        assert targets.shape == (8, 6)  # state 0 jumps to all six others
+        assert targets[7].tolist() == [0, 2, 3, 4, 5, 0]
+        nu = spread_nu.nu.weights
+        np.testing.assert_array_equal(cum[7, :4], np.cumsum(nu[[0, 2, 3, 4]]))
+        np.testing.assert_array_equal(cum[7, 4:], 1.0)
 
     def test_random_chains_take_few_steps(self, wide_sparse):
         # every path steps once on a 4-state chain; on the 64-state one, whose
@@ -472,33 +492,41 @@ class TestJumpTargets:
     @given(_FIRST_ROWS)
     @example([1e-9] * 11 + [1.0])  # eleven entries in bucket 0
     def test_guide_table_pick_equals_linear_count(self, rates0):
-        model = _model_with_first_row(rates0)
+        # every row of the tables, row n among them: nu puts the rates of
+        # state 0 on states 1.. as weights, and no weight on state 0
+        model = _model_with_first_row(rates0, nu=[0.0, *rates0])
         targets, cum, _, steps = _jump_tables(model)
         tables = _Tables.of(model)
-        u = np.tile(_adversarial_uniforms(cum, tables.n_buckets), model.n)
-        state = np.repeat(np.arange(model.n), u.size // model.n)
-        slot = state + tables.rate.size - model.n  # the slot of the state itself
-        linear = (u[:, None] > cum[state]).sum(axis=1)
+        rows = model.n + 1
+        u = np.tile(_adversarial_uniforms(cum, tables.n_buckets), rows)
+        row = np.repeat(np.arange(rows), u.size // rows)
+        base = row * (tables.n_buckets + 1)
+        assert base[-1] == tables.start
+        linear = (u[:, None] > cum[row]).sum(axis=1)
         # every path stepped steps times, and only the paths short of their target
         for fixed in (steps, steps - 1):
             with mock.patch.object(simulate, "_FIXED_STEPS", fixed):
-                picked = _next_slots(tables, slot, u)
-            np.testing.assert_array_equal(picked, state * targets.shape[1] + linear)
-        # never a zero-rate target
-        assert np.all(model.q.rates[state, targets.ravel()[picked]] > 0.0)
+                picked = _next_slots(tables, base, u)
+            np.testing.assert_array_equal(picked, row * targets.shape[1] + linear)
+        # never a zero-rate target, nor a start of zero weight
+        weights = np.vstack([model.q.rates, model.nu.weights])
+        assert np.all(weights[row, targets.ravel()[picked]] > 0.0)
 
     @staticmethod
     def assert_steps_bound_every_search(model):
         targets, cum, guide, steps = _jump_tables(model)
         n_buckets = guide.shape[1] - 1
         u = _adversarial_uniforms(cum, n_buckets)
-        for x in range(model.n):
+        # row n of the tables draws the initial state from nu
+        weights = np.vstack([model.q.rates, model.nu.weights])
+        for x in range(model.n + 1):
             start = guide[x, (u * n_buckets).astype(np.int64)] - x * targets.shape[1]
             answer = (u[:, None] > cum[x]).sum(axis=1)
             assert np.all((start <= answer) & (answer - start <= steps))
-            # a move the state can make: never padding, never a zero rate
-            assert np.all(answer < (model.q.rates[x] > 0.0).sum())
-            assert np.all(model.q.rates[x, targets[x, answer]] > 0.0)
+            # a move the state can make: never padding, never a zero rate;
+            # in row n never padding, never a state of zero weight
+            assert np.all(answer < (weights[x] > 0.0).sum())
+            assert np.all(weights[x, targets[x, answer]] > 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(_FIRST_ROWS)
@@ -506,6 +534,8 @@ class TestJumpTargets:
     @example([1.0] + [1e-9] * 11)  # the tiny rates crowd the top bucket
     def test_steps_bound_every_search_of_a_first_row(self, rates0):
         self.assert_steps_bound_every_search(_model_with_first_row(rates0))
+        # the same weights in the start row, after a zero weight on state 0
+        self.assert_steps_bound_every_search(_model_with_first_row(rates0, nu=[0.0, *rates0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
@@ -516,13 +546,13 @@ class TestJumpTargets:
     def test_state_and_u_never_written(self, wide_sparse):
         tables = _Tables.of(wide_sparse)
         rng = np.random.default_rng(3)
-        slot = rng.integers(0, tables.rate.size, 500)
+        base = tables.base.take(rng.integers(0, tables.rate.size, 500))
         u = np.append(rng.random(499), 1.0)
-        before = slot.tobytes(), u.tobytes()
+        before = base.tobytes(), u.tobytes()
         for fixed in (0, tables.steps):
             with mock.patch.object(simulate, "_FIXED_STEPS", fixed):
-                _next_slots(tables, slot, u)
-        assert (slot.tobytes(), u.tobytes()) == before
+                _next_slots(tables, base, u)
+        assert (base.tobytes(), u.tobytes()) == before
 
     @pytest.mark.parametrize("split", [1, 2])
     def test_wide_sparse_chain_bits_pinned(self, wide_sparse, monkeypatch, split):
