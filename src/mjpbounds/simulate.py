@@ -8,14 +8,22 @@ chosen with probability q_xy / q_x.
 Randomness comes from a counter-based generator: draw k of sample i is a
 64-bit hash of (seed, i, k) mapped to (0, 1).  Every sample owns its own
 substream, so tail estimates are bitwise reproducible for a fixed seed no
-matter how the samples are partitioned into blocks.  Every path
-uses draw 0 for its initial state and draws 2k+1 and 2k+2 for the holding
-time and jump target of its k-th sweep, so all live paths of a block share
-one draw counter, and its hash is computed once per sweep, not once per path.
+matter how the samples are partitioned into blocks, or where in its block
+a path is kept.  Every path uses draw 0 for its initial state and draws 2k+1
+and 2k+2 for the holding time and jump target of its k-th sweep, so all live
+paths of a block share one draw counter, and its hash is computed once per
+sweep, not once per path.
 A block keeps that counter in a one-element cell and passes
 ``counter_uniforms`` a stride-0 view of the cell, sliced to the live paths:
 each call still names one draw index per path, at no cost per path, and the
 keys it is given are never written.
+
+The live paths of a block fill the first places of its per-path arrays, and
+each path carries the value of the next horizon it will reach, so a sweep
+finds the crossings by one comparison per path.  A path that passes the last
+horizon is retired in place: a live path from above the new live count takes
+its place, and every array is sliced to that count.  A sweep's retirement
+costs in proportion to the paths that finish; no array is copied whole.
 
 Every state of a path is picked by one search in a few whole-array steps.
 Row x of the jump tables lists only the positive-rate targets of state x, and
@@ -273,21 +281,28 @@ def _time_average_block(horizons, seed, start, count, tables, out):
 
     ``horizons`` is strictly ascending; row k of ``out`` receives the averages
     at ``horizons[k]``.  Each path starts at the slot that draw 0 picks from
-    row n, runs once, to the last horizon, and holds its state as its slot.
-    When it first reaches an earlier horizon h inside a holding interval it
-    records ``acc + f(state) * (h - tau)``, the float operations of a path
-    stopped at h, so every row equals a one-horizon run bit for bit.  The
-    live paths are compacted in the sweeps where some path passes the last
-    horizon; each
-    sample consumes draws from its own substream only, so the result is
-    independent of blocking.  Compaction only drops paths, so every live path
-    is at the same draw: sweep k uses draws 2k+1 and 2k+2 of each, and one
-    counter ``draw`` serves them all.  It is written into ``cell``, and
-    ``draws``, a stride-0 view of the cell sliced to the live paths, names it
-    once per path.
+    row n, runs once, to the last horizon, and holds its state as its slot
+    and the value of its next horizon.  When it first reaches a horizon h
+    inside a holding interval it records ``acc + f(state) * (h - tau)``, the
+    float operations of a path stopped at h, in the row of h, and moves on to
+    the next horizon, so every row equals a one-horizon run bit for bit.
+
+    The live paths fill the first ``live`` places of each per-path array.  A
+    path that passes the last horizon is retired in place: its place, if it
+    is below the new live count, is taken by a live path from at or above
+    that count, and every array is sliced to the new count, so a sweep's
+    cost of retirement grows with the paths that finish, not with those
+    still alive.  Paths change places, but each records by its sample id and
+    draws from its own substream only, so the result is independent of
+    blocking and of where a path is kept.  Retirement only drops paths, so
+    every live path is at the same draw: sweep k uses draws 2k+1 and 2k+2 of
+    each, and one counter ``draw`` serves them all.  It is written into
+    ``cell``, and ``draws``, a stride-0 view of the cell sliced to the live
+    paths, names it once per path.
     """
     rates, f_vals = tables.rate, tables.f
     last = horizons.size
+    end = horizons[-1]
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
     cell = np.zeros(1, dtype=np.uint64)
@@ -297,8 +312,9 @@ def _time_average_block(horizons, seed, start, count, tables, out):
     ids = np.arange(start, start + count)
     tau = np.zeros(count)
     acc = np.zeros(count)
+    ahead = np.full(count, horizons[0])  # the next horizon to reach
+    live = count
     draw = 1
-    nxt = np.zeros(count, dtype=np.int64)  # index of the next horizon to reach
 
     while True:
         # t_new = tau + dt for the holding time dt = -log(U) / q_x, computed
@@ -309,32 +325,39 @@ def _time_average_block(horizons, seed, start, count, tables, out):
         t_new /= rates.take(slot)
         np.subtract(tau, t_new, out=t_new)
         fx = f_vals.take(slot)
-        crossed = c = (t_new >= horizons.take(nxt)).nonzero()[0]
+        crossed = c = (t_new >= ahead).nonzero()[0]
         while c.size:  # several horizons may fall in one holding interval
-            k = nxt[c]
-            h = horizons[k]
+            h = ahead[c]
+            k = horizons.searchsorted(h)
             out[k, ids[c]] = (acc[c] + fx[c] * (h - tau[c])) / h
-            nxt[c] = k = k + 1
-            c = c[k < last]
-            c = c[t_new[c] >= horizons[nxt[c]]]
+            k += 1
+            more = k < last  # a path past the last horizon keeps it as its next
+            c = c[more]
+            ahead[c] = h = horizons[k[more]]
+            c = c[t_new[c] >= h]
         # acc += fx * (t_new - tau), in tau's buffer
         np.subtract(t_new, tau, out=tau)
         tau *= fx
         acc += tau
         tau = t_new
 
-        if crossed.size and nxt.take(crossed).max() == last:  # some path is done
-            live = (nxt < last).nonzero()[0]
-            if not live.size:
-                break
-            # one array at a time: each old array is freed before the next is made
-            ids = ids.take(live)
-            keys = keys.take(live)
-            slot = slot.take(live)
-            nxt = nxt.take(live)
-            acc = acc.take(live)
-            tau = tau.take(live)
-            draws = draws[: live.size]
+        if crossed.size:
+            done = crossed[t_new.take(crossed) >= end]
+            if done.size:
+                live -= done.size
+                if not live:
+                    break
+                # the places of done paths below the new count are filled,
+                # in order, by the paths at or above it that are not done
+                holes = done[done < live]
+                keep = np.ones(done.size, dtype=bool)
+                keep[done[holes.size :] - live] = False
+                movers = keep.nonzero()[0] + live
+                for a in (ids, keys, slot, ahead, acc, tau):
+                    a[holes] = a.take(movers)
+                ids, keys, slot = ids[:live], keys[:live], slot[:live]
+                ahead, acc, tau = ahead[:live], acc[:live], tau[:live]
+                draws = draws[:live]
         cell[0] = draw + 1
         u = counter_uniforms(keys, draws)
         slot = _next_slots(tables, tables.base.take(slot), u)
@@ -366,9 +389,13 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
         out = np.empty((hs.size, n_samples))
     except (ValueError, MemoryError) as exc:  # a size numpy refuses or cannot hold
         raise ValidationError(f"{n_samples} samples are too many: {exc}") from exc
-    for start in range(0, n_samples, _BLOCK):
-        count = min(_BLOCK, n_samples - start)
-        _time_average_block(hs, seed, start, count, tables, out)
+    # an exit rate below about 1e-307 may hold forever: the holding time
+    # overflows to inf, which passes every horizon, and inf * f(x) is nan
+    # where f(x) = 0, in the sum of a path that is done and never read again
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_samples, _BLOCK):
+            count = min(_BLOCK, n_samples - start)
+            _time_average_block(hs, seed, start, count, tables, out)
     return out[0] if np.ndim(t) == 0 else out
 
 

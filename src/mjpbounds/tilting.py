@@ -191,7 +191,12 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     if us.ndim != 1:
         raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
     if not np.all(us >= 0):  # also refuses NaN
-        raise ValidationError(f"threshold must be nonnegative, got {u}")
+        negative = us[us < 0]
+        worst = float(negative.min()) if negative.size else math.nan
+        raise ValidationError(
+            f"threshold must be nonnegative, got {worst}; the rate of the lower "
+            "tail P(A_t/t <= u) at u < 0 is that of -f at -u"
+        )
     reach = float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300 if f.sup_norm > 0.0 else 0.0
     results = [
         ConjugateResult(uk, math.inf, None)

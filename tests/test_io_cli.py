@@ -229,6 +229,31 @@ class TestCliSubcommands:
         ) == 0
         assert out.read_text().splitlines()[1:] == ["1e-300,inf,,0"]
 
+    def test_rate_names_the_negative_threshold(self, model_file, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        assert main(
+            ["rate", "--model", model_file(), "--u-grid=-0.5:0.5:3", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "threshold must be nonnegative, got -0.5;" in err
+        assert "lower tail" in err
+        assert not out.exists()
+
+    def test_simulate_holds_an_infinite_time_without_a_warning(self, model_file, tmp_path):
+        # state 0's exit rate of 1e-310 gives most holding times of inf; the
+        # suite turns a RuntimeWarning into an error, which would exit 3
+        out = tmp_path / "sim.csv"
+        path = model_file(q=[[-1e-310, 1e-310], [1.0, -1.0]], f=[1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                [
+                    "simulate", "--model", path, "--t", "2", "--u", "0.3",
+                    "--samples", "5", "--out", str(out), "--no-timestamp",
+                ]
+            ) == 0
+        assert out.read_text().splitlines()[1].split(",")[3] == "0"
+
     def test_bounds_of_constant_observable(self, model_file, tmp_path):
         # f centers to 0, so A_t / t = 0: every family is exact
         out = tmp_path / "bounds.csv"
@@ -793,6 +818,23 @@ class TestCompare:
             ]
         ) == 0
         assert out.read_bytes() == (data / "spread_nu.compare.csv").read_bytes()
+
+    def test_three_dense_body_over_three_blocks_pinned(self, tmp_path):
+        # 40000 samples span three blocks, so paths retire from full and
+        # partial blocks; two horizons lie 1e-9 apart.  The body was recorded
+        # with the kernel that compacted the live paths into new arrays; its
+        # bound cells are 0, 1 and inf, so only the simulation can move it.
+        # The installed console script runs the same command in CI.
+        data = Path(__file__).resolve().parent / "data"
+        out = tmp_path / "three_dense.csv"
+        assert main(
+            [
+                "compare", "--model", str(data / "three_dense.json"),
+                "--t", "0.5,1,1.000000001,7", "--u-grid", "0:2:2", "--families", "general",
+                "--samples", "40000", "--no-timestamp", "--out", str(out),
+            ]
+        ) == 0
+        assert out.read_bytes() == (data / "three_dense.compare.csv").read_bytes()
 
     def test_seed_changes_output(self, model_file, tmp_path):
         path = model_file()

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -59,10 +60,18 @@ CLUSTERED_SHA256 = "3eaa400b4f631df8a54dd4b2b84a1f870f302839282236be798eddafe107
 # seed=2029), taken with the kernel that picked the initial state by a linear
 # count against the running sum of nu
 SPREAD_NU_SHA256 = "3ab91c333b279bb3ed25bd603ed9eb02025d79a6c5081e0731857735bc1048b0"
+# sha256 of the bytes of time_averages(make_model(INFINITE_HOLD_Q, f,
+# nu=[0.5, 0.5]), (0.5, 2.0, 7.0), 300, seed=3) for f = (1, -1) and (1, 1),
+# taken with the kernel that compacted the live paths into new arrays
+INFINITE_HOLD_Q = [[-1e-310, 1e-310], [1.0, -1.0]]
+INFINITE_HOLD_SHA256 = {
+    (1.0, -1.0): "53f87d54b6cbc015f53f1ba958170c1b50971277088f0a26326fdb421fd41696",
+    (1.0, 1.0): "e4331b4b5dff91084b34db4018c5905a016cdf9c0d74d02c0d5af88dabfc6bc6",
+}
 # tracemalloc peak of time_averages on a 4-state chain, 200000 paths at
-# horizons (5, 20, 50), less the result: 1738684 bytes with the per-path
-# arrays compacted one at a time, plus two float arrays of one block as a margin
-SIMULATOR_PEAK_BUDGET = 1738684 + 2 * 8 * 16384
+# horizons (5, 20, 50), less the result: 1606266 bytes with finished paths
+# retired in place, plus two float arrays of one block as a margin
+SIMULATOR_PEAK_BUDGET = 1606266 + 2 * 8 * 16384
 
 
 # the largest draw the generator returns; ((2**53 - 1) + 0.5) * 2**-53 is 1.0
@@ -584,6 +593,55 @@ class TestJumpTargets:
         monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
         avg = time_averages(spread_nu, (0.5, 2.0, 5.0), 20000, seed=2029)
         assert hashlib.sha256(avg.tobytes()).hexdigest() == SPREAD_NU_SHA256
+
+
+# 300 paths of random_irreducible_model(default_rng(0)) all start in state 0;
+# at seed 1 only sample 137 holds there for less than 0.00125, so every other
+# path passes that horizon in the first sweep and sample 137 takes place 0
+ALL_BUT_ONE_DONE = (0, [(0.00125, False)], 300, 1)
+
+
+class TestRetirement:
+    """A path that passes the last horizon leaves its place to a live path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.floats(0.01, 3.0), st.booleans()), min_size=1, max_size=4),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(*ALL_BUT_ONE_DONE)
+    @example(1, [(0.5, False), (1.0, True), (2.0, False), (0.1, True)], 300, 5)
+    def test_bits_do_not_depend_on_which_paths_move(self, chain, steps, n_samples, seed):
+        # in blocks of one path no path is ever moved; a step marked close
+        # puts its horizon 1e-9 after the one before
+        model = random_irreducible_model(np.random.default_rng(chain))
+        horizons = np.cumsum([1e-9 if close else gap for gap, close in steps])
+        whole = time_averages(model, horizons, n_samples, seed)
+        for block in (1, 7):
+            with mock.patch.object(simulate, "_BLOCK", block):
+                rows = time_averages(model, horizons, n_samples, seed)
+            assert rows.tobytes() == whole.tobytes()
+
+    def test_the_example_retires_all_but_one_path_at_once(self):
+        chain, steps, n_samples, seed = ALL_BUT_ONE_DONE
+        model = random_irreducible_model(np.random.default_rng(chain))
+        avg = time_averages(model, steps[0][0], n_samples, seed)
+        # a path done in the first sweep held state 0 throughout
+        assert np.flatnonzero(avg != avg[0]).tolist() == [137]
+
+
+class TestInfiniteHoldingTime:
+    """An exit rate of 1e-310 gives a holding time of inf for most draws."""
+
+    @pytest.mark.parametrize("f", sorted(INFINITE_HOLD_SHA256))
+    def test_bits_pinned_without_a_warning(self, f):
+        model = make_model(INFINITE_HOLD_Q, list(f), nu=[0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            avg = time_averages(model, (0.5, 2.0, 7.0), 300, seed=3)
+        assert hashlib.sha256(avg.tobytes()).hexdigest() == INFINITE_HOLD_SHA256[f]
 
 
 class TestMemory:
