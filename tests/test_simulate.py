@@ -632,6 +632,30 @@ class TestRetirement:
         assert np.flatnonzero(avg != avg[0]).tolist() == [137]
 
 
+class TestDrawCount:
+    """The draws hashed per ``time_averages`` call, summed over every
+    ``counter_uniforms`` call as ``np.size(draw_indices)``, as the benchmark's
+    tracer counts them; recorded with the kernel that hashed a sweep's
+    holding time and jump in two calls."""
+
+    @staticmethod
+    def _draws(model, t, n_samples, seed):
+        with mock.patch.object(
+            simulate, "counter_uniforms", wraps=counter_uniforms
+        ) as spy:
+            time_averages(model, t, n_samples, seed)
+        return sum(np.size(c.args[1]) for c in spy.call_args_list)
+
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_three_dense(self, three_dense, monkeypatch, split):
+        monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
+        assert self._draws(three_dense, (0.5, 2.0, 5.0), 20000, 2027) == 516688
+
+    def test_three_blocks(self):
+        model = random_irreducible_model(np.random.default_rng(4), n=4)
+        assert self._draws(model, (5.0, 20.0), 40000, 1) == 3319210
+
+
 class TestInfiniteHoldingTime:
     """An exit rate of 1e-310 gives a holding time of inf for most draws."""
 
