@@ -409,7 +409,7 @@ def evaluate_family(
     bound 1.  So is a negative threshold, in every family: the upper tail
     there is not what the families bound, and ``lower_tail`` bounds
     ``P(A_t / t <= u)``.  A constant observable centers to ``f = 0``, so
-    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u <= 0``
+    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u = 0``
     and ``inf`` above.
     """
     grid = np.asarray(u, dtype=float)
@@ -418,7 +418,7 @@ def evaluate_family(
     if not np.all(np.isfinite(grid)):
         raise ValidationError(f"threshold u must be finite, got {u}")
     us = np.atleast_1d(grid).tolist()
-    if min(us, default=0.0) < 0 and model.f.sup_norm > 0:
+    if min(us, default=0.0) < 0:
         raise ValidationError(
             f"threshold u must be nonnegative, got {min(us)}; "
             "bound the lower tail P(A_t/t <= u) with lower_tail"

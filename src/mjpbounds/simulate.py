@@ -11,12 +11,13 @@ substream, so tail estimates are bitwise reproducible for a fixed seed no
 matter how the samples are partitioned into blocks, or where in its block
 a path is kept.  Every path uses draw 0 for its initial state and draws 2k+1
 and 2k+2 for the holding time and jump target of its k-th sweep, so all live
-paths of a block share one draw counter, and its hash is computed once per
-sweep, not once per path.
-A block keeps that counter in a one-element cell and passes
-``counter_uniforms`` a stride-0 view of the cell, sliced to the live paths:
-each call still names one draw index per path, at no cost per path, and the
-keys it is given are never written.
+paths of a block are at the same draws, and each draw index is hashed once
+per sweep, not once per path.  A sweep's jump and the next sweep's holding
+time, draws 2k+2 and 2k+3, are hashed in one ``counter_uniforms`` call, and a
+block starts with one call for draws 0 and 1.  The block keeps the two
+indices in a ``(2, 1)`` cell and passes a ``(2, live)`` view of it, of stride
+0 along the paths: each call names both draws of every live path, at no cost
+per path, and the keys it is given are never written.
 
 The live paths of a block fill the first places of its per-path arrays, and
 each path carries the value of the next horizon it will reach, so a sweep
@@ -98,24 +99,25 @@ def stream_keys(seed: int, stream_indices) -> np.ndarray:
 def counter_uniforms(keys, draw_indices) -> np.ndarray:
     """Open-interval uniforms for (key, draw counter) pairs, vectorized.
 
-    When ``draw_indices`` holds one value, a 0-d array or a view whose
-    strides are all 0, that value is hashed once, as a Python int, and XORed
-    into every key; the bits are those of the per-pair hash.  The simulator
-    passes such a view, sliced from one per block whose single cell it sets
-    before each call, so every call still names one draw index per path.
-    The result has the broadcast shape of ``keys`` and ``draw_indices``, and
-    is mixed in a fresh array: ``keys`` is never written.
+    When the last axis of ``draw_indices`` has stride 0, as in a 0-d array or
+    a broadcast view, it holds one index per row: each row's index is hashed
+    once, as a Python int, and the XOR broadcasts it along the row; the bits
+    are those of the per-pair hash.  The simulator passes a ``(2, live)``
+    view of a ``(2, 1)`` cell, which it sets before each call, so each call
+    still names two draw indices per path.  The result has the broadcast
+    shape of ``keys`` and ``draw_indices``, and is mixed in a fresh array:
+    ``keys`` is never written.
     """
     k = np.asarray(keys, dtype=np.uint64)
     d = np.asarray(draw_indices, dtype=np.uint64)
-    shape = k.shape if k.shape == d.shape else np.broadcast_shapes(k.shape, d.shape)
-    z = np.empty(shape, dtype=np.uint64)
-    if d.size and not any(d.strides):
-        np.bitwise_xor(k, _U64(_mix64_int(d.item(0) ^ _DRAW_SALT_I)), out=z)
+    if d.size and not any(d.strides[-1:]):
+        rows = d[..., :1] if d.ndim else d
+        salted = [_mix64_int(i ^ _DRAW_SALT_I) for i in rows.ravel().tolist()]
+        z = np.array(salted, dtype=np.uint64).reshape(rows.shape)
     else:
         # d has an axis here, so d ^ _DRAW_SALT is an array of our own
-        np.bitwise_xor(k, _mix64(d ^ _DRAW_SALT), out=z)
-    z = _mix64(z)
+        z = _mix64(d ^ _DRAW_SALT)
+    z = _mix64(np.asarray(k ^ z))  # an array even where both inputs are 0-d
     z >>= _U64(11)
     u = z.view(np.float64)  # z's buffer; z < 2**53 converts to float exactly
     np.add(z.view(np.int64), 0.5, out=u)
@@ -295,32 +297,34 @@ def _time_average_block(horizons, seed, start, count, tables, out):
     still alive.  Paths change places, but each records by its sample id and
     draws from its own substream only, so the result is independent of
     blocking and of where a path is kept.  Retirement only drops paths, so
-    every live path is at the same draw: sweep k uses draws 2k+1 and 2k+2 of
-    each, and one counter ``draw`` serves them all.  It is written into
-    ``cell``, and ``draws``, a stride-0 view of the cell sliced to the live
-    paths, names it once per path.
+    every live path is at the same draws: sweep k uses draws 2k+1 and 2k+2
+    of each.  After its retirement, sweep k hashes draw 2k+2, its jump, with
+    draw 2k+3, the next sweep's holding time, in one call; the block starts
+    with one call for draws 0 and 1.  ``cell`` holds the two indices, and
+    ``draws``, a view of the cell sliced to ``(2, live)``, names each of them
+    once per live path.  A path that finishes is retired before the call, so
+    every path hashes exactly the draws it uses.
     """
     rates, f_vals = tables.rate, tables.f
     last = horizons.size
     end = horizons[-1]
 
     keys = stream_keys(seed, np.arange(start, start + count, dtype=np.uint64))
-    cell = np.zeros(1, dtype=np.uint64)
-    draws = np.broadcast_to(cell, (count,))
-    slot = _next_slots(tables, tables.start, counter_uniforms(keys, draws))
+    cell = np.array([[0], [1]], dtype=np.uint64)
+    draws = np.broadcast_to(cell, (2, count))
+    u = counter_uniforms(keys, draws)
+    slot = _next_slots(tables, tables.start, u[0])
 
     ids = np.arange(start, start + count)
     tau = np.zeros(count)
     acc = np.zeros(count)
     ahead = np.full(count, horizons[0])  # the next horizon to reach
     live = count
-    draw = 1
 
     while True:
         # t_new = tau + dt for the holding time dt = -log(U) / q_x, computed
         # as tau - log(U) / q_x in U's buffer: a - b is a + (-b), bit for bit
-        cell[0] = draw
-        t_new = counter_uniforms(keys, draws)
+        t_new = u[1]
         np.log(t_new, out=t_new)
         t_new /= rates.take(slot)
         np.subtract(tau, t_new, out=t_new)
@@ -340,6 +344,7 @@ def _time_average_block(horizons, seed, start, count, tables, out):
         tau *= fx
         acc += tau
         tau = t_new
+        del fx  # freed before the next pair of draws is hashed
 
         if crossed.size:
             done = crossed[t_new.take(crossed) >= end]
@@ -355,14 +360,14 @@ def _time_average_block(horizons, seed, start, count, tables, out):
                 movers = keep.nonzero()[0] + live
                 for a in (ids, keys, slot, ahead, acc, tau):
                     a[holes] = a.take(movers)
+                del a  # else, bound to tau, it holds these draws past the sweep
                 ids, keys, slot = ids[:live], keys[:live], slot[:live]
                 ahead, acc, tau = ahead[:live], acc[:live], tau[:live]
-                draws = draws[:live]
-        cell[0] = draw + 1
+                draws = draws[:, :live]
+        cell += 2
         u = counter_uniforms(keys, draws)
-        slot = _next_slots(tables, tables.base.take(slot), u)
-        del u  # freed before the next sweep allocates its arrays
-        draw += 2
+        slot = tables.base.take(slot)  # the search needs only the old slots' rows
+        slot = _next_slots(tables, slot, u[0])
 
 
 def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:

@@ -60,14 +60,16 @@ class TestBoundGeneral:
 @pytest.mark.parametrize("family", bounds.FAMILIES)
 def test_constant_observable_is_exact_in_every_family(family):
     # f centers to 0, so A_t / t = 0 on every path: P(A_t / t >= u) is 1 at
-    # u <= 0 and 0 above
+    # u = 0 and 0 above; a negative u is refused, as for any f
     model = make_model(TWO_STATE_Q, [1.0, 1.0])
     verdict = FSobolevVerdict.assumed(model, 0.5)
     rates = [
         evaluate_family(model, 5.0, u, family, fsobolev=verdict).rate
-        for u in (-0.1, 0.0, 0.3)
+        for u in (0.0, 0.3)
     ]
-    assert rates == [0.0, 0.0, math.inf]
+    assert rates == [0.0, math.inf]
+    with pytest.raises(ValidationError, match="nonnegative, got -0.1; .*lower_tail"):
+        evaluate_family(model, 5.0, -0.1, family, fsobolev=verdict)
 
 
 class TestBoundPerturbation:

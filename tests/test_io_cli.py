@@ -268,6 +268,23 @@ class TestCliSubcommands:
         assert [r[1] for r in rows] == [*bnd.FAMILIES[:4]] * 2
         assert {(r[0], r[2], r[4]) for r in rows} == {("0", "0", "1"), ("0.5", "inf", "0")}
 
+    def test_bounds_refuses_a_negative_threshold_of_a_constant_observable(
+        self, model_file, tmp_path, capsys
+    ):
+        # A_t / t = 0 on every path, yet u < 0 is refused as for any f, and as
+        # rate refuses it
+        out = tmp_path / "bounds.csv"
+        assert main(
+            [
+                "bounds", "--model", model_file(f=[1.0, 1.0]), "--t", "5",
+                "--u-grid=-0.5:0.5:3", "--out", str(out),
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "threshold u must be nonnegative, got -0.5;" in err
+        assert "lower tail" in err
+        assert not out.exists()
+
     def test_compare_of_constant_observable(self, model_file, tmp_path):
         # every path hits at u = 0, where the general rate is 0: the
         # sharpness gap is 0, not -0

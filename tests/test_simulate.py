@@ -195,6 +195,27 @@ class TestCounterRng:
             ref = counter_uniforms(keys, np.full(m, draw, dtype=np.uint64))
             assert counter_uniforms(keys, view).tobytes() == ref.tobytes()
 
+    def test_pair_view_of_a_two_row_cell(self):
+        # the simulator's layout: a (2, 1) cell of a sweep's two draw indices,
+        # a (2, n) view of it sliced to the live paths, and the cell rewritten
+        # between calls; the last key's draw 0 clamps to U_MAX
+        n, m = 1000, 379
+        keys = np.append(
+            stream_keys(11, np.arange(m - 1, dtype=np.uint64)), np.uint64(_top_draw_key())
+        )
+        before = keys.tobytes()
+        cell = np.zeros((2, 1), dtype=np.uint64)
+        view = np.broadcast_to(cell, (2, n))[:, :m]
+        for pair in ((0, 1), (2, 3), (7, 0), (2**40 + 3, 2**64 - 1)):
+            cell[:, 0] = pair
+            got = counter_uniforms(keys, view)
+            per_element = np.array(pair, dtype=np.uint64).repeat(m).reshape(2, m)
+            ref = counter_uniforms(keys, per_element)
+            assert got.shape == ref.shape == (2, m)
+            assert got.tobytes() == ref.tobytes()
+            assert [got[row, -1] == U_MAX for row in (0, 1)] == [d == 0 for d in pair]
+        assert keys.tobytes() == before
+
     def test_counter_stream_matches_vectorized_draws(self):
         for seed, stream in ((0, 0), (7, 3), (2**63 + 5, 123456)):
             cs = CounterStream(seed, stream)
@@ -639,21 +660,28 @@ class TestDrawCount:
     holding time and jump in two calls."""
 
     @staticmethod
-    def _draws(model, t, n_samples, seed):
+    def _draw_indices(model, t, n_samples, seed):
         with mock.patch.object(
             simulate, "counter_uniforms", wraps=counter_uniforms
         ) as spy:
             time_averages(model, t, n_samples, seed)
-        return sum(np.size(c.args[1]) for c in spy.call_args_list)
+        return [c.args[1] for c in spy.call_args_list]
 
     @pytest.mark.parametrize("split", [1, 2])
     def test_three_dense(self, three_dense, monkeypatch, split):
         monkeypatch.setattr(simulate, "_BLOCK", simulate._BLOCK // split)
-        assert self._draws(three_dense, (0.5, 2.0, 5.0), 20000, 2027) == 516688
+        draws = self._draw_indices(three_dense, (0.5, 2.0, 5.0), 20000, 2027)
+        assert sum(map(np.size, draws)) == 516688
 
     def test_three_blocks(self):
         model = random_irreducible_model(np.random.default_rng(4), n=4)
-        assert self._draws(model, (5.0, 20.0), 40000, 1) == 3319210
+        draws = self._draw_indices(model, (5.0, 20.0), 40000, 1)
+        assert sum(map(np.size, draws)) == 3319210
+
+    def test_each_sweep_hashes_its_jump_with_the_next_holding_time(self, three_dense):
+        # one call per sweep, on a (2, live) view of stride 0 along the paths
+        draws = self._draw_indices(three_dense, (0.5, 2.0, 5.0), 20000, 2027)
+        assert all(d.shape[:-1] == (2,) and d.strides[-1] == 0 for d in draws)
 
 
 class TestInfiniteHoldingTime:
