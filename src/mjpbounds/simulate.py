@@ -99,14 +99,14 @@ def stream_keys(seed: int, stream_indices) -> np.ndarray:
 def counter_uniforms(keys, draw_indices) -> np.ndarray:
     """Open-interval uniforms for (key, draw counter) pairs, vectorized.
 
-    When the last axis of ``draw_indices`` has stride 0, as in a 0-d array or
-    a broadcast view, it holds one index per row: each row's index is hashed
-    once, as a Python int, and the XOR broadcasts it along the row; the bits
-    are those of the per-pair hash.  The simulator passes a ``(2, live)``
-    view of a ``(2, 1)`` cell, which it sets before each call, so each call
-    still names two draw indices per path.  The result has the broadcast
-    shape of ``keys`` and ``draw_indices``, and is mixed in a fresh array:
-    ``keys`` is never written.
+    A 0-d ``draw_indices`` holds one index, and a view whose last axis has
+    stride 0 holds one per row: each such index is hashed once, as a Python
+    int, and the XOR broadcasts it along its row; the bits are those of the
+    per-pair hash.  The simulator passes a ``(2, live)`` view of a ``(2, 1)``
+    cell, which it sets before each call, so each call still names two draw
+    indices per path.  The result has the broadcast shape of ``keys`` and
+    ``draw_indices``, and is mixed in a fresh array: ``keys`` is never
+    written.
     """
     k = np.asarray(keys, dtype=np.uint64)
     d = np.asarray(draw_indices, dtype=np.uint64)
@@ -366,7 +366,7 @@ def _time_average_block(horizons, seed, start, count, tables, out):
                 draws = draws[:, :live]
         cell += 2
         u = counter_uniforms(keys, draws)
-        slot = tables.base.take(slot)  # the search needs only the old slots' rows
+        slot = tables.base.take(slot)  # frees the old slots; the search needs only their rows
         slot = _next_slots(tables, slot, u[0])
 
 
