@@ -20,15 +20,14 @@ import math
 
 from mjpbounds import (
     analyze,
+    bound_table,
     check_f_sobolev,
     evaluate_family,
     lambda0_star,
-    lower_tail,
     make_model,
     stationary_model,
     tail_estimate,
     time_averages,
-    two_sided,
 )
 
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
@@ -83,7 +82,9 @@ print("exponential decay rate.")
 
 print("\nLower tails and two-sided bounds")
 print("-" * 78)
-low = lower_tail(model, 5.0, -0.4, "bernstein_general")
-both = two_sided(model, 5.0, 0.4, "bernstein_general")
-print(f"P(A_t/t <= -0.4) bound: {low.bound:.5f}")
-print(f"two-sided bound at 0.4: {both:.5f}")
+# one table holds every (family, tail, u, t) cell; the lower tail is the
+# upper tail of -f, and the two-sided bound adds both tails
+tails = {"upper": "A_t/t >= 0.4", "lower": "A_t/t <= -0.4", "two": "|A_t/t| >= 0.4"}
+table = bound_table(model, ["bernstein_general"], [0.4], 5.0, tails=tuple(tails), analysis=a)
+for tail, event in tails.items():
+    print(f"P({event}) bound: {table['bernstein_general', tail, 0.4, 5.0].bound:.5f}")

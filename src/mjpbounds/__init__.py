@@ -12,11 +12,10 @@ from .bounds import (
     FSobolevVerdict,
     ModelAnalysis,
     analyze,
+    bound_table,
     check_f_sobolev,
     evaluate_family,
     iid_sum_bound,
-    lower_tail,
-    two_sided,
 )
 from .combinatorics import (
     SeriesCoefficients,

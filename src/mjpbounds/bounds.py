@@ -1,4 +1,4 @@
-"""Concentration-bound families for the upper tail of a time average.
+"""Concentration-bound families for the tails of a time average.
 
 Every family produces a bound of the form
 
@@ -15,9 +15,8 @@ families differ only in the rate, which does not depend on t:
 - ``fsobolev``           rate from a log-Sobolev inequality with a given
                          constant: c times the static Cramer rate of f
 
-``evaluate_family`` is the one way to a bound, at one threshold or at a
-grid of them; each family's rate function takes the whole grid.  Lower
-tails come from replaying a family on -f; two-sided bounds add both tails.
+``evaluate_family`` is the one way to a bound of the upper tail, at one
+threshold or a grid; ``bound_table`` keys the bounds of every tail by cell.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .tilting import (
     chi2_prefactor,
     conjugate_grid,
     lambda0_star,
+    thresholds,
 )
 
 FSOBOLEV_SEED = 0
@@ -102,7 +102,7 @@ def analyze(model: MJPModel) -> ModelAnalysis:
 
 @dataclass(frozen=True)
 class BoundPoint:
-    """One evaluated bound: rate, prefactor, and the clamped probability bound."""
+    """One evaluated bound of one tail: rate, prefactor, and the clamped bound."""
 
     family: str
     u: float
@@ -112,11 +112,7 @@ class BoundPoint:
     bound: float
     branch: str = ""
     diagnostics: dict = field(default_factory=dict)
-
-    def at(self, t: float) -> BoundPoint:
-        """This bound at horizon ``t``: no family's rate depends on t, so one
-        evaluation serves every horizon."""
-        return replace(self, t=t, bound=_tail_bound(self.prefactor, t, self.rate))
+    tail: str = "upper"
 
 
 def _tail_bound(prefactor: float, t: float, rate: float) -> float:
@@ -387,6 +383,7 @@ _RATES = {
     "fsobolev": _rate_fsobolev,
 }
 FAMILIES = tuple(_RATES)
+TAILS = ("upper", "lower", "two")
 
 
 def evaluate_family(
@@ -406,23 +403,15 @@ def evaluate_family(
     ignore it.
     A threshold that is NaN or infinite and a time that is NaN, infinite or
     negative are refused, as they would otherwise come out as the trivial
-    bound 1.  So is a negative threshold, in every family: the upper tail
-    there is not what the families bound, and ``lower_tail`` bounds
-    ``P(A_t / t <= u)``.  A constant observable centers to ``f = 0``, so
-    ``A_t / t`` is 0 on every path: every family gives rate 0 at ``u = 0``
-    and ``inf`` above.
+    bound 1.  So is a negative threshold, in every family: the tail below 0
+    is the upper tail of ``-f``, ``tail="lower"`` in ``bound_table``.  A
+    constant observable centers to ``f = 0``, so ``A_t / t`` is 0 on every
+    path: every family gives rate 0 at ``u = 0`` and ``inf`` above.
     """
-    grid = np.asarray(u, dtype=float)
-    if grid.ndim > 1:
-        raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
+    grid, flat = thresholds(u)
+    if not np.all(np.isfinite(flat)):
         raise ValidationError(f"threshold u must be finite, got {u}")
-    us = np.atleast_1d(grid).tolist()
-    if min(us, default=0.0) < 0:
-        raise ValidationError(
-            f"threshold u must be nonnegative, got {min(us)}; "
-            "bound the lower tail P(A_t/t <= u) with lower_tail"
-        )
+    us = flat.tolist()
     rate_fn = _RATES.get(family)
     if rate_fn is None:
         raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -440,24 +429,50 @@ def evaluate_family(
     return points if grid.ndim else points[0]
 
 
-def lower_tail(
-    model: MJPModel, t: float, u: float, family: str, **kwargs
-) -> BoundPoint:
-    """Bound on P_nu(A_t/t <= u) for u <= 0, via the sign-flipped observable."""
-    if u > 0:
-        raise ValidationError(f"lower tail needs u <= 0, got {u}")
-    flipped = flip_observable(model)
-    point = evaluate_family(flipped, t, -u, family, **kwargs)
-    return replace(point, u=u, diagnostics={**point.diagnostics, "tail": "lower"})
+def bound_table(model, families, u, t, tails=("upper",), analysis=None, fsobolev=None) -> dict:
+    """``{(family, tail, u, t): BoundPoint}`` on a 1-D grid of deviations
+    ``u >= 0`` and one horizon ``t`` or a 1-D list of them.
+
+    ``upper`` bounds ``P(A_t/t >= u)``.  ``lower`` bounds ``P(A_t/t <= -u)``
+    as the upper tail of ``flip_observable(model)``.  ``two`` bounds
+    ``P(|A_t/t| >= u)`` by the sum of the two, capped at 1, so its ``bound``
+    is not ``prefactor * exp(-t * rate)``; its rate is the smaller one, it
+    has no branch, and a ``boundary`` or ``unverified`` flag of either side.
+    Each family is evaluated once per side, on the whole grid at the first
+    horizon; no rate depends on ``t``, so each further horizon costs one
+    ``_tail_bound`` per cell.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValidationError(f"horizons must be a number or a nonempty 1-D list, got {t}")
+    if not set(tails) <= set(TAILS):
+        raise ValidationError(f"tails must be among {TAILS}, got {tails}")
+    a, both, us, table = _analysis(model, analysis), "two" in tails, np.atleast_1d(u), {}
+    models = {"upper": model, "lower": flip_observable(model) if both or "lower" in tails else None}
+    for fam in families:
+        points = {
+            side: evaluate_family(m, float(ts[0]), us, fam, analysis=a, fsobolev=fsobolev)
+            for side, m in models.items() if both or side in tails
+        }
+        for tk in ts.tolist():
+            cells = {side: [_cell(p, side, tk) for p in ps] for side, ps in points.items()}
+            if both:
+                cells["two"] = list(map(_two_cell, cells["upper"], cells["lower"]))
+            table.update(((fam, tail, p.u, tk), p) for tail in tails for p in cells[tail])
+    return table
 
 
-def two_sided(model: MJPModel, t: float, u: float, family: str, **kwargs) -> float:
-    """Subadditive two-sided bound: upper tail at u plus lower tail at -u."""
-    if u <= 0:
-        raise ValidationError(f"two-sided bound needs u > 0, got {u}")
-    upper = evaluate_family(model, t, u, family, **kwargs)
-    lower = lower_tail(model, t, -u, family, **kwargs)
-    return min(1.0, upper.bound + lower.bound)
+def _cell(p: BoundPoint, tail: str, t: float) -> BoundPoint:
+    """``p`` as the cell of ``tail`` at horizon ``t``, new only where either differs."""
+    same = p.tail == tail and p.t == t
+    return p if same else replace(p, t=t, tail=tail, bound=_tail_bound(p.prefactor, t, p.rate))
+
+
+def _two_cell(up: BoundPoint, low: BoundPoint) -> BoundPoint:
+    flags = {k: v or low.diagnostics[k] for k, v in up.diagnostics.items()
+             if k in ("boundary", "unverified")}
+    return replace(up, rate=min(up.rate, low.rate), bound=min(1.0, up.bound + low.bound),
+                   branch="", diagnostics=flags, tail="two")
 
 
 def iid_sum_bound(

@@ -222,39 +222,21 @@ def _check_families(fams, fsobolev_c: float | None):
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
 
 
-def _bound_table(model, families, u_grid, t, fsobolev_c):
-    """The checked verdict of ``fsobolev_c * log`` (``None`` unless
-    ``fsobolev`` is among ``families``) and the bound of every family at
-    every threshold of ``u_grid`` at horizon ``t``, as
-    ``{u: {family: BoundPoint}}``.  Each family is evaluated once, on the
-    whole grid."""
-    analysis, verdict = bnd.analyze(model), None
-    if "fsobolev" in families:
-        verdict = bnd.check_f_sobolev(model, fsobolev_c, analysis=analysis)
-    us = [float(u) for u in u_grid]
-    columns = [
-        bnd.evaluate_family(model, t, us, fam, analysis=analysis, fsobolev=verdict)
-        for fam in families
-    ]
-    table = {u: {p.family: p for p in row} for u, row in zip(us, zip(*columns))}
-    return verdict, table
-
-
 def cmd_bounds(args) -> int:
     mf, _ = _load(args)
     families = _resolve_families(args.families, args.fsobolev_c)
     _check_families(families, args.fsobolev_c)
-    u_grid = _parse_grid(args.u_grid)
-    _, table = _bound_table(mf.model, families, u_grid, args.t, args.fsobolev_c)
-    rows = []
-    for u in u_grid:  # a grid with lo == hi repeats its threshold
-        for fam, p in table[float(u)].items():
-            notes = ";".join(
-                k for k in ("boundary", "unverified") if p.diagnostics.get(k)
-            )
-            rows.append((p.u, fam, p.rate, p.prefactor, p.bound, p.branch, notes))
-    header = "u,family,rate,prefactor,bound,branch,notes"
-    _write_csv(args.out, args.no_timestamp, header, rows)
+    u_grid, model, c = _parse_grid(args.u_grid), mf.model, args.fsobolev_c
+    a = bnd.analyze(model)
+    verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
+    table = bnd.bound_table(model, families, u_grid, args.t, analysis=a, fsobolev=verdict)
+    rows = [
+        (p.u, p.family, p.rate, p.prefactor, p.bound, p.branch,
+         ";".join(k for k in ("boundary", "unverified") if p.diagnostics.get(k)))
+        # a grid with lo == hi repeats its threshold
+        for p in (table[fam, "upper", u, args.t] for u in u_grid for fam in families)
+    ]
+    _write_csv(args.out, args.no_timestamp, "u,family,rate,prefactor,bound,branch,notes", rows)
     return 0
 
 
@@ -307,8 +289,8 @@ def _compare_header(families):
 def run_compare(config: RunConfig) -> dict:
     """End-to-end comparison: empirical tails against every requested bound.
 
-    Every path is simulated once, to the largest horizon, and each family's
-    rate is evaluated once per threshold and applied at every horizon.  All
+    Every path is simulated once, to the largest horizon, and one
+    ``bound_table`` holds every family's bound at every (u, t) cell.  All
     of it happens before the outputs open, and the CSV and the summary are
     written both or neither, so a refused or failed run writes no file.  The
     CSV holds one row per (u, t) cell, in the order of ``t_values``, and the
@@ -321,12 +303,11 @@ def run_compare(config: RunConfig) -> dict:
     families = config.families
     sharpness_on = model.reversible
     # the sharpness column subtracts the general rate, solved with the others
-    solved = families
-    if sharpness_on and "general" not in families:
-        solved = [*families, "general"]
-    # any horizon: ``BoundPoint.at`` moves a bound to another
-    verdict, points = _bound_table(
-        model, solved, config.u_grid, config.t_values[0], config.fsobolev_c
+    solved = [*families, "general"] if sharpness_on and "general" not in families else families
+    a, c = bnd.analyze(model), config.fsobolev_c
+    verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
+    table = bnd.bound_table(
+        model, solved, config.u_grid, config.t_values, analysis=a, fsobolev=verdict
     )
     header = _compare_header(families)
     horizons = sorted(config.t_values)
@@ -337,21 +318,21 @@ def run_compare(config: RunConfig) -> dict:
     for t, u in itertools.product(config.t_values, config.u_grid):
         est = tail_estimate(averages[t], u, t)
         row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
-        for p in (points[u][fam] for fam in families):
-            bound = p.at(t).bound
-            ok = est.p_hat <= bound + DOMINATION_SIGMA * est.ci_half_width
+        for fam in families:
+            p = table[fam, "upper", u, t]
+            ok = est.p_hat <= p.bound + DOMINATION_SIGMA * est.ci_half_width
             if not ok:
                 failures.append(
-                    {"family": p.family, "u": u, "t": t, "p_hat": est.p_hat,
-                     "bound": bound}
+                    {"family": fam, "u": u, "t": t, "p_hat": est.p_hat, "bound": p.bound}
                 )
-            row += [p.rate, bound, int(ok)]
+            row += [p.rate, p.bound, int(ok)]
         # empirical decay rate exceeds the bound's rate; the excess shrinks
         # to 0 as t grows on reversible chains.  + 0.0 writes 0, not -0, when
         # every path hits (-log 1 is -0.0) and the rate is 0
         sharp = sharpness_on and est.p_hat > 0.0
         row.append(
-            -math.log(est.p_hat) / t - points[u]["general"].rate + 0.0 if sharp else None
+            -math.log(est.p_hat) / t - table["general", "upper", u, t].rate + 0.0
+            if sharp else None
         )
         rows.append(row)
 

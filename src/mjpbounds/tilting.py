@@ -171,6 +171,21 @@ def _newton_conjugate(moments, u: np.ndarray, sup: float, curvature0: float):
     return r, value, boundary, slack
 
 
+def thresholds(u):
+    """``u``, one threshold or a 1-D grid, as an array and its 1-D view.  A
+    threshold below 0 or NaN is refused in one wording for every bound."""
+    grid = np.asarray(u, dtype=float)
+    us = np.atleast_1d(grid)
+    if us.ndim != 1:
+        raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
+    if not np.all(us >= 0):  # also refuses NaN, which is then the least
+        raise ValidationError(
+            f"threshold u must be nonnegative, got {float(np.min(us))}; the lower tail "
+            'P(A_t/t <= -u) is the upper tail of -f, tail="lower" in bound_table'
+        )
+    return grid, us
+
+
 def conjugate_grid(moments, f: Observable, u, curvature0: float):
     """``sup_{r >= 0} (r u - g(r))`` at threshold ``u >= 0``, or at every
     threshold of a 1-D grid ``u`` (one ``ConjugateResult`` per threshold),
@@ -186,17 +201,7 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     together by ``_newton_conjugate``; each one's result is the same, bit
     for bit, whatever else is on the grid.
     """
-    grid = np.asarray(u, dtype=float)
-    us = np.atleast_1d(grid)
-    if us.ndim != 1:
-        raise ValidationError(f"thresholds must be a number or a 1-D grid, got shape {grid.shape}")
-    if not np.all(us >= 0):  # also refuses NaN
-        negative = us[us < 0]
-        worst = float(negative.min()) if negative.size else math.nan
-        raise ValidationError(
-            f"threshold must be nonnegative, got {worst}; the rate of the lower "
-            "tail P(A_t/t <= u) at u < 0 is that of -f at -u"
-        )
+    grid, us = thresholds(u)
     reach = float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300 if f.sup_norm > 0.0 else 0.0
     results = [
         ConjugateResult(uk, math.inf, None)

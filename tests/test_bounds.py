@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,20 +10,19 @@ from mjpbounds import (
     analyze,
     FSobolevVerdict,
     bernstein_conjugate,
+    bound_table,
     check_f_sobolev,
     evaluate_family,
     iid_sum_bound,
     lambda0,
-    lower_tail,
     make_model,
     probability_vector,
     stationary_model,
     tail_estimate,
     time_averages,
-    two_sided,
 )
 from mjpbounds import bounds
-from mjpbounds.bounds import ASCENT_STEPS, perturbation_branch_threshold
+from mjpbounds.bounds import ASCENT_STEPS, TAILS, perturbation_branch_threshold
 from mjpbounds.cli import DEFAULT_FAMILIES
 from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
 
@@ -68,8 +66,9 @@ def test_constant_observable_is_exact_in_every_family(family):
         for u in (0.0, 0.3)
     ]
     assert rates == [0.0, math.inf]
-    with pytest.raises(ValidationError, match="nonnegative, got -0.1; .*lower_tail"):
+    with pytest.raises(ValidationError, match="nonnegative, got -0.1; .*upper tail of -f") as exc:
         evaluate_family(model, 5.0, -0.1, family, fsobolev=verdict)
+    assert "lower_tail" not in str(exc.value)
 
 
 class TestBoundPerturbation:
@@ -351,8 +350,9 @@ class TestFSobolevAccuracy:
 @pytest.mark.parametrize("family", bounds.FAMILIES)
 def test_negative_threshold_refused_in_every_family(two_state, family):
     verdict = FSobolevVerdict.assumed(two_state, 0.5)
-    with pytest.raises(ValidationError, match=r"nonnegative, got -0\.3; .* lower_tail"):
+    with pytest.raises(ValidationError, match=r"nonnegative, got -0\.3; .* upper tail of -f") as exc:
         evaluate_family(two_state, 1.0, -0.3, family, fsobolev=verdict)
+    assert "lower_tail" not in str(exc.value)
 
 
 def _verdict_panel_chain(name):
@@ -466,9 +466,12 @@ class TestFSobolevVerdictPolicy:
             stationary_model(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict
         )
         assert not stat.diagnostics["unverified"]
-        low = lower_tail(two_state, 5.0, -0.3, "fsobolev", fsobolev=verdict)
+        table = bound_table(
+            two_state, ["fsobolev"], [0.3], 5.0, tails=TAILS, fsobolev=verdict
+        )
+        low = table["fsobolev", "lower", 0.3, 5.0]
         assert low.rate > 0.0
-        both = two_sided(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        both = table["fsobolev", "two", 0.3, 5.0].bound
         up = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert both == min(1.0, up.bound + low.bound)
 
@@ -575,26 +578,37 @@ class TestBoundViaAlpha:
             assert via.bound == pytest.approx(direct.bound, abs=1e-14)
 
 
+def lower_cell(model, t, u, family, **kwargs):
+    """The bound on ``P(A_t/t <= -u)``: the ``lower`` cell of ``bound_table``."""
+    return bound_table(model, [family], [u], t, tails=("lower",), **kwargs)[family, "lower", u, t]
+
+
+def two_cell(model, t, u, family, **kwargs):
+    """The bound on ``P(|A_t/t| >= u)``: the ``two`` cell of ``bound_table``."""
+    return bound_table(model, [family], [u], t, tails=("two",), **kwargs)[family, "two", u, t]
+
+
 class TestLowerTailAndTwoSided:
     def test_symmetric_model_mirror_rates(self):
         # relabeling the two states maps f to -f and preserves q and pi
         m = make_model([[-1, 1], [1, -1]], [1.0, -1.0], nu=[0.5, 0.5])
         up = evaluate_family(m, 2.0, 0.4, "general")
-        low = lower_tail(m, 2.0, -0.4, "general")
+        low = lower_cell(m, 2.0, 0.4, "general")
         assert low.rate == pytest.approx(up.rate, abs=1e-9)
 
     def test_zero_threshold_trivial(self, two_state):
-        assert lower_tail(two_state, 2.0, 0.0, "poincare").bound == 1.0
+        assert lower_cell(two_state, 2.0, 0.0, "poincare").bound == 1.0
 
     def test_two_sided_is_sum(self, two_state):
         up = evaluate_family(two_state, 4.0, 0.5, "bernstein_general")
-        low = lower_tail(two_state, 4.0, -0.5, "bernstein_general")
-        ts = two_sided(two_state, 4.0, 0.5, "bernstein_general")
+        low = lower_cell(two_state, 4.0, 0.5, "bernstein_general")
+        ts = two_cell(two_state, 4.0, 0.5, "bernstein_general").bound
         assert ts == pytest.approx(min(1.0, up.bound + low.bound))
 
     def test_positive_threshold_rejected(self, two_state):
-        with pytest.raises(ValidationError):
-            lower_tail(two_state, 1.0, 0.2, "general")
+        # the lower tail's threshold is -u: above 0 it is a negative deviation
+        with pytest.raises(ValidationError, match="got -0.2; "):
+            lower_cell(two_state, 1.0, -0.2, "general")
 
     @pytest.mark.parametrize("chain", ["three_dense", "three_cycle"])
     def test_lower_tail_is_the_upper_tail_of_minus_f(self, chain, request):
@@ -605,7 +619,7 @@ class TestLowerTailAndTwoSided:
         neg = make_model(m.q.rates, -m.f.values, nu=m.nu.weights)
         for fam in DEFAULT_FAMILIES:
             for u in (0.3, 0.8):
-                low = lower_tail(m, 20.0, -u, fam)
+                low = lower_cell(m, 20.0, u, fam)
                 up = evaluate_family(neg, 20.0, u, fam)
                 assert (low.rate, low.bound) == (up.rate, up.bound), (fam, u)
 
@@ -622,19 +636,62 @@ class TestLowerTailAndTwoSided:
             both = tail_estimate(np.abs(a), u, t)
             assert 0 < low.hits <= both.hits  # informative cells
             for fam in DEFAULT_FAMILIES:
-                bound = lower_tail(m, t, -u, fam).bound
+                bound = lower_cell(m, t, u, fam).bound
                 assert low.p_hat <= bound + 3.0 * low.ci_half_width, (fam, u)
-                bound = two_sided(m, t, u, fam)
+                bound = two_cell(m, t, u, fam).bound
                 assert both.p_hat <= bound + 3.0 * both.ci_half_width, (fam, u)
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("family", bounds.FAMILIES)
+    def test_upper_cells_equal_the_direct_evaluation(self, three_dense, family):
+        # every horizon, not only the first that the table evaluates at
+        verdict = FSobolevVerdict.assumed(three_dense, 0.5)
+        fmax = float(three_dense.f.values.max())
+        grid = [0.0, 0.05, 0.4 * fmax, fmax, 1.5 * fmax]
+        ts = [2.0, 0.5, 30.0]
+        table = bound_table(three_dense, [family], grid, ts, fsobolev=verdict)
+        assert len(table) == len(grid) * len(ts)
+        for t in ts:
+            for u in grid:
+                cell = table[family, "upper", u, t]
+                direct = evaluate_family(three_dense, t, u, family, fsobolev=verdict)
+                assert cell == direct, (u, t)
+                assert cell.bound.hex() == direct.bound.hex()
+
+    def test_cells_name_their_tail_and_horizon(self, three_dense):
+        table = bound_table(three_dense, ["general"], [0.2, 0.4], [1.0, 5.0], tails=TAILS)
+        assert len(table) == 12
+        for (fam, tail, u, t), cell in table.items():
+            assert (cell.family, cell.tail, cell.u, cell.t) == (fam, tail, u, t)
+
+    def test_two_sided_rate_and_flags(self, three_dense):
+        # the rate is the smaller one; a flag of either side carries over
+        verdict = FSobolevVerdict.assumed(three_dense, 0.5)
+        fmax = float(three_dense.f.values.max())
+        for fam, flag in (("fsobolev", "unverified"), ("general", "boundary")):
+            table = bound_table(
+                three_dense, [fam], [0.3, fmax], 3.0, tails=TAILS, fsobolev=verdict
+            )
+            for u in (0.3, fmax):
+                up, low, two = (table[fam, tail, u, 3.0] for tail in TAILS)
+                assert two.rate == min(up.rate, low.rate)
+                assert two.bound == min(1.0, up.bound + low.bound)
+                assert two.diagnostics[flag] == (up.diagnostics[flag] or low.diagnostics[flag])
+            assert table[fam, "two", fmax, 3.0].diagnostics[flag]
+
+    def test_unknown_tail_refused(self, two_state):
+        with pytest.raises(ValidationError, match="tails"):
+            bound_table(two_state, ["general"], [0.2], 1.0, tails=("left",))
 
 
 class TestAnalysisBelongsToItsModel:
     """A supplied analysis lends only its chain's spectral data to the model."""
 
     def test_lower_tail_with_analysis_of_upper_observable(self, two_state):
-        plain = lower_tail(two_state, 5.0, -0.5, "bernstein_general")
-        shared = lower_tail(
-            two_state, 5.0, -0.5, "bernstein_general", analysis=analyze(two_state)
+        plain = lower_cell(two_state, 5.0, 0.5, "bernstein_general")
+        shared = lower_cell(
+            two_state, 5.0, 0.5, "bernstein_general", analysis=analyze(two_state)
         )
         assert shared.bound == plain.bound
         assert shared.rate == plain.rate
@@ -710,9 +767,10 @@ class TestEvaluateFamilyRejectsBadInputs:
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
 class TestEveryPathToABoundRefusesBadTime:
     def test_bound_point_at(self, two_state, t):
-        p = evaluate_family(two_state, 2.0, 0.3, "poincare")
-        with pytest.raises(ValidationError):
-            p.at(t)
+        # a cell of the table at a horizon other than the first, which it
+        # evaluates the family at
+        with pytest.raises(ValidationError, match="time"):
+            bound_table(two_state, ["poincare"], [0.3], [2.0, t])
 
     def test_iid_sum_bound(self, t):
         with pytest.raises(ValidationError):
@@ -721,11 +779,6 @@ class TestEveryPathToABoundRefusesBadTime:
 
 @pytest.mark.parametrize("rate", [math.nan, -1.0, -math.inf])
 class TestEveryPathToABoundRefusesBadRate:
-    def test_bound_point_at(self, two_state, rate):
-        p = replace(evaluate_family(two_state, 2.0, 0.3, "poincare"), rate=rate)
-        with pytest.raises(ValidationError, match="rate"):
-            p.at(3.0)
-
     def test_iid_sum_bound(self, rate):
         with pytest.raises(ValidationError, match="rate"):
             iid_sum_bound(lambda u: rate, 3, 0.3, t=2.0)

@@ -235,7 +235,7 @@ class TestCliSubcommands:
             ["rate", "--model", model_file(), "--u-grid=-0.5:0.5:3", "--out", str(out)]
         ) == 2
         err = capsys.readouterr().err
-        assert "threshold must be nonnegative, got -0.5;" in err
+        assert "threshold u must be nonnegative, got -0.5;" in err
         assert "lower tail" in err
         assert not out.exists()
 
@@ -360,8 +360,9 @@ class TestCliSubcommands:
             ]
         ) == 2
         err = capsys.readouterr().err
-        assert "threshold u must be nonnegative, got -0.5" in err
-        assert "lower_tail" in err
+        assert "threshold u must be nonnegative, got -0.5;" in err
+        assert "upper tail of -f" in err
+        assert "lower_tail" not in err
         assert not out.exists()
 
     def test_series_beyond_old_cap(self, model_file, tmp_path):
