@@ -21,6 +21,7 @@ threshold or a grid; ``bound_table`` keys the bounds of every tail by cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,12 +57,14 @@ LEMMA_EPS = 10.0 ** -np.arange(1.0, 7.0)
 class ModelAnalysis:
     """One model's spectral data, with the quantities every bound family reads.
 
-    Stores only the model and the spectral decomposition of its chain, which
-    depends on ``Q`` and ``pi`` alone.  Everything else is derived on access
-    from the one owner that computes it: the gap from ``sd``, the variances
-    from ``sd`` and the model's ``f``, the sup norms from ``f``, and the
-    prefactor from ``nu``.  A number derived for ``f`` therefore cannot be
-    reused for ``-f`` or for another initial distribution.
+    Its fields are only the model and the spectral decomposition of its
+    chain, which depends on ``Q`` and ``pi`` alone.  Each other number is
+    derived on first access from the one owner that computes it, and kept
+    with this analysis: the variances from ``sd`` and the model's ``f``, the
+    sup norms from ``f``, and the prefactor from ``nu``; the gap is read from
+    ``sd``.  A read that raises keeps nothing, so it raises again.  A number
+    derived for ``f`` therefore cannot be reused for ``-f`` or for another
+    initial distribution: their analyses are other instances.
     """
 
     model: MJPModel
@@ -71,27 +74,27 @@ class ModelAnalysis:
     def gap(self) -> float:
         return self.sd.gap
 
-    @property
+    @functools.cached_property
     def prefactor(self) -> float:
         return chi2_prefactor(self.model.nu, self.model.pi)
 
-    @property
+    @functools.cached_property
     def sigma_hat2(self) -> float:
         return sigma_hat_sq(self.sd, self.model.f)
 
-    @property
+    @functools.cached_property
     def var_pi_f(self) -> float:
         return pi_variance(self.model.pi, self.model.f.values)
 
-    @property
+    @functools.cached_property
     def sigma_tilde2(self) -> float:
         return 2.0 * self.var_pi_f / self.gap
 
-    @property
+    @functools.cached_property
     def f_sup(self) -> float:
         return self.model.f.sup_norm
 
-    @property
+    @functools.cached_property
     def fplus_sup(self) -> float:
         return self.model.f.pos_sup_norm
 
@@ -448,11 +451,13 @@ def bound_table(model, families, u, t, tails=("upper",), analysis=None, fsobolev
     if not set(tails) <= set(TAILS):
         raise ValidationError(f"tails must be among {TAILS}, got {tails}")
     a, both, us, table = _analysis(model, analysis), "two" in tails, np.atleast_1d(u), {}
-    models = {"upper": model, "lower": flip_observable(model) if both or "lower" in tails else None}
+    # one analysis a side, which keeps the numbers it derives for every family
+    sides = {side: a if side == "upper" else ModelAnalysis(flip_observable(model), a.sd)
+             for side in ("upper", "lower") if both or side in tails}
     for fam in families:
         points = {
-            side: evaluate_family(m, float(ts[0]), us, fam, analysis=a, fsobolev=fsobolev)
-            for side, m in models.items() if both or side in tails
+            side: evaluate_family(s.model, float(ts[0]), us, fam, analysis=s, fsobolev=fsobolev)
+            for side, s in sides.items()
         }
         for tk in ts.tolist():
             cells = {side: [_cell(p, side, tk) for p in ps] for side, ps in points.items()}

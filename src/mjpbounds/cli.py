@@ -88,33 +88,42 @@ def _write_outputs(outputs):
     ``-`` is stdout.
 
     Commands compute every output before calling this, and every file is
-    opened for appending, which leaves it as it is, before any is written.  If
-    one cannot be opened, the files that this call created are removed and
-    the ``OSError`` propagates, so a refused or failed run writes no file.
-    Two outputs that resolve to one file would leave only the last text, so
-    they are refused before anything is opened."""
-    files = [os.path.realpath(path) for path, _ in outputs if path not in (None, "-")]
-    if len(set(files)) < len(files):
-        same = max(files, key=files.count)
-        raise ValidationError(f"two outputs name the same file: {same}")
-    made = []
+    opened before any is written.  A new file is created by ``open(path,
+    "x")`` and written through that one handle.  A path that exists (a file,
+    a symlink, ``/dev/stdout`` or a directory) is opened for appending, which
+    leaves it as it is, and reopened with ``"w"`` once every output is open.
+    If one cannot be opened, the files that this call created are removed
+    and the ``OSError`` propagates, so a refused or failed run writes no
+    file.  Two outputs that resolve to one file would leave only the last
+    text, so they are refused before anything is opened."""
+    files = [path for path, _ in outputs if path not in (None, "-")]
+    if len(files) > 1:
+        real = [os.path.realpath(path) for path in files]
+        if len(set(real)) < len(real):
+            same = max(real, key=real.count)
+            raise ValidationError(f"two outputs name the same file: {same}")
+    made = {}
     try:
-        for path, _ in outputs:
-            if path not in (None, "-"):
-                new = not os.path.lexists(path)
+        for path in files:
+            try:
+                made[path] = open(path, "x")
+            except FileExistsError:
                 open(path, "a").close()
-                if new:
-                    made.append(path)
     except OSError:
-        for path in made:
+        for path, fh in made.items():
+            fh.close()
             os.remove(path)
         raise
-    for path, text in outputs:
-        if path in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+    try:
+        for path, text in outputs:
+            if path in (None, "-"):
+                sys.stdout.write(text)
+            else:
+                with made.get(path) or open(path, "w") as fh:
+                    fh.write(text)
+    finally:  # a failed write leaves no later handle open
+        for fh in made.values():
+            fh.close()
 
 
 def _write_csv(path, no_timestamp, header, rows):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from mjpbounds import (
     bound_table,
     check_f_sobolev,
     evaluate_family,
+    flip_observable,
     iid_sum_bound,
     lambda0,
     make_model,
+    Observable,
     probability_vector,
     stationary_model,
     tail_estimate,
@@ -24,7 +27,7 @@ from mjpbounds import (
 from mjpbounds import bounds
 from mjpbounds.bounds import ASCENT_STEPS, TAILS, perturbation_branch_threshold
 from mjpbounds.cli import DEFAULT_FAMILIES
-from mjpbounds.errors import FSobolevNotVerifiedError, ValidationError
+from mjpbounds.errors import FSobolevNotVerifiedError, NotCenteredError, ValidationError
 
 from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, TWO_STATE_Q, random_irreducible_model
 from oracles import (
@@ -718,6 +721,61 @@ class TestAnalysisBelongsToItsModel:
         shared = check_f_sobolev(three_cycle, 0.74, analysis=other_start)
         assert (shared.status, shared.max_violation) == (plain.status, plain.max_violation)
         assert shared.witness.tobytes() == plain.witness.tobytes()
+
+
+class TestAnalysisKeepsItsNumbers:
+    """Each derived number is computed once per analysis and stays with it."""
+
+    NUMBERS = ("prefactor", "sigma_hat2", "var_pi_f", "sigma_tilde2", "f_sup", "fplus_sup")
+
+    @staticmethod
+    def table(model):
+        return bound_table(model, DEFAULT_FAMILIES, [0.05, 0.2, 0.4], (1.0, 5.0, 20.0),
+                           tails=TAILS)
+
+    def test_one_call_per_side_and_the_same_cells(self, three_dense, monkeypatch):
+        calls = {"sigma_hat_sq": [], "chi2_prefactor": [], "pi_variance": []}
+
+        def spy(name):
+            fn = getattr(bounds, name)
+
+            def counted(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(bounds, name, spy(name))
+        kept = self.table(three_dense)
+        # one analysis a side: f for upper, -f for lower and two
+        assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 2)
+        firsts = [float(args[1].values[0]) for args in calls["sigma_hat_sq"]]
+        assert firsts[0] == -firsts[1] != 0.0
+        for name in self.NUMBERS:
+            fresh = property(getattr(bounds.ModelAnalysis, name).func)
+            monkeypatch.setattr(bounds.ModelAnalysis, name, fresh)
+        afresh = self.table(three_dense)
+        assert len(calls["sigma_hat_sq"]) > 4  # every read computed its number again
+        assert kept.keys() == afresh.keys()
+        for key, p in kept.items():
+            q = afresh[key]
+            assert [p.rate.hex(), p.prefactor.hex(), p.bound.hex()] == \
+                [q.rate.hex(), q.prefactor.hex(), q.bound.hex()], key
+
+    def test_analysis_of_minus_f_has_its_own_sup(self, three_dense):
+        a = analyze(three_dense)
+        assert a.fplus_sup == three_dense.f.pos_sup_norm
+        flipped = flip_observable(three_dense)
+        b = bounds.ModelAnalysis(flipped, a.sd)
+        assert b.fplus_sup == flipped.f.pos_sup_norm != a.fplus_sup
+
+    def test_a_read_that_raises_raises_again(self, two_state):
+        uncentered = replace(two_state, f=Observable(np.array([1.0, 1.0])))
+        a = bounds.ModelAnalysis(uncentered, analyze(two_state).sd)
+        for _ in range(2):
+            with pytest.raises(NotCenteredError):
+                a.sigma_hat2
+        assert "sigma_hat2" not in vars(a)
 
 
 @pytest.mark.parametrize("family", bounds.FAMILIES)

@@ -735,6 +735,66 @@ class TestCliSubcommands:
         assert sorted(os.listdir(tmp_path)) == before
         assert not exists or same.read_text() == "kept\n"
 
+    BOUNDS = ["bounds", "--t", "5", "--u-grid", "0.1:0.5:3", "--no-timestamp"]
+    COMPARE = ["compare", "--t", "1", "--u-grid", "0.2:0.2:1", "--samples", "100"]
+
+    def test_new_output_is_opened_once(self, model_file, tmp_path, monkeypatch, capsys):
+        argv = [*self.BOUNDS, "--model", model_file()]
+        assert main([*argv, "--out", "-"]) == 0
+        body = capsys.readouterr().out
+        out = tmp_path / "b.csv"
+        modes = []
+
+        def spy(file, *args, **kwargs):
+            if os.fspath(file) == str(out):
+                modes.append(args[0])
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert modes == ["x"]
+        assert out.read_text() == body
+
+    def test_existing_output_is_replaced(self, model_file, tmp_path):
+        argv = [*self.BOUNDS, "--model", model_file()]
+        out, fresh = tmp_path / "b.csv", tmp_path / "fresh.csv"
+        out.write_text("older and longer text\n" * 200)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unopenable_summary_leaves_the_csv_as_it_was(
+        self, model_file, tmp_path, capsys, exists
+    ):
+        csv = tmp_path / "cmp.csv"
+        if exists:
+            csv.write_text("kept\n")
+        argv = [*self.COMPARE, "--model", model_file(), "--out", str(csv),
+                "--summary-out", str(tmp_path / "nosuch" / "s.json")]
+        assert main(argv) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert csv.exists() == exists
+        assert not exists or csv.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[*BOUNDS, "--out", "{dir}"],
+         [*COMPARE, "--out", "{dir}", "--summary-out", "{new}"],
+         [*COMPARE, "--out", "{new}", "--summary-out", "{dir}"]],
+        ids=["bounds_out", "compare_out", "compare_summary_out"],
+    )
+    def test_directory_output_exits_2(self, model_file, tmp_path, capsys, argv):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        argv = [a.format(dir=directory, new=tmp_path / "new") for a in argv]
+        model = model_file()
+        before = sorted(os.listdir(tmp_path))
+        assert main([*argv, "--model", model]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(directory) == []
+
     def test_bounds_rates_are_the_compare_rates(self, model_file, tmp_path):
         model = model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F)
         families = ["general", "perturbation", "poincare", "bernstein_general",
