@@ -24,13 +24,13 @@ np.set_printoptions(precision=6, suppress=True)
 print("A two-state chain")
 print("-" * 50)
 q = validate_q_matrix([[-1.0, 1.0], [2.0, -2.0]])
-print("rates:\n", q.rates)
-print("exit rates q_x:", q.exit_rates)
+print("rates:\n", q)
+print("exit rates q_x:", -np.diag(q))
 print("irreducible:", is_irreducible(q))
 
 pi = invariant_distribution(q)
-print("invariant distribution:", pi.weights, " (2/3, 1/3 exactly)")
-print("residual |pi^T Q|:", np.max(np.abs(pi.weights @ q.rates)))
+print("invariant distribution:", pi, " (2/3, 1/3 exactly)")
+print("residual |pi^T Q|:", np.max(np.abs(pi @ q)))
 
 print("\nTransition function")
 print("-" * 50)
@@ -45,7 +45,7 @@ print("two-state chains are always reversible:", check_detailed_balance(q, pi))
 
 cycle = validate_q_matrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
 pi_cycle = invariant_distribution(cycle)
-print("3-cycle pi:", pi_cycle.weights)
+print("3-cycle pi:", pi_cycle)
 print(
     "the one-way cycle carries circulating probability flux, so detailed "
     "balance fails:",
@@ -55,6 +55,6 @@ print(
 print("\nFull model assembly")
 print("-" * 50)
 model = make_model([[-1, 1], [2, -2]], f_values=[1.0, 0.0])
-print("observable centered against pi:", model.f.values, " (pi(f) = 0)")
-print("default initial distribution:", model.nu.weights)
+print("observable centered against pi:", model.f, " (pi(f) = 0)")
+print("default initial distribution:", model.nu)
 print("reversible:", model.reversible)

@@ -50,7 +50,7 @@ print("-" * 55)
 a = analyze(model)
 print(f"sigma_hat^2 = -2<Sf, f>      = {a.sigma_hat2:.6f}")
 print(f"2 Var_pi(f)/gap (upper bound) = {a.sigma_tilde2:.6f}")
-print(f"Var_pi(f)                     = {pi_variance(model.pi, model.f.values):.6f}")
+print(f"Var_pi(f)                     = {pi_variance(model.pi, model.f):.6f}")
 
 print("\nMonte Carlo check of the CLT variance (stationary start)")
 print("-" * 55)
@@ -63,5 +63,5 @@ print("-" * 55)
 cycle = make_model([[-1, 1, 0], [0, -1, 1], [1, 0, -1]], [1.0, 0.5, -1.5])
 sd2 = spectral_decomposition(cycle.q, cycle.pi)
 print("sym eigenvalues:", sd2.eigenvalues, " (gap", sd2.gap, ")")
-print("generator eigenvalues are complex:", np.linalg.eigvals(cycle.q.rates))
+print("generator eigenvalues are complex:", np.linalg.eigvals(cycle.q))
 print("only the symmetrized spectrum enters the bounds.")

@@ -29,8 +29,8 @@ print("convex, flat at 0; slope at infinity approaches max f.")
 
 print("\nConjugate rate near u = 0 against its Gaussian limit u^2/(2 sigma_hat^2)")
 print("-" * 60)
-fmax = model.f.values.max()
-print(f"  (finite exactly on [min f, max f] = [{model.f.values.min():.3f}, {fmax:.3f}])")
+fmax = model.f.max()
+print(f"  (finite exactly on [min f, max f] = [{model.f.min():.3f}, {fmax:.3f}])")
 print(f"  {'u':>8}  {'conjugate':>14}  {'u^2/(2 s^2)':>14}  {'ratio':>8}  {'argmax r':>10}")
 grid = lambda0_star(a.sd, model.f, [0.3, 0.1, 0.03, 0.01, 0.003])  # one call
 for res in grid:

@@ -32,11 +32,11 @@ from mjpbounds import (
 
 model = make_model([[-1.0, 1.0], [2.0, -2.0]], [1.0, -2.0])
 a = analyze(model)
-fmax = model.f.values.max()
+fmax = model.f.max()
 # the log-Sobolev constant alpha is at least gap (1 - 2p) / log((1 - p)/p)
 # with p = min pi (Diaconis & Saloff-Coste; exact on two states) and at most
 # gap/2, and the inequality with constant c holds iff c <= alpha
-p_min = model.pi.weights.min()
+p_min = model.pi.min()
 alpha_lo = a.gap * (1 - 2 * p_min) / math.log((1 - p_min) / p_min)
 print(f"log-Sobolev constant: alpha_lo = {alpha_lo:.5f}, gap/2 = {a.gap / 2:.5f}")
 for c in (0.5, 1.5):

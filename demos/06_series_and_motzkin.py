@@ -37,7 +37,7 @@ print(f"  order 1 vanishes (centering); order 2 = sigma_hat^2/2 = {a.sigma_hat2/
 
 print("\nPartial sums converge at the expected order")
 print("-" * 60)
-scale = a.gap / (2.0 * model.f.sup_norm)
+scale = a.gap / (2.0 * a.f_sup)
 for order in (2, 4, 6):
     part = lambda0_coefficients(a.sd, model.f, order)
     rs = np.logspace(-2, -1, 10) * scale

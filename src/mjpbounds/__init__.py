@@ -27,9 +27,6 @@ from .combinatorics import (
 )
 from .markov import (
     MJPModel,
-    Observable,
-    ProbDist,
-    QMatrix,
     center_observable,
     check_detailed_balance,
     flip_observable,

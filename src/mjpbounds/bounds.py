@@ -84,7 +84,7 @@ class ModelAnalysis:
 
     @functools.cached_property
     def var_pi_f(self) -> float:
-        return pi_variance(self.model.pi, self.model.f.values)
+        return pi_variance(self.model.pi, self.model.f)
 
     @functools.cached_property
     def sigma_tilde2(self) -> float:
@@ -92,11 +92,11 @@ class ModelAnalysis:
 
     @functools.cached_property
     def f_sup(self) -> float:
-        return self.model.f.sup_norm
+        return float(np.max(np.abs(self.model.f)))
 
     @functools.cached_property
     def fplus_sup(self) -> float:
-        return self.model.f.pos_sup_norm
+        return float(np.max(np.maximum(self.model.f, 0.0)))
 
 
 def analyze(model: MJPModel) -> ModelAnalysis:
@@ -139,9 +139,7 @@ def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> Bound
 def _same_chain(a: MJPModel, b: MJPModel) -> bool:
     """True iff the two models share a chain: equal ``Q`` and ``pi``, as
     ``flip_observable`` and ``stationary_model`` of one model do."""
-    return a is b or (
-        np.array_equal(a.q.rates, b.q.rates) and np.array_equal(a.pi.weights, b.pi.weights)
-    )
+    return a is b or (np.array_equal(a.q, b.q) and np.array_equal(a.pi, b.pi))
 
 
 def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
@@ -260,8 +258,8 @@ def _violation_terms(model, c, g):
     """``V(g)``, with the ``g log g^2`` (0 at g = 0) and ``Qg`` its gradient reuses."""
     g2 = g * g
     glog = g * np.log(g2, out=np.zeros_like(g2), where=g2 > 0.0)
-    qg = model.q.rates @ g
-    return model.pi.weights @ (g * (c * glog + qg)), glog, qg
+    qg = model.q @ g
+    return model.pi @ (g * (c * glog + qg)), glog, qg
 
 
 def check_f_sobolev(
@@ -290,12 +288,12 @@ def check_f_sobolev(
     sd = _analysis(model, analysis).sd
     # B is negative semidefinite, so its 2-norm is minus its lowest eigenvalue
     slack = WEYL_C * model.n * np.finfo(float).eps * -sd.eigenvalues[-1]
-    p = float(np.min(model.pi.weights))
+    p = float(np.min(model.pi))
     x = (1.0 - 2.0 * p) / p
     ratio = 0.5 if x == 0.0 else p * x / math.log1p(x)
     if c <= max(0.0, sd.gap - slack) * ratio:
         return replace(verdict, status="holds")
-    w = model.pi.weights
+    w = model.pi
     if c > 0.5 * (sd.gap + slack):
         g = 1.0 + sd.eigvecs[:, [1]] * LEMMA_EPS
         g /= np.sqrt(w @ g**2)
@@ -319,12 +317,12 @@ def _ascend_violation(model, c, g):
     of ``g`` at once: ``ASCENT_STEPS`` steps of size ``ASCENT_LR`` along the
     gradient of ``V(g/|g|_pi)`` at a unit ``g``,
     ``pi (2c g log g^2 + Qg - 2V g) + Q^T(pi g)``, each followed by a renormalization."""
-    w = model.pi.weights[:, None]
+    w = model.pi[:, None]
     for _ in range(ASCENT_STEPS):
         v, glog, qg = _violation_terms(model, c, g)
-        grad = w * (2.0 * c * glog + qg - 2.0 * v * g) + model.q.rates.T @ (w * g)
+        grad = w * (2.0 * c * glog + qg - 2.0 * v * g) + model.q.T @ (w * g)
         g = g + ASCENT_LR * grad
-        g /= np.sqrt(model.pi.weights @ g**2)
+        g /= np.sqrt(model.pi @ g**2)
     return g
 
 
@@ -355,8 +353,8 @@ def _rate_fsobolev(a: ModelAnalysis, us: list[float], verdict: FSobolevVerdict):
     ``u = max f`` is exactly ``-c log pi(e^{s(f - max f)})``.
     """
     c = verdict.c
-    f = a.model.f.values
-    w = a.model.pi.weights
+    f = a.model.f
+    w = a.model.pi
     f_max = float(np.max(f))
 
     def moments(r, u):

@@ -147,9 +147,9 @@ def cmd_validate(args) -> int:
         "n": model.n,
         "irreducible": True,
         "reversible": model.reversible,
-        "pi": [float(x) for x in model.pi.weights],
-        "f_centered": [float(x) for x in model.f.values],
-        "nu": [float(x) for x in model.nu.weights],
+        "pi": [float(x) for x in model.pi],
+        "f_centered": [float(x) for x in model.f],
+        "nu": [float(x) for x in model.nu],
         "seed": seed,
     }
     print(json.dumps(info, indent=2))
@@ -173,6 +173,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
+    if math.isnan(args.u):  # refused before any path is simulated
+        raise ValidationError("threshold u must not be NaN")
     averages = time_averages(mf.model, args.t, args.samples, seed)
     est = tail_estimate(averages, args.u, args.t)
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)

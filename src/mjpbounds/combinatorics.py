@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, OrderTooLargeError, OutOfRangeError
-from .markov import Observable
 from .spectral import SpectralData
 
 # range check on the requested series order, not a cost limit: order 200
@@ -96,7 +95,7 @@ class SeriesCoefficients:
 
 
 def lambda0_coefficients(
-    sd: SpectralData, f: Observable, order: int
+    sd: SpectralData, f: np.ndarray, order: int
 ) -> SeriesCoefficients:
     """Series coefficients by the Rayleigh-Schroedinger recursion (Kato,
     *Perturbation Theory for Linear Operators*, ch. II).
@@ -120,8 +119,8 @@ def lambda0_coefficients(
     coeffs = np.zeros(order)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order + 1):
-            f_psi = f.values * psi[n - 1]
-            coeffs[n - 1] = sd.pi.weights @ f_psi
+            f_psi = f * psi[n - 1]
+            coeffs[n - 1] = sd.pi @ f_psi
             if not math.isfinite(coeffs[n - 1]):
                 raise NumericalError(f"series coefficient {n} overflows")
             if n < order:

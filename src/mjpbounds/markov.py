@@ -35,68 +35,22 @@ def _readonly(a):
 
 
 @dataclass(frozen=True)
-class QMatrix:
-    """Generator of a Markov jump process: off-diagonal rates, zero row sums."""
-
-    rates: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rates.shape[0]
-
-    @property
-    def exit_rates(self) -> np.ndarray:
-        """q_x = -q_xx, the total rate of leaving each state."""
-        return -np.diag(self.rates)
-
-
-@dataclass(frozen=True)
-class ProbDist:
-    """Probability vector on the state space."""
-
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.min(self.weights) > 0.0)
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Real-valued function on the states."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    @property
-    def pos_sup_norm(self) -> float:
-        """Sup norm of the nonnegative part max(f, 0)."""
-        return float(np.max(np.maximum(self.values, 0.0)))
-
-
-@dataclass(frozen=True)
 class MJPModel:
-    """Irreducible jump process with invariant distribution and centered observable."""
+    """Irreducible jump process with invariant distribution and centered observable.
 
-    q: QMatrix
-    pi: ProbDist
-    f: Observable
-    nu: ProbDist
+    Each field is a read-only float array: the rate matrix ``q``, the
+    invariant distribution ``pi``, the centered observable ``f`` and the
+    initial distribution ``nu``.
+    """
+
+    q: np.ndarray
+    pi: np.ndarray
+    f: np.ndarray
+    nu: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.q.n
+        return self.q.shape[0]
 
     @functools.cached_property
     def reversible(self) -> bool:
@@ -104,8 +58,9 @@ class MJPModel:
         return check_detailed_balance(self.q, self.pi)
 
 
-def probability_vector(weights) -> ProbDist:
-    """Validate and wrap a probability vector; entries must sum to 1 within 1e-9."""
+def probability_vector(weights) -> np.ndarray:
+    """Validate a probability vector, as a read-only array; entries must sum
+    to 1 within 1e-9."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValidationError(f"probability vector must be 1-d, got shape {w.shape}")
@@ -118,10 +73,10 @@ def probability_vector(weights) -> ProbDist:
         raise ValidationError(f"probability vector sums to {s}, not 1")
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
-    return ProbDist(_readonly(w))
+    return _readonly(w)
 
 
-def validate_q_matrix(raw) -> QMatrix:
+def validate_q_matrix(raw) -> np.ndarray:
     """Check the two rate-matrix conditions and renormalize the diagonal.
 
     With tol = ``DEFAULT_TOL`` and s the largest absolute entry of a row, an
@@ -150,10 +105,10 @@ def validate_q_matrix(raw) -> QMatrix:
         raise RowSumViolationError(x, float(rowsum[x]))
     q = np.where(off, np.clip(a, 0.0, None), 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return QMatrix(_readonly(q))
+    return _readonly(q)
 
 
-def is_irreducible(q: QMatrix) -> bool:
+def is_irreducible(q: np.ndarray) -> bool:
     """True iff the directed graph of positive rates is strongly connected.
 
     Squares the boolean reachability matrix, edges plus the diagonal, until
@@ -161,13 +116,14 @@ def is_irreducible(q: QMatrix) -> bool:
     path of at most 2^k edges.  The graph is strongly connected iff every
     entry is then true.
     """
-    reach = (q.rates > 0.0) | np.eye(q.n, dtype=bool)
-    for _ in range(max(1, (q.n - 2).bit_length())):  # ceil(log2(n - 1)) times
+    n = q.shape[0]
+    reach = (q > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(max(1, (n - 2).bit_length())):  # ceil(log2(n - 1)) times
         reach = reach @ reach
     return bool(reach.all())
 
 
-def invariant_distribution(q: QMatrix) -> ProbDist:
+def invariant_distribution(q: np.ndarray) -> np.ndarray:
     """Solve ``pi^T Q = 0`` with the normalization ``sum(pi) = 1``.
 
     The last equation of the transposed system is replaced by the
@@ -177,8 +133,8 @@ def invariant_distribution(q: QMatrix) -> ProbDist:
     """
     if not is_irreducible(q):
         raise NotIrreducibleError()
-    n = q.n
-    a = q.rates.T.copy()
+    n = q.shape[0]
+    a = q.T.copy()
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -186,17 +142,16 @@ def invariant_distribution(q: QMatrix) -> ProbDist:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    residual = float(np.max(np.abs(pi @ q.rates)))
-    scale = max(1.0, float(np.max(np.abs(q.rates))))
+    residual = float(np.max(np.abs(pi @ q)))
+    scale = max(1.0, float(np.max(np.abs(q))))
     if residual > max(DEFAULT_TOL, 1e-13 * scale) or pi.min() <= 0.0:
         raise SingularSystemError(
             f"invariant solve left residual {residual} or nonpositive entries"
         )
-    pi = pi / pi.sum()
-    return ProbDist(_readonly(pi))
+    return _readonly(pi / pi.sum())
 
 
-def transition_matrix(q: QMatrix, t: float) -> np.ndarray:
+def transition_matrix(q: np.ndarray, t: float) -> np.ndarray:
     """Transition function P(t) = exp(tQ) by scaling and squaring.
 
     The argument is scaled by 2^s with ``s = ceil(log2(||tQ||_inf))`` so the
@@ -206,7 +161,7 @@ def transition_matrix(q: QMatrix, t: float) -> np.ndarray:
     """
     if t < 0:
         raise ValidationError(f"time must be nonnegative, got {t}")
-    p = _expm(t * q.rates)
+    p = _expm(t * q)
     p[(p < 0.0) & (p > -1e-12)] = 0.0
     return p
 
@@ -227,19 +182,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def check_detailed_balance(q: QMatrix, pi: ProbDist, tol: float = 1e-12) -> bool:
+def check_detailed_balance(q: np.ndarray, pi: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff pi_x q_xy = pi_y q_yx within tol times the largest flow pi_x q_xy."""
-    flow = pi.weights[:, None] * q.rates
+    flow = pi[:, None] * q
     np.fill_diagonal(flow, 0.0)
     return bool(np.max(np.abs(flow - flow.T)) <= tol * np.max(flow))
 
 
-def pi_expectation(pi: ProbDist, f: Observable | np.ndarray) -> float:
-    values = f.values if isinstance(f, Observable) else np.asarray(f, dtype=float)
-    return float(pi.weights @ values)
+def pi_expectation(pi: np.ndarray, f) -> float:
+    return float(pi @ np.asarray(f, dtype=float))
 
 
-def center_observable(f: Observable, pi: ProbDist) -> Observable:
+def center_observable(f, pi: np.ndarray) -> np.ndarray:
     """Subtract pi(f) so the centered observable integrates to 0 against pi.
 
     The subtraction repeats while it shrinks ``|pi(f)|`` below 0.9 of its
@@ -247,9 +201,10 @@ def center_observable(f: Observable, pi: ProbDist) -> Observable:
     that moves one value by one ulp may lower ``|pi(f)|`` by a part in 1e10
     when that state's weight is tiny.  Whether it stops depends on the values
     alone, so the result is a fixed point: centering it again returns it bit
-    for bit.
+    for bit.  The result is a new read-only array, which shares no memory
+    with ``f``.
     """
-    values = f.values
+    values = np.array(f, dtype=float)
     mean = pi_expectation(pi, values)
     while mean != 0.0:
         shifted = values - mean
@@ -259,7 +214,7 @@ def center_observable(f: Observable, pi: ProbDist) -> Observable:
         if abs(shifted_mean) >= 0.9 * abs(mean):
             break
         values, mean = shifted, shifted_mean
-    return Observable(_readonly(values))
+    return _readonly(values)
 
 
 def make_model(rates, f_values, nu=None) -> MJPModel:
@@ -272,13 +227,14 @@ def make_model(rates, f_values, nu=None) -> MJPModel:
     q = validate_q_matrix(rates)
     pi = invariant_distribution(q)
     f_raw = np.asarray(f_values, dtype=float)
-    if f_raw.shape != (q.n,):
-        raise ValidationError(f"observable must have shape ({q.n},), got {f_raw.shape}")
+    n = q.shape[0]
+    if f_raw.shape != (n,):
+        raise ValidationError(f"observable must have shape ({n},), got {f_raw.shape}")
     if not np.all(np.isfinite(f_raw)):
         raise ValidationError("observable has non-finite entries")
-    f = center_observable(Observable(f_raw), pi)
-    nu_dist = probability_vector(np.eye(q.n)[0] if nu is None else nu)
-    if nu_dist.n != q.n:
+    f = center_observable(f_raw, pi)
+    nu_dist = probability_vector(np.eye(n)[0] if nu is None else nu)
+    if nu_dist.size != n:
         raise ValidationError("initial distribution has wrong length")
     return MJPModel(q=q, pi=pi, f=f, nu=nu_dist)
 
@@ -290,4 +246,4 @@ def stationary_model(model: MJPModel) -> MJPModel:
 
 def flip_observable(model: MJPModel) -> MJPModel:
     """The same chain observed through -f; used for lower-tail bounds."""
-    return replace(model, f=Observable(_readonly(-model.f.values)))
+    return replace(model, f=_readonly(-model.f))

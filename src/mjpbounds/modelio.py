@@ -96,9 +96,9 @@ def save_model(mf: ModelFile, path: str) -> None:
     model = mf.model
     doc = {
         "states": mf.labels,
-        "q": model.q.rates.tolist(),
-        "f": model.f.values.tolist(),
-        "nu": model.nu.weights.tolist(),
+        "q": model.q.tolist(),
+        "f": model.f.tolist(),
+        "nu": model.nu.tolist(),
     }
     if mf.seed is not None:
         doc["seed"] = mf.seed

@@ -170,7 +170,7 @@ def _jump_tables(model: MJPModel):
     is built for all rows at once.
     """
     n = model.n
-    weights = np.vstack([model.q.rates, model.nu.weights])
+    weights = np.vstack([model.q, model.nu])
     positive = weights > 0.0  # the diagonal is never positive
     degree = positive.sum(axis=1)
     width = max(1, int(degree.max()))
@@ -183,7 +183,7 @@ def _jump_tables(model: MJPModel):
     targets = np.where(pad, rows % n, moves)
     p = np.divide(
         np.take_along_axis(weights, targets, axis=1),
-        np.append(model.q.exit_rates, 1.0)[:, None],
+        np.append(-np.diag(model.q), 1.0)[:, None],
         out=np.zeros((n + 1, width)),
         where=~pad,  # a row with a move has a positive divisor
     )
@@ -244,8 +244,8 @@ class _Tables(NamedTuple):
             guide.ravel(),
             per_row - 1,
             steps,
-            model.q.exit_rates.take(to),
-            model.f.values.take(to),
+            (-np.diag(model.q)).take(to),
+            model.f.take(to),
             to * per_row,
             model.n * per_row,
         )

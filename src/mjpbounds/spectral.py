@@ -18,41 +18,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, NotCenteredError, NumericalError
-from .markov import Observable, ProbDist, QMatrix
 
 
-def adjoint_generator(q: QMatrix, pi: ProbDist) -> np.ndarray:
+def adjoint_generator(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Matrix of the L2(pi) adjoint: entries pi_y q_yx / pi_x."""
-    w = pi.weights
-    return (q.rates.T * w[None, :]) / w[:, None]
+    return (q.T * pi[None, :]) / pi[:, None]
 
 
-def symmetrized_generator(q: QMatrix, pi: ProbDist) -> np.ndarray:
-    return 0.5 * (q.rates + adjoint_generator(q, pi))
+def symmetrized_generator(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    return 0.5 * (q + adjoint_generator(q, pi))
 
 
-def pi_inner(pi: ProbDist, g, h) -> float:
+def pi_inner(pi: np.ndarray, g, h) -> float:
     """Weighted inner product sum_x g(x) h(x) pi_x."""
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    return float(np.sum(pi.weights * g * h))
+    return float(np.sum(pi * g * h))
 
 
-def pi_variance(pi: ProbDist, g) -> float:
+def pi_variance(pi: np.ndarray, g) -> float:
     """Variance of ``g`` under ``pi``; one that overflows raises ``NumericalError``."""
     g = np.asarray(g, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = float(pi.weights @ g)
-        var = float(pi.weights @ (g - m) ** 2)
+        m = float(pi @ g)
+        var = float(pi @ (g - m) ** 2)
     if not np.isfinite(var):
         raise NumericalError("the variance of the observable under pi overflows")
     return var
 
 
-def sym_coords(q: QMatrix, pi: ProbDist) -> np.ndarray:
+def sym_coords(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """D^{1/2} ((L+L*)/2) D^{-1/2} with D = diag(pi): the symmetrized generator
     made ordinarily symmetric, then symmetrized again against rounding."""
-    sqrt_pi = np.sqrt(pi.weights)
+    sqrt_pi = np.sqrt(pi)
     b = (symmetrized_generator(q, pi) * sqrt_pi[:, None]) / sqrt_pi[None, :]
     return 0.5 * (b + b.T)
 
@@ -72,7 +70,7 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigvecs: np.ndarray
     resolvent: np.ndarray
-    pi: ProbDist
+    pi: np.ndarray
 
     @property
     def n(self) -> int:
@@ -85,10 +83,10 @@ class SpectralData:
     @property
     def projector0(self) -> np.ndarray:
         """Projection onto the constants in L2(pi); each row is pi."""
-        return np.outer(np.ones(self.n), self.pi.weights)
+        return np.outer(np.ones(self.n), self.pi)
 
 
-def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
+def spectral_decomposition(q: np.ndarray, pi: np.ndarray) -> SpectralData:
     """Eigendecomposition of (L+L*)/2 with the kernel pinned exactly.
 
     The similarity transform B = ``sym_coords(q, pi)`` is ordinarily
@@ -99,7 +97,8 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
     Rates whose products with pi overflow leave B or its eigenvalues
     non-finite, which raises ``NumericalError``.
     """
-    sqrt_pi = np.sqrt(pi.weights)
+    n = q.shape[0]
+    sqrt_pi = np.sqrt(pi)
     basis = _complement_basis(sqrt_pi)
     with np.errstate(over="ignore", invalid="ignore"):
         b = sym_coords(q, pi)
@@ -111,11 +110,11 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
 
     if not np.isfinite(tail_vals).all():
         raise NumericalError("the eigenvalues of the symmetrized generator are not finite")
-    if q.n >= 2 and not tail_vals[0] < -1e-12:  # NaN fails this test too
+    if n >= 2 and not tail_vals[0] < -1e-12:  # NaN fails this test too
         raise DegenerateGapError(float(tail_vals[0]))
 
     vals = np.concatenate(([0.0], tail_vals))
-    eigvecs = np.empty((q.n, q.n))  # functions on states, the constant first
+    eigvecs = np.empty((n, n))  # functions on states, the constant first
     eigvecs[:, 0] = 1.0
     eigvecs[:, 1:] = basis @ tail_vecs / sqrt_pi[:, None]
 
@@ -123,7 +122,7 @@ def spectral_decomposition(q: QMatrix, pi: ProbDist) -> SpectralData:
         sym_coords=b,
         eigenvalues=vals,
         eigvecs=eigvecs,
-        resolvent=-_resolvent_power(vals, eigvecs, pi.weights, 1.0),
+        resolvent=-_resolvent_power(vals, eigvecs, pi, 1.0),
         pi=pi,
     )
 
@@ -153,21 +152,21 @@ def _resolvent_power(vals, eigvecs, pi_w, r):
 
 def resolvent_power(sd: SpectralData, r: float) -> np.ndarray:
     """hat(S)^r = sum_{k>=1} (-lambda_k)^{-r} pr_k; pi-selfadjoint."""
-    return _resolvent_power(sd.eigenvalues, sd.eigvecs, sd.pi.weights, r)
+    return _resolvent_power(sd.eigenvalues, sd.eigvecs, sd.pi, r)
 
 
-def sigma_hat_sq(sd: SpectralData, f: Observable) -> float:
+def sigma_hat_sq(sd: SpectralData, f: np.ndarray) -> float:
     """Asymptotic variance -2 <Sf, f> of the time average under ``sd.pi``.
 
     Centering is checked relative to the size of f, since rounding leaves a
     mean proportional to it.  A variance that overflows raises
     ``NumericalError``.
     """
-    mean = float(sd.pi.weights @ f.values)
-    if abs(mean) > 1e-10 * max(1.0, f.sup_norm):
+    mean = float(sd.pi @ f)
+    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(f)))):
         raise NotCenteredError(mean)
     with np.errstate(over="ignore", invalid="ignore"):
-        val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f.values, f.values)
+        val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f, f)
     if not np.isfinite(val):
         raise NumericalError("the asymptotic variance of the observable overflows")
     return max(val, 0.0)

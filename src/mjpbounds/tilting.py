@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .markov import Observable, ProbDist
 from .spectral import SpectralData, sigma_hat_sq
 
 R_CAP_FACTOR = 1e6
@@ -61,7 +60,7 @@ class BernsteinParams:
     c: float
 
 
-def lambda0(sd: SpectralData, f: Observable, r: float) -> float:
+def lambda0(sd: SpectralData, f: np.ndarray, r: float) -> float:
     """Top eigenvalue of the tilted symmetrized generator.
 
     In the sqrt(pi) similarity coordinates the tilt stays diagonal, so the
@@ -70,26 +69,43 @@ def lambda0(sd: SpectralData, f: Observable, r: float) -> float:
     """
     if r == 0.0:
         return 0.0
-    return float(np.linalg.eigvalsh(sd.sym_coords + r * np.diag(f.values))[-1])
+    return float(np.linalg.eigvalsh(sd.sym_coords + r * np.diag(f))[-1])
 
 
-def chi2_prefactor(nu: ProbDist, pi: ProbDist) -> float:
+def chi2_prefactor(nu: np.ndarray, pi: np.ndarray) -> float:
     """L2(pi) norm of the density of nu against pi: sqrt(sum nu_x^2 / pi_x)."""
-    if not pi.strictly_positive:
+    if not np.min(pi) > 0.0:
         raise ValidationError("reference distribution must be strictly positive")
-    return float(math.sqrt(np.sum(nu.weights**2 / pi.weights)))
+    return float(math.sqrt(np.sum(nu**2 / pi)))
 
 
 def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     """Closed-form conjugate of the sub-gamma bound r^2 v / (2(1 - rc)).
 
     Uses the cancellation-free form ``2u^2 / (v (1 + sqrt(1 + 2uc/v))^2)``;
-    at c = 0 this is the Gaussian limit u^2 / (2v).
+    at c = 0 this is the Gaussian limit u^2 / (2v).  Where ``2u^2`` or
+    ``2uc/v`` overflows, the same form is evaluated in exact rationals and
+    rounded once, to ``inf`` past the largest double; where ``2uc/v`` is
+    past it too, the value is ``u/c``, from which it differs by a relative
+    ``sqrt(2v/(uc))`` below 2e-154.
     """
     if bp.v <= 0 or bp.c < 0 or not 0 <= u < math.inf:  # also refuses NaN
         raise ValidationError(f"need v > 0, c >= 0, finite u >= 0; got {bp} at u={u}")
     root = math.sqrt(1.0 + 2.0 * u * bp.c / bp.v)
-    return 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
+    value = 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
+    if math.isfinite(value):
+        return value
+    from fractions import Fraction  # imported here: its import costs about 3 ms
+
+    u_q, v_q = Fraction(u), Fraction(bp.v)
+    try:
+        root = math.sqrt(1.0 + float(2 * u_q * Fraction(bp.c) / v_q))
+    except OverflowError:
+        return u / bp.c
+    try:
+        return float(2 * u_q**2 / (v_q * Fraction(1.0 + root) ** 2))
+    except OverflowError:
+        return math.inf
 
 
 def _tilted_eigh(sd: SpectralData, f: np.ndarray, r: np.ndarray):
@@ -186,7 +202,7 @@ def thresholds(u):
     return grid, us
 
 
-def conjugate_grid(moments, f: Observable, u, curvature0: float):
+def conjugate_grid(moments, f: np.ndarray, u, curvature0: float):
     """``sup_{r >= 0} (r u - g(r))`` at threshold ``u >= 0``, or at every
     threshold of a 1-D grid ``u`` (one ``ConjugateResult`` per threshold),
     for a ``g`` as ``_newton_conjugate`` takes, given by its ``moments``.
@@ -202,7 +218,8 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     for bit, whatever else is on the grid.
     """
     grid, us = thresholds(u)
-    reach = float(np.max(f.values)) * (1.0 + 1e-12) + 1e-300 if f.sup_norm > 0.0 else 0.0
+    sup = float(np.max(np.abs(f)))
+    reach = float(np.max(f)) * (1.0 + 1e-12) + 1e-300 if sup > 0.0 else 0.0
     results = [
         ConjugateResult(uk, math.inf, None)
         if uk > reach
@@ -211,7 +228,7 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     ]
     solve = [k for k, res in enumerate(results) if res.u > 0.0 and res.finite]
     if solve:
-        solved = _newton_conjugate(moments, us[solve], f.sup_norm, curvature0)
+        solved = _newton_conjugate(moments, us[solve], sup, curvature0)
         for k, r, h, edge, slack in zip(solve, *(a.tolist() for a in solved)):
             # r u - g(r) can round below 0 near r = 0, where the supremum 0
             # is attained exactly
@@ -220,16 +237,14 @@ def conjugate_grid(moments, f: Observable, u, curvature0: float):
     return results if grid.ndim else results[0]
 
 
-def lambda0_star(sd: SpectralData, f: Observable, u):
+def lambda0_star(sd: SpectralData, f: np.ndarray, u):
     """Fenchel conjugate of the tilted top eigenvalue at threshold ``u >= 0``,
     or at every threshold of a 1-D grid ``u``, by ``conjugate_grid``: each
     step is one stacked ``_tilted_eigh``, the rounding bound is the Weyl
     slack, and ``lambda_0''(0)`` is ``sigma_hat_sq(sd, f)``, so ``f`` must be centered.
     """
-    fv = f.values
-
     def moments(r, u):
-        top, slope, curvature, norm = _tilted_eigh(sd, fv, r)
-        return r * u - top, slope, curvature, WEYL_C * fv.size * np.finfo(float).eps * norm
+        top, slope, curvature, norm = _tilted_eigh(sd, f, r)
+        return r * u - top, slope, curvature, WEYL_C * f.size * np.finfo(float).eps * norm
 
     return conjugate_grid(moments, f, u, sigma_hat_sq(sd, f))

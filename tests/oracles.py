@@ -37,7 +37,7 @@ from mjpbounds import (
 )
 from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
 from mjpbounds.errors import NumericalError, ValidationError, ZeroHorizonError
-from mjpbounds.markov import Observable, ProbDist, QMatrix, _expm
+from mjpbounds.markov import _expm
 from mjpbounds.simulate import _DRAW_SALT_I, _U_MAX, _mix64_int, stream_keys
 from mjpbounds.spectral import sym_coords
 from mjpbounds.tilting import R_CAP_FACTOR
@@ -107,16 +107,14 @@ def fenchel_conjugate(
     return ConjugateResult(u=u, value=value, argmax_r=argmax, boundary=hit_cap)
 
 
-def donsker_varadhan_info(q: QMatrix, pi: ProbDist, beta) -> float:
+def donsker_varadhan_info(q: np.ndarray, pi: np.ndarray, beta) -> float:
     """Information of beta against pi: -<L sqrt(d beta/d pi), sqrt(d beta/d pi)>.
 
-    ``beta`` is a distribution or a weight vector.  Nonnegative; tiny
-    negative rounding is clamped to 0.
+    ``beta`` is a weight vector.  Nonnegative; tiny negative rounding is
+    clamped to 0.
     """
-    w = pi.weights
-    b = np.asarray(beta.weights if hasattr(beta, "weights") else beta, dtype=float)
-    g = np.sqrt(b / w)
-    val = -float(w @ (g * (q.rates @ g)))
+    g = np.sqrt(np.asarray(beta, dtype=float) / pi)
+    val = -float(pi @ (g * (q @ g)))
     if val < -1e-12:
         raise ValidationError(f"information came out negative: {val}")
     return max(val, 0.0)
@@ -170,7 +168,7 @@ def verify_info_representation(
     n = model.n
     if n > 3:
         raise ValidationError(f"brute-force oracle supports n <= 3, got n = {n}")
-    f = model.f.values
+    f = model.f
     fmin, fmax = float(np.min(f)), float(np.max(f))
     tol_edge = 1e-12 * max(1.0, abs(fmin), abs(fmax))
     if u < fmin - tol_edge or u > fmax + tol_edge:
@@ -218,7 +216,7 @@ def verify_info_representation(
 
 
 def feynman_kac_norm(
-    q: QMatrix, pi: ProbDist, f: Observable, r: float, t: float
+    q: np.ndarray, pi: np.ndarray, f: np.ndarray, r: float, t: float
 ) -> float:
     """Weighted operator 2-norm of exp(t(Q + r diag f)).
 
@@ -227,8 +225,8 @@ def feynman_kac_norm(
     """
     if t < 0:
         raise ValidationError(f"time must be nonnegative, got {t}")
-    m = _expm(t * (q.rates + r * np.diag(f.values)))
-    sqrt_pi = np.sqrt(pi.weights)
+    m = _expm(t * (q + r * np.diag(f)))
+    sqrt_pi = np.sqrt(pi)
     a = (m * sqrt_pi[:, None]) / sqrt_pi[None, :]
     return float(np.linalg.norm(a, 2))
 
@@ -258,7 +256,7 @@ def bound_via_alpha(
 
 
 def cramer_transform_static(
-    pi: ProbDist, f: Observable, u: float, tol: float = 1e-12
+    pi: np.ndarray, f: np.ndarray, u: float, tol: float = 1e-12
 ) -> float:
     """Cramer transform of the single-draw observable f(X_0) under pi.
 
@@ -270,15 +268,14 @@ def cramer_transform_static(
     """
     if u < 0:
         raise ValidationError(f"threshold must be nonnegative, got {u}")
-    values = f.values
-    f_max = float(np.max(values))
+    f_max = float(np.max(f))
     if u > f_max * (1.0 + 1e-12) + 1e-300:
         return math.inf
 
     def log_mgf(r: float) -> float:
-        return r * f_max + math.log1p(float(pi.weights @ np.expm1(r * (values - f_max))))
+        return r * f_max + math.log1p(float(pi @ np.expm1(r * (f - f_max))))
 
-    cap = R_CAP_FACTOR * (1.0 + 1.0 / max(f.sup_norm, 1e-300))
+    cap = R_CAP_FACTOR * (1.0 + 1.0 / max(float(np.max(np.abs(f))), 1e-300))
     return fenchel_conjugate(log_mgf, u, r_max=cap, tol=tol).value
 
 
@@ -341,8 +338,8 @@ def jump_tables_loop(model: MJPModel):
     bucket are counted from its guide start to the pick of the bucket's
     largest u."""
     n = model.n
-    rows = [(model.q.rates[x], model.q.exit_rates[x]) for x in range(n)]
-    rows.append((model.nu.weights, 1.0))
+    rows = [(model.q[x], -model.q[x, x]) for x in range(n)]
+    rows.append((model.nu, 1.0))
     moves = [np.flatnonzero(weights > 0.0) for weights, _ in rows]
     width = max(1, max(m.size for m in moves))
     n_buckets = 4 * width
@@ -401,13 +398,13 @@ def sample_trajectory(
     """
     if not math.isfinite(horizon) or horizon < 0:
         raise ValidationError(f"horizon must be finite and nonnegative, got {horizon}")
-    state = int((rng_stream.uniform() > _cumulative(model.nu.weights)).sum())
+    state = int((rng_stream.uniform() > _cumulative(model.nu)).sum())
     times = [0.0]
     states = [state]
     if horizon == 0.0:
         return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
     targets, cum, _, _ = jump_tables_loop(model)
-    exit_rates = model.q.exit_rates
+    exit_rates = -np.diag(model.q)
     t = 0.0
     while True:
         rate = exit_rates[state]
@@ -423,13 +420,13 @@ def sample_trajectory(
     return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
 
 
-def time_average(traj: Trajectory, f: Observable) -> float:
+def time_average(traj: Trajectory, f: np.ndarray) -> float:
     """Exact path integral of f divided by the horizon; no quadrature error."""
     if traj.horizon == 0.0:
         raise ZeroHorizonError()
     bounds = np.append(traj.times, traj.horizon)
     lengths = np.diff(bounds)
-    return float(np.sum(f.values[traj.states] * lengths) / traj.horizon)
+    return float(np.sum(f[traj.states] * lengths) / traj.horizon)
 
 
 def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:

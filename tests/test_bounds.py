@@ -18,7 +18,6 @@ from mjpbounds import (
     iid_sum_bound,
     lambda0,
     make_model,
-    Observable,
     probability_vector,
     stationary_model,
     tail_estimate,
@@ -133,7 +132,7 @@ class TestBoundBernsteinGeneral:
         for m in (two_state, three_cycle, three_dense):
             a = analyze(m)
             u_star = perturbation_branch_threshold(a)
-            fmax = m.f.values.max()
+            fmax = m.f.max()
             for u in np.linspace(0.0, min(u_star, fmax), 12):
                 bg, pert, poin = (
                     evaluate_family(m, 1.0, float(u), fam, analysis=a)
@@ -155,7 +154,7 @@ class TestBoundBernsteinGeneral:
         from mjpbounds import lambda0_star
 
         a = analyze(two_state)
-        fmax = two_state.f.values.max()
+        fmax = two_state.f.max()
         for u in np.linspace(0.0, 0.95 * fmax, 10):
             bg = evaluate_family(
                 two_state, 1.0, float(u), "bernstein_general", analysis=a
@@ -174,10 +173,10 @@ class TestFSobolev:
         verdict = check_f_sobolev(two_state, c)
         assert verdict.status == "violated"
         g = verdict.witness
-        w = two_state.pi.weights
+        w = two_state.pi
         # the witness really violates the inequality
         lhs = float(w @ (g * g * (c * np.log(g * g))))
-        rhs = -float(w @ (g * (two_state.q.rates @ g)))
+        rhs = -float(w @ (g * (two_state.q @ g)))
         assert lhs > rhs
 
     def test_halving_a_passing_function_still_passes(self, two_state):
@@ -250,13 +249,13 @@ class TestFSobolev:
     def test_no_holds_contradicted_by_a_wider_search(self, n, seed, scale):
         m = random_irreducible_model(np.random.default_rng(seed), n)
         gap = analyze(m).gap
-        p = float(m.pi.weights.min())
+        p = float(m.pi.min())
         c = scale * gap * (1 - 2 * p) / math.log((1 - p) / p) if p < 0.5 else scale * gap / 2
         verdict = check_f_sobolev(m, c)
         if verdict.status != "holds":
             return
         g = np.random.default_rng(seed).standard_normal((n, 128))
-        g = bounds._ascend_violation(m, c, g / np.sqrt(m.pi.weights @ g**2))
+        g = bounds._ascend_violation(m, c, g / np.sqrt(m.pi @ g**2))
         assert float(np.max(bounds._violation(m, c, g))) <= 1e-10
 
     def test_unverified_rejected_without_override(self, two_state):
@@ -289,10 +288,10 @@ class TestFSobolev:
         # the log-MGF is taken shifted by s max f, so no exp overflows as the
         # tilt grows, and the limit -c log pi(f = max f) comes out to rounding
         verdict = FSobolevVerdict.assumed(three_dense, 0.5)
-        f = three_dense.f.values
+        f = three_dense.f
         assert float(f.max()) == 1.3
         p = evaluate_family(three_dense, 2.0, 1.3, "fsobolev", fsobolev=verdict)
-        mass = float(three_dense.pi.weights[f == f.max()].sum())
+        mass = float(three_dense.pi[f == f.max()].sum())
         assert p.rate == pytest.approx(-0.5 * math.log(mass), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -302,7 +301,7 @@ class TestFSobolev:
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
             m = random_irreducible_model(rng, n)
-        assert m.f.values.max() == pytest.approx(0.085, abs=1e-3)
+        assert m.f.max() == pytest.approx(0.085, abs=1e-3)
         verdict = check_f_sobolev(m, 0.3)
         for u in (0.125, 0.25, 0.375, 0.5):
             p = evaluate_family(m, 3.0, u, "fsobolev", fsobolev=verdict)
@@ -333,8 +332,8 @@ class TestFSobolevAccuracy:
     def test_c_times_static_cramer_and_relative_entropy(self, n, seed, c, fractions):
         model = random_irreducible_model(np.random.default_rng(seed), n)
         verdict = FSobolevVerdict.assumed(model, c)
-        grid = np.array(fractions) * model.f.values.max()
-        w = model.pi.weights
+        grid = np.array(fractions) * model.f.max()
+        w = model.pi
         for p in evaluate_family(model, 1.0, grid, "fsobolev", fsobolev=verdict):
             # abs=0: the rates at small u are far below approx's default 1e-12
             cramer = cramer_transform_static(model.pi, model.f, p.u)
@@ -342,7 +341,7 @@ class TestFSobolevAccuracy:
             # at s* = r*/c the tilted mean is u, and KL(pi_s* || pi) is the
             # Cramer rate s* u - log pi(e^{s* f}); with l = log d pi_s*/d pi
             # and h = e^l - 1 it is pi((1 + h) l - h), a sum of terms >= 0
-            s = p.diagnostics["argmax_r"] / c * model.f.values
+            s = p.diagnostics["argmax_r"] / c * model.f
             s -= s.max()
             log_density = s - math.log(float(w @ np.exp(s)))
             h = np.expm1(log_density)
@@ -392,7 +391,7 @@ class TestFSobolevBatchedSearch:
     def test_each_column_ascends_as_if_alone(self, three_dense):
         c = 0.3 * analyze(three_dense).gap
         g = np.random.default_rng(1).standard_normal((3, 6))
-        g /= np.sqrt(three_dense.pi.weights @ g**2)
+        g /= np.sqrt(three_dense.pi @ g**2)
         together = bounds._ascend_violation(three_dense, c, g)
         for j in range(g.shape[1]):
             alone = bounds._ascend_violation(three_dense, c, g[:, [j]])
@@ -406,7 +405,7 @@ class TestFSobolevBatchedSearch:
         rng = np.random.default_rng(seed)
         m = random_irreducible_model(rng, n)
         c = c_over_gap * analyze(m).gap
-        w, q = m.pi.weights, m.q.rates
+        w, q = m.pi, m.q
         # random starts, one with a zero entry, and the constant function
         g = np.hstack([rng.standard_normal((n, 3)), np.ones((n, 1))])
         g[0, 1] = 0.0
@@ -459,7 +458,7 @@ class TestFSobolevVerdictPolicy:
 
     def test_verdict_of_another_chain_refused(self, two_state):
         verdict = check_f_sobolev(two_state, 0.5)
-        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
         with pytest.raises(ValidationError, match="different chain"):
             evaluate_family(other, 5.0, 0.3, "fsobolev", fsobolev=verdict)
 
@@ -514,7 +513,7 @@ class TestDonskerVaradhan:
             val = donsker_varadhan_info(
                 three_dense.q, three_dense.pi, probability_vector(w)
             )
-            assert val == pytest.approx(three_dense.q.exit_rates[x], abs=1e-12)
+            assert val == pytest.approx(-three_dense.q[x, x], abs=1e-12)
 
     def test_nonnegative_on_random_measures(self, three_cycle):
         rng = np.random.default_rng(10)
@@ -526,7 +525,7 @@ class TestDonskerVaradhan:
         rng = np.random.default_rng(12)
         for _ in range(100):
             w = rng.dirichlet(np.ones(3))
-            if np.max(np.abs(w - three_dense.pi.weights)) < 1e-3:
+            if np.max(np.abs(w - three_dense.pi)) < 1e-3:
                 continue
             val = donsker_varadhan_info(
                 three_dense.q, three_dense.pi, probability_vector(w)
@@ -619,7 +618,7 @@ class TestLowerTailAndTwoSided:
         # the upper-tail bounds of f also dominate the counts of a <= -u, so
         # the Monte Carlo test below would pass with f left unflipped
         m = request.getfixturevalue(chain)
-        neg = make_model(m.q.rates, -m.f.values, nu=m.nu.weights)
+        neg = make_model(m.q, -m.f, nu=m.nu)
         for fam in DEFAULT_FAMILIES:
             for u in (0.3, 0.8):
                 low = lower_cell(m, 20.0, u, fam)
@@ -650,7 +649,7 @@ class TestBoundTable:
     def test_upper_cells_equal_the_direct_evaluation(self, three_dense, family):
         # every horizon, not only the first that the table evaluates at
         verdict = FSobolevVerdict.assumed(three_dense, 0.5)
-        fmax = float(three_dense.f.values.max())
+        fmax = float(three_dense.f.max())
         grid = [0.0, 0.05, 0.4 * fmax, fmax, 1.5 * fmax]
         ts = [2.0, 0.5, 30.0]
         table = bound_table(three_dense, [family], grid, ts, fsobolev=verdict)
@@ -671,7 +670,7 @@ class TestBoundTable:
     def test_two_sided_rate_and_flags(self, three_dense):
         # the rate is the smaller one; a flag of either side carries over
         verdict = FSobolevVerdict.assumed(three_dense, 0.5)
-        fmax = float(three_dense.f.values.max())
+        fmax = float(three_dense.f.max())
         for fam, flag in (("fsobolev", "unverified"), ("general", "boundary")):
             table = bound_table(
                 three_dense, [fam], [0.3, fmax], 3.0, tails=TAILS, fsobolev=verdict
@@ -707,12 +706,12 @@ class TestAnalysisBelongsToItsModel:
         assert shared.prefactor == plain.prefactor
 
     def test_analysis_of_other_chain_rejected(self, two_state):
-        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
         with pytest.raises(ValidationError):
             evaluate_family(other, 20.0, 0.3, "general", analysis=analyze(two_state))
 
     def test_fsobolev_check_reads_an_analysis_of_its_chain(self, two_state, three_cycle):
-        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f.values)
+        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
         with pytest.raises(ValidationError):
             check_f_sobolev(other, 0.5, analysis=analyze(two_state))
         # 0.74 lies between the closed-form lower bound and gap/2: the search runs
@@ -749,7 +748,7 @@ class TestAnalysisKeepsItsNumbers:
         kept = self.table(three_dense)
         # one analysis a side: f for upper, -f for lower and two
         assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 2)
-        firsts = [float(args[1].values[0]) for args in calls["sigma_hat_sq"]]
+        firsts = [float(args[1][0]) for args in calls["sigma_hat_sq"]]
         assert firsts[0] == -firsts[1] != 0.0
         for name in self.NUMBERS:
             fresh = property(getattr(bounds.ModelAnalysis, name).func)
@@ -764,13 +763,13 @@ class TestAnalysisKeepsItsNumbers:
 
     def test_analysis_of_minus_f_has_its_own_sup(self, three_dense):
         a = analyze(three_dense)
-        assert a.fplus_sup == three_dense.f.pos_sup_norm
+        assert a.fplus_sup == float(np.max(three_dense.f))
         flipped = flip_observable(three_dense)
         b = bounds.ModelAnalysis(flipped, a.sd)
-        assert b.fplus_sup == flipped.f.pos_sup_norm != a.fplus_sup
+        assert b.fplus_sup == float(np.max(flipped.f)) != a.fplus_sup
 
     def test_a_read_that_raises_raises_again(self, two_state):
-        uncentered = replace(two_state, f=Observable(np.array([1.0, 1.0])))
+        uncentered = replace(two_state, f=np.array([1.0, 1.0]))
         a = bounds.ModelAnalysis(uncentered, analyze(two_state).sd)
         for _ in range(2):
             with pytest.raises(NotCenteredError):
@@ -784,7 +783,7 @@ def test_grid_gives_the_pointwise_bounds(three_dense, family):
     # call per threshold, whatever else is on the grid
     verdict = FSobolevVerdict.assumed(three_dense, 0.5)
     a = analyze(three_dense)
-    fmax = float(three_dense.f.values.max())
+    fmax = float(three_dense.f.max())
     grid = [0.0, 0.05, 0.4 * fmax, 0.95 * fmax, 1.5 * fmax, 0.05]
     points = evaluate_family(three_dense, 2.0, grid, family, analysis=a, fsobolev=verdict)
     assert points == [
@@ -889,7 +888,7 @@ class TestCurveAndDomination:
     def test_all_families_dominate_monte_carlo(self, two_state, three_cycle):
         for m in (two_state, three_cycle):
             a = analyze(m)
-            fmax = m.f.values.max()
+            fmax = m.f.max()
             verdict = check_f_sobolev(m, 0.2)
             for t in (1.0, 5.0):
                 avg = time_averages(m, t, 30000, seed=17)

@@ -32,16 +32,16 @@ class TestModelFile:
     def test_two_state_fixture(self, model_file):
         path = model_file(seed=2024)
         model = load_model(path)
-        np.testing.assert_allclose(model.pi.weights, [2 / 3, 1 / 3], atol=1e-14)
+        np.testing.assert_allclose(model.pi, [2 / 3, 1 / 3], atol=1e-14)
         assert model.reversible
 
     def test_nu_defaults_to_first_state(self, model_file):
         model = load_model(model_file())
-        np.testing.assert_array_equal(model.nu.weights, [1.0, 0.0])
+        np.testing.assert_array_equal(model.nu, [1.0, 0.0])
 
     def test_explicit_nu(self, model_file):
         model = load_model(model_file(nu=[0.25, 0.75]))
-        np.testing.assert_allclose(model.nu.weights, [0.25, 0.75])
+        np.testing.assert_allclose(model.nu, [0.25, 0.75])
 
     def test_negative_rate_parse_error_names_entry(self, model_file):
         path = model_file(q=[[-1.0, 1.0, 0.0], [2.0, -1.9, -0.1], [1.0, 0.0, -1.0]],
@@ -77,10 +77,10 @@ class TestModelFile:
         out = tmp_path / "resaved.json"
         save_model(mf, str(out))
         mf2 = read_model_file(str(out))
-        np.testing.assert_array_equal(mf.model.q.rates, mf2.model.q.rates)
-        np.testing.assert_array_equal(mf.model.f.values, mf2.model.f.values)
-        np.testing.assert_array_equal(mf.model.nu.weights, mf2.model.nu.weights)
-        np.testing.assert_array_equal(mf.model.pi.weights, mf2.model.pi.weights)
+        np.testing.assert_array_equal(mf.model.q, mf2.model.q)
+        np.testing.assert_array_equal(mf.model.f, mf2.model.f)
+        np.testing.assert_array_equal(mf.model.nu, mf2.model.nu)
+        np.testing.assert_array_equal(mf.model.pi, mf2.model.pi)
         assert mf.seed == mf2.seed
 
     def test_model_file_closed(self, model_file, recwarn):
@@ -115,8 +115,8 @@ class TestModelFile:
         )
         a = read_model_file(model_file(q=q, f=f, nu=nu, seed=7))
         b = read_model_file(str(toml))
-        for get in (lambda m: m.q.rates, lambda m: m.f.values,
-                    lambda m: m.nu.weights, lambda m: m.pi.weights):
+        for get in (lambda m: m.q, lambda m: m.f,
+                    lambda m: m.nu, lambda m: m.pi):
             np.testing.assert_array_equal(get(b.model), get(a.model))
         assert (b.labels, b.seed) == (a.labels, a.seed) == (["s0", "s1", "s2"], 7)
 
@@ -517,6 +517,40 @@ class TestCliSubcommands:
             ]
         ) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--t", "5", "--families", "all", "--fsobolev-c", "0.05"],
+            ["compare", "--t", "1,2", "--samples", "100"],
+        ],
+        ids=["bounds", "compare"],
+    )
+    def test_huge_threshold_gets_a_rate(self, model_file, tmp_path, argv):
+        # at u = 1e308 the sub-gamma closed form was inf / inf, a NaN rate
+        out = tmp_path / "out.csv"
+        grid = ["--u-grid", "0:1e308:3", "--no-timestamp", "--out", str(out)]
+        assert main([*argv, "--model", model_file(), *grid]) == 0
+        body = out.read_text()
+        assert "nan" not in body.lower()
+        assert len(body.splitlines()) > 3
+
+    def test_simulate_nan_threshold_refused_before_simulating(
+        self, model_file, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before the threshold was checked")
+
+        monkeypatch.setattr(cli, "time_averages", never)
+        out = tmp_path / "sim.csv"
+        assert main(
+            [
+                "simulate", "--model", model_file(), "--t", "200", "--u", "nan",
+                "--samples", "200000", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+        assert "threshold u must not be NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

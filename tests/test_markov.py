@@ -13,8 +13,6 @@ import mjpbounds
 from mjpbounds import (
     MJPModel,
     ModelFile,
-    Observable,
-    ProbDist,
     center_observable,
     check_detailed_balance,
     flip_observable,
@@ -25,6 +23,7 @@ from mjpbounds import (
     probability_vector,
     read_model_file,
     save_model,
+    stationary_model,
     transition_matrix,
     validate_q_matrix,
 )
@@ -36,15 +35,15 @@ from mjpbounds.errors import (
     ValidationError,
 )
 
-from conftest import THREE_CYCLE_Q, random_irreducible_model
+from conftest import THREE_CYCLE_Q, TWO_STATE_F, TWO_STATE_Q, random_irreducible_model
 from oracles import strongly_connected
 
 
 class TestValidateQMatrix:
     def test_valid_two_state(self):
         q = validate_q_matrix([[-1, 1], [2, -2]])
-        np.testing.assert_allclose(q.rates, [[-1, 1], [2, -2]])
-        np.testing.assert_allclose(q.exit_rates, [1, 2])
+        np.testing.assert_allclose(q, [[-1, 1], [2, -2]])
+        np.testing.assert_allclose(-np.diag(q), [1, 2])
 
     def test_row_sum_violation_names_row(self):
         with pytest.raises(RowSumViolationError) as err:
@@ -67,7 +66,7 @@ class TestValidateQMatrix:
 
     def test_absorbing_zero_row_accepted(self):
         q = validate_q_matrix([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, -3.0]])
-        np.testing.assert_array_equal(q.exit_rates, [1.0, 0.0, 3.0])
+        np.testing.assert_array_equal(-np.diag(q), [1.0, 0.0, 3.0])
 
     def test_zero_matrix_valid_but_reducible(self):
         q = validate_q_matrix([[0, 0], [0, 0]])
@@ -88,14 +87,14 @@ class TestValidateQMatrix:
 
     def test_negative_drift_within_its_row_scale_clamped(self):
         q = validate_q_matrix([[-1, 1 + 1e-14, -1e-14], [1, -2, 1], [0, 1, -1]])
-        np.testing.assert_array_equal(q.rates[0], [-(1 + 1e-14), 1 + 1e-14, 0.0])
+        np.testing.assert_array_equal(q[0], [-(1 + 1e-14), 1 + 1e-14, 0.0])
         # below -1e-12, but within 1e-12 of its row's rate of 1e8
         q = validate_q_matrix([[-1e8, 1e8, -1e-5], [1, -2, 1], [1, 1, -2]])
-        np.testing.assert_array_equal(q.rates[0], [-1e8, 1e8, 0.0])
+        np.testing.assert_array_equal(q[0], [-1e8, 1e8, 0.0])
 
     def test_all_zero_row_accepted_with_negative_drift_elsewhere(self):
         q = validate_q_matrix([[-1, 1 + 1e-14, -1e-14], [0, 0, 0], [1, 1, -2]])
-        np.testing.assert_array_equal(q.rates[1], 0.0)
+        np.testing.assert_array_equal(q[1], 0.0)
 
     def test_non_square_and_tiny(self):
         with pytest.raises(NonSquareError):
@@ -107,8 +106,8 @@ class TestValidateQMatrix:
         # rounding drift within tol is absorbed into the diagonal
         eps = 1e-14
         q = validate_q_matrix([[-1 - eps, 1], [2, -2 + eps]])
-        assert q.rates[0, 0] == -q.rates[0, 1]
-        assert q.rates[1, 1] == -q.rates[1, 0]
+        assert q[0, 0] == -q[0, 1]
+        assert q[1, 1] == -q[1, 0]
 
 
 class TestIrreducibility:
@@ -158,26 +157,26 @@ class TestInvariantDistribution:
     def test_two_state_hand_solution(self):
         # oracle: pi0*(-1) + pi1*2 = 0 and pi0 + pi1 = 1 give (2/3, 1/3)
         pi = invariant_distribution(validate_q_matrix([[-1, 1], [2, -2]]))
-        np.testing.assert_allclose(pi.weights, [2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(pi, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_symmetric_rates_give_uniform(self):
         q = validate_q_matrix([[-3, 1, 2], [1, -1.5, 0.5], [2, 0.5, -2.5]])
         pi = invariant_distribution(q)
-        np.testing.assert_allclose(pi.weights, np.full(3, 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(pi, np.full(3, 1 / 3), atol=1e-14)
 
     def test_cycle_uniform_with_direct_multiplication(self):
         q = validate_q_matrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
         pi = invariant_distribution(q)
-        np.testing.assert_allclose(pi.weights, np.full(3, 1 / 3), atol=1e-14)
-        assert np.max(np.abs(pi.weights @ q.rates)) <= 1e-12
+        np.testing.assert_allclose(pi, np.full(3, 1 / 3), atol=1e-14)
+        assert np.max(np.abs(pi @ q)) <= 1e-12
 
     def test_residual_small_on_random_models(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = random_irreducible_model(rng)
-            assert np.max(np.abs(m.pi.weights @ m.q.rates)) <= 1e-12
-            assert m.pi.weights.min() > 0
-            assert abs(m.pi.weights.sum() - 1) <= 1e-12
+            assert np.max(np.abs(m.pi @ m.q)) <= 1e-12
+            assert m.pi.min() > 0
+            assert abs(m.pi.sum() - 1) <= 1e-12
 
 
 class TestTransitionMatrix:
@@ -195,7 +194,7 @@ class TestTransitionMatrix:
     def test_long_time_convergence_to_pi(self, three_cycle):
         p = transition_matrix(three_cycle.q, 1000.0)
         for row in p:
-            np.testing.assert_allclose(row, three_cycle.pi.weights, atol=1e-9)
+            np.testing.assert_allclose(row, three_cycle.pi, atol=1e-9)
 
     def test_rows_sum_to_one(self, three_dense):
         for t in (0.1, 1.0, 7.5, 40.0):
@@ -204,7 +203,7 @@ class TestTransitionMatrix:
             assert p.min() >= 0.0
 
     def test_stationarity_of_pi(self, three_dense):
-        pi = three_dense.pi.weights
+        pi = three_dense.pi
         for t in (0.25, 1.0, 4.0, 16.0):
             p = transition_matrix(three_dense.q, t)
             np.testing.assert_allclose(pi @ p, pi, atol=1e-10)
@@ -213,8 +212,8 @@ class TestTransitionMatrix:
         h = 1e-6
         p = transition_matrix(three_dense.q, h)
         approx = (p - np.eye(3)) / h
-        scale = np.max(np.abs(three_dense.q.rates))
-        assert np.max(np.abs(approx - three_dense.q.rates)) <= 1e-4 * scale
+        scale = np.max(np.abs(three_dense.q))
+        assert np.max(np.abs(approx - three_dense.q)) <= 1e-4 * scale
 
     def test_chapman_kolmogorov(self, three_cycle):
         for s, t in ((0.3, 0.9), (1.0, 2.0), (0.05, 5.0)):
@@ -229,7 +228,7 @@ class TestTransitionMatrix:
         for t in (0.5, 3.0, 25.0):
             np.testing.assert_allclose(
                 transition_matrix(three_dense.q, t),
-                scipy_linalg.expm(t * three_dense.q.rates),
+                scipy_linalg.expm(t * three_dense.q),
                 atol=1e-12,
             )
 
@@ -274,21 +273,21 @@ class TestDetailedBalance:
 
 class TestCenterObservable:
     def test_constant_maps_to_zero(self, two_state):
-        f = center_observable(Observable(np.full(2, 3.7)), two_state.pi)
-        np.testing.assert_allclose(f.values, 0.0, atol=1e-14)
+        f = center_observable(np.full(2, 3.7), two_state.pi)
+        np.testing.assert_allclose(f, 0.0, atol=1e-14)
 
     def test_already_centered_unchanged(self, two_state):
-        f = center_observable(Observable(np.array([1.0, -2.0])), two_state.pi)
-        np.testing.assert_allclose(f.values, [1.0, -2.0], atol=1e-14)
+        f = center_observable(np.array([1.0, -2.0]), two_state.pi)
+        np.testing.assert_allclose(f, [1.0, -2.0], atol=1e-14)
 
     def test_shift_example(self, two_state):
-        f = center_observable(Observable(np.array([1.0, 0.0])), two_state.pi)
-        np.testing.assert_allclose(f.values, [1 / 3, -2 / 3], atol=1e-14)
+        f = center_observable(np.array([1.0, 0.0]), two_state.pi)
+        np.testing.assert_allclose(f, [1 / 3, -2 / 3], atol=1e-14)
 
     def test_idempotent(self, three_dense):
-        f1 = center_observable(Observable(np.array([5.0, -1.0, 2.0])), three_dense.pi)
+        f1 = center_observable(np.array([5.0, -1.0, 2.0]), three_dense.pi)
         f2 = center_observable(f1, three_dense.pi)
-        np.testing.assert_array_equal(f1.values, f2.values)
+        np.testing.assert_array_equal(f1, f2)
         assert abs(pi_expectation(three_dense.pi, f2)) <= 1e-14
 
     def test_random_models_are_fixed_points(self):
@@ -297,7 +296,7 @@ class TestCenterObservable:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             m = random_irreducible_model(rng)
-            np.testing.assert_array_equal(center_observable(m.f, m.pi).values, m.f.values)
+            np.testing.assert_array_equal(center_observable(m.f, m.pi), m.f)
 
     def test_birth_death_eight_is_a_fixed_point(self, tmp_path):
         # 8-state birth-death chain, up 1 and down 1.5, f = linspace(-1, 1, 8):
@@ -308,10 +307,10 @@ class TestCenterObservable:
             rates[x, x + 1], rates[x + 1, x] = 1.0, 1.5
         np.fill_diagonal(rates, -rates.sum(axis=1))
         m = make_model(rates, np.linspace(-1.0, 1.0, n))
-        np.testing.assert_array_equal(center_observable(m.f, m.pi).values, m.f.values)
+        np.testing.assert_array_equal(center_observable(m.f, m.pi), m.f)
         path = str(tmp_path / "bd8.json")
         save_model(ModelFile(m, [f"s{i}" for i in range(n)], None), path)
-        np.testing.assert_array_equal(read_model_file(path).model.f.values, m.f.values)
+        np.testing.assert_array_equal(read_model_file(path).model.f, m.f)
 
     def test_state_of_tiny_weight_loads(self):
         # pi_c = 6.7e-11: a pass that moves f_c by one ulp lowered |pi(f)| by
@@ -323,9 +322,9 @@ class TestCenterObservable:
             "from mjpbounds import center_observable, make_model\n"
             "q = [[-2, 2, 0], [1, -1.000000000001, 1e-12], [0, 0.01, -0.01]]\n"
             "m = make_model(q, [1, -2, -0.5])\n"
-            "again = center_observable(m.f, m.pi).values\n"
-            "assert again.tobytes() == m.f.values.tobytes()\n"
-            "print(m.pi.weights[2])\n"
+            "again = center_observable(m.f, m.pi)\n"
+            "assert again.tobytes() == m.f.tobytes()\n"
+            "print(m.pi[2])\n"
         )
         src = str(Path(mjpbounds.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -340,8 +339,8 @@ class TestCenterObservable:
     def test_subnormal_and_huge_observables_are_fixed_points(self, three_dense, scale):
         # 0.9 * |pi(f)| rounds back up to |pi(f)| for a mean of a few
         # subnormal ulps; the loop stops there too
-        f = center_observable(Observable(scale * np.array([5.0, -1.0, 2.0])), three_dense.pi)
-        np.testing.assert_array_equal(center_observable(f, three_dense.pi).values, f.values)
+        f = center_observable(scale * np.array([5.0, -1.0, 2.0]), three_dense.pi)
+        np.testing.assert_array_equal(center_observable(f, three_dense.pi), f)
 
 
 class TestProbabilityVector:
@@ -349,24 +348,40 @@ class TestProbabilityVector:
         with pytest.raises(ValidationError):
             probability_vector([0.5, 0.4])
 
-    def test_flags_positivity(self):
-        assert probability_vector([0.5, 0.5]).strictly_positive
-        assert not probability_vector([1.0, 0.0]).strictly_positive
-
-    def test_positivity_read_from_the_weights(self):
-        assert ProbDist(np.full(4, 0.25)).strictly_positive
-        assert not ProbDist(np.array([0.5, 0.5, 0.0])).strictly_positive
-
 
 class TestModelTypesHoldOnlyArrays:
     def test_derived_flags_are_not_constructor_fields(self, two_state):
-        with pytest.raises(TypeError):
-            ProbDist(np.full(2, 0.5), strictly_positive=True)
-        with pytest.raises(TypeError):
-            Observable(np.array([1.0, -1.0]), centered=True)
         m = two_state
         with pytest.raises(TypeError):
             MJPModel(q=m.q, pi=m.pi, f=m.f, nu=m.nu, reversible=False)
+
+    def test_model_arrays_are_read_only(self, two_state, model_file):
+        # reversible and every analysis keep numbers derived from the arrays
+        models = {
+            "make_model": two_state,
+            "read_model_file": read_model_file(model_file()).model,
+            "flip_observable": flip_observable(two_state),
+            "stationary_model": stationary_model(two_state),
+        }
+        for source, m in models.items():
+            for field in ("q", "pi", "f", "nu"):
+                a = getattr(m, field)
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+                assert a.dtype == np.float64, (source, field)
+
+    def test_model_shares_no_array_with_its_caller(self):
+        # this f is already centered, so centering returns its values as they are
+        rates, f, nu = np.array(TWO_STATE_Q), np.array(TWO_STATE_F), np.array([0.5, 0.5])
+        m = make_model(rates, f, nu)
+        for given_, kept in ((rates, m.q), (f, m.f), (nu, m.nu)):
+            assert given_.flags.writeable
+            assert not np.shares_memory(given_, kept)
+        f[0] = 5.0
+        assert m.f[0] == 1.0
+        g = np.array(TWO_STATE_F)
+        assert not np.shares_memory(center_observable(g, m.pi), g)
+        assert g.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,5 +400,5 @@ def test_birth_death_invariant_solves_balance(up, down):
     q = validate_q_matrix(rates)
     assert is_irreducible(q)
     pi = invariant_distribution(q)
-    assert np.max(np.abs(pi.weights @ q.rates)) <= 1e-12
+    assert np.max(np.abs(pi @ q)) <= 1e-12
     assert check_detailed_balance(q, pi, tol=1e-11)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from mjpbounds import simulate
 from mjpbounds import (
-    Observable,
     analyze,
     empirical_variance_rate,
     make_model,
@@ -21,7 +20,7 @@ from mjpbounds import (
     time_averages,
 )
 from mjpbounds.errors import ValidationError, ZeroHorizonError
-from mjpbounds.markov import MJPModel, ProbDist, QMatrix, probability_vector
+from mjpbounds.markov import MJPModel, probability_vector
 from mjpbounds.simulate import (
     _DRAW_SALT_I,
     _GAMMA_I,
@@ -332,7 +331,7 @@ class TestSampleTrajectory:
                 )
         for x, holds in by_state.items():
             holds = np.array(holds)
-            target = 1.0 / three_dense.q.exit_rates[x]
+            target = 1.0 / -three_dense.q[x, x]
             se = holds.std(ddof=1) / math.sqrt(holds.size)
             assert abs(holds.mean() - target) <= 3.5 * se
 
@@ -347,7 +346,7 @@ class TestSampleTrajectory:
             for y in range(3):
                 if x == y:
                     continue
-                p = three_dense.q.rates[x, y] / three_dense.q.exit_rates[x]
+                p = three_dense.q[x, y] / -three_dense.q[x, x]
                 se = math.sqrt(p * (1 - p) / total)
                 assert abs(counts[x, y] / total - p) <= 4.0 * se
 
@@ -368,9 +367,8 @@ class TestInitialState:
         # a one-way ring of the states of nu (one absorbing state if n = 1)
         nu = np.array(weights) / math.fsum(weights)
         n = nu.size
-        ring = QMatrix(np.roll(np.eye(n), 1, axis=1) - np.eye(n))
-        uniform = ProbDist(np.full(n, 1.0 / n))
-        model = MJPModel(ring, uniform, Observable(np.zeros(n)), ProbDist(nu))
+        ring = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+        model = MJPModel(ring, np.full(n, 1.0 / n), np.zeros(n), nu)
         tables = _Tables.of(model)
         slot = _next_slots(tables, tables.start, np.array([U_MAX, 1.0]))
         assert np.all(nu[_jump_tables(model)[0].ravel()[slot]] > 0.0)
@@ -387,30 +385,30 @@ class TestInitialState:
         traj = sample_trajectory(model, 1e-9, CounterStream(seed))
         assert traj.states.tolist() == [9]
         avg = time_averages(model, 1e-9, 1, seed)[0]
-        assert avg == pytest.approx(model.f.values[9], abs=1e-12)
+        assert avg == pytest.approx(model.f[9], abs=1e-12)
 
 
 class TestTimeAverage:
     def test_constant_observable(self, two_state):
         traj = sample_trajectory(two_state, 3.0, CounterStream(2, 0))
-        f = Observable(np.full(2, 2.5))
+        f = np.full(2, 2.5)
         assert time_average(traj, f) == pytest.approx(2.5, abs=1e-12)
 
     def test_single_segment(self):
         traj = Trajectory(np.array([0.0]), np.array([1]), 4.0)
-        f = Observable(np.array([3.0, -7.0]))
+        f = np.array([3.0, -7.0])
         assert time_average(traj, f) == -7.0
 
     def test_two_segments_arithmetic(self):
         t = 6.0
         traj = Trajectory(np.array([0.0, t / 2]), np.array([0, 1]), t)
-        f = Observable(np.array([1.0, -2.0]))
+        f = np.array([1.0, -2.0])
         assert time_average(traj, f) == pytest.approx(-0.5)
 
     def test_zero_horizon_rejected(self):
         traj = Trajectory(np.array([0.0]), np.array([0]), 0.0)
         with pytest.raises(ZeroHorizonError):
-            time_average(traj, Observable(np.array([1.0, 2.0])))
+            time_average(traj, np.array([1.0, 2.0]))
 
     def test_matches_vectorized_engine(self, three_cycle, wide_sparse, spread_nu):
         # same draw sequence; segment sums may differ by accumulation order
@@ -457,9 +455,9 @@ class TestJumpTables:
         self.assert_match_loop(_model_with_first_row(rates0))
 
     def test_absorbing_state_matches_loop(self, three_dense):
-        rates = three_dense.q.rates.copy()
+        rates = three_dense.q.copy()
         rates[1] = 0.0
-        absorbing = dataclasses.replace(three_dense, q=QMatrix(rates))
+        absorbing = dataclasses.replace(three_dense, q=rates)
         self.assert_match_loop(absorbing)
         targets, cum, _, _ = _jump_tables(absorbing)
         np.testing.assert_array_equal(cum[1], 1.0)
@@ -482,7 +480,7 @@ class TestJumpTables:
         targets, cum, _, _ = _jump_tables(spread_nu)
         assert targets.shape == (8, 6)  # state 0 jumps to all six others
         assert targets[7].tolist() == [0, 2, 3, 4, 5, 0]
-        nu = spread_nu.nu.weights
+        nu = spread_nu.nu
         np.testing.assert_array_equal(cum[7, :4], np.cumsum(nu[[0, 2, 3, 4]]))
         np.testing.assert_array_equal(cum[7, 4:], 1.0)
 
@@ -493,7 +491,7 @@ class TestJumpTables:
         four = random_irreducible_model(np.random.default_rng(4), n=4)
         assert _jump_tables(four)[3] == 1 <= simulate._FIXED_STEPS
         targets, _, _, steps = _jump_tables(wide_sparse)
-        degree = (wide_sparse.q.rates > 0.0).sum(axis=1)
+        degree = (wide_sparse.q > 0.0).sum(axis=1)
         assert targets.shape[1] == degree.max()
         assert steps == 4 > simulate._FIXED_STEPS
 
@@ -539,7 +537,7 @@ class TestJumpTargets:
                 picked = _next_slots(tables, base, u)
             np.testing.assert_array_equal(picked, row * targets.shape[1] + linear)
         # never a zero-rate target, nor a start of zero weight
-        weights = np.vstack([model.q.rates, model.nu.weights])
+        weights = np.vstack([model.q, model.nu])
         assert np.all(weights[row, targets.ravel()[picked]] > 0.0)
 
     @staticmethod
@@ -548,7 +546,7 @@ class TestJumpTargets:
         n_buckets = guide.shape[1] - 1
         u = _adversarial_uniforms(cum, n_buckets)
         # row n of the tables draws the initial state from nu
-        weights = np.vstack([model.q.rates, model.nu.weights])
+        weights = np.vstack([model.q, model.nu])
         for x in range(model.n + 1):
             start = guide[x, (u * n_buckets).astype(np.int64)] - x * targets.shape[1]
             answer = (u[:, None] > cum[x]).sum(axis=1)
@@ -712,7 +710,6 @@ class TestMemory:
 class TestErgodicity:
     def test_occupation_fraction_long_run(self, two_state):
         # fraction of time in state 0 estimates pi_0 = 2/3
-        occupancy = Observable(np.array([1.0, 0.0]))
         m = make_model([[-1, 1], [2, -2]], [1.0, 0.0])
         # centered f is (1/3, -2/3); add back the mean to read the fraction
         avg = time_averages(m, 10000.0, 400, seed=31)

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mjpbounds import (
-    Observable,
-    ProbDist,
     SpectralData,
     adjoint_generator,
     analyze,
@@ -40,11 +38,11 @@ from conftest import THREE_CYCLE_F, THREE_CYCLE_Q, random_irreducible_model
 class TestAdjointGenerator:
     def test_selfadjoint_under_detailed_balance(self, two_state):
         adj = adjoint_generator(two_state.q, two_state.pi)
-        np.testing.assert_allclose(adj, two_state.q.rates, atol=1e-12)
+        np.testing.assert_allclose(adj, two_state.q, atol=1e-12)
 
     def test_uniform_pi_gives_transpose(self, three_cycle):
         adj = adjoint_generator(three_cycle.q, three_cycle.pi)
-        np.testing.assert_allclose(adj, three_cycle.q.rates.T, atol=1e-12)
+        np.testing.assert_allclose(adj, three_cycle.q.T, atol=1e-12)
 
     def test_adjoint_row_sums_vanish(self):
         rng = np.random.default_rng(3)
@@ -59,7 +57,7 @@ class TestAdjointGenerator:
         adj = adjoint_generator(three_dense.q, three_dense.pi)
         for _ in range(5):
             g, h = rng.standard_normal((2, 3))
-            lhs = pi_inner(three_dense.pi, three_dense.q.rates @ g, h)
+            lhs = pi_inner(three_dense.pi, three_dense.q @ g, h)
             rhs = pi_inner(three_dense.pi, g, adj @ h)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -70,12 +68,12 @@ class TestPiInner:
         assert pi_inner(two_state.pi, ones, ones) == pytest.approx(1.0)
 
     def test_centered_observable_orthogonal_to_constants(self, two_state):
-        assert pi_inner(two_state.pi, two_state.f.values, np.ones(2)) == pytest.approx(
+        assert pi_inner(two_state.pi, two_state.f, np.ones(2)) == pytest.approx(
             0.0, abs=1e-14
         )
 
     def test_hand_value(self, two_state):
-        f = two_state.f.values
+        f = two_state.f
         assert pi_inner(two_state.pi, f, f) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -88,7 +86,7 @@ class TestSpectralContract:
         sd = spectral_decomposition(m.q, m.pi)
         vals, vecs = sd.eigenvalues, sd.eigvecs
         assert np.all(np.diff(vals) <= 0.0)
-        gram = vecs.T @ (vecs * m.pi.weights[:, None])
+        gram = vecs.T @ (vecs * m.pi[:, None])
         np.testing.assert_allclose(gram, np.eye(m.n), atol=1e-12)
         sym = symmetrized_generator(m.q, m.pi)
         np.testing.assert_allclose(sym @ vecs, vecs * vals, atol=1e-10)
@@ -122,7 +120,7 @@ class TestSpectralDecomposition:
     def test_symmetric_rates_match_plain_eigenvalues(self):
         m = make_model([[-3, 1, 2], [1, -1.5, 0.5], [2, 0.5, -2.5]], [1, 0, -1])
         sd = spectral_decomposition(m.q, m.pi)
-        ref = np.sort(np.linalg.eigvalsh(m.q.rates))[::-1]
+        ref = np.sort(np.linalg.eigvalsh(m.q))[::-1]
         np.testing.assert_allclose(sd.eigenvalues, ref, atol=1e-11)
 
     def test_pi_orthonormal_columns(self):
@@ -151,7 +149,7 @@ class TestSpectralDecomposition:
         q = validate_q_matrix(
             [[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -2, 2], [0, 0, 2, -2]]
         )
-        pi = ProbDist(np.array([0.25, 0.25, 0.25, 0.25]))
+        pi = np.array([0.25, 0.25, 0.25, 0.25])
         with pytest.raises(DegenerateGapError):
             spectral_decomposition(q, pi)
 
@@ -214,7 +212,7 @@ def test_spectrum_gives_the_two_norm_and_the_complement_basis_is_orthonormal(n, 
     m = random_irreducible_model(np.random.default_rng(seed), n)
     sd = spectral_decomposition(m.q, m.pi)
     assert -sd.eigenvalues[-1] == pytest.approx(np.linalg.norm(sd.sym_coords, 2), rel=1e-12)
-    sqrt_pi = np.sqrt(m.pi.weights)
+    sqrt_pi = np.sqrt(m.pi)
     basis = _complement_basis(sqrt_pi)
     assert basis.shape == (n, n - 1)
     np.testing.assert_allclose(basis.T @ basis, np.eye(n - 1), rtol=0, atol=1e-14)
@@ -245,7 +243,7 @@ class TestReducedResolvent:
             m = random_irreducible_model(rng)
             sd = spectral_decomposition(m.q, m.pi)
             # pi-weighted norm via the similarity transform
-            sq = np.sqrt(m.pi.weights)
+            sq = np.sqrt(m.pi)
             s_coords = (sd.resolvent * sq[:, None]) / sq[None, :]
             norm = np.linalg.norm(s_coords, 2)
             assert norm == pytest.approx(1.0 / sd.gap, rel=1e-10)
@@ -279,7 +277,7 @@ class TestResolventPower:
 class TestSigmaHat:
     def test_zero_observable(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
-        f0 = Observable(np.zeros(2))
+        f0 = np.zeros(2)
         assert sigma_hat_sq(sd, f0) == 0.0
 
     def test_two_state_hand_value(self, two_state):
@@ -292,7 +290,7 @@ class TestSigmaHat:
     def test_not_centered_rejected(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
         with pytest.raises(NotCenteredError):
-            sigma_hat_sq(sd, Observable(np.array([1.0, 1.0])))
+            sigma_hat_sq(sd, np.array([1.0, 1.0]))
 
     def test_large_centered_observable_accepted(self):
         rng = np.random.default_rng(1)
@@ -310,12 +308,12 @@ class TestSigmaHat:
     def test_overflowing_second_moment_raises(self, three_dense):
         # f = +-1e300 is finite and centered, but f^2 overflows, which would
         # give a NaN asymptotic variance and an infinite pi-variance
-        m = make_model(three_dense.q.rates, [1e300, -1e300, 0.0])
+        m = make_model(three_dense.q, [1e300, -1e300, 0.0])
         sd = spectral_decomposition(m.q, m.pi)
         with pytest.raises(NumericalError, match="overflows"):
             sigma_hat_sq(sd, m.f)
         with pytest.raises(NumericalError, match="overflows"):
-            pi_variance(m.pi, m.f.values)
+            pi_variance(m.pi, m.f)
 
     def test_dominated_by_poincare_variance(self):
         rng = np.random.default_rng(37)
@@ -323,7 +321,7 @@ class TestSigmaHat:
             m = random_irreducible_model(rng)
             sd = spectral_decomposition(m.q, m.pi)
             s2 = sigma_hat_sq(sd, m.f)
-            bound = 2.0 * pi_variance(m.pi, m.f.values) / sd.gap
+            bound = 2.0 * pi_variance(m.pi, m.f) / sd.gap
             assert s2 <= bound + 1e-12
 
 
@@ -360,7 +358,7 @@ class TestQuadraticFormInvariants:
 
     def test_detailed_balance_spectrum_matches_generator(self, two_state):
         sd = spectral_decomposition(two_state.q, two_state.pi)
-        ref = np.sort(np.linalg.eigvals(two_state.q.rates).real)[::-1]
+        ref = np.sort(np.linalg.eigvals(two_state.q).real)[::-1]
         np.testing.assert_allclose(sd.eigenvalues, ref, atol=1e-11)
 
     def test_symmetrized_generator_is_its_own_adjoint(self, three_dense):
@@ -373,7 +371,7 @@ class TestQuadraticFormInvariants:
 
 def test_center_then_sigma_consistency(three_cycle):
     sd = spectral_decomposition(three_cycle.q, three_cycle.pi)
-    f = center_observable(Observable(np.array([2.0, -1.0, 0.5])), three_cycle.pi)
+    f = center_observable(np.array([2.0, -1.0, 0.5]), three_cycle.pi)
     s2 = sigma_hat_sq(sd, f)
     assert s2 > 0
 

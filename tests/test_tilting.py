@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from mjpbounds import (
     BernsteinParams,
-    Observable,
     analyze,
     bernstein_conjugate,
     chi2_prefactor,
@@ -51,7 +51,7 @@ class TestLambda0:
     def test_scale_invariance(self, three_cycle):
         a = analyze(three_cycle)
         s = 2.5
-        scaled = Observable(s * three_cycle.f.values)
+        scaled = s * three_cycle.f
         for r in (0.05, 0.3, 1.1):
             lhs = lambda0(a.sd, scaled, r)
             rhs = lambda0(a.sd, three_cycle.f, s * r)
@@ -102,12 +102,18 @@ class TestChi2Prefactor:
 
     def test_point_mass(self, two_state):
         delta0 = probability_vector([1.0, 0.0])
-        expected = 1.0 / math.sqrt(two_state.pi.weights[0])
+        expected = 1.0 / math.sqrt(two_state.pi[0])
         assert chi2_prefactor(delta0, two_state.pi) == pytest.approx(expected)
+
+    def test_reference_with_a_zero_weight_refused(self):
+        nu = probability_vector([0.5, 0.5, 0.0])
+        with pytest.raises(ValidationError, match="strictly positive"):
+            chi2_prefactor(nu, probability_vector([0.5, 0.5, 0.0]))
+        assert chi2_prefactor(nu, probability_vector(np.full(3, 1 / 3))) > 1.0
 
     def test_vertex_maximum(self, three_dense):
         pi = three_dense.pi
-        worst = 1.0 / math.sqrt(pi.weights.min())
+        worst = 1.0 / math.sqrt(pi.min())
         vertex_values = []
         for x in range(3):
             w = np.zeros(3)
@@ -190,6 +196,46 @@ class TestBernsteinConjugate:
                         bernstein_conjugate_vform(bp, u), abs=1e-12
                     )
 
+    # the two-state chain's perturbation, poincare and bernstein_general
+    # parameters, the Gaussian limit, and two far from 1 in v / c
+    PARAMS = [
+        BernsteinParams(4 / 3, 4 / 3),
+        BernsteinParams(4 / 3, 2 / 3),
+        BernsteinParams(4 / 3, 1 / 3),
+        BernsteinParams(1.0, 0.0),
+        BernsteinParams(1e-6, 1e3),
+        BernsteinParams(1e6, 1e-3),
+    ]
+
+    @staticmethod
+    def reference(bp, u):
+        """The closed form in 60-digit decimals, which do not overflow."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            u, v, c = (decimal.Decimal(x) for x in (u, bp.v, bp.c))
+            return float(2 * u * u / (v * (1 + (1 + 2 * u * c / v).sqrt()) ** 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(PARAMS),
+        st.floats(0.0, 1.79e308),
+        st.floats(0.0, 1.79e308),
+    )
+    def test_every_finite_threshold_has_a_rate_that_grows(self, bp, u, w):
+        # u = 1e308 once gave inf / inf = nan
+        lo, hi = sorted((u, w))
+        a, b = bernstein_conjugate(bp, lo), bernstein_conjugate(bp, hi)
+        assert a >= 0.0 and b >= 0.0  # NaN fails
+        assert a == pytest.approx(self.reference(bp, lo), rel=1e-14)
+        # adjacent thresholds may round either way; these differ by more
+        if hi > lo * (1.0 + 1e-12):
+            assert a <= b
+        # where the closed form does not overflow, its bits are the value
+        root = math.sqrt(1.0 + 2.0 * lo * bp.c / bp.v)
+        plain = 2.0 * lo * lo / (bp.v * (1.0 + root) ** 2)
+        if math.isfinite(plain):
+            assert a.hex() == plain.hex()
+
 
 class TestLambda0Star:
     def test_zero_threshold(self, two_state):
@@ -213,7 +259,7 @@ class TestLambda0Star:
 
     def test_monotone_on_upper_range(self, three_cycle):
         a = analyze(three_cycle)
-        fmax = three_cycle.f.values.max()
+        fmax = three_cycle.f.max()
         us = np.linspace(0.0, 0.98 * fmax, 15)
         vals = [lambda0_star(a.sd, three_cycle.f, u).value for u in us]
         assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
@@ -242,7 +288,7 @@ class TestLambda0Star:
         # pi = (2/3, 1/3) gives this f the mean 1/3
         sd = analyze(two_state).sd
         with pytest.raises(NotCenteredError):
-            lambda0_star(sd, Observable(np.array([1.0, -1.0])), 0.3)
+            lambda0_star(sd, np.array([1.0, -1.0]), 0.3)
 
     @pytest.mark.parametrize("u", [-0.1, math.nan])
     def test_negative_or_nan_threshold_rejected(self, two_state, u):
@@ -266,13 +312,13 @@ class TestBatchedConjugate:
     def test_matches_golden_section_oracle(self, n, seed, fractions):
         model = random_irreducible_model(np.random.default_rng(seed), n)
         sd, f = analyze(model).sd, model.f
-        cap = R_CAP_FACTOR * (1.0 + 1.0 / f.sup_norm)
-        grid = np.array(fractions) * f.values.max()
+        cap = R_CAP_FACTOR * (1.0 + 1.0 / np.max(np.abs(f)))
+        grid = np.array(fractions) * f.max()
         for res in lambda0_star(sd, f, grid):
             oracle = fenchel_conjugate(lambda r: lambda0(sd, f, r), res.u, r_max=cap)
             # r u and lambda0(r) cancel in the rate, so rounding is relative
             # to the size of the tilted matrix, ||B + r diag f||_2
-            norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f.values)))
+            norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f)))
             scale = max(abs(oracle.value), float(norm.max()))
             assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=1e-12 * scale)
             assert res.value >= oracle.value - 1e-12 * scale
@@ -280,7 +326,7 @@ class TestBatchedConjugate:
 
     def test_grid_entry_is_the_scalar_result_bit_for_bit(self, three_dense):
         sd, f = analyze(three_dense).sd, three_dense.f
-        fmax = float(f.values.max())
+        fmax = float(f.max())
         grid = [0.3, 0.0, fmax, 1e-3, 0.3, 2.0 * fmax, 0.9 * fmax, 0.5]
         results = lambda0_star(sd, f, grid)
         assert results == [lambda0_star(sd, f, u) for u in grid]
@@ -296,7 +342,7 @@ class TestBatchedConjugate:
         h = 1e-5
         for model in (three_cycle, three_dense):
             sd, f = analyze(model).sd, model.f
-            grid = np.linspace(0.05, 0.9, 6) * f.values.max()
+            grid = np.linspace(0.05, 0.9, 6) * f.max()
             for res in lambda0_star(sd, f, grid):
                 r = res.argmax_r
                 slope = (lambda0(sd, f, r + h) - lambda0(sd, f, r - h)) / (2.0 * h)
@@ -309,19 +355,19 @@ class TestBatchedConjugate:
         for model in (three_cycle, three_dense):
             sd, f = analyze(model).sd, model.f
             r = np.array([0.1, 0.7, 2.0])
-            top, slope, curvature, _ = _tilted_eigh(sd, f.values, r)
+            top, slope, curvature, _ = _tilted_eigh(sd, f, r)
             lam = [lambda0(sd, f, x) for x in r]
             np.testing.assert_allclose(top, lam, rtol=0.0, atol=1e-13)
             fd_slope = [(lambda0(sd, f, x + h) - lambda0(sd, f, x - h)) / (2 * h) for x in r]
             np.testing.assert_allclose(slope, fd_slope, rtol=0.0, atol=1e-9)
-            up, down = (_tilted_eigh(sd, f.values, r + s)[1] for s in (h, -h))
+            up, down = (_tilted_eigh(sd, f, r + s)[1] for s in (h, -h))
             fd_curv = (up - down) / (2 * h)
             np.testing.assert_allclose(curvature, fd_curv, rtol=1e-7)
 
     def test_weyl_slack_is_the_eigensolver_bound_at_the_argmax(self, three_dense):
         sd, f = analyze(three_dense).sd, three_dense.f
         res = lambda0_star(sd, f, 0.4)
-        norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f.values)))
+        norm = np.abs(np.linalg.eigvalsh(sd.sym_coords + res.argmax_r * np.diag(f)))
         expected = 8.0 * 3 * np.finfo(float).eps * norm.max()
         assert res.weyl_slack == pytest.approx(expected, rel=1e-12)
         assert lambda0_star(sd, f, 0.0).weyl_slack == 0.0
@@ -339,10 +385,10 @@ class TestVariationalOracle:
         # at u = max f the slice is the point mass on the argmax state, whose
         # information is that state's exit rate
         rep = verify_info_representation(two_state, 1.0)
-        x_star = int(np.argmax(two_state.f.values))
+        x_star = int(np.argmax(two_state.f))
         np.testing.assert_allclose(rep.argmin_beta, np.eye(2)[x_star], atol=1e-12)
         assert rep.info_infimum == pytest.approx(
-            two_state.q.exit_rates[x_star], abs=1e-10
+            -two_state.q[x_star, x_star], abs=1e-10
         )
 
 
@@ -357,7 +403,7 @@ class TestCramerStatic:
 
     def test_two_point_grid_oracle(self):
         pi = probability_vector([0.5, 0.5])
-        f = Observable(np.array([1.0, -1.0]))
+        f = np.array([1.0, -1.0])
         u = 0.5
         val = cramer_transform_static(pi, f, u)
         rs = np.arange(0.0, 5.0, 1e-5)
