@@ -29,9 +29,10 @@ import numpy as np
 
 from . import bounds as bnd
 from . import combinatorics as comb
+from . import simulate
 from .errors import NumericalError, ValidationError
 from .modelio import read_model_file
-from .simulate import tail_estimate, time_averages
+from .simulate import TailEstimate, check_samples, time_averages
 from .tilting import lambda0, lambda0_star
 
 # every family but fsobolev, which needs --fsobolev-c
@@ -171,12 +172,30 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _tail_hits(model, horizons, u_grid, n_samples, seed) -> np.ndarray:
+    """Hits of each (horizon, threshold) cell: ``out[i, j]`` counts the
+    samples whose time average at ``horizons[i]`` is at least ``u_grid[j]``.
+
+    ``time_averages`` runs once per ``simulate._BLOCK`` samples, so the
+    calls make exactly its own blocks, and only one block of averages is
+    held at a time.  A sample count the simulator refuses is refused first."""
+    check_samples(n_samples)
+    hits = np.zeros((len(horizons), len(u_grid)), dtype=np.int64)
+    block = simulate._BLOCK
+    for start in range(0, n_samples, block):
+        rows = time_averages(model, horizons, min(block, n_samples - start), seed, start=start)
+        for counts, row in zip(hits, rows):
+            for j, u in enumerate(u_grid):
+                counts[j] += np.count_nonzero(row >= u)
+    return hits
+
+
 def cmd_simulate(args) -> int:
     mf, seed = _load(args)
     if math.isnan(args.u):  # refused before any path is simulated
         raise ValidationError("threshold u must not be NaN")
-    averages = time_averages(mf.model, args.t, args.samples, seed)
-    est = tail_estimate(averages, args.u, args.t)
+    hits = _tail_hits(mf.model, [args.t], [args.u], args.samples, seed)
+    est = TailEstimate.of(args.u, args.t, args.samples, int(hits[0, 0]))
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
     _write_csv(args.out, args.no_timestamp, "u,t,n,hits,p_hat,ci_lo,ci_hi", [row])
     return 0
@@ -278,8 +297,7 @@ class RunConfig:
         # a repeated u or t would write its cells twice
         if any(a >= b for a, b in zip(self.u_grid, self.u_grid[1:])):
             raise ValidationError("u grid must be strictly ascending, without repeats")
-        if self.samples < 1:
-            raise ValidationError("sample count must be >= 1")
+        check_samples(self.samples)
         if not self.t_values:
             raise ValidationError("time list is empty")
         for t in self.t_values:
@@ -300,12 +318,13 @@ def _compare_header(families):
 def run_compare(config: RunConfig) -> dict:
     """End-to-end comparison: empirical tails against every requested bound.
 
-    Every path is simulated once, to the largest horizon, and one
-    ``bound_table`` holds every family's bound at every (u, t) cell.  All
-    of it happens before the outputs open, and the CSV and the summary are
-    written both or neither, so a refused or failed run writes no file.  The
-    CSV holds one row per (u, t) cell, in the order of ``t_values``, and the
-    summary's ``domination_failures`` cover every row.
+    Every path is simulated once, to the largest horizon, and only each
+    (u, t) cell's hit count is kept (``_tail_hits``); one ``bound_table``
+    holds every family's bound at every cell.  All of it happens before the
+    outputs open, and the CSV and the summary are written both or neither,
+    so a refused or failed run writes no file.  The CSV holds one row per
+    (u, t) cell, in the order of ``t_values``, and the summary's
+    ``domination_failures`` cover every row.
     Returns the JSON-ready summary.
     """
     config.validate()
@@ -322,12 +341,12 @@ def run_compare(config: RunConfig) -> dict:
     )
     header = _compare_header(families)
     horizons = sorted(config.t_values)
-    sims = time_averages(model, horizons, config.samples, seed)
-    averages = dict(zip(horizons, sims))
+    hits = _tail_hits(model, horizons, config.u_grid, config.samples, seed)
+    row_of = {t: i for i, t in enumerate(horizons)}
 
     rows, failures = [], []
-    for t, u in itertools.product(config.t_values, config.u_grid):
-        est = tail_estimate(averages[t], u, t)
+    for t, (j, u) in itertools.product(config.t_values, enumerate(config.u_grid)):
+        est = TailEstimate.of(u, t, config.samples, int(hits[row_of[t], j]))
         row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
         for fam in families:
             p = table[fam, "upper", u, t]

@@ -19,6 +19,13 @@ indices in a ``(2, 1)`` cell and passes a ``(2, live)`` view of it, of stride
 0 along the paths: each call names both draws of every live path, at no cost
 per path, and the keys it is given are never written.
 
+``time_averages(..., start=s)`` simulates samples s to s + n - 1, each bit
+for bit the sample of that id in any run that holds it.  So a second call
+extends a first, and a caller that needs only counts, as the ``compare`` and
+``simulate`` commands do, takes a run one ``_BLOCK`` at a time and holds one
+block of averages.  The 64-bit counter names samples 0 to 2**64 - 1; a range
+past that is refused before any path is simulated.
+
 The live paths of a block fill the first places of its per-path arrays, and
 each path carries the value of the next horizon it will reach, so a sweep
 finds the crossings by one comparison per path.  A path that passes the last
@@ -125,6 +132,9 @@ def counter_uniforms(keys, draw_indices) -> np.ndarray:
     return np.minimum(u, _U_MAX, out=u)
 
 
+_Z95 = 1.959963984540054
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     """Empirical estimate of P(A_t / t >= u) with a 95% confidence interval."""
@@ -135,6 +145,24 @@ class TailEstimate:
     hits: int
     p_hat: float
     ci_half_width: float
+
+    @classmethod
+    def of(cls, u: float, t: float, n: int, hits: int) -> TailEstimate:
+        """The estimate from ``hits`` of ``n`` samples at or above ``u``."""
+        if math.isnan(u):
+            raise ValidationError("threshold u must not be NaN")
+        p_hat = hits / n
+        if hits in (0, n):
+            # Wilson half width stays informative where the normal CI collapses
+            z2 = _Z95**2
+            half = (
+                _Z95
+                / (1.0 + z2 / n)
+                * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n**2))
+            )
+        else:
+            half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n)
+        return cls(u=u, t=t, n_samples=n, hits=hits, p_hat=p_hat, ci_half_width=half)
 
     @property
     def ci_lo(self) -> float:
@@ -281,8 +309,9 @@ def _next_slots(tables: _Tables, base, u):
 def _time_average_block(horizons, seed, start, count, tables, out):
     """Time averages A_h/h of samples start..start+count-1 at every horizon h.
 
-    ``horizons`` is strictly ascending; row k of ``out`` receives the averages
-    at ``horizons[k]``.  Each path starts at the slot that draw 0 picks from
+    ``horizons`` is strictly ascending; row k of ``out``, of ``count``
+    columns, receives the averages at ``horizons[k]``, sample start + i in
+    column i.  Each path starts at the slot that draw 0 picks from
     row n, runs once, to the last horizon, and holds its state as its slot
     and the value of its next horizon.  When it first reaches a horizon h
     inside a holding interval it records ``acc + f(state) * (h - tau)``, the
@@ -315,7 +344,7 @@ def _time_average_block(horizons, seed, start, count, tables, out):
     u = counter_uniforms(keys, draws)
     slot = _next_slots(tables, tables.start, u[0])
 
-    ids = np.arange(start, start + count)
+    ids = np.arange(count)
     tau = np.zeros(count)
     acc = np.zeros(count)
     ahead = np.full(count, horizons[0])  # the next horizon to reach
@@ -370,14 +399,29 @@ def _time_average_block(horizons, seed, start, count, tables, out):
         slot = _next_slots(tables, slot, u[0])
 
 
-def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
+def check_samples(n_samples: int, start: int = 0):
+    """Refuse a sample range ``start .. start+n_samples-1`` that is empty or
+    that the 64-bit sample counter cannot name."""
+    if n_samples < 1:
+        raise ValidationError(f"need at least one sample, got {n_samples}")
+    if start < 0:
+        raise ValidationError(f"first sample must be >= 0, got {start}")
+    if start + n_samples > 2**64:
+        raise ValidationError(
+            f"{n_samples} samples from sample {start} are too many: "
+            "sample ids end at 2**64 - 1"
+        )
+
+
+def time_averages(model: MJPModel, t, n_samples: int, seed: int, start: int = 0) -> np.ndarray:
     """Per-sample time averages A_t/t, simulated in blocks of ``_BLOCK`` paths.
 
     ``t`` is one horizon, giving one value per sample, or a strictly
     ascending sequence of horizons, giving one row per horizon.  All
     horizons share one pass per path, and each row equals the one-horizon
     result bit for bit, since a path's draws depend only on (seed, sample,
-    draw counter).
+    draw counter).  The samples are ``start`` to ``start + n_samples - 1``:
+    column i is sample ``start + i``, bit for bit as in any run that holds it.
     """
     hs = np.atleast_1d(np.asarray(t, dtype=float))
     for h in hs.ravel().tolist():
@@ -387,8 +431,7 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
             raise ZeroHorizonError()
     if hs.ndim != 1 or hs.size == 0 or np.any(np.diff(hs) <= 0):
         raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
-    if n_samples < 1:
-        raise ValidationError(f"need at least one sample, got {n_samples}")
+    check_samples(n_samples, start)
     tables = _Tables.of(model)
     try:
         out = np.empty((hs.size, n_samples))
@@ -398,37 +441,20 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int) -> np.ndarray:
     # overflows to inf, which passes every horizon, and inf * f(x) is nan
     # where f(x) = 0, in the sum of a path that is done and never read again
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_samples, _BLOCK):
-            count = min(_BLOCK, n_samples - start)
-            _time_average_block(hs, seed, start, count, tables, out)
+        for first in range(0, n_samples, _BLOCK):
+            count = min(_BLOCK, n_samples - first)
+            cols = out[:, first : first + count]
+            _time_average_block(hs, seed, start + first, count, tables, cols)
     return out[0] if np.ndim(t) == 0 else out
-
-
-_Z95 = 1.959963984540054
 
 
 def tail_estimate(averages, u: float, t: float) -> TailEstimate:
     """Estimate P(A_t/t >= u) from the time averages ``averages`` at horizon
     ``t``, one per sample, as from ``time_averages``."""
-    if math.isnan(u):
-        raise ValidationError("threshold u must not be NaN")
     a = np.asarray(averages)
     if a.ndim != 1 or a.size == 0:
         raise ValidationError(f"need one average per sample, got shape {a.shape}")
-    n = a.size
-    hits = int(np.count_nonzero(a >= u))
-    p_hat = hits / n
-    if hits in (0, n):
-        # Wilson half width stays informative where the normal CI collapses
-        z2 = _Z95**2
-        half = (
-            _Z95
-            / (1.0 + z2 / n)
-            * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n**2))
-        )
-    else:
-        half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return TailEstimate(u=u, t=t, n_samples=n, hits=hits, p_hat=p_hat, ci_half_width=half)
+    return TailEstimate.of(u, t, a.size, int(np.count_nonzero(a >= u)))
 
 
 def empirical_variance_rate(model: MJPModel, t: float, n_samples: int, seed: int) -> float:

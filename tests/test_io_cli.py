@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 import mjpbounds
 from mjpbounds import load_model, read_model_file, save_model
 from mjpbounds import bounds as bnd
-from mjpbounds import cli
+from mjpbounds import cli, simulate
 from mjpbounds.cli import main, run_compare, RunConfig
 from mjpbounds.errors import ParseError, ValidationError
 
 from conftest import (
     THREE_CYCLE_F, THREE_CYCLE_Q, THREE_DENSE_F, THREE_DENSE_Q, TWO_STATE_F, TWO_STATE_Q,
+    random_irreducible_model,
 )
 
 
@@ -458,7 +460,9 @@ class TestCliSubcommands:
         ids=["rate", "bounds", "series", "simulate", "compare"],
     )
     def test_size_numpy_refuses_exits_2(self, model_file, tmp_path, capsys, argv):
-        # 1e20 elements: numpy refuses the shape before it allocates anything
+        # 1e20 elements, refused before anything is allocated: numpy refuses a
+        # grid of that shape, and the 64-bit sample counter cannot name 1e20
+        # samples
         out = tmp_path / "out.csv"
         assert main([*argv, "--model", model_file(), "--out", str(out)]) == 2
         assert not out.exists()
@@ -1253,6 +1257,76 @@ class TestCompare:
         assert oks == ["0", "0"]
 
 
+# tracemalloc peak of compare on a 4-state chain at horizons 5, 20, 50: about
+# 2.4 MB at 200000 and at 400000 paths, counting one block at a time; it was
+# 6.5 and 11.2 MB when every path's averages were kept
+COMPARE_PEAK_BUDGET = 3 * 2**20
+
+
+class TestOneBlockAtATime:
+    """``compare`` and ``simulate`` count hits one simulator block at a time."""
+
+    ARGV = {
+        "compare": ["compare", "--t", "0.5,2,5", "--u-grid", "0.1:0.5:3"],
+        "simulate": ["simulate", "--t", "2", "--u", "0.2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_bodies_do_not_depend_on_the_block_size(
+        self, model_file, tmp_path, monkeypatch, command
+    ):
+        path = model_file(q=THREE_DENSE_Q, f=THREE_DENSE_F, seed=5)
+
+        def body(name):
+            out = tmp_path / name
+            argv = [*self.ARGV[command], "--samples", "5000", "--no-timestamp"]
+            assert main([*argv, "--model", path, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        default = body("default.csv")
+        monkeypatch.setattr(simulate, "_BLOCK", 1000)
+        assert body("small.csv") == default
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_a_range_past_the_counter_refused_before_simulating(
+        self, model_file, tmp_path, capsys, monkeypatch, command
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a refused sample count")
+
+        monkeypatch.setattr(cli, "time_averages", never)
+        out = tmp_path / "out.csv"
+        argv = [*self.ARGV[command], "--samples", str(2**64 + 1)]
+        assert main([*argv, "--model", model_file(), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "too many" in capsys.readouterr().err
+
+    def test_every_nameable_count_passes_validation(self, model_file):
+        def config(samples):
+            return RunConfig(model_file(), [1.0], [0.2], ["poincare"], samples, None)
+
+        config(2**64).validate()
+        with pytest.raises(ValidationError, match="too many"):
+            config(2**64 + 1).validate()
+
+    def test_peak_memory_does_not_grow_with_samples(self, model_file, tmp_path):
+        model = random_irreducible_model(np.random.default_rng(4), n=4)
+        path = model_file(q=model.q.tolist(), f=model.f.tolist())
+        peaks = []
+        for samples in (200000, 400000):
+            argv = [
+                "compare", "--model", path, "--t", "5,20,50", "--u-grid", "0.05:0.3:5",
+                "--samples", str(samples), "--seed", "1", "--out", str(tmp_path / "c.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < COMPARE_PEAK_BUDGET, peaks
+
+
 def _exit_code(argv):
     """The exit code of ``main(argv)``, also when argparse raises ``SystemExit``."""
     try:
@@ -1293,9 +1367,9 @@ class TestArgsFile:
         seen = []
         averages = cli.time_averages
 
-        def spy(model, t, n_samples, seed):
+        def spy(model, t, n_samples, seed, start=0):
             seen.append(n_samples)
-            return averages(model, t, n_samples, seed)
+            return averages(model, t, n_samples, seed, start=start)
 
         monkeypatch.setattr(cli, "time_averages", spy)
         settings = self.args_file(
@@ -1304,9 +1378,12 @@ class TestArgsFile:
         )
         argv = ["compare", "--model", model_file(), settings,
                 "--out", str(tmp_path / "cmp.csv")]
-        assert main(argv) == 0
-        assert main(argv + ["--samples", "200"]) == 0
-        assert seen == [300, 200]
+        totals = []
+        for extra in ([], ["--samples", "200"]):
+            seen.clear()
+            assert main(argv + extra) == 0
+            totals.append(sum(seen))  # the sizes of the simulator's blocks
+        assert totals == [300, 200]
 
     @pytest.mark.parametrize(
         "content",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mjpbounds import simulate
 from mjpbounds import (
+    TailEstimate,
     analyze,
     empirical_variance_rate,
     make_model,
@@ -287,6 +288,54 @@ class TestManyHorizons:
     def test_bad_horizon_lists_rejected(self, two_state, horizons, match):
         with pytest.raises(ValidationError, match=match):
             time_averages(two_state, horizons, 10, seed=0)
+
+
+class TestStart:
+    """``start`` offsets the sample ids: the columns of a run from ``start``
+    are those samples of a run from 0, bit for bit, however each is blocked."""
+
+    HORIZONS = (0.5, 2.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "start, n", [(30, 50), (170, 120), (0, 500), (499, 1)],
+        ids=["inside_a_block", "across_blocks", "whole", "last"],
+    )
+    def test_columns_of_a_run_from_zero(self, three_dense, monkeypatch, start, n):
+        # blocks of 100 paths: 170..289 spans two blocks of the offset run
+        # and three of the whole one
+        monkeypatch.setattr(simulate, "_BLOCK", 100)
+        whole = time_averages(three_dense, self.HORIZONS, 500, seed=8)
+        part = time_averages(three_dense, self.HORIZONS, n, seed=8, start=start)
+        assert part.tobytes() == whole[:, start : start + n].tobytes()
+        one = time_averages(three_dense, 2.0, n, seed=8, start=start)
+        assert one.tobytes() == whole[1, start : start + n].tobytes()
+
+    def test_the_last_sample_ids_run(self, two_state):
+        last = 2**64 - 1
+        pair = time_averages(two_state, 1.0, 2, seed=3, start=last - 1)
+        one = time_averages(two_state, 1.0, 1, seed=3, start=last)
+        assert one.tobytes() == pair[1:].tobytes()
+
+    @pytest.mark.parametrize(
+        "start, n, match",
+        [
+            (2**64 - 1, 2, "too many"),
+            (2**64, 1, "too many"),
+            (0, 2**64 + 1, "too many"),
+            (-1, 1, ">= 0"),
+            (5, 0, "at least one sample"),
+        ],
+        ids=["past_the_last_id", "start_past_it", "count_past_it", "negative", "none"],
+    )
+    def test_ranges_the_counter_cannot_name_refused(
+        self, two_state, monkeypatch, start, n, match
+    ):
+        def never(*args):
+            raise AssertionError("simulated a refused range")
+
+        monkeypatch.setattr(simulate, "_time_average_block", never)
+        with pytest.raises(ValidationError, match=match):
+            time_averages(two_state, 1.0, n, seed=0, start=start)
 
 
 class TestSampleTrajectory:
@@ -743,6 +792,14 @@ class TestEmpiricalTail:
         est = tail_estimate([0.5, -1.0, 0.25, 0.2], 0.25, 3.0)
         assert (est.u, est.t, est.n_samples, est.hits, est.p_hat) == (0.25, 3.0, 4, 2, 0.5)
         assert est.ci_half_width == pytest.approx(1.959963984540054 * 0.25)
+
+    def test_counts_reach_the_one_constructor(self):
+        est = tail_estimate([0.5, -1.0, 0.25, 0.2], 0.25, 3.0)
+        assert TailEstimate.of(0.25, 3.0, 4, 2) == est
+        # a hit count of 0 or n takes the Wilson half width
+        assert TailEstimate.of(0.25, 3.0, 4, 0).ci_half_width > 0
+        with pytest.raises(ValidationError, match="NaN"):
+            TailEstimate.of(math.nan, 3.0, 4, 2)
 
     def test_averages_of_several_horizons_rejected(self, two_state):
         # one row per horizon; counting hits over all rows would give p_hat > 1
