@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -65,6 +64,11 @@ def _parse_t_list(spec: str) -> list[float]:
         raise ValidationError(f"bad time list {spec!r}") from exc
     if not values:
         raise ValidationError("time list is empty")
+    for t in values:
+        if not math.isfinite(t) or t <= 0:
+            raise ValidationError(f"horizon must be finite and positive, got {t}")
+    if len(set(values)) < len(values):  # its cells would be written twice
+        raise ValidationError(f"time list repeats a horizon: {values}")
     return values
 
 
@@ -93,10 +97,12 @@ def _write_outputs(outputs):
     "x")`` and written through that one handle.  A path that exists (a file,
     a symlink, ``/dev/stdout`` or a directory) is opened for appending, which
     leaves it as it is, and reopened with ``"w"`` once every output is open.
-    If one cannot be opened, the files that this call created are removed
-    and the ``OSError`` propagates, so a refused or failed run writes no
-    file.  Two outputs that resolve to one file would leave only the last
-    text, so they are refused before anything is opened."""
+    A symlink to no file is not opened for appending: its target is
+    created by ``"x"`` like a new file.  If one cannot be opened, the files
+    that this call created are removed (a link's target, not the link) and
+    the ``OSError`` propagates, so a refused or failed run writes no file.
+    Two outputs that resolve to one file would leave only the last text, so
+    they are refused before anything is opened."""
     files = [path for path, _ in outputs if path not in (None, "-")]
     if len(files) > 1:
         real = [os.path.realpath(path) for path in files]
@@ -109,11 +115,14 @@ def _write_outputs(outputs):
             try:
                 made[path] = open(path, "x")
             except FileExistsError:
-                open(path, "a").close()
+                if os.path.exists(path):
+                    open(path, "a").close()
+                else:  # a dangling symlink
+                    made[path] = open(os.path.realpath(path), "x")
     except OSError:
-        for path, fh in made.items():
+        for fh in made.values():
             fh.close()
-            os.remove(path)
+            os.remove(fh.name)
         raise
     try:
         for path, text in outputs:
@@ -134,7 +143,7 @@ def _write_csv(path, no_timestamp, header, rows):
 
 def _load(args):
     """Model file and seed (``args.seed``, else the file's, else 0) of parsed
-    flags or a ``RunConfig``."""
+    flags."""
     mf = read_model_file(args.model)
     seed = args.seed if args.seed is not None else (mf.seed or 0)
     return mf, seed
@@ -178,8 +187,7 @@ def _tail_hits(model, horizons, u_grid, n_samples, seed) -> np.ndarray:
 
     ``time_averages`` runs once per ``simulate._BLOCK`` samples, so the
     calls make exactly its own blocks, and only one block of averages is
-    held at a time.  A sample count the simulator refuses is refused first."""
-    check_samples(n_samples)
+    held at a time.  The caller checks ``n_samples`` first."""
     hits = np.zeros((len(horizons), len(u_grid)), dtype=np.int64)
     block = simulate._BLOCK
     for start in range(0, n_samples, block):
@@ -191,9 +199,10 @@ def _tail_hits(model, horizons, u_grid, n_samples, seed) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    mf, seed = _load(args)
-    if math.isnan(args.u):  # refused before any path is simulated
+    if math.isnan(args.u):
         raise ValidationError("threshold u must not be NaN")
+    check_samples(args.samples)
+    mf, seed = _load(args)
     hits = _tail_hits(mf.model, [args.t], [args.u], args.samples, seed)
     est = TailEstimate.of(args.u, args.t, args.samples, int(hits[0, 0]))
     row = (est.u, est.t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi)
@@ -202,10 +211,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    grid = _parse_grid(args.u_grid)
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
-    grid = _parse_grid(args.u_grid)
     rows = [
         (u, res.value, res.argmax_r, int(res.finite))
         for u, res in zip(grid, lambda0_star(a.sd, model.f, grid))
@@ -215,6 +224,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    r_grid = _parse_grid(args.r_grid) if args.r_grid else ()
     mf, _ = _load(args)
     model = mf.model
     a = bnd.analyze(model)
@@ -222,7 +232,7 @@ def cmd_series(args) -> int:
     rows = list(enumerate(coeffs.coeffs, start=1))
     if args.r_grid:  # a second table, under its own header row
         rows.append(("r", "lambda0", "partial_sum", "abs_error"))
-        for r in _parse_grid(args.r_grid):
+        for r in r_grid:
             lam = lambda0(a.sd, model.f, float(r))
             ps = coeffs.partial_sum(float(r))
             rows.append((r, lam, ps, abs(lam - ps)))
@@ -230,17 +240,16 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _resolve_families(spec, fsobolev_c: float | None):
-    if spec is None or spec == "all":
+def _families(args) -> list[str]:
+    """The families of ``--families``: by default every family but fsobolev,
+    which joins when ``--fsobolev-c`` is given.  Refuses no family, an
+    unknown or repeated one, and fsobolev without its constant."""
+    if args.families in (None, "all"):
         fams = list(DEFAULT_FAMILIES)
-        if fsobolev_c is not None:
+        if args.fsobolev_c is not None:
             fams.append("fsobolev")
         return fams
-    return [s.strip() for s in spec.split(",") if s.strip()]
-
-
-def _check_families(fams, fsobolev_c: float | None):
-    """Refuse no family, an unknown or repeated one, and fsobolev without its constant."""
+    fams = [s.strip() for s in args.families.split(",") if s.strip()]
     if not fams:
         raise ValidationError("family list is empty")
     for fam in fams:
@@ -248,15 +257,15 @@ def _check_families(fams, fsobolev_c: float | None):
             raise ValidationError(f"unknown family {fam!r}")
     if len(set(fams)) < len(fams):  # its columns or rows would be written twice
         raise ValidationError(f"family list repeats a family: {fams}")
-    if "fsobolev" in fams and fsobolev_c is None:
+    if "fsobolev" in fams and args.fsobolev_c is None:
         raise ValidationError("family 'fsobolev' needs --fsobolev-c")
+    return fams
 
 
 def cmd_bounds(args) -> int:
+    families, u_grid = _families(args), _parse_grid(args.u_grid)
     mf, _ = _load(args)
-    families = _resolve_families(args.families, args.fsobolev_c)
-    _check_families(families, args.fsobolev_c)
-    u_grid, model, c = _parse_grid(args.u_grid), mf.model, args.fsobolev_c
+    model, c = mf.model, args.fsobolev_c
     a = bnd.analyze(model)
     verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
     table = bnd.bound_table(model, families, u_grid, args.t, analysis=a, fsobolev=verdict)
@@ -270,43 +279,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration of one comparison run."""
-
-    model: str
-    t_values: list[float]
-    u_grid: list[float]
-    families: list[str]
-    samples: int
-    seed: int | None  # None: the model file's seed, else 0
-    out: str | None = None
-    strict: bool = False
-    no_timestamp: bool = False
-    fsobolev_c: float | None = None
-    summary_out: str | None = None
-
-    def validate(self):
-        """Reject families, thresholds, horizons and a sample count for which
-        the run has no meaningful cells, before any simulation starts."""
-        _check_families(self.families, self.fsobolev_c)
-        if not self.u_grid:
-            raise ValidationError("u grid is empty")
-        if not all(math.isfinite(u) for u in self.u_grid):
-            raise ValidationError(f"u grid must be finite, got {self.u_grid}")
-        # a repeated u or t would write its cells twice
-        if any(a >= b for a, b in zip(self.u_grid, self.u_grid[1:])):
-            raise ValidationError("u grid must be strictly ascending, without repeats")
-        check_samples(self.samples)
-        if not self.t_values:
-            raise ValidationError("time list is empty")
-        for t in self.t_values:
-            if not math.isfinite(t) or t <= 0:
-                raise ValidationError(f"horizon must be finite and positive, got {t}")
-        if len(set(self.t_values)) < len(self.t_values):
-            raise ValidationError(f"time list repeats a horizon: {self.t_values}")
-
-
 def _compare_header(families):
     cols = ["u", "t", "n", "hits", "p_hat", "ci_lo", "ci_hi"]
     for fam in families:
@@ -315,7 +287,7 @@ def _compare_header(families):
     return ",".join(cols)
 
 
-def run_compare(config: RunConfig) -> dict:
+def cmd_compare(args) -> int:
     """End-to-end comparison: empirical tails against every requested bound.
 
     Every path is simulated once, to the largest horizon, and only each
@@ -323,30 +295,31 @@ def run_compare(config: RunConfig) -> dict:
     holds every family's bound at every cell.  All of it happens before the
     outputs open, and the CSV and the summary are written both or neither,
     so a refused or failed run writes no file.  The CSV holds one row per
-    (u, t) cell, in the order of ``t_values``, and the summary's
-    ``domination_failures`` cover every row.
-    Returns the JSON-ready summary.
+    (u, t) cell, in the order of ``--t``, and the summary's
+    ``domination_failures`` cover every row; under ``--strict`` a failure
+    exits 4.
     """
-    config.validate()
-    mf, seed = _load(config)
+    t_values = _parse_t_list(args.t)
+    u_grid = sorted(float(u) for u in _parse_grid(args.u_grid))
+    if any(a == b for a, b in zip(u_grid, u_grid[1:])):  # its cells would be written twice
+        raise ValidationError(f"u grid repeats a threshold: {u_grid}")
+    families = _families(args)
+    check_samples(args.samples)
+    mf, seed = _load(args)
     model = mf.model
-    families = config.families
     sharpness_on = model.reversible
     # the sharpness column subtracts the general rate, solved with the others
     solved = [*families, "general"] if sharpness_on and "general" not in families else families
-    a, c = bnd.analyze(model), config.fsobolev_c
+    a, c = bnd.analyze(model), args.fsobolev_c
     verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
-    table = bnd.bound_table(
-        model, solved, config.u_grid, config.t_values, analysis=a, fsobolev=verdict
-    )
-    header = _compare_header(families)
-    horizons = sorted(config.t_values)
-    hits = _tail_hits(model, horizons, config.u_grid, config.samples, seed)
+    table = bnd.bound_table(model, solved, u_grid, t_values, analysis=a, fsobolev=verdict)
+    horizons = sorted(t_values)
+    hits = _tail_hits(model, horizons, u_grid, args.samples, seed)
     row_of = {t: i for i, t in enumerate(horizons)}
 
     rows, failures = [], []
-    for t, (j, u) in itertools.product(config.t_values, enumerate(config.u_grid)):
-        est = TailEstimate.of(u, t, config.samples, int(hits[row_of[t], j]))
+    for t, (j, u) in itertools.product(t_values, enumerate(u_grid)):
+        est = TailEstimate.of(u, t, args.samples, int(hits[row_of[t], j]))
         row = [u, t, est.n_samples, est.hits, est.p_hat, est.ci_lo, est.ci_hi]
         for fam in families:
             p = table[fam, "upper", u, t]
@@ -367,11 +340,11 @@ def run_compare(config: RunConfig) -> dict:
         rows.append(row)
 
     summary = {
-        "model": config.model,
+        "model": args.model,
         "families": families,
-        "t_values": config.t_values,
-        "u_grid": [float(u) for u in config.u_grid],
-        "samples": config.samples,
+        "t_values": t_values,
+        "u_grid": u_grid,
+        "samples": args.samples,
         "seed": seed,
         "rows_written": len(rows),
         "domination_failures": failures,
@@ -379,33 +352,12 @@ def run_compare(config: RunConfig) -> dict:
         "sharpness_diagnostic": sharpness_on,
         "fsobolev_verdict": verdict.status if verdict else None,
     }
-    outputs = [(config.out, _csv_text(config.no_timestamp, header, rows))]
-    if config.summary_out:
-        outputs.append((config.summary_out, json.dumps(summary, indent=2) + "\n"))
+    outputs = [(args.out, _csv_text(args.no_timestamp, _compare_header(families), rows))]
+    if args.summary_out:
+        outputs.append((args.summary_out, json.dumps(summary, indent=2) + "\n"))
     _write_outputs(outputs)
-    return summary
-
-
-def cmd_compare(args) -> int:
-    config = RunConfig(
-        model=args.model,
-        t_values=_parse_t_list(args.t),
-        u_grid=sorted(float(u) for u in _parse_grid(args.u_grid)),
-        families=_resolve_families(args.families, args.fsobolev_c),
-        samples=args.samples,
-        seed=args.seed,
-        out=args.out,
-        strict=args.strict,
-        no_timestamp=args.no_timestamp,
-        fsobolev_c=args.fsobolev_c,
-        summary_out=args.summary_out,
-    )
-    summary = run_compare(config)
-    if config.strict and not summary["all_dominated"]:
-        print(
-            f"domination check failed in {len(summary['domination_failures'])} cells",
-            file=sys.stderr,
-        )
+    if args.strict and failures:
+        print(f"domination check failed in {len(failures)} cells", file=sys.stderr)
         return 4
     return 0
 

@@ -400,8 +400,14 @@ def _time_average_block(horizons, seed, start, count, tables, out):
 
 
 def check_samples(n_samples: int, start: int = 0):
-    """Refuse a sample range ``start .. start+n_samples-1`` that is empty or
-    that the 64-bit sample counter cannot name."""
+    """Refuse a sample range ``start .. start+n_samples-1`` that is empty,
+    that the 64-bit sample counter cannot name, or whose count or first
+    sample is not an integer (a float or a bool; numpy integers pass)."""
+    for name, value in (("sample count", n_samples), ("first sample", start)):
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not whole:  # a bool is an int too
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    n_samples, start = int(n_samples), int(start)
     if n_samples < 1:
         raise ValidationError(f"need at least one sample, got {n_samples}")
     if start < 0:
@@ -432,6 +438,7 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int, start: int = 0)
     if hs.ndim != 1 or hs.size == 0 or np.any(np.diff(hs) <= 0):
         raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     check_samples(n_samples, start)
+    n_samples, start = int(n_samples), int(start)  # numpy 1 adds uint64 and int as floats
     tables = _Tables.of(model)
     try:
         out = np.empty((hs.size, n_samples))

@@ -21,8 +21,9 @@ import mjpbounds
 from mjpbounds import load_model, read_model_file, save_model
 from mjpbounds import bounds as bnd
 from mjpbounds import cli, simulate
-from mjpbounds.cli import main, run_compare, RunConfig
+from mjpbounds.cli import main
 from mjpbounds.errors import ParseError, ValidationError
+from mjpbounds.simulate import check_samples
 
 from conftest import (
     THREE_CYCLE_F, THREE_CYCLE_Q, THREE_DENSE_F, THREE_DENSE_Q, TWO_STATE_F, TWO_STATE_Q,
@@ -698,13 +699,15 @@ class TestCliSubcommands:
         monkeypatch.setattr(bnd, "check_f_sobolev", refuse)
         assert main(argv + [str(flagged), "--fsobolev-c", "1"]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
-        summary = run_compare(
-            RunConfig(
-                model=model, t_values=[1.0], u_grid=[0.2], families=["poincare"],
-                samples=100, seed=0, out=str(tmp_path / "c.csv"), fsobolev_c=1.0,
-            )
-        )
-        assert summary["fsobolev_verdict"] is None
+        summary = tmp_path / "c.json"
+        assert main(
+            [
+                "compare", "--model", model, "--t", "1", "--u-grid", "0.2:0.2:1",
+                "--families", "poincare", "--samples", "100", "--fsobolev-c", "1",
+                "--out", str(tmp_path / "c.csv"), "--summary-out", str(summary),
+            ]
+        ) == 0
+        assert json.loads(summary.read_text())["fsobolev_verdict"] is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -815,6 +818,29 @@ class TestCliSubcommands:
         assert csv.exists() == exists
         assert not exists or csv.read_text() == "kept\n"
 
+    def test_refused_run_leaves_a_dangling_link_dangling(self, model_file, tmp_path, capsys):
+        # appending through the link would create its target
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        model = model_file()
+        before = sorted(os.listdir(tmp_path))
+        argv = [*self.COMPARE, "--model", model, "--out", str(link),
+                "--summary-out", str(tmp_path / "missing" / "s.json")]
+        assert main(argv) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.readlink(link) == "target.csv"
+        assert not (tmp_path / "target.csv").exists()
+
+    def test_run_writes_through_a_dangling_link(self, model_file, tmp_path):
+        link, fresh = tmp_path / "link.csv", tmp_path / "fresh.csv"
+        link.symlink_to("target.csv")
+        argv = [*self.COMPARE, "--model", model_file(), "--no-timestamp", "--out"]
+        assert main([*argv, str(link)]) == 0
+        assert main([*argv, str(fresh)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert (tmp_path / "target.csv").read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize(
         "argv",
         [[*BOUNDS, "--out", "{dir}"],
@@ -868,6 +894,36 @@ class TestCliSubcommands:
                 "--u-grid", "0.1:0.5:3", "--out", str(tmp_path / "b.csv"),
             ]
         ) == 2
+
+
+# flags of a run that exits 0, by command; each case below changes one
+SETTINGS = {
+    "compare": {"--t": "1", "--u-grid": "0.1:0.3:2", "--samples": "10"},
+    "simulate": {"--t": "1", "--u": "0.2", "--samples": "10"},
+    "bounds": {"--t": "1", "--u-grid": "0.1:0.3:2"},
+    "rate": {"--u-grid": "0.1:0.3:2"},
+    "series": {"--order": "3", "--r-grid": "0:0.2:2"},
+}
+# compare refuses each before its output opens.  A repeated family would
+# head more columns than its rows fill
+REFUSED_COMPARE_SETTINGS = [
+    ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),
+    ("--t", "1,1"), ("--u-grid", "0.1:0.1:2"), ("--u-grid", "-0.2:0.3:2"),
+    ("--fsobolev-c", "10"), ("--u-grid", "inf:inf:1"),
+    ("--families", "general,poincare,general"), ("--families", ","),
+    ("--families", "nosuch"), ("--families", "fsobolev"), ("--u-grid", "0.1:0.3:0"),
+    ("--samples", "0"),
+]
+# a negative u is refused by the families, and a log-Sobolev constant of 10
+# is violated on the two-state chain: only the model shows either
+NEED_THE_MODEL = [("--u-grid", "-0.2:0.3:2"), ("--fsobolev-c", "10")]
+
+
+def _settings_argv(command, flag, value):
+    """``command`` with its ``SETTINGS``, ``flag`` set to ``value``."""
+    settings = {**SETTINGS[command], flag: value}
+    # "=" keeps a leading "-" a value
+    return [command, *(f"{key}={setting}" for key, setting in settings.items())]
 
 
 class TestCompare:
@@ -967,62 +1023,36 @@ class TestCompare:
             bodies.append(out.read_bytes())
         assert bodies[0] != bodies[1]
 
-    def test_empty_u_grid_is_error_not_empty_file(self, model_file, tmp_path):
-        config = RunConfig(
-            model=model_file(),
-            t_values=[1.0],
-            u_grid=[],
-            families=["general"],
-            samples=100,
-            seed=0,
-        )
-        with pytest.raises(ValidationError):
-            run_compare(config)
-
-    @pytest.mark.parametrize(
-        "families",
-        [["general", "poincare", "general"], ["nosuch"], ["fsobolev"], []],
-        ids=["repeated", "unknown", "fsobolev_without_constant", "empty"],
-    )
-    def test_library_refuses_bad_families_and_writes_no_file(
-        self, model_file, tmp_path, families
-    ):
-        # a repeated family would head more columns than its rows fill
-        out = tmp_path / "cmp.csv"
-        config = RunConfig(
-            model=model_file(),
-            t_values=[1.0],
-            u_grid=[0.1, 0.3],
-            families=families,
-            samples=100,
-            seed=0,
-            out=str(out),
-        )
-        with pytest.raises(ValidationError, match="family"):
-            run_compare(config)
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--t", "-1"), ("--t", "0"), ("--t", "1,-1"), ("--u-grid", "nan:1:2"),
-            ("--t", "1,1"), ("--u-grid", "0.1:0.1:2"), ("--u-grid", "-0.2:0.3:2"),
-            ("--fsobolev-c", "10"), ("--u-grid", "inf:inf:1"),
-            ("--families", "general,poincare,general"), ("--families", ","),
-        ],
-    )
+    @pytest.mark.parametrize("flag,value", REFUSED_COMPARE_SETTINGS)
     def test_refused_cell_settings_write_no_file(
         self, model_file, tmp_path, capsys, flag, value
     ):
-        # a negative u is refused by the families, and a log-Sobolev constant
-        # of 10 is violated on this chain; both before the output opens.  A
-        # repeated family would head more columns than its rows fill
-        settings = {"--t": "1", "--u-grid": "0.1:0.3:2", flag: value}
         out = tmp_path / "cmp.csv"
-        argv = ["compare", "--model", model_file(), "--samples", "10", "--out", str(out)]
-        for key, setting in settings.items():
-            argv.append(f"{key}={setting}")  # "=" keeps a leading "-" a value
-        assert main(argv) == 2
+        argv = [*_settings_argv("compare", flag, value), "--model", model_file()]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation failure" in err
+        assert flag != "--families" or "family" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("compare", flag, value) for flag, value in REFUSED_COMPARE_SETTINGS
+         if (flag, value) not in NEED_THE_MODEL]
+        + [("simulate", "--samples", "0"), ("simulate", "--u", "nan"),
+           ("bounds", "--families", "nosuch"), ("rate", "--u-grid", "0.1:0.3:0"),
+           ("series", "--r-grid", "0:0.2:0")],
+    )
+    def test_refusal_that_needs_no_model_reads_none(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        def never(path):
+            raise AssertionError(f"read {path} for a refused flag")
+
+        monkeypatch.setattr(cli, "read_model_file", never)
+        out = tmp_path / "out.csv"
+        argv = [*_settings_argv(command, flag, value), "--model", str(tmp_path / "none")]
+        assert main([*argv, "--out", str(out)]) == 2
         assert "validation failure" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1080,35 +1110,31 @@ class TestCompare:
         assert ("general_rate" in header) == ("general" in families)
 
     def test_summary_and_domination(self, model_file, tmp_path):
-        out = tmp_path / "cmp.csv"
-        summary_path = tmp_path / "cmp.json"
-        config = RunConfig(
-            model=model_file(seed=3),
-            t_values=[1.0, 4.0],
-            u_grid=[0.1, 0.3],
-            families=["general", "bernstein_general"],
-            samples=20000,
-            seed=3,
-            out=str(out),
-            no_timestamp=True,
-            summary_out=str(summary_path),
-        )
-        summary = run_compare(config)
-        assert summary["all_dominated"]
-        assert summary["rows_written"] == 4
-        saved = json.loads(summary_path.read_text())
+        summary = tmp_path / "cmp.json"
+        assert main(
+            [
+                "compare", "--model", model_file(seed=3), "--t", "1,4",
+                "--u-grid", "0.1:0.3:2", "--families", "general,bernstein_general",
+                "--samples", "20000", "--seed", "3", "--no-timestamp", "--strict",
+                "--out", str(tmp_path / "cmp.csv"), "--summary-out", str(summary),
+            ]
+        ) == 0
+        saved = json.loads(summary.read_text())
         assert saved["all_dominated"] is True
+        assert saved["rows_written"] == 4
         assert saved["fsobolev_verdict"] is None
 
     def test_summary_records_the_fsobolev_verdict(self, model_file, tmp_path):
-        summary = run_compare(
-            RunConfig(
-                model=model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F), t_values=[1.0],
-                u_grid=[0.2], families=["fsobolev"], samples=100, seed=0,
-                out=str(tmp_path / "c.csv"), fsobolev_c=0.2,
-            )
-        )
-        assert summary["fsobolev_verdict"] == "holds"
+        summary = tmp_path / "c.json"
+        assert main(
+            [
+                "compare", "--model", model_file(q=THREE_CYCLE_Q, f=THREE_CYCLE_F),
+                "--t", "1", "--u-grid", "0.2:0.2:1", "--families", "fsobolev",
+                "--fsobolev-c", "0.2", "--samples", "100", "--seed", "0",
+                "--out", str(tmp_path / "c.csv"), "--summary-out", str(summary),
+            ]
+        ) == 0
+        assert json.loads(summary.read_text())["fsobolev_verdict"] == "holds"
 
     def test_out_dash_writes_stdout(self, model_file, tmp_path, monkeypatch, capsys):
         path = model_file()
@@ -1144,13 +1170,13 @@ class TestCompare:
     def test_sharpness_column_for_stationary_reversible(self, model_file, tmp_path):
         path = model_file(nu=[2 / 3, 1 / 3], seed=3)
         out = tmp_path / "cmp.csv"
-        run_compare(
-            RunConfig(
-                model=path, t_values=[2.0], u_grid=[0.2],
-                families=["general"], samples=20000, seed=3, out=str(out),
-                no_timestamp=True,
-            )
-        )
+        assert main(
+            [
+                "compare", "--model", path, "--t", "2", "--u-grid", "0.2:0.2:1",
+                "--families", "general", "--samples", "20000", "--seed", "3",
+                "--no-timestamp", "--out", str(out),
+            ]
+        ) == 0
         lines = out.read_text().strip().splitlines()
         gap = lines[-1].split(",")[-1]
         assert gap != ""
@@ -1301,13 +1327,10 @@ class TestOneBlockAtATime:
         assert not out.exists()
         assert "too many" in capsys.readouterr().err
 
-    def test_every_nameable_count_passes_validation(self, model_file):
-        def config(samples):
-            return RunConfig(model_file(), [1.0], [0.2], ["poincare"], samples, None)
-
-        config(2**64).validate()
+    def test_every_nameable_count_passes_validation(self):
+        check_samples(2**64)
         with pytest.raises(ValidationError, match="too many"):
-            config(2**64 + 1).validate()
+            check_samples(2**64 + 1)
 
     def test_peak_memory_does_not_grow_with_samples(self, model_file, tmp_path):
         model = random_irreducible_model(np.random.default_rng(4), n=4)

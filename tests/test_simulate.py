@@ -337,6 +337,35 @@ class TestStart:
         with pytest.raises(ValidationError, match=match):
             time_averages(two_state, 1.0, n, seed=0, start=start)
 
+    @pytest.mark.parametrize(
+        "start, n, match",
+        [
+            (1.5, 3, "first sample must be an integer"),
+            (np.float64(2.9), 3, "first sample must be an integer"),
+            (True, 3, "first sample must be an integer"),
+            (0, 10.0, "sample count must be an integer"),
+            (0, True, "sample count must be an integer"),
+            (0, np.bool_(True), "sample count must be an integer"),
+        ],
+        ids=["float_start", "numpy_float_start", "bool_start", "float_count",
+             "bool_count", "numpy_bool_count"],
+    )
+    def test_a_count_or_start_that_is_not_an_integer_refused(
+        self, two_state, monkeypatch, start, n, match
+    ):
+        # a fractional start was truncated, or broke the block's broadcast
+        def never(*args):
+            raise AssertionError("simulated a refused range")
+
+        monkeypatch.setattr(simulate, "_time_average_block", never)
+        with pytest.raises(ValidationError, match=match):
+            time_averages(two_state, 1.0, n, seed=0, start=start)
+
+    def test_numpy_integers_pass(self, two_state):
+        plain = time_averages(two_state, 1.0, 3, seed=4, start=2)
+        numpy = time_averages(two_state, 1.0, np.int32(3), seed=4, start=np.uint64(2))
+        assert numpy.tobytes() == plain.tobytes()
+
 
 class TestSampleTrajectory:
     def test_zero_horizon_single_segment(self, two_state):
