@@ -1036,6 +1036,20 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "families", ["general,poincare,general", ","], ids=["repeated", "empty"]
+    )
+    def test_library_refuses_bad_families_and_writes_no_file(
+        self, model_file, tmp_path, families
+    ):
+        # cmd_compare itself raises, below main's exit code
+        out = tmp_path / "cmp.csv"
+        argv = [*_settings_argv("compare", "--families", families), "--model", model_file()]
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+        with pytest.raises(ValidationError, match="family"):
+            cli.cmd_compare(args)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command,flag,value",
         [("compare", flag, value) for flag, value in REFUSED_COMPARE_SETTINGS
          if (flag, value) not in NEED_THE_MODEL]
