@@ -118,14 +118,19 @@ class BoundPoint:
     tail: str = "upper"
 
 
+def check_time(t: float):
+    """Refuse a NaN, infinite or negative time, which a bound would turn
+    into the trivial bound 1 or into 0."""
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be finite and nonnegative, got {t}")
+
+
 def _tail_bound(prefactor: float, t: float, rate: float) -> float:
     """``min(1, prefactor * exp(-t * rate))``, 0 at an infinite rate.
 
-    Refuses a NaN, infinite or negative time and a NaN or negative rate,
-    which would otherwise come out as the trivial bound 1 or as 0.
+    Refuses a time that ``check_time`` refuses and a NaN or negative rate.
     """
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be finite and nonnegative, got {t}")
+    check_time(t)
     if not rate >= 0:  # also refuses NaN
         raise ValidationError(f"rate must be nonnegative, got {rate}")
     return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))

@@ -31,7 +31,7 @@ from . import combinatorics as comb
 from . import simulate
 from .errors import NumericalError, ValidationError
 from .modelio import read_model_file
-from .simulate import TailEstimate, check_samples, time_averages
+from .simulate import TailEstimate, check_horizons, check_samples, time_averages
 from .tilting import lambda0, lambda0_star
 
 # every family but fsobolev, which needs --fsobolev-c
@@ -201,6 +201,7 @@ def _tail_hits(model, horizons, u_grid, n_samples, seed) -> np.ndarray:
 def cmd_simulate(args) -> int:
     if math.isnan(args.u):
         raise ValidationError("threshold u must not be NaN")
+    check_horizons(args.t)
     check_samples(args.samples)
     mf, seed = _load(args)
     hits = _tail_hits(mf.model, [args.t], [args.u], args.samples, seed)
@@ -224,6 +225,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    comb.check_order(args.order)
     r_grid = _parse_grid(args.r_grid) if args.r_grid else ()
     mf, _ = _load(args)
     model = mf.model
@@ -264,6 +266,7 @@ def _families(args) -> list[str]:
 
 def cmd_bounds(args) -> int:
     families, u_grid = _families(args), _parse_grid(args.u_grid)
+    bnd.check_time(args.t)
     mf, _ = _load(args)
     model, c = mf.model, args.fsobolev_c
     a = bnd.analyze(model)

@@ -94,6 +94,14 @@ class SeriesCoefficients:
         return value
 
 
+def check_order(order: int):
+    """Refuse a series order below 1 or above ``ORDER_CAP``."""
+    if order < 1:
+        raise OutOfRangeError(f"need order >= 1, got {order}")
+    if order > ORDER_CAP:
+        raise OrderTooLargeError(order, ORDER_CAP)
+
+
 def lambda0_coefficients(
     sd: SpectralData, f: np.ndarray, order: int
 ) -> SeriesCoefficients:
@@ -110,10 +118,7 @@ def lambda0_coefficients(
     are refused; ``NumericalError`` is raised at the first coefficient that
     overflows.
     """
-    if order < 1:
-        raise OutOfRangeError(f"need order >= 1, got {order}")
-    if order > ORDER_CAP:
-        raise OrderTooLargeError(order, ORDER_CAP)
+    check_order(order)
     psi = np.zeros((order, sd.n))
     psi[0] = 1.0
     coeffs = np.zeros(order)

@@ -2,10 +2,12 @@
 
 A model is specified by its rate matrix Q (nonnegative off-diagonal rates,
 zero row sums), an observable f on the states, and an initial distribution.
-This module validates rate matrices, decides irreducibility, computes the
-invariant distribution pi (the solution of ``pi^T Q = 0``), evaluates the
-transition function ``P(t) = exp(tQ)``, and checks the detailed balance
-condition ``pi_x q_xy = pi_y q_yx``.
+This module validates rate matrices, decides irreducibility by two graph
+searches over rows of packed edge bits, computes the invariant distribution
+pi (the solution of ``pi^T Q = 0``), evaluates the transition function
+``P(t) = exp(tQ)``, and checks the detailed balance condition
+``pi_x q_xy = pi_y q_yx``.  Loading a model costs one LU solve plus passes
+that are linear in the n^2 entries of Q; none is cubic but the solve.
 """
 
 from __future__ import annotations
@@ -89,21 +91,22 @@ def validate_q_matrix(raw) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise NonSquareError(a.shape)
-    if not np.all(np.isfinite(a)):
+    scale = np.abs(a).max(axis=1)  # NaN or inf in a row makes its scale non-finite
+    if not np.isfinite(scale).all():
         raise ValidationError("rate matrix has non-finite entries")
-    n = a.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    row_tol = DEFAULT_TOL * np.max(np.abs(a), axis=1)
-    bad = (a < -row_tol[:, None]) & off
-    if np.any(bad):
+    row_tol = DEFAULT_TOL * scale
+    q = a.copy()
+    np.fill_diagonal(q, 0.0)
+    bad = q < -row_tol[:, None]
+    if bad.any():
         x, y = np.argwhere(bad)[0]
         raise NegativeRateError(int(x), int(y), float(a[x, y]))
     rowsum = a.sum(axis=1)
     bad_rows = np.abs(rowsum) > row_tol
-    if np.any(bad_rows):
+    if bad_rows.any():
         x = int(np.argmax(bad_rows))
         raise RowSumViolationError(x, float(rowsum[x]))
-    q = np.where(off, np.clip(a, 0.0, None), 0.0)
+    np.maximum(q, 0.0, out=q)  # the clamp, in place
     np.fill_diagonal(q, -q.sum(axis=1))
     return _readonly(q)
 
@@ -111,16 +114,34 @@ def validate_q_matrix(raw) -> np.ndarray:
 def is_irreducible(q: np.ndarray) -> bool:
     """True iff the directed graph of positive rates is strongly connected.
 
-    Squares the boolean reachability matrix, edges plus the diagonal, until
-    it covers paths of length ``n - 1``: after k squarings it holds every
-    path of at most 2^k edges.  The graph is strongly connected iff every
-    entry is then true.
+    That is, iff a search from state 0 reaches every state along the edges
+    and along the reversed edges.  Each search keeps its states as the bits
+    of Python ints, ``seen`` and ``front`` (seen, not yet expanded), and
+    reads a state's row of packed edge bits only when it expands that
+    state; it stops as soon as ``seen`` holds every state.
     """
-    n = q.shape[0]
-    reach = (q > 0.0) | np.eye(n, dtype=bool)
-    for _ in range(max(1, (n - 2).bit_length())):  # ceil(log2(n - 1)) times
-        reach = reach @ reach
-    return bool(reach.all())
+    edges = q > 0.0
+    return _reaches_all(edges) and _reaches_all(edges.T)
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    """True iff a search from state 0 along the Boolean ``edges`` reaches
+    every state."""
+    n = edges.shape[0]
+    # bit y of row x's bytes, read little-endian, is edges[x, y]
+    rows = np.packbits(edges, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    everything = (1 << n) - 1
+    seen = front = 1
+    while front:
+        x = (front & -front).bit_length() - 1  # the lowest state in front
+        front ^= 1 << x
+        new = int.from_bytes(rows[x * width : (x + 1) * width], "little") & ~seen
+        seen |= new
+        if seen == everything:
+            return True
+        front |= new
+    return False
 
 
 def invariant_distribution(q: np.ndarray) -> np.ndarray:
@@ -142,8 +163,8 @@ def invariant_distribution(q: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    residual = float(np.max(np.abs(pi @ q)))
-    scale = max(1.0, float(np.max(np.abs(q))))
+    residual = float(np.abs(pi @ q).max())
+    scale = max(1.0, float(np.abs(q).max()))
     if residual > max(DEFAULT_TOL, 1e-13 * scale) or pi.min() <= 0.0:
         raise SingularSystemError(
             f"invariant solve left residual {residual} or nonpositive entries"
@@ -230,12 +251,17 @@ def make_model(rates, f_values, nu=None) -> MJPModel:
     n = q.shape[0]
     if f_raw.shape != (n,):
         raise ValidationError(f"observable must have shape ({n},), got {f_raw.shape}")
-    if not np.all(np.isfinite(f_raw)):
+    if not np.isfinite(f_raw).all():
         raise ValidationError("observable has non-finite entries")
     f = center_observable(f_raw, pi)
-    nu_dist = probability_vector(np.eye(n)[0] if nu is None else nu)
-    if nu_dist.size != n:
-        raise ValidationError("initial distribution has wrong length")
+    if nu is None:
+        nu_dist = np.zeros(n)
+        nu_dist[0] = 1.0
+        nu_dist.flags.writeable = False
+    else:
+        nu_dist = probability_vector(nu)
+        if nu_dist.size != n:
+            raise ValidationError("initial distribution has wrong length")
     return MJPModel(q=q, pi=pi, f=f, nu=nu_dist)
 
 

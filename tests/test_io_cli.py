@@ -1055,7 +1055,8 @@ class TestCompare:
          if (flag, value) not in NEED_THE_MODEL]
         + [("simulate", "--samples", "0"), ("simulate", "--u", "nan"),
            ("bounds", "--families", "nosuch"), ("rate", "--u-grid", "0.1:0.3:0"),
-           ("series", "--r-grid", "0:0.2:0")],
+           ("series", "--r-grid", "0:0.2:0"), ("bounds", "--t", "-1"),
+           ("simulate", "--t", "0"), ("series", "--order", "0")],
     )
     def test_refusal_that_needs_no_model_reads_none(
         self, tmp_path, capsys, monkeypatch, command, flag, value

@@ -32,6 +32,7 @@ from mjpbounds.errors import (
     NonSquareError,
     NotIrreducibleError,
     RowSumViolationError,
+    SingularSystemError,
     ValidationError,
 )
 
@@ -88,6 +89,7 @@ class TestValidateQMatrix:
     def test_negative_drift_within_its_row_scale_clamped(self):
         q = validate_q_matrix([[-1, 1 + 1e-14, -1e-14], [1, -2, 1], [0, 1, -1]])
         np.testing.assert_array_equal(q[0], [-(1 + 1e-14), 1 + 1e-14, 0.0])
+        assert not np.signbit(q[0, 2]) and not q.flags.writeable
         # below -1e-12, but within 1e-12 of its row's rate of 1e8
         q = validate_q_matrix([[-1e8, 1e8, -1e-5], [1, -2, 1], [1, 1, -2]])
         np.testing.assert_array_equal(q[0], [-1e8, 1e8, 0.0])
@@ -101,6 +103,24 @@ class TestValidateQMatrix:
             validate_q_matrix([[-1, 1]])
         with pytest.raises(NonSquareError):
             validate_q_matrix([[0.0]])
+
+    @pytest.mark.parametrize(
+        "raw,error,message",
+        [
+            ([[-1, 1], [np.nan, -2]], ValidationError, "rate matrix has non-finite entries"),
+            ([[-1, 1], [np.inf, -2]], ValidationError, "rate matrix has non-finite entries"),
+            ([[-1, 1, 0], [0.5, -0.4, -0.1], [1, 0, -1]], NegativeRateError,
+             "off-diagonal rate q[1,2] = -0.1 is negative"),
+            ([[-1, 0.5], [2, -2]], RowSumViolationError,
+             "row 0 of the rate matrix sums to -0.5, not 0"),
+        ],
+        ids=["nan", "inf", "negative_rate", "row_sum"],
+    )
+    def test_refusal_type_and_message(self, raw, error, message):
+        with pytest.raises(ValidationError) as err:
+            validate_q_matrix(raw)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_diagonal_renormalized_from_offdiagonals(self):
         # rounding drift within tol is absorbed into the diagonal
@@ -128,10 +148,12 @@ class TestIrreducibility:
 
 @st.composite
 def sparse_graphs(draw):
-    """Boolean adjacency matrices on 2-16 states: a few random edges, and on
+    """Boolean adjacency matrices on 2-200 states: a few random edges, and on
     half the draws a directed ring that may lose one edge, which leaves a
-    graph one edge short of strongly connected unless another edge mends it."""
-    n = draw(st.integers(min_value=2, max_value=16))
+    graph one edge short of strongly connected unless another edge mends it.
+    Above 8, 64 and 128 states a packed row spans more than one byte or
+    64-bit word."""
+    n = draw(st.integers(min_value=2, max_value=200))
     adj = np.zeros((n, n), dtype=bool)
     if draw(st.booleans()):
         adj[np.arange(n), (np.arange(n) + 1) % n] = True
@@ -153,6 +175,57 @@ def test_irreducible_iff_depth_first_search_reaches_all(adj):
     assert is_irreducible(validate_q_matrix(rates)) == strongly_connected(adj)
 
 
+def _ring(n, cut=None):
+    """Directed ring 0 -> 1 -> ... -> n-1 -> 0, without the edge out of ``cut``."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n), (np.arange(n) + 1) % n] = True
+    if cut is not None:
+        adj[cut, (cut + 1) % n] = False
+    return adj
+
+
+def _rates(adj):
+    rates = adj.astype(float)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return rates
+
+
+class TestIrreducibilityAtWordBoundaries:
+    """Packed rows cross a byte at 8 states and a 64-bit word at 64 and 128."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("cut", [None, 0, 7, 8, 62, -2, -1])
+    def test_ring(self, n, cut):
+        adj = _ring(n, None if cut is None else cut % n)
+        expected = cut is None
+        assert strongly_connected(adj) == expected
+        assert is_irreducible(_rates(adj)) == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_hub_at_the_last_state(self, n):
+        # every path runs through the last state, whose bit is the highest
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:, -1] = adj[-1, :] = True
+        adj[-1, -1] = False
+        assert is_irreducible(_rates(adj))
+        adj[-1, n // 2] = False  # state n // 2 is entered from nowhere
+        assert not strongly_connected(adj)
+        assert not is_irreducible(_rates(adj))
+
+    def test_long_path(self):
+        # a birth-death path of 2048 states, then the same path with one
+        # edge cut, so that the states above it are never left
+        n = 2048
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.arange(n - 1), np.arange(1, n)] = True
+        adj[np.arange(1, n), np.arange(n - 1)] = True
+        assert strongly_connected(adj)
+        assert is_irreducible(adj.astype(float))
+        adj[1500, 1499] = False
+        assert not strongly_connected(adj)
+        assert not is_irreducible(adj.astype(float))
+
+
 class TestInvariantDistribution:
     def test_two_state_hand_solution(self):
         # oracle: pi0*(-1) + pi1*2 = 0 and pi0 + pi1 = 1 give (2/3, 1/3)
@@ -168,6 +241,25 @@ class TestInvariantDistribution:
         q = validate_q_matrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
         pi = invariant_distribution(q)
         np.testing.assert_allclose(pi, np.full(3, 1 / 3), atol=1e-14)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SingularSystemError,
+        reason="ROADMAP item 1: the LU solve gives pi_0 = -2.2e-16 on this "
+        "irreducible chain, whose rates span 1e-11 to 1e4",
+    )
+    def test_stiff_four_state_chain_loads(self):
+        q = validate_q_matrix(
+            [
+                [-0.311206370787196, 0.3112063707754888, 0.0, 1.1707212110952575e-11],
+                [0.0, -0.007404127873771833, 0.007404127873771833, 0.0],
+                [0.0, 0.00021588757767620006, -1327.1300295663082, 1327.1298136787304],
+                [7.766202937763276e-12, 11088.905654548644, 48.69430162978238,
+                 -11137.599956178434],
+            ]
+        )
+        pi = invariant_distribution(q)
+        assert np.all(pi > 0)
         assert np.max(np.abs(pi @ q)) <= 1e-12
 
     def test_residual_small_on_random_models(self):
@@ -369,6 +461,15 @@ class TestModelTypesHoldOnlyArrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 1.0
                 assert a.dtype == np.float64, (source, field)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_default_nu_is_the_point_mass_at_state_0(self, n):
+        rates = np.ones((n, n))
+        np.fill_diagonal(rates, 1.0 - n)
+        nu = make_model(rates, np.arange(n, dtype=float)).nu
+        assert nu.tobytes() == probability_vector(np.eye(n)[0]).tobytes()
+        assert nu.dtype == np.float64 and nu.shape == (n,)
+        assert not nu.flags.writeable
 
     def test_model_shares_no_array_with_its_caller(self):
         # this f is already centered, so centering returns its values as they are
