@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FSobolevNotVerifiedError, ValidationError
-from .markov import MJPModel, flip_observable
+from .markov import MJPModel, check_horizon, flip_observable
 from .spectral import (
     SpectralData,
     pi_variance,
@@ -118,19 +118,13 @@ class BoundPoint:
     tail: str = "upper"
 
 
-def check_time(t: float):
-    """Refuse a NaN, infinite or negative time, which a bound would turn
-    into the trivial bound 1 or into 0."""
-    if not math.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be finite and nonnegative, got {t}")
-
-
 def _tail_bound(prefactor: float, t: float, rate: float) -> float:
     """``min(1, prefactor * exp(-t * rate))``, 0 at an infinite rate.
 
-    Refuses a time that ``check_time`` refuses and a NaN or negative rate.
+    Refuses a NaN, infinite or negative time and a NaN or negative rate,
+    which would otherwise come out as the trivial bound 1 or as 0.
     """
-    check_time(t)
+    check_horizon(t, allow_zero=True)
     if not rate >= 0:  # also refuses NaN
         raise ValidationError(f"rate must be nonnegative, got {rate}")
     return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))

@@ -30,8 +30,9 @@ from . import bounds as bnd
 from . import combinatorics as comb
 from . import simulate
 from .errors import NumericalError, ValidationError
+from .markov import check_horizon
 from .modelio import read_model_file
-from .simulate import TailEstimate, check_horizons, check_samples, time_averages
+from .simulate import TailEstimate, check_samples, time_averages
 from .tilting import lambda0, lambda0_star
 
 # every family but fsobolev, which needs --fsobolev-c
@@ -201,7 +202,7 @@ def _tail_hits(model, horizons, u_grid, n_samples, seed) -> np.ndarray:
 def cmd_simulate(args) -> int:
     if math.isnan(args.u):
         raise ValidationError("threshold u must not be NaN")
-    check_horizons(args.t)
+    check_horizon(args.t)
     check_samples(args.samples)
     mf, seed = _load(args)
     hits = _tail_hits(mf.model, [args.t], [args.u], args.samples, seed)
@@ -266,7 +267,7 @@ def _families(args) -> list[str]:
 
 def cmd_bounds(args) -> int:
     families, u_grid = _families(args), _parse_grid(args.u_grid)
-    bnd.check_time(args.t)
+    check_horizon(args.t, allow_zero=True)
     mf, _ = _load(args)
     model, c = mf.model, args.fsobolev_c
     a = bnd.analyze(model)

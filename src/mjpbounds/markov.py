@@ -25,6 +25,7 @@ from .errors import (
     RowSumViolationError,
     SingularSystemError,
     ValidationError,
+    ZeroHorizonError,
 )
 
 DEFAULT_TOL = 1e-12
@@ -187,6 +188,18 @@ def transition_matrix(q: np.ndarray, t: float) -> np.ndarray:
     return p
 
 
+def check_horizon(t: float, allow_zero: bool = False):
+    """Refuse a horizon ``t`` that is NaN, infinite or negative, and 0 unless
+    ``allow_zero``: a tail bound at t = 0 is the trivial 1, while the time
+    average ``A_t/t`` is undefined there."""
+    if not math.isfinite(t) or t < 0:
+        if allow_zero:
+            raise ValidationError(f"time must be finite and nonnegative, got {t}")
+        raise ValidationError(f"horizon must be finite and positive, got {t}")
+    if t == 0 and not allow_zero:
+        raise ZeroHorizonError()
+
+
 _EXPM_ORDER = 16
 
 
@@ -254,14 +267,9 @@ def make_model(rates, f_values, nu=None) -> MJPModel:
     if not np.isfinite(f_raw).all():
         raise ValidationError("observable has non-finite entries")
     f = center_observable(f_raw, pi)
-    if nu is None:
-        nu_dist = np.zeros(n)
-        nu_dist[0] = 1.0
-        nu_dist.flags.writeable = False
-    else:
-        nu_dist = probability_vector(nu)
-        if nu_dist.size != n:
-            raise ValidationError("initial distribution has wrong length")
+    nu_dist = _readonly(np.eye(1, n)[0]) if nu is None else probability_vector(nu)
+    if nu_dist.size != n:
+        raise ValidationError("initial distribution has wrong length")
     return MJPModel(q=q, pi=pi, f=f, nu=nu_dist)
 
 

@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, ZeroHorizonError
-from .markov import MJPModel, stationary_model
+from .errors import ValidationError
+from .markov import MJPModel, check_horizon, stationary_model
 
 _BLOCK = 16384  # paths per block: bounds the memory of a run; results do not depend on it
 
@@ -419,21 +419,6 @@ def check_samples(n_samples: int, start: int = 0):
         )
 
 
-def check_horizons(t) -> np.ndarray:
-    """The horizons ``t`` as a 1-D float array; refuses a horizon that is
-    NaN, infinite, negative or 0, and a list that is empty or not strictly
-    ascending."""
-    hs = np.atleast_1d(np.asarray(t, dtype=float))
-    for h in hs.ravel().tolist():
-        if not math.isfinite(h) or h < 0:
-            raise ValidationError(f"horizon must be finite and positive, got {h}")
-        if h == 0:
-            raise ZeroHorizonError()
-    if hs.ndim != 1 or hs.size == 0 or np.any(np.diff(hs) <= 0):
-        raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
-    return hs
-
-
 def time_averages(model: MJPModel, t, n_samples: int, seed: int, start: int = 0) -> np.ndarray:
     """Per-sample time averages A_t/t, simulated in blocks of ``_BLOCK`` paths.
 
@@ -444,7 +429,11 @@ def time_averages(model: MJPModel, t, n_samples: int, seed: int, start: int = 0)
     draw counter).  The samples are ``start`` to ``start + n_samples - 1``:
     column i is sample ``start + i``, bit for bit as in any run that holds it.
     """
-    hs = check_horizons(t)
+    hs = np.atleast_1d(np.asarray(t, dtype=float))
+    for h in hs.ravel().tolist():
+        check_horizon(h)
+    if hs.ndim != 1 or hs.size == 0 or np.any(np.diff(hs) <= 0):
+        raise ValidationError(f"need one horizon or a strictly ascending list, got {t!r}")
     check_samples(n_samples, start)
     n_samples, start = int(n_samples), int(start)  # numpy 1 adds uint64 and int as floats
     tables = _Tables.of(model)

@@ -34,7 +34,9 @@ from mjpbounds.errors import (
     RowSumViolationError,
     SingularSystemError,
     ValidationError,
+    ZeroHorizonError,
 )
+from mjpbounds.markov import check_horizon
 
 from conftest import THREE_CYCLE_Q, TWO_STATE_F, TWO_STATE_Q, random_irreducible_model
 from oracles import strongly_connected
@@ -241,6 +243,7 @@ class TestInvariantDistribution:
         q = validate_q_matrix([[-1, 1, 0], [0, -1, 1], [1, 0, -1]])
         pi = invariant_distribution(q)
         np.testing.assert_allclose(pi, np.full(3, 1 / 3), atol=1e-14)
+        assert np.max(np.abs(pi @ q)) <= 1e-12
 
     @pytest.mark.xfail(
         strict=True,
@@ -327,6 +330,27 @@ class TestTransitionMatrix:
     def test_negative_time_rejected(self, two_state):
         with pytest.raises(ValidationError):
             transition_matrix(two_state.q, -1.0)
+
+
+class TestCheckHorizon:
+    """The one horizon rule: bounds accept t = 0, time averages refuse it."""
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 2.5])
+    def test_finite_nonnegative_accepted_by_bounds(self, t):
+        check_horizon(t, allow_zero=True)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+    def test_refusal_messages(self, t):
+        with pytest.raises(ValidationError, match="^time must be finite and nonnegative"):
+            check_horizon(t, allow_zero=True)
+        with pytest.raises(ValidationError, match="^horizon must be finite and positive") as err:
+            check_horizon(t)
+        assert not isinstance(err.value, ZeroHorizonError)
+
+    def test_zero_refused_for_time_averages(self):
+        with pytest.raises(ZeroHorizonError):
+            check_horizon(0.0)
+        check_horizon(1e-300)
 
 
 class TestDetailedBalance:
