@@ -121,10 +121,10 @@ class BoundPoint:
 def _tail_bound(prefactor: float, t: float, rate: float) -> float:
     """``min(1, prefactor * exp(-t * rate))``, 0 at an infinite rate.
 
-    Refuses a NaN, infinite or negative time and a NaN or negative rate,
-    which would otherwise come out as the trivial bound 1 or as 0.
+    Refuses a horizon that ``check_horizon`` refuses and a NaN or negative
+    rate, which would otherwise come out as the trivial bound 1 or as 0.
     """
-    check_horizon(t, allow_zero=True)
+    check_horizon(t)
     if not rate >= 0:  # also refuses NaN
         raise ValidationError(f"rate must be nonnegative, got {rate}")
     return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))

@@ -66,8 +66,7 @@ def _parse_t_list(spec: str) -> list[float]:
     if not values:
         raise ValidationError("time list is empty")
     for t in values:
-        if not math.isfinite(t) or t <= 0:
-            raise ValidationError(f"horizon must be finite and positive, got {t}")
+        check_horizon(t)
     if len(set(values)) < len(values):  # its cells would be written twice
         raise ValidationError(f"time list repeats a horizon: {values}")
     return values
@@ -267,7 +266,7 @@ def _families(args) -> list[str]:
 
 def cmd_bounds(args) -> int:
     families, u_grid = _families(args), _parse_grid(args.u_grid)
-    check_horizon(args.t, allow_zero=True)
+    check_horizon(args.t)
     mf, _ = _load(args)
     model, c = mf.model, args.fsobolev_c
     a = bnd.analyze(model)

@@ -179,24 +179,22 @@ def transition_matrix(q: np.ndarray, t: float) -> np.ndarray:
     The argument is scaled by 2^s with ``s = ceil(log2(||tQ||_inf))`` so the
     scaled norm is at most 1, a fixed-order truncated series is evaluated in
     Horner form, and the result is squared s times.  Entries in [-1e-12, 0)
-    are clamped to 0.
+    are clamped to 0.  ``t`` must be finite and nonnegative; ``P(0) = I``.
     """
-    if t < 0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be finite and nonnegative, got {t}")
     p = _expm(t * q)
     p[(p < 0.0) & (p > -1e-12)] = 0.0
     return p
 
 
-def check_horizon(t: float, allow_zero: bool = False):
-    """Refuse a horizon ``t`` that is NaN, infinite or negative, and 0 unless
-    ``allow_zero``: a tail bound at t = 0 is the trivial 1, while the time
-    average ``A_t/t`` is undefined there."""
+def check_horizon(t: float):
+    """Refuse a horizon ``t`` that is NaN, infinite, negative or 0: the time
+    average ``A_t/t``, and so its tail and every bound on it, is undefined
+    at t = 0."""
     if not math.isfinite(t) or t < 0:
-        if allow_zero:
-            raise ValidationError(f"time must be finite and nonnegative, got {t}")
         raise ValidationError(f"horizon must be finite and positive, got {t}")
-    if t == 0 and not allow_zero:
+    if t == 0:
         raise ZeroHorizonError()
 
 

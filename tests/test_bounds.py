@@ -271,10 +271,11 @@ class TestFSobolev:
             target = c * cramer_transform_static(two_state.pi, two_state.f, u)
             assert p.rate == pytest.approx(target, abs=1e-8)
 
-    def test_zero_threshold_rate_zero(self, two_state):
-        verdict = FSobolevVerdict.assumed(two_state, 0.5)
-        p = evaluate_family(two_state, 1.0, 0.0, "fsobolev", fsobolev=verdict)
-        assert p.rate == 0.0
+    def test_zero_threshold_rate_zero(self, two_state, three_dense):
+        for m in (two_state, three_dense):
+            verdict = FSobolevVerdict.assumed(m, 0.5)
+            p = evaluate_family(m, 1.0, 0.0, "fsobolev", fsobolev=verdict)
+            assert p.rate == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_at_max_f_is_minus_c_log_of_its_mass(self, two_state):
@@ -359,7 +360,7 @@ def test_negative_threshold_refused_in_every_family(two_state, family):
 
 def _verdict_panel_chain(name):
     """The 3-cycle, or the random chain of the given size drawn in turn from
-    one generator: ``rand3`` to ``rand6`` and ``rand32``."""
+    one generator: ``rand3`` to ``rand6``, ``rand32`` and ``rand64``."""
     if name == "three_cycle":
         return make_model(THREE_CYCLE_Q, THREE_CYCLE_F)
     rng = np.random.default_rng(13)
@@ -433,7 +434,7 @@ class TestFSobolevBatchedSearch:
     # 0.05 gap is below the closed-form lower bound on alpha on every chain
     # of the panel, and alpha <= gap/2, with a violation the search finds
     @pytest.mark.parametrize(
-        "name", ["three_cycle", "rand3", "rand4", "rand5", "rand6", "rand32"]
+        "name", ["three_cycle", "rand3", "rand4", "rand5", "rand6", "rand32", "rand64"]
     )
     @pytest.mark.parametrize(
         "c_over_gap, status",
@@ -821,12 +822,12 @@ class TestEvaluateFamilyRejectsBadInputs:
             evaluate_family(two_state, -1.0, 0.5, family)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, 0.0])
 class TestEveryPathToABoundRefusesBadTime:
     def test_bound_point_at(self, two_state, t):
         # a cell of the table at a horizon other than the first, which it
         # evaluates the family at
-        with pytest.raises(ValidationError, match="time"):
+        with pytest.raises(ValidationError, match="horizon"):
             bound_table(two_state, ["poincare"], [0.3], [2.0, t])
 
     def test_iid_sum_bound(self, t):

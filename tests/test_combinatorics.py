@@ -125,14 +125,17 @@ class TestEnumeration:
 
 
 def test_oracles_are_not_in_the_library():
-    # the checks above live in tests/oracles.py; the library ships none.  Nor
-    # does it wrap the model's arrays: q, pi, f and nu are plain arrays
+    # the checks above and the single-path simulator live in tests/oracles.py;
+    # the library ships none.  Nor does it wrap the model's arrays: q, pi, f
+    # and nu are plain arrays
     for name in (
         "enumerate_classes", "class_census", "CompositionClass",
         "motzkin_binomial", "phi_series", "ENUMERATION_CAP", "PHI_SERIES_TOL",
         "PHI_SERIES_CAP", "TooLargeError", "QMatrix", "ProbDist", "Observable",
+        "sample_trajectory",
     ):
-        for module in (mjpbounds, combinatorics, mjpbounds.errors, mjpbounds.markov):
+        for module in (mjpbounds, combinatorics, mjpbounds.errors, mjpbounds.markov,
+                       mjpbounds.simulate):
             assert not hasattr(module, name), (module.__name__, name)
 
 

@@ -147,8 +147,14 @@ class TestCliSubcommands:
         assert info["seed"] == 9
 
     def test_validate_bad_model_exit_code(self, model_file):
-        path = model_file(q=[[-1.0, 0.5], [2.0, -2.0]])
-        assert main(["validate", "--model", path]) == 2
+        # each row is judged by its own largest rate: row 1 of the second
+        # matrix sums to -5e-5, which the 1e8 of row 0 does not excuse, and
+        # the -5e-13 of the third is as large as its row's positive rate
+        for q in ([[-1.0, 0.5], [2.0, -2.0]],
+                  [[-1e8, 1e8, 0], [0.5, -1.0, 0.49995], [1, 1, -2]],
+                  [[-1e-13, 1e-13, 0], [5e-13, 0, -5e-13], [1e-13, 1e-13, -2e-13]]):
+            path = model_file(q=q, f=[1.0, 0.0, -1.0][: len(q)])
+            assert main(["validate", "--model", path]) == 2
 
     def test_spectrum(self, model_file, capsys):
         assert main(["spectrum", "--model", model_file()]) == 0
@@ -355,18 +361,21 @@ class TestCliSubcommands:
     def test_negative_threshold_refused_with_one_message(
         self, model_file, tmp_path, capsys, family
     ):
-        out = tmp_path / "bounds.csv"
-        assert main(
-            [
-                "bounds", "--model", model_file(), "--t", "5", "--u-grid=-0.5:0.5:3",
-                "--families", family, "--fsobolev-c", "0.5", "--out", str(out),
-            ]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "threshold u must be nonnegative, got -0.5;" in err
-        assert "upper tail of -f" in err
-        assert "lower_tail" not in err
-        assert not out.exists()
+        # bounds and compare give the message, which names no function a
+        # command-line user cannot call
+        out = tmp_path / "out.csv"
+        for command in (["bounds", "--t", "5"], ["compare", "--t", "1,2", "--samples", "100"]):
+            assert main(
+                [
+                    *command, "--model", model_file(), "--u-grid=-0.5:0.5:3",
+                    "--families", family, "--fsobolev-c", "0.5", "--out", str(out),
+                ]
+            ) == 2
+            err = capsys.readouterr().err
+            assert "threshold u must be nonnegative, got -0.5;" in err
+            assert "upper tail of -f" in err
+            assert "lower_tail" not in err
+            assert not out.exists()
 
     def test_series_beyond_old_cap(self, model_file, tmp_path):
         out = tmp_path / "series.csv"
@@ -532,13 +541,15 @@ class TestCliSubcommands:
         ids=["bounds", "compare"],
     )
     def test_huge_threshold_gets_a_rate(self, model_file, tmp_path, argv):
-        # at u = 1e308 the sub-gamma closed form was inf / inf, a NaN rate
+        # at u = 1e308 the sub-gamma closed form was inf / inf, a NaN rate.
+        # A row per threshold and family, or per threshold and horizon
         out = tmp_path / "out.csv"
         grid = ["--u-grid", "0:1e308:3", "--no-timestamp", "--out", str(out)]
         assert main([*argv, "--model", model_file(), *grid]) == 0
         body = out.read_text()
         assert "nan" not in body.lower()
-        assert len(body.splitlines()) > 3
+        rows = 3 * len(bnd.FAMILIES) if argv[0] == "bounds" else 3 * 2
+        assert len(body.splitlines()) == 1 + rows
 
     def test_simulate_nan_threshold_refused_before_simulating(
         self, model_file, tmp_path, capsys, monkeypatch
@@ -568,10 +579,14 @@ class TestCliSubcommands:
                 "--families", "poincare,poincare",
             ],
             ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2", "--families", ","],
+            # alpha = 1/log 2 = 1.4427 exactly on the two-state chain, so 1.45 is violated
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2", "--families", "fsobolev",
+             "--fsobolev-c", "1.45"],
         ],
         ids=[
             "bounds_negative_t", "rate_nan_u", "bounds_infinite_u",
             "bounds_repeated_family", "bounds_empty_family_list",
+            "bounds_violated_fsobolev_constant",
         ],
     )
     def test_refused_bounds_and_rate_write_no_file(self, model_file, tmp_path, argv):
@@ -598,17 +613,21 @@ class TestCliSubcommands:
 
     @pytest.mark.parametrize(
         "chain, note",
-        [("two_state", ""), ("three_cycle", ""), ("three_dense", "unverified")],
+        [("two_state", ""), ("three_cycle", ""), ("three_dense", "unverified"),
+         ("two_state_at_1.44", "")],
     )
     def test_fsobolev_row_flags_an_unverified_inequality(
         self, model_file, tmp_path, chain, note
     ):
         # 0.2 is below the closed-form lower bound on the log-Sobolev
         # constant of both the 2-state chain and the 3-cycle (verdict
-        # holds); 1.3 on the dense 3-state chain is between that bound and
-        # gap/2, where the search finds no violation (verdict inconclusive),
-        # so the rate rests on an inequality that is assumed, not shown
+        # holds), and 1.44 is below its exact alpha = 1/log 2 = 1.4427 on
+        # the 2-state chain; 1.3 on the dense 3-state chain is between that
+        # bound and gap/2, where the search finds no violation (verdict
+        # inconclusive), so the rate rests on an inequality that is assumed,
+        # not shown
         q, f, c = {"two_state": (TWO_STATE_Q, TWO_STATE_F, "0.2"),
+                   "two_state_at_1.44": (TWO_STATE_Q, TWO_STATE_F, "1.44"),
                    "three_cycle": (THREE_CYCLE_Q, THREE_CYCLE_F, "0.2"),
                    "three_dense": (THREE_DENSE_Q, THREE_DENSE_F, "1.3")}[chain]
         out = tmp_path / "bounds.csv"
@@ -917,6 +936,16 @@ REFUSED_COMPARE_SETTINGS = [
 # a negative u is refused by the families, and a log-Sobolev constant of 10
 # is violated on the two-state chain: only the model shows either
 NEED_THE_MODEL = [("--u-grid", "-0.2:0.3:2"), ("--fsobolev-c", "10")]
+# what the refusal of a setting says, where a case below pins it
+REFUSAL_MESSAGES = {
+    ("compare", "--t", "1,1"): "repeats a horizon",
+    ("compare", "--t", "0"): "time average is undefined for a zero-length horizon",
+    ("simulate", "--t", "0"): "time average is undefined for a zero-length horizon",
+    ("bounds", "--t", "0"): "time average is undefined for a zero-length horizon",
+    ("bounds", "--t", "-1"): "horizon must be finite and positive, got -1.0",
+    ("simulate", "--samples", "0"): "at least one sample",
+    ("series", "--order", "0"): "need order >= 1",
+}
 
 
 def _settings_argv(command, flag, value):
@@ -962,7 +991,6 @@ class TestCompare:
         # steps only the paths short of their target.  The body was recorded
         # with the jump tables that listed every state but x in row x; its
         # bound cells are 0, 1 and inf, so only the simulation can move it.
-        # The installed console script runs the same command in CI.
         data = Path(__file__).resolve().parent / "data"
         out = tmp_path / "clustered.csv"
         assert main(
@@ -978,8 +1006,7 @@ class TestCompare:
         # nu puts weight on three of five states, one of them 1e-9, and none
         # on the other two.  The body was recorded with the initial state
         # picked by a linear count against the running sum of nu; its bound
-        # cells are 0, 1 and inf, so only the simulation can move it.  The
-        # installed console script runs the same command in CI.
+        # cells are 0, 1 and inf, so only the simulation can move it.
         data = Path(__file__).resolve().parent / "data"
         out = tmp_path / "spread.csv"
         assert main(
@@ -996,7 +1023,6 @@ class TestCompare:
         # partial blocks; two horizons lie 1e-9 apart.  The body was recorded
         # with the kernel that compacted the live paths into new arrays; its
         # bound cells are 0, 1 and inf, so only the simulation can move it.
-        # The installed console script runs the same command in CI.
         data = Path(__file__).resolve().parent / "data"
         out = tmp_path / "three_dense.csv"
         assert main(
@@ -1056,19 +1082,22 @@ class TestCompare:
         + [("simulate", "--samples", "0"), ("simulate", "--u", "nan"),
            ("bounds", "--families", "nosuch"), ("rate", "--u-grid", "0.1:0.3:0"),
            ("series", "--r-grid", "0:0.2:0"), ("bounds", "--t", "-1"),
-           ("simulate", "--t", "0"), ("series", "--order", "0")],
+           ("simulate", "--t", "0"), ("series", "--order", "0"), ("bounds", "--t", "0")],
     )
     def test_refusal_that_needs_no_model_reads_none(
         self, tmp_path, capsys, monkeypatch, command, flag, value
     ):
+        # the message names the flag, not the model file
         def never(path):
             raise AssertionError(f"read {path} for a refused flag")
 
         monkeypatch.setattr(cli, "read_model_file", never)
-        out = tmp_path / "out.csv"
-        argv = [*_settings_argv(command, flag, value), "--model", str(tmp_path / "none")]
+        out, model = tmp_path / "out.csv", str(tmp_path / "none")
+        argv = [*_settings_argv(command, flag, value), "--model", model]
         assert main([*argv, "--out", str(out)]) == 2
-        assert "validation failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and model not in err
+        assert REFUSAL_MESSAGES.get((command, flag, value), "") in err
         assert not out.exists()
 
     def test_horizon_order_and_single_runs_give_same_rows(self, model_file, tmp_path):
