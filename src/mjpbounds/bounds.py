@@ -121,13 +121,18 @@ class BoundPoint:
 def _tail_bound(prefactor: float, t: float, rate: float) -> float:
     """``min(1, prefactor * exp(-t * rate))``, 0 at an infinite rate.
 
-    Refuses a horizon that ``check_horizon`` refuses and a NaN or negative
-    rate, which would otherwise come out as the trivial bound 1 or as 0.
+    Refuses what ``_check_tail`` refuses.
     """
+    _check_tail(t, rate)
+    return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))
+
+
+def _check_tail(t: float, rate: float):
+    """Refuse a horizon that ``check_horizon`` refuses and a NaN or negative
+    rate, which would otherwise come out as the trivial bound 1 or as 0."""
     check_horizon(t)
     if not rate >= 0:  # also refuses NaN
         raise ValidationError(f"rate must be nonnegative, got {rate}")
-    return 0.0 if math.isinf(rate) else min(1.0, prefactor * math.exp(-t * rate))
 
 
 def _finish(family, u, t, rate, prefactor, branch="", diagnostics=None) -> BoundPoint:
@@ -490,4 +495,12 @@ def iid_sum_bound(
     whole = isinstance(n_replicas, (int, np.integer)) and not isinstance(n_replicas, bool)
     if not whole or n_replicas < 1:  # a bool is an int too
         raise ValidationError(f"need a whole number of replicas >= 1, got {n_replicas}")
-    return _tail_bound(prefactor**n_replicas, t, n_replicas * float(rate_fn(u)))
+    if not prefactor > 0:  # also refuses NaN
+        raise ValidationError(f"prefactor must be positive, got {prefactor}")
+    rate = float(rate_fn(u))
+    _check_tail(t, rate)
+    if math.isinf(rate):
+        return 0.0
+    # in logs, since prefactor**n overflows (2.0**2000):
+    # min(1, p^n e^{-n t rate}) = exp(min(0, n (log p - t rate)))
+    return math.exp(min(0.0, n_replicas * (math.log(prefactor) - t * rate)))

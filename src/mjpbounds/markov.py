@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     NegativeRateError,
     NonSquareError,
+    NotCenteredError,
     NotIrreducibleError,
     RowSumViolationError,
     SingularSystemError,
@@ -174,16 +175,16 @@ def invariant_distribution(q: np.ndarray) -> np.ndarray:
 
 
 def transition_matrix(q: np.ndarray, t: float) -> np.ndarray:
-    """Transition function P(t) = exp(tQ) by scaling and squaring.
+    """Transition function P(t) = exp(tQ) by scaling and squaring (``_expm``).
 
-    The argument is scaled by 2^s with ``s = ceil(log2(||tQ||_inf))`` so the
-    scaled norm is at most 1, a fixed-order truncated series is evaluated in
-    Horner form, and the result is squared s times.  Entries in [-1e-12, 0)
-    are clamped to 0.  ``t`` must be finite and nonnegative; ``P(0) = I``.
+    Every row is divided by its sum after each squaring, so the row sums keep
+    a one-ulp drift, not one squared at every step, and the rows tend to
+    ``pi`` for every finite t.  Entries in [-1e-12, 0) are clamped to 0.
+    ``t`` must be finite and nonnegative; ``P(0) = I``.
     """
     if not math.isfinite(t) or t < 0:
         raise ValidationError(f"time must be finite and nonnegative, got {t}")
-    p = _expm(t * q)
+    p = _expm(q, t, stochastic=True)
     p[(p < 0.0) & (p > -1e-12)] = 0.0
     return p
 
@@ -201,16 +202,22 @@ def check_horizon(t: float):
 _EXPM_ORDER = 16
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
+def _expm(m: np.ndarray, t: float = 1.0, stochastic: bool = False) -> np.ndarray:
+    """exp(t m): a fixed-order Taylor series in Horner form on ``t m / 2^s``,
+    of norm at most 1, squared s times.  ``s`` comes from ``log2(t) +
+    log2(||m||_inf)``, so ``t m``, which can overflow, is never formed.
+    ``stochastic`` divides every row by its sum after each squaring."""
     n = m.shape[0]
     norm = float(np.max(np.abs(m).sum(axis=1)))
-    s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    a = m / (2.0**s)
+    s = 0 if t * norm <= 1.0 else math.ceil(math.log2(t) + math.log2(norm))
+    a = m * math.ldexp(t, -s)
     e = np.eye(n) / math.factorial(_EXPM_ORDER)
     for k in range(_EXPM_ORDER - 1, -1, -1):
         e = a @ e + np.eye(n) / math.factorial(k)
     for _ in range(s):
         e = e @ e
+        if stochastic:
+            e /= e.sum(axis=1, keepdims=True)
     return e
 
 
@@ -233,28 +240,39 @@ def center_observable(f, pi: np.ndarray) -> np.ndarray:
     that moves one value by one ulp may lower ``|pi(f)|`` by a part in 1e10
     when that state's weight is tiny.  Whether it stops depends on the values
     alone, so the result is a fixed point: centering it again returns it bit
-    for bit.  The result is a new read-only array, which shares no memory
-    with ``f``.
+    for bit.  A shift past the largest double stops the loop early, as for
+    ``f = (1.7e308, -1.7e308)`` on a chain with ``pi = (2/3, 1/3)``; a result
+    that ``check_centered`` refuses raises ``NotCenteredError``.  The result
+    is a new read-only array, which shares no memory with ``f``.
     """
     values = np.array(f, dtype=float)
     mean = pi_expectation(pi, values)
-    while mean != 0.0:
-        shifted = values - mean
-        shifted_mean = pi_expectation(pi, shifted)
-        # >= also stops a pass that leaves a subnormal |pi(f)| as it was,
-        # where 0.9 * |pi(f)| rounds back up to |pi(f)|
-        if abs(shifted_mean) >= 0.9 * abs(mean):
-            break
-        values, mean = shifted, shifted_mean
+    with np.errstate(over="ignore"):
+        while mean != 0.0:
+            shifted = values - mean
+            shifted_mean = pi_expectation(pi, shifted)
+            # >= also stops a pass that leaves a subnormal |pi(f)| as it was,
+            # where 0.9 * |pi(f)| rounds back up to |pi(f)|
+            if abs(shifted_mean) >= 0.9 * abs(mean):
+                break
+            values, mean = shifted, shifted_mean
+    check_centered(mean, values)
     return _readonly(values)
+
+
+def check_centered(mean: float, f: np.ndarray):
+    """Refuse an ``f`` whose mean ``pi(f)`` exceeds ``1e-10 max(1, max|f|)``:
+    rounding leaves a mean in proportion to the size of f, and no more."""
+    if abs(mean) > 1e-10 * max(1.0, float(np.abs(f).max())):
+        raise NotCenteredError(mean)
 
 
 def make_model(rates, f_values, nu=None) -> MJPModel:
     """Assemble a validated model: irreducible Q, invariant pi, centered f.
 
     ``nu`` defaults to a point mass at state 0.  The observable is centered
-    against pi on ingest; the raw values shifted by a constant yield the same
-    deviation probabilities.
+    against pi on ingest, and refused if it cannot be; the raw values
+    shifted by a constant yield the same deviation probabilities.
     """
     q = validate_q_matrix(rates)
     pi = invariant_distribution(q)

@@ -148,9 +148,18 @@ class TailEstimate:
 
     @classmethod
     def of(cls, u: float, t: float, n: int, hits: int) -> TailEstimate:
-        """The estimate from ``hits`` of ``n`` samples at or above ``u``."""
+        """The estimate from ``hits`` of ``n`` samples at or above ``u``.
+
+        Refuses a NaN ``u``, a ``t`` that ``check_horizon`` refuses, an ``n``
+        that ``check_samples`` refuses, and ``hits`` that is not a whole
+        number in ``[0, n]``.
+        """
         if math.isnan(u):
             raise ValidationError("threshold u must not be NaN")
+        check_horizon(t)
+        check_samples(n)
+        if not _whole(hits) or not 0 <= hits <= n:
+            raise ValidationError(f"hits must be a whole number in [0, {n}], got {hits!r}")
         p_hat = hits / n
         if hits in (0, n):
             # Wilson half width stays informative where the normal CI collapses
@@ -399,13 +408,17 @@ def _time_average_block(horizons, seed, start, count, tables, out):
         slot = _next_slots(tables, slot, u[0])
 
 
+def _whole(value) -> bool:
+    """True for a Python or numpy integer, and false for a bool, which is an int too."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_samples(n_samples: int, start: int = 0):
     """Refuse a sample range ``start .. start+n_samples-1`` that is empty,
     that the 64-bit sample counter cannot name, or whose count or first
     sample is not an integer (a float or a bool; numpy integers pass)."""
     for name, value in (("sample count", n_samples), ("first sample", start)):
-        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not whole:  # a bool is an int too
+        if not _whole(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     n_samples, start = int(n_samples), int(start)
     if n_samples < 1:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGapError, NotCenteredError, NumericalError
+from .errors import DegenerateGapError, NumericalError
+from .markov import check_centered
 
 
 def adjoint_generator(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -158,13 +159,10 @@ def resolvent_power(sd: SpectralData, r: float) -> np.ndarray:
 def sigma_hat_sq(sd: SpectralData, f: np.ndarray) -> float:
     """Asymptotic variance -2 <Sf, f> of the time average under ``sd.pi``.
 
-    Centering is checked relative to the size of f, since rounding leaves a
-    mean proportional to it.  A variance that overflows raises
+    ``pi(f)`` must pass ``check_centered``.  A variance that overflows raises
     ``NumericalError``.
     """
-    mean = float(sd.pi @ f)
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(f)))):
-        raise NotCenteredError(mean)
+    check_centered(float(sd.pi @ f), f)
     with np.errstate(over="ignore", invalid="ignore"):
         val = -2.0 * pi_inner(sd.pi, sd.resolvent @ f, f)
     if not np.isfinite(val):

@@ -25,6 +25,7 @@ R_CAP_FACTOR = 1e6
 NEWTON_RTOL = 1e-12
 # c of the Weyl slack c * n * eps * ||B + r diag f||_2 on a computed eigenvalue
 WEYL_C = 8.0
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -82,30 +83,26 @@ def chi2_prefactor(nu: np.ndarray, pi: np.ndarray) -> float:
 def bernstein_conjugate(bp: BernsteinParams, u: float) -> float:
     """Closed-form conjugate of the sub-gamma bound r^2 v / (2(1 - rc)).
 
-    Uses the cancellation-free form ``2u^2 / (v (1 + sqrt(1 + 2uc/v))^2)``;
-    at c = 0 this is the Gaussian limit u^2 / (2v).  Where ``2u^2`` or
-    ``2uc/v`` overflows, the same form is evaluated in exact rationals and
-    rounded once, to ``inf`` past the largest double; where ``2uc/v`` is
-    past it too, the value is ``u/c``, from which it differs by a relative
-    ``sqrt(2v/(uc))`` below 2e-154.
+    The value ``2u^2 / (v (1 + sqrt(1 + 2uc/v))^2)`` (u^2 / (2v) at c = 0) is
+    ``y * y`` with ``y = w sqrt(2) / sqrt(v)`` and ``w = u / (1 + sqrt(1 +
+    2uc/v))``, computed as ``1 / (s + sqrt(s) hypot(sqrt(s), sqrt(2c/v)))``
+    for ``s = 1/u``.  Each correctly rounded step moves one way as u grows,
+    so the value never falls, not even between adjacent doubles; past the
+    largest double it is ``inf``.  Where ``1/u`` or ``sqrt(c/v)`` overflows
+    (u below 5.6e-309, c/v above 3.2e616) it is 0, below the true rate.
     """
-    if bp.v <= 0 or bp.c < 0 or not 0 <= u < math.inf:  # also refuses NaN
-        raise ValidationError(f"need v > 0, c >= 0, finite u >= 0; got {bp} at u={u}")
-    root = math.sqrt(1.0 + 2.0 * u * bp.c / bp.v)
-    value = 2.0 * u * u / (bp.v * (1.0 + root) ** 2)
-    if math.isfinite(value):
-        return value
-    from fractions import Fraction  # imported here: its import costs about 3 ms
-
-    u_q, v_q = Fraction(u), Fraction(bp.v)
-    try:
-        root = math.sqrt(1.0 + float(2 * u_q * Fraction(bp.c) / v_q))
-    except OverflowError:
-        return u / bp.c
-    try:
-        return float(2 * u_q**2 / (v_q * Fraction(1.0 + root) ** 2))
-    except OverflowError:
-        return math.inf
+    # the comparisons also refuse NaN; v = c = inf would give sqrt(c)/sqrt(v) = NaN
+    if not bp.v > 0 or not bp.c >= 0 or bp.v == bp.c == math.inf or not 0 <= u < math.inf:
+        raise ValidationError(
+            f"need v > 0, c >= 0, not both infinite, finite u >= 0; got {bp} at u={u}"
+        )
+    if u == 0.0:
+        return 0.0
+    s = 1.0 / u
+    root_s = math.sqrt(s)
+    w = 1.0 / (s + root_s * math.hypot(root_s, _SQRT2 * (math.sqrt(bp.c) / math.sqrt(bp.v))))
+    y = w * _SQRT2 / math.sqrt(bp.v)
+    return y * y
 
 
 def _tilted_eigh(sd: SpectralData, f: np.ndarray, r: np.ndarray):

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -861,6 +862,31 @@ class TestIidSumBound:
         assert iid_sum_bound(lambda u: 0.1, 2, 0.3, t=1.0) == pytest.approx(
             math.exp(-0.2)
         )
+
+    @pytest.mark.parametrize(
+        "prefactor, n, rate, bound",
+        [
+            # 2.0**2000 and 10.0**400 raised OverflowError, and the numpy
+            # 2.0**2000 = inf gave inf * 0 = nan, read as the trivial bound 1
+            (2.0, 2000, 1.0, 3.0413e-267),
+            (np.float64(2.0), 2000, 1.0, 3.0413e-267),
+            (10.0, 400, 3.0, 7.0222e-122),
+        ],
+        ids=["float", "numpy", "ten"],
+    )
+    def test_prefactor_power_past_the_largest_double(self, prefactor, n, rate, bound):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = float((decimal.Decimal(float(prefactor)) * decimal.Decimal(-rate).exp()) ** n)
+        assert exact == pytest.approx(bound, rel=1e-4)
+        assert iid_sum_bound(lambda u: rate, n, 0.3, t=1.0, prefactor=prefactor) == (
+            pytest.approx(exact, rel=1e-12)
+        )
+
+    @pytest.mark.parametrize("prefactor", [0.0, -1.0, math.nan])
+    def test_prefactor_must_be_positive(self, prefactor):
+        with pytest.raises(ValidationError, match="prefactor"):
+            iid_sum_bound(lambda u: 0.25, 3, 0.3, t=2.0, prefactor=prefactor)
 
     def test_monte_carlo_domination_with_replicas(self, two_state):
         # average of 5 independent time averages vs the replicated bound

@@ -571,6 +571,37 @@ class TestCliSubcommands:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["validate"],
+            ["simulate", "--t", "1", "--u", "0.1", "--samples", "100"],
+            ["bounds", "--t", "5", "--u-grid", "0.1:0.3:2"],
+        ],
+        ids=["validate", "simulate", "bounds"],
+    )
+    def test_observable_that_cannot_be_centered_refused_at_load(
+        self, model_file, tmp_path, capsys, monkeypatch, argv
+    ):
+        # the shift by pi(f) = 5.7e307 overflows, so f stayed uncentered:
+        # validate printed it, simulate gave p_hat 0.75, and bounds exited 2
+        # only once sigma_hat_sq checked it
+        def never(*args, **kwargs):
+            raise AssertionError("simulated an uncentered observable")
+
+        monkeypatch.setattr(cli, "time_averages", never)
+        model = model_file(f=[1.7e308, -1.7e308])
+        out = tmp_path / "out.csv"
+        outputs = [] if argv[0] == "validate" else ["--out", str(out)]
+        assert main([*argv, "--model", model, *outputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation failure: {model}: "
+            "observable is not centered: pi(f) = 5.666666666666666e+307\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["bounds", "--t", "-1", "--u-grid", "0.1:0.3:2"],
             ["rate", "--u-grid", "nan:0.5:2"],
             ["bounds", "--t", "5", "--u-grid", "inf:inf:1"],

@@ -30,6 +30,7 @@ from mjpbounds import (
 from mjpbounds.errors import (
     NegativeRateError,
     NonSquareError,
+    NotCenteredError,
     NotIrreducibleError,
     RowSumViolationError,
     SingularSystemError,
@@ -331,6 +332,28 @@ class TestTransitionMatrix:
         with pytest.raises(ValidationError):
             transition_matrix(two_state.q, -1.0)
 
+    @pytest.mark.parametrize("chain", ["two_state", "rand8"])
+    @pytest.mark.parametrize("t", [1e12, 1e15, 1e18, 1e20, 1e300, 1e308])
+    def test_rows_reach_pi_at_large_time(self, two_state, chain, t):
+        # without renormalizing, the two-state rows summed to 0.99994 at
+        # t = 1e12, 0.943 at 1e15, 1.1e69 at 1e18 and inf at 1e20; 1e300 gave
+        # the zero matrix and 1e308 an OverflowError
+        model = two_state if chain == "two_state" else (
+            random_irreducible_model(np.random.default_rng(8), n=8)
+        )
+        p = transition_matrix(model.q, t)
+        assert np.max(np.abs(p - model.pi)) <= 1e-12
+
+    def test_bits_kept_where_no_squaring_is_needed(self, three_dense):
+        # at t ||Q||_inf <= 1 nothing is squared or renormalized: the value
+        # is the series sum_k (tQ)^k / k! alone
+        t = 0.25 / float(np.max(np.abs(three_dense.q).sum(axis=1)))
+        a = t * three_dense.q
+        e = np.eye(3) / math.factorial(16)
+        for k in range(15, -1, -1):
+            e = a @ e + np.eye(3) / math.factorial(k)
+        np.testing.assert_array_equal(transition_matrix(three_dense.q, t), e)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, two_state, t):
         # NaN gave an all-NaN matrix, and inf an OverflowError from math.ceil
@@ -404,6 +427,12 @@ class TestCenterObservable:
     def test_shift_example(self, two_state):
         f = center_observable(np.array([1.0, 0.0]), two_state.pi)
         np.testing.assert_allclose(f, [1 / 3, -2 / 3], atol=1e-14)
+
+    def test_observable_whose_shift_overflows_refused(self):
+        # f - pi(f) overflows to -inf in state 1, so centering stops with
+        # pi(f) = 5.7e307; the model kept it and every command then read it
+        with pytest.raises(NotCenteredError, match=r"pi\(f\) = 5\.666666666666666e\+307"):
+            make_model(TWO_STATE_Q, [1.7e308, -1.7e308])
 
     def test_idempotent(self, three_dense):
         f1 = center_observable(np.array([5.0, -1.0, 2.0]), three_dense.pi)

@@ -830,6 +830,30 @@ class TestEmpiricalTail:
         with pytest.raises(ValidationError, match="NaN"):
             TailEstimate.of(math.nan, 3.0, 4, 2)
 
+    @pytest.mark.parametrize(
+        "t, n, hits, message",
+        [
+            # n = 0 divided by zero; 11 of 10 and -1 took a square root of a
+            # negative number; t = nan was kept
+            (3.0, 0, 0, "need at least one sample"),
+            (3.0, 10.0, 5, "sample count must be an integer"),
+            (3.0, 10, 11, r"hits must be a whole number in \[0, 10\], got 11"),
+            (3.0, 10, -1, r"hits must be a whole number in \[0, 10\], got -1"),
+            (3.0, 10, 5.0, r"hits must be a whole number in \[0, 10\], got 5.0"),
+            (3.0, 10, True, r"hits must be a whole number in \[0, 10\], got True"),
+            (math.nan, 10, 5, "horizon must be finite and positive"),
+            (-1.0, 10, 5, "horizon must be finite and positive"),
+            (0.0, 10, 5, "zero-length horizon"),
+        ],
+    )
+    def test_impossible_counts_and_horizons_refused(self, t, n, hits, message):
+        with pytest.raises(ValidationError, match=message):
+            TailEstimate.of(0.25, t, n, hits)
+
+    def test_numpy_counts_accepted(self):
+        est = TailEstimate.of(0.25, 3.0, np.int64(4), np.int64(2))
+        assert est == TailEstimate.of(0.25, 3.0, 4, 2)
+
     def test_averages_of_several_horizons_rejected(self, two_state):
         # one row per horizon; counting hits over all rows would give p_hat > 1
         rows = time_averages(two_state, [2.0, 5.0], 500, seed=3)

@@ -222,19 +222,32 @@ class TestBernsteinConjugate:
         st.floats(0.0, 1.79e308),
     )
     def test_every_finite_threshold_has_a_rate_that_grows(self, bp, u, w):
-        # u = 1e308 once gave inf / inf = nan
+        # u = 1e308 once gave inf / inf = nan, and the old form's rate fell
+        # between adjacent thresholds
         lo, hi = sorted((u, w))
         a, b = bernstein_conjugate(bp, lo), bernstein_conjugate(bp, hi)
         assert a >= 0.0 and b >= 0.0  # NaN fails
         assert a == pytest.approx(self.reference(bp, lo), rel=1e-14)
-        # adjacent thresholds may round either way; these differ by more
-        if hi > lo * (1.0 + 1e-12):
-            assert a <= b
-        # where the closed form does not overflow, its bits are the value
-        root = math.sqrt(1.0 + 2.0 * lo * bp.c / bp.v)
-        plain = 2.0 * lo * lo / (bp.v * (1.0 + root) ** 2)
-        if math.isfinite(plain):
-            assert a.hex() == plain.hex()
+        assert a <= b
+        assert a <= bernstein_conjugate(bp, math.nextafter(lo, math.inf))
+
+    @pytest.mark.parametrize(
+        "v, c, u, rate",
+        [(5e-324, 1.0, 1.0, 1.0), (1e-300, 1e10, 1.0, 1e-10), (1.0, 1e308, 1.0, 1e-308)],
+    )
+    def test_extreme_parameters_get_their_rate(self, v, c, u, rate):
+        # the old form returned 0 here, the trivial bound
+        bp = BernsteinParams(v, c)
+        value = bernstein_conjugate(bp, u)
+        assert value == pytest.approx(rate, rel=1e-14, abs=0.0)
+        assert value == pytest.approx(self.reference(bp, u), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "v, c", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0), (math.inf, math.inf)]
+    )
+    def test_nan_or_out_of_range_parameters_refused(self, v, c):
+        with pytest.raises(ValidationError, match="v > 0, c >= 0"):
+            bernstein_conjugate(BernsteinParams(v, c), 1.0)
 
 
 class TestLambda0Star:
