@@ -40,8 +40,8 @@ p_min = model.pi.min()
 alpha_lo = a.gap * (1 - 2 * p_min) / math.log((1 - p_min) / p_min)
 print(f"log-Sobolev constant: alpha_lo = {alpha_lo:.5f}, gap/2 = {a.gap / 2:.5f}")
 for c in (0.5, 1.5):
-    print(f"  c = {c}: verdict = {check_f_sobolev(model, c).status}")
-verdict = check_f_sobolev(model, 0.5)
+    print(f"  c = {c}: verdict = {check_f_sobolev(a, c).status}")
+verdict = check_f_sobolev(a, 0.5)
 
 families = ["general", "perturbation", "poincare", "bernstein_general", "fsobolev"]
 n = 100000
@@ -58,7 +58,7 @@ for t in (1.0, 5.0, 20.0):
         cells = []
         for fam in families:
             # the fsobolev family reads its F from the verdict; the others ignore it
-            p = evaluate_family(model, t, u, fam, analysis=a, fsobolev=verdict)
+            p = evaluate_family(a, t, u, fam, fsobolev=verdict)
             mark = " " if est.p_hat <= p.bound + 3 * est.ci_half_width else "!"
             cells.append(f"{p.bound:10.4f}{mark}")
         print(f"{t:4.0f} {u:5.2f} {est.p_hat:9.5f}" + "".join(cells))
@@ -85,6 +85,6 @@ print("-" * 78)
 # one table holds every (family, tail, u, t) cell; the lower tail is the
 # upper tail of -f, and the two-sided bound adds both tails
 tails = {"upper": "A_t/t >= 0.4", "lower": "A_t/t <= -0.4", "two": "|A_t/t| >= 0.4"}
-table = bound_table(model, ["bernstein_general"], [0.4], 5.0, tails=tuple(tails), analysis=a)
+table = bound_table(a, ["bernstein_general"], [0.4], 5.0, tails=tuple(tails))
 for tail, event in tails.items():
     print(f"P({event}) bound: {table['bernstein_general', tail, 0.4, 5.0].bound:.5f}")

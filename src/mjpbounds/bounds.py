@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FSobolevNotVerifiedError, ValidationError
-from .markov import MJPModel, check_horizon, flip_observable
+from .markov import MJPModel, check_horizon, flip_observable, is_whole
 from .spectral import (
     SpectralData,
     pi_variance,
@@ -146,22 +146,6 @@ def _same_chain(a: MJPModel, b: MJPModel) -> bool:
     return a is b or (np.array_equal(a.q, b.q) and np.array_equal(a.pi, b.pi))
 
 
-def _analysis(model: MJPModel, analysis: ModelAnalysis | None) -> ModelAnalysis:
-    """The analysis of ``model``, reusing the caller's spectral data when it fits.
-
-    Spectral data can be shared between models on the same chain; everything
-    else is derived from ``model`` itself.  An analysis of a different chain
-    is rejected.
-    """
-    if analysis is None:
-        return analyze(model)
-    if analysis.model is model:
-        return analysis
-    if _same_chain(analysis.model, model):
-        return ModelAnalysis(model, analysis.sd)
-    raise ValidationError("analysis belongs to a different chain than the model")
-
-
 def _rate_general(a: ModelAnalysis, us: list[float]):
     """Master rate: the conjugate of the tilted top eigenvalue, solved for
     the whole grid in one ``lambda0_star`` call.  ``weyl_slack`` is the
@@ -221,6 +205,12 @@ def _rate_bernstein_general(a: ModelAnalysis, us: list[float]):
     return [(bernstein_conjugate(bp, u), "", {}) for u in us]
 
 
+def check_fsobolev_constant(c: float):
+    """Refuse a log-Sobolev constant that is not positive and finite (NaN too)."""
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"log-Sobolev constant must be positive and finite, got {c}")
+
+
 @dataclass(frozen=True)
 class FSobolevVerdict:
     """Whether the log-Sobolev inequality with constant ``c``, the functional
@@ -239,8 +229,7 @@ class FSobolevVerdict:
     witness: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:  # also refuses NaN
-            raise ValidationError(f"constant must be positive and finite, got {self.c}")
+        check_fsobolev_constant(self.c)
 
     @classmethod
     def assumed(cls, model: MJPModel, c: float) -> FSobolevVerdict:
@@ -266,11 +255,9 @@ def _violation_terms(model, c, g):
     return model.pi @ (g * (c * glog + qg)), glog, qg
 
 
-def check_f_sobolev(
-    model: MJPModel, c: float, analysis: ModelAnalysis | None = None
-) -> FSobolevVerdict:
-    """Whether the log-Sobolev inequality with constant ``c`` holds on
-    ``model``'s chain, by one check for every chain size.
+def check_f_sobolev(a: ModelAnalysis, c: float) -> FSobolevVerdict:
+    """Whether the log-Sobolev inequality with constant ``c`` holds on the
+    chain of ``a.model``, by one check for every chain size.
 
     It is the inequality of the additive symmetrization, reversible with gap
     ``sd.gap``, so it holds iff ``c <= alpha`` of Diaconis & Saloff-Coste
@@ -284,12 +271,9 @@ def check_f_sobolev(
     the random starts and ``1 +- 0.1 phi_1`` are ascended, and the
     first largest violation is the witness: ``violated`` above 1e-8, or on two
     states above the exact alpha at the gap plus its slack; else ``inconclusive``.
-    ``analysis`` may come from any model on the same chain, as for
-    ``evaluate_family``.
     """
-    # built first, so that a bad constant is refused before the analysis
+    model, sd = a.model, a.sd
     verdict = FSobolevVerdict(c, model, "inconclusive")
-    sd = _analysis(model, analysis).sd
     # B is negative semidefinite, so its 2-norm is minus its lowest eigenvalue
     slack = WEYL_C * model.n * np.finfo(float).eps * -sd.eigenvalues[-1]
     p = float(np.min(model.pi))
@@ -392,20 +376,15 @@ TAILS = ("upper", "lower", "two")
 
 
 def evaluate_family(
-    model: MJPModel,
-    t: float,
-    u,
-    family: str,
-    analysis: ModelAnalysis | None = None,
-    fsobolev: FSobolevVerdict | None = None,
+    a: ModelAnalysis, t: float, u, family: str, fsobolev: FSobolevVerdict | None = None
 ):
-    """The bound of the named family at threshold ``u`` and horizon ``t``, or
-    the list of its bounds at every threshold of a 1-D grid ``u``.
+    """The bound of the named family for the model of ``a`` at threshold
+    ``u`` and horizon ``t``, or the list of its bounds at every threshold of
+    a 1-D grid ``u``.
 
-    The family's rate function gets the whole grid at once.  ``analysis``
-    may come from any model on the same chain.  The ``fsobolev`` family
-    reads its constant from the verdict ``fsobolev``; the other families
-    ignore it.
+    The family's rate function gets the whole grid at once.  The
+    ``fsobolev`` family reads its constant from the verdict ``fsobolev``;
+    the other families ignore it.
     A threshold that is NaN or infinite and a time that is NaN, infinite or
     negative are refused, as they would otherwise come out as the trivial
     bound 1.  So is a negative threshold, in every family: the tail below 0
@@ -420,8 +399,7 @@ def evaluate_family(
     rate_fn = _RATES.get(family)
     if rate_fn is None:
         raise ValidationError(f"unknown family {family!r}; choose from {FAMILIES}")
-    extra = (_admitted(fsobolev, model),) if family == "fsobolev" else ()
-    a = _analysis(model, analysis)
+    extra = (_admitted(fsobolev, a.model),) if family == "fsobolev" else ()
     if a.f_sup == 0.0:
         rates = [((0.0 if uk <= 0 else math.inf), "", {}) for uk in us]
     else:
@@ -434,12 +412,12 @@ def evaluate_family(
     return points if grid.ndim else points[0]
 
 
-def bound_table(model, families, u, t, tails=("upper",), analysis=None, fsobolev=None) -> dict:
-    """``{(family, tail, u, t): BoundPoint}`` on a 1-D grid of deviations
-    ``u >= 0`` and one horizon ``t`` or a 1-D list of them.
+def bound_table(a: ModelAnalysis, families, u, t, tails=("upper",), fsobolev=None) -> dict:
+    """``{(family, tail, u, t): BoundPoint}`` for the model of ``a`` on a 1-D
+    grid of deviations ``u >= 0`` and one horizon ``t`` or a 1-D list of them.
 
     ``upper`` bounds ``P(A_t/t >= u)``.  ``lower`` bounds ``P(A_t/t <= -u)``
-    as the upper tail of ``flip_observable(model)``.  ``two`` bounds
+    as the upper tail of ``flip_observable(a.model)``.  ``two`` bounds
     ``P(|A_t/t| >= u)`` by the sum of the two, capped at 1, so its ``bound``
     is not ``prefactor * exp(-t * rate)``; its rate is the smaller one, it
     has no branch, and a ``boundary`` or ``unverified`` flag of either side.
@@ -452,13 +430,13 @@ def bound_table(model, families, u, t, tails=("upper",), analysis=None, fsobolev
         raise ValidationError(f"horizons must be a number or a nonempty 1-D list, got {t}")
     if not set(tails) <= set(TAILS):
         raise ValidationError(f"tails must be among {TAILS}, got {tails}")
-    a, both, us, table = _analysis(model, analysis), "two" in tails, np.atleast_1d(u), {}
+    both, us, table = "two" in tails, np.atleast_1d(u), {}
     # one analysis a side, which keeps the numbers it derives for every family
-    sides = {side: a if side == "upper" else ModelAnalysis(flip_observable(model), a.sd)
+    sides = {side: a if side == "upper" else ModelAnalysis(flip_observable(a.model), a.sd)
              for side in ("upper", "lower") if both or side in tails}
     for fam in families:
         points = {
-            side: evaluate_family(s.model, float(ts[0]), us, fam, analysis=s, fsobolev=fsobolev)
+            side: evaluate_family(s, float(ts[0]), us, fam, fsobolev=fsobolev)
             for side, s in sides.items()
         }
         for tk in ts.tolist():
@@ -492,8 +470,7 @@ def iid_sum_bound(
     per replica.  (The single-prefactor variant ``prefactor * e^{-n t rate}``
     is a caller-side choice; this function ships the product form.)
     """
-    whole = isinstance(n_replicas, (int, np.integer)) and not isinstance(n_replicas, bool)
-    if not whole or n_replicas < 1:  # a bool is an int too
+    if not is_whole(n_replicas) or n_replicas < 1:
         raise ValidationError(f"need a whole number of replicas >= 1, got {n_replicas}")
     if not prefactor > 0:  # also refuses NaN
         raise ValidationError(f"prefactor must be positive, got {prefactor}")

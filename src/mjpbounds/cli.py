@@ -245,7 +245,10 @@ def cmd_series(args) -> int:
 def _families(args) -> list[str]:
     """The families of ``--families``: by default every family but fsobolev,
     which joins when ``--fsobolev-c`` is given.  Refuses no family, an
-    unknown or repeated one, and fsobolev without its constant."""
+    unknown or repeated one, fsobolev without its constant, and a constant
+    that no verdict takes, whatever the families."""
+    if args.fsobolev_c is not None:
+        bnd.check_fsobolev_constant(args.fsobolev_c)
     if args.families in (None, "all"):
         fams = list(DEFAULT_FAMILIES)
         if args.fsobolev_c is not None:
@@ -268,10 +271,9 @@ def cmd_bounds(args) -> int:
     families, u_grid = _families(args), _parse_grid(args.u_grid)
     check_horizon(args.t)
     mf, _ = _load(args)
-    model, c = mf.model, args.fsobolev_c
-    a = bnd.analyze(model)
-    verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
-    table = bnd.bound_table(model, families, u_grid, args.t, analysis=a, fsobolev=verdict)
+    a = bnd.analyze(mf.model)
+    verdict = bnd.check_f_sobolev(a, args.fsobolev_c) if "fsobolev" in families else None
+    table = bnd.bound_table(a, families, u_grid, args.t, fsobolev=verdict)
     rows = [
         (p.u, p.family, p.rate, p.prefactor, p.bound, p.branch,
          ";".join(k for k in ("boundary", "unverified") if p.diagnostics.get(k)))
@@ -313,9 +315,9 @@ def cmd_compare(args) -> int:
     sharpness_on = model.reversible
     # the sharpness column subtracts the general rate, solved with the others
     solved = [*families, "general"] if sharpness_on and "general" not in families else families
-    a, c = bnd.analyze(model), args.fsobolev_c
-    verdict = bnd.check_f_sobolev(model, c, analysis=a) if "fsobolev" in families else None
-    table = bnd.bound_table(model, solved, u_grid, t_values, analysis=a, fsobolev=verdict)
+    a = bnd.analyze(model)
+    verdict = bnd.check_f_sobolev(a, args.fsobolev_c) if "fsobolev" in families else None
+    table = bnd.bound_table(a, solved, u_grid, t_values, fsobolev=verdict)
     horizons = sorted(t_values)
     hits = _tail_hits(model, horizons, u_grid, args.samples, seed)
     row_of = {t: i for i, t in enumerate(horizons)}

@@ -199,6 +199,11 @@ def check_horizon(t: float):
         raise ZeroHorizonError()
 
 
+def is_whole(value) -> bool:
+    """True for a Python or numpy integer, and false for a bool, which is an int too."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 _EXPM_ORDER = 16
 
 

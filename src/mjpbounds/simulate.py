@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .markov import MJPModel, check_horizon, stationary_model
+from .markov import MJPModel, check_horizon, is_whole, stationary_model
 
 _BLOCK = 16384  # paths per block: bounds the memory of a run; results do not depend on it
 
@@ -158,7 +158,7 @@ class TailEstimate:
             raise ValidationError("threshold u must not be NaN")
         check_horizon(t)
         check_samples(n)
-        if not _whole(hits) or not 0 <= hits <= n:
+        if not is_whole(hits) or not 0 <= hits <= n:
             raise ValidationError(f"hits must be a whole number in [0, {n}], got {hits!r}")
         p_hat = hits / n
         if hits in (0, n):
@@ -408,17 +408,12 @@ def _time_average_block(horizons, seed, start, count, tables, out):
         slot = _next_slots(tables, slot, u[0])
 
 
-def _whole(value) -> bool:
-    """True for a Python or numpy integer, and false for a bool, which is an int too."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_samples(n_samples: int, start: int = 0):
     """Refuse a sample range ``start .. start+n_samples-1`` that is empty,
     that the 64-bit sample counter cannot name, or whose count or first
     sample is not an integer (a float or a bool; numpy integers pass)."""
     for name, value in (("sample count", n_samples), ("first sample", start)):
-        if not _whole(value):
+        if not is_whole(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     n_samples, start = int(n_samples), int(start)
     if n_samples < 1:

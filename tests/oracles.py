@@ -35,7 +35,7 @@ from mjpbounds import (
     beta_total,
     lambda0_star,
 )
-from mjpbounds.bounds import BoundPoint, ModelAnalysis, _analysis, _finish
+from mjpbounds.bounds import BoundPoint, ModelAnalysis, _finish
 from mjpbounds.errors import NumericalError, ValidationError, ZeroHorizonError
 from mjpbounds.markov import _expm
 from mjpbounds.simulate import _DRAW_SALT_I, _U_MAX, _mix64_int, stream_keys
@@ -239,19 +239,12 @@ def general_bernstein_eigen_bound(a: ModelAnalysis, r: float) -> float:
     return r * r * (a.sigma_hat2 / 2.0) / (1.0 - c * r)
 
 
-def bound_via_alpha(
-    model: MJPModel,
-    t: float,
-    u: float,
-    alpha,
-    analysis: ModelAnalysis | None = None,
-) -> BoundPoint:
+def bound_via_alpha(a: ModelAnalysis, t: float, u: float, alpha) -> BoundPoint:
     """Bound from a caller-supplied rate function dominated by the information.
 
     The caller asserts ``alpha(beta(f)) <= I(beta|pi)`` on the relevant
     measures; the closed-form families are instances of this construction.
     """
-    a = _analysis(model, analysis)
     return _finish("via_alpha", u, t, float(alpha(u)), a.prefactor)
 
 

@@ -227,14 +227,14 @@ def test_criterion_7_monte_carlo_domination(two_state, three_cycle):
     for m, c_log in ((two_state, 0.5), (three_cycle, 0.2)):
         a = analyze(m)
         fmax = float(m.f.max())
-        verdict = check_f_sobolev(m, c_log)
+        verdict = check_f_sobolev(a, c_log)
         for t in (1.0, 5.0, 20.0):
             avg = time_averages(m, t, n, seed=701)
             for frac in (0.1, 0.3, 0.5):
                 u = frac * fmax
                 est = tail_estimate(avg, u, t)
                 for fam in FAMILIES_WITH_F:
-                    p = evaluate_family(m, t, u, fam, analysis=a, fsobolev=verdict)
+                    p = evaluate_family(a, t, u, fam, fsobolev=verdict)
                     if est.p_hat > p.bound + 3.0 * est.ci_half_width:
                         failures.append((fam, m.n, u, t, est.p_hat, p.bound))
     elapsed = time.time() - start
@@ -362,7 +362,7 @@ def test_criterion_11_rate_ordering(two_state, three_cycle, three_dense, bd3):
         u_top = min(perturbation_branch_threshold(a), float(m.f.max()))
         for u in np.linspace(0.0, u_top, 25):
             bg, pert, poin = (
-                evaluate_family(m, 1.0, float(u), fam, analysis=a)
+                evaluate_family(a, 1.0, float(u), fam)
                 for fam in ("bernstein_general", "perturbation", "poincare")
             )
             bg, poin = bg.rate, poin.rate

@@ -42,18 +42,18 @@ from oracles import (
 
 class TestBoundGeneral:
     def test_trivial_at_zero_for_nonstationary_start(self, two_state):
-        p = evaluate_family(two_state, 5.0, 0.0, "general")
+        p = evaluate_family(analyze(two_state), 5.0, 0.0, "general")
         assert p.bound == 1.0
         assert p.prefactor > 1.0
 
     def test_exactly_one_for_stationary_start_at_zero(self, two_state):
         m = stationary_model(two_state)
-        p = evaluate_family(m, 5.0, 0.0, "general")
+        p = evaluate_family(analyze(m), 5.0, 0.0, "general")
         assert p.prefactor == pytest.approx(1.0, abs=1e-12)
         assert p.bound == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_beyond_max_f(self, two_state):
-        p = evaluate_family(two_state, 5.0, 1.5, "general")
+        p = evaluate_family(analyze(two_state), 5.0, 1.5, "general")
         assert math.isinf(p.rate)
         assert p.bound == 0.0
 
@@ -63,20 +63,17 @@ def test_constant_observable_is_exact_in_every_family(family):
     # f centers to 0, so A_t / t = 0 on every path: P(A_t / t >= u) is 1 at
     # u = 0 and 0 above; a negative u is refused, as for any f
     model = make_model(TWO_STATE_Q, [1.0, 1.0])
-    verdict = FSobolevVerdict.assumed(model, 0.5)
-    rates = [
-        evaluate_family(model, 5.0, u, family, fsobolev=verdict).rate
-        for u in (0.0, 0.3)
-    ]
+    verdict, a = FSobolevVerdict.assumed(model, 0.5), analyze(model)
+    rates = [evaluate_family(a, 5.0, u, family, fsobolev=verdict).rate for u in (0.0, 0.3)]
     assert rates == [0.0, math.inf]
     with pytest.raises(ValidationError, match="nonnegative, got -0.1; .*upper tail of -f") as exc:
-        evaluate_family(model, 5.0, -0.1, family, fsobolev=verdict)
+        evaluate_family(a, 5.0, -0.1, family, fsobolev=verdict)
     assert "lower_tail" not in str(exc.value)
 
 
 class TestBoundPerturbation:
     def test_zero_threshold_rate_zero_branch_a(self, two_state):
-        p = evaluate_family(two_state, 1.0, 0.0, "perturbation")
+        p = evaluate_family(analyze(two_state), 1.0, 0.0, "perturbation")
         assert p.rate == 0.0
         assert p.branch == "a"
 
@@ -84,7 +81,7 @@ class TestBoundPerturbation:
         a = analyze(three_cycle)
         bp = BernsteinParams(v=a.sigma_hat2, c=2.0 * a.f_sup / a.gap)
         for u in (0.05, 0.2, 0.5):
-            p = evaluate_family(three_cycle, 1.0, u, "perturbation", analysis=a)
+            p = evaluate_family(a, 1.0, u, "perturbation")
             assert p.branch == "a"
             assert p.rate == pytest.approx(bernstein_conjugate(bp, u), abs=1e-12)
 
@@ -93,7 +90,7 @@ class TestBoundPerturbation:
             a = analyze(m)
             u_star = perturbation_branch_threshold(a)
             lo, hi = (
-                evaluate_family(m, 1.0, u_star * s, "perturbation", analysis=a)
+                evaluate_family(a, 1.0, u_star * s, "perturbation")
                 for s in (1 - 1e-11, 1 + 1e-11)
             )
             assert {lo.branch, hi.branch} == {"a", "b"}
@@ -109,13 +106,13 @@ class TestBoundPerturbation:
 
 class TestBoundPoincare:
     def test_zero_threshold(self, two_state):
-        assert evaluate_family(two_state, 1.0, 0.0, "poincare").rate == 0.0
+        assert evaluate_family(analyze(two_state), 1.0, 0.0, "poincare").rate == 0.0
 
     def test_rate_matches_golden_section_oracle(self, three_dense):
         a = analyze(three_dense)
         c = a.f_sup / a.gap
         for u in (0.1, 0.4, 0.8):
-            p = evaluate_family(three_dense, 1.0, u, "poincare", analysis=a)
+            p = evaluate_family(a, 1.0, u, "poincare")
             res = fenchel_conjugate(
                 lambda r: r * r * a.sigma_tilde2 / (2.0 * (1.0 - r * c)),
                 u,
@@ -127,7 +124,7 @@ class TestBoundPoincare:
 
 class TestBoundBernsteinGeneral:
     def test_zero_threshold(self, two_state):
-        assert evaluate_family(two_state, 1.0, 0.0, "bernstein_general").rate == 0.0
+        assert evaluate_family(analyze(two_state), 1.0, 0.0, "bernstein_general").rate == 0.0
 
     def test_sharpest_closed_form(self, two_state, three_cycle, three_dense):
         for m in (two_state, three_cycle, three_dense):
@@ -136,7 +133,7 @@ class TestBoundBernsteinGeneral:
             fmax = m.f.max()
             for u in np.linspace(0.0, min(u_star, fmax), 12):
                 bg, pert, poin = (
-                    evaluate_family(m, 1.0, float(u), fam, analysis=a)
+                    evaluate_family(a, 1.0, float(u), fam)
                     for fam in ("bernstein_general", "perturbation", "poincare")
                 )
                 bg, poin = bg.rate, poin.rate
@@ -157,21 +154,19 @@ class TestBoundBernsteinGeneral:
         a = analyze(two_state)
         fmax = two_state.f.max()
         for u in np.linspace(0.0, 0.95 * fmax, 10):
-            bg = evaluate_family(
-                two_state, 1.0, float(u), "bernstein_general", analysis=a
-            ).rate
+            bg = evaluate_family(a, 1.0, float(u), "bernstein_general").rate
             gen = lambda0_star(a.sd, two_state.f, float(u)).value
             assert gen >= bg - 1e-12
 
 
 class TestFSobolev:
     def test_small_log_constant_holds_on_sweep(self, two_state):
-        verdict = check_f_sobolev(two_state, 0.5)
+        verdict = check_f_sobolev(analyze(two_state), 0.5)
         assert verdict.status == "holds"
 
     def test_huge_constant_violated_with_witness(self, two_state):
         c = 500.0
-        verdict = check_f_sobolev(two_state, c)
+        verdict = check_f_sobolev(analyze(two_state), c)
         assert verdict.status == "violated"
         g = verdict.witness
         w = two_state.pi
@@ -181,27 +176,27 @@ class TestFSobolev:
         assert lhs > rhs
 
     def test_halving_a_passing_function_still_passes(self, two_state):
-        assert check_f_sobolev(two_state, 0.5).status == "holds"
-        assert check_f_sobolev(two_state, 0.25).status == "holds"
+        assert check_f_sobolev(analyze(two_state), 0.5).status == "holds"
+        assert check_f_sobolev(analyze(two_state), 0.25).status == "holds"
 
     def test_three_state_search_inconclusive_for_modest_constant(self, three_dense):
         # 0.44 gap lies between the closed-form lower bound on alpha (0.433
         # gap, as pi is not uniform) and gap/2, where only the search speaks
-        verdict = check_f_sobolev(three_dense, 1.3)
+        verdict = check_f_sobolev(analyze(three_dense), 1.3)
         assert verdict.status == "inconclusive"
         assert verdict.max_violation <= 1e-8 and verdict.witness is None
 
     def test_three_cycle_certified_below_the_closed_form(self, three_cycle):
         # uniform pi on 3 states: alpha >= gap (1/3) / log 2 = 0.7213
-        verdict = check_f_sobolev(three_cycle, 0.2)
+        verdict = check_f_sobolev(analyze(three_cycle), 0.2)
         assert verdict.status == "holds"
         assert math.isnan(verdict.max_violation) and verdict.witness is None
-        assert check_f_sobolev(three_cycle, 0.74).status == "violated"
+        assert check_f_sobolev(analyze(three_cycle), 0.74).status == "violated"
 
     def test_two_state_alpha_is_exact(self, two_state):
         # Thm A.1: alpha = gap (1 - 2p) / log((1 - p)/p) = 3 (1/3) / log 2
-        assert check_f_sobolev(two_state, 1.44).status == "holds"
-        verdict = check_f_sobolev(two_state, 1.45)
+        assert check_f_sobolev(analyze(two_state), 1.44).status == "holds"
+        verdict = check_f_sobolev(analyze(two_state), 1.45)
         assert verdict.status == "violated"
         assert float(bounds._violation(two_state, 1.45, verdict.witness)) > 1e-8
 
@@ -210,16 +205,17 @@ class TestFSobolev:
     def test_huge_constant_violated_by_lemma_3_1(self, three_dense, c):
         # far above gap/2 = 1.4655 an ascent overflows to NaN, which reads
         # inconclusive; 1 + eps phi_1 is a finite witness, found with no search
-        verdict = check_f_sobolev(three_dense, c)
+        verdict = check_f_sobolev(analyze(three_dense), c)
         assert verdict.status == "violated"
         assert np.all(np.isfinite(verdict.witness))
         assert float(bounds._violation(three_dense, c, verdict.witness)) == verdict.max_violation
 
     def test_uniform_two_state_alpha_is_half_the_gap(self):
         m = make_model([[-2.0, 2.0], [2.0, -2.0]], [1.0, -1.0])
-        assert analyze(m).gap == pytest.approx(4.0, rel=1e-15)
-        assert check_f_sobolev(m, 2.0 * (1 - 1e-12)).status == "holds"
-        assert check_f_sobolev(m, 2.0 * (1 + 1e-12)).status == "violated"
+        a = analyze(m)
+        assert a.gap == pytest.approx(4.0, rel=1e-15)
+        assert check_f_sobolev(a, 2.0 * (1 - 1e-12)).status == "holds"
+        assert check_f_sobolev(a, 2.0 * (1 + 1e-12)).status == "violated"
 
     def test_random_two_state_holds_exactly_below_alpha(self):
         rng = np.random.default_rng(22)
@@ -229,7 +225,7 @@ class TestFSobolev:
             p = min(a, b) / (a + b)
             alpha = (a + b) * (1 - 2 * p) / math.log((1 - p) / p)
             for k in (0.5, 1 - 1e-12, 1 + 1e-12, 2.0):
-                status = check_f_sobolev(m, k * alpha).status
+                status = check_f_sobolev(analyze(m), k * alpha).status
                 assert status == ("holds" if k < 1 else "violated"), (a, b, k)
 
     def test_gap_lost_to_rounding_certifies_nothing(self):
@@ -241,18 +237,18 @@ class TestFSobolev:
             rates[x, x + 1] = rates[x + 1, x] = eps if x == n // 2 - 1 else b
         np.fill_diagonal(rates, -rates.sum(axis=1))
         m = make_model(rates, np.linspace(-1.0, 1.0, n))
-        gap = analyze(m).gap
+        a = analyze(m)
         for k in (1e-3, 0.05, 0.3):
-            assert check_f_sobolev(m, k * gap).status != "holds"
+            assert check_f_sobolev(a, k * a.gap).status != "holds"
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.5, 1.0))
     def test_no_holds_contradicted_by_a_wider_search(self, n, seed, scale):
         m = random_irreducible_model(np.random.default_rng(seed), n)
-        gap = analyze(m).gap
+        a = analyze(m)
         p = float(m.pi.min())
-        c = scale * gap * (1 - 2 * p) / math.log((1 - p) / p) if p < 0.5 else scale * gap / 2
-        verdict = check_f_sobolev(m, c)
+        c = scale * a.gap * (1 - 2 * p) / math.log((1 - p) / p) if p < 0.5 else scale * a.gap / 2
+        verdict = check_f_sobolev(a, c)
         if verdict.status != "holds":
             return
         g = np.random.default_rng(seed).standard_normal((n, 128))
@@ -260,29 +256,29 @@ class TestFSobolev:
         assert float(np.max(bounds._violation(m, c, g))) <= 1e-10
 
     def test_unverified_rejected_without_override(self, two_state):
-        verdict = check_f_sobolev(two_state, 500.0)
+        verdict = check_f_sobolev(analyze(two_state), 500.0)
         with pytest.raises(FSobolevNotVerifiedError):
-            evaluate_family(two_state, 1.0, 0.3, "fsobolev", fsobolev=verdict)
+            evaluate_family(analyze(two_state), 1.0, 0.3, "fsobolev", fsobolev=verdict)
 
     def test_log_case_reduces_to_static_cramer(self, two_state):
         c = 0.5
-        verdict = check_f_sobolev(two_state, c)
+        verdict = check_f_sobolev(analyze(two_state), c)
         for u in (0.1, 0.3, 0.6):
-            p = evaluate_family(two_state, 1.0, u, "fsobolev", fsobolev=verdict)
+            p = evaluate_family(analyze(two_state), 1.0, u, "fsobolev", fsobolev=verdict)
             target = c * cramer_transform_static(two_state.pi, two_state.f, u)
             assert p.rate == pytest.approx(target, abs=1e-8)
 
     def test_zero_threshold_rate_zero(self, two_state, three_dense):
         for m in (two_state, three_dense):
             verdict = FSobolevVerdict.assumed(m, 0.5)
-            p = evaluate_family(m, 1.0, 0.0, "fsobolev", fsobolev=verdict)
+            p = evaluate_family(analyze(m), 1.0, 0.0, "fsobolev", fsobolev=verdict)
             assert p.rate == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_at_max_f_is_minus_c_log_of_its_mass(self, two_state):
         # sup_r (r - c log(pi(e^{r f / c}))) is approached as r grows: -c log pi(f = 1)
-        verdict = check_f_sobolev(two_state, 0.5)
-        p = evaluate_family(two_state, 3.0, 1.0, "fsobolev", fsobolev=verdict)
+        verdict = check_f_sobolev(analyze(two_state), 0.5)
+        p = evaluate_family(analyze(two_state), 3.0, 1.0, "fsobolev", fsobolev=verdict)
         assert p.rate == pytest.approx(-0.5 * math.log(2 / 3), abs=1e-12)  # 0.2027
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -292,7 +288,7 @@ class TestFSobolev:
         verdict = FSobolevVerdict.assumed(three_dense, 0.5)
         f = three_dense.f
         assert float(f.max()) == 1.3
-        p = evaluate_family(three_dense, 2.0, 1.3, "fsobolev", fsobolev=verdict)
+        p = evaluate_family(analyze(three_dense), 2.0, 1.3, "fsobolev", fsobolev=verdict)
         mass = float(three_dense.pi[f == f.max()].sum())
         assert p.rate == pytest.approx(-0.5 * math.log(mass), rel=1e-12)
 
@@ -304,17 +300,17 @@ class TestFSobolev:
         for n in (2, 3, 4, 5):
             m = random_irreducible_model(rng, n)
         assert m.f.max() == pytest.approx(0.085, abs=1e-3)
-        verdict = check_f_sobolev(m, 0.3)
+        verdict = check_f_sobolev(analyze(m), 0.3)
         for u in (0.125, 0.25, 0.375, 0.5):
-            p = evaluate_family(m, 3.0, u, "fsobolev", fsobolev=verdict)
+            p = evaluate_family(analyze(m), 3.0, u, "fsobolev", fsobolev=verdict)
             assert p.rate == math.inf and p.bound == 0.0
             assert p.diagnostics["argmax_r"] is None
-            assert evaluate_family(m, 3.0, u, "general").rate == math.inf
+            assert evaluate_family(analyze(m), 3.0, u, "general").rate == math.inf
 
     @pytest.mark.parametrize("c", [0.0, -0.5, math.nan, math.inf])
     def test_constant_must_be_positive_and_finite(self, two_state, c):
         with pytest.raises(ValidationError, match="positive and finite"):
-            check_f_sobolev(two_state, c)
+            check_f_sobolev(analyze(two_state), c)
         with pytest.raises(ValidationError, match="positive and finite"):
             FSobolevVerdict.assumed(two_state, c)
 
@@ -336,7 +332,7 @@ class TestFSobolevAccuracy:
         verdict = FSobolevVerdict.assumed(model, c)
         grid = np.array(fractions) * model.f.max()
         w = model.pi
-        for p in evaluate_family(model, 1.0, grid, "fsobolev", fsobolev=verdict):
+        for p in evaluate_family(analyze(model), 1.0, grid, "fsobolev", fsobolev=verdict):
             # abs=0: the rates at small u are far below approx's default 1e-12
             cramer = cramer_transform_static(model.pi, model.f, p.u)
             assert p.rate == pytest.approx(c * cramer, rel=1e-10, abs=0)
@@ -355,7 +351,7 @@ class TestFSobolevAccuracy:
 def test_negative_threshold_refused_in_every_family(two_state, family):
     verdict = FSobolevVerdict.assumed(two_state, 0.5)
     with pytest.raises(ValidationError, match=r"nonnegative, got -0\.3; .* upper tail of -f") as exc:
-        evaluate_family(two_state, 1.0, -0.3, family, fsobolev=verdict)
+        evaluate_family(analyze(two_state), 1.0, -0.3, family, fsobolev=verdict)
     assert "lower_tail" not in str(exc.value)
 
 
@@ -384,10 +380,10 @@ class TestFSobolevBatchedSearch:
 
         monkeypatch.setattr(bounds, "_violation_terms", counted)
         # between the closed-form lower bound 0.7213 and gap/2 = 0.75
-        check_f_sobolev(three_cycle, 0.74)
+        check_f_sobolev(analyze(three_cycle), 0.74)
         assert len(calls) == ASCENT_STEPS + 1
         calls.clear()
-        check_f_sobolev(three_cycle, 0.2)  # certified: no search
+        check_f_sobolev(analyze(three_cycle), 0.2)  # certified: no search
         assert calls == []
 
     def test_each_column_ascends_as_if_alone(self, three_dense):
@@ -443,8 +439,9 @@ class TestFSobolevBatchedSearch:
     )
     def test_verdict_panel(self, name, c_over_gap, status):
         m = _verdict_panel_chain(name)
-        c = c_over_gap * analyze(m).gap
-        verdict = check_f_sobolev(m, c)
+        a = analyze(m)
+        c = c_over_gap * a.gap
+        verdict = check_f_sobolev(a, c)
         assert verdict.status == status
         if status == "violated":
             assert float(bounds._violation(m, c, verdict.witness)) == pytest.approx(
@@ -459,29 +456,29 @@ class TestFSobolevVerdictPolicy:
     """The verdict carries its constant and its chain, and one policy reads it."""
 
     def test_verdict_of_another_chain_refused(self, two_state):
-        verdict = check_f_sobolev(two_state, 0.5)
+        verdict = check_f_sobolev(analyze(two_state), 0.5)
         other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
         with pytest.raises(ValidationError, match="different chain"):
-            evaluate_family(other, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+            evaluate_family(analyze(other), 5.0, 0.3, "fsobolev", fsobolev=verdict)
 
     def test_verdict_serves_every_model_on_its_chain(self, two_state):
-        verdict = check_f_sobolev(two_state, 0.5)
+        verdict = check_f_sobolev(analyze(two_state), 0.5)
         stat = evaluate_family(
-            stationary_model(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict
+            analyze(stationary_model(two_state)), 5.0, 0.3, "fsobolev", fsobolev=verdict
         )
         assert not stat.diagnostics["unverified"]
         table = bound_table(
-            two_state, ["fsobolev"], [0.3], 5.0, tails=TAILS, fsobolev=verdict
+            analyze(two_state), ["fsobolev"], [0.3], 5.0, tails=TAILS, fsobolev=verdict
         )
         low = table["fsobolev", "lower", 0.3, 5.0]
         assert low.rate > 0.0
         both = table["fsobolev", "two", 0.3, 5.0].bound
-        up = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        up = evaluate_family(analyze(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert both == min(1.0, up.bound + low.bound)
 
     def test_family_needs_a_verdict(self, two_state):
         with pytest.raises(ValidationError, match="needs fsobolev"):
-            evaluate_family(two_state, 5.0, 0.3, "fsobolev")
+            evaluate_family(analyze(two_state), 5.0, 0.3, "fsobolev")
 
     @pytest.mark.parametrize(
         "verdict_of",
@@ -490,15 +487,15 @@ class TestFSobolevVerdictPolicy:
     )
     def test_unshown_inequality_gives_a_flagged_bound(self, three_cycle, verdict_of):
         verdict = verdict_of(three_cycle, 0.2)
-        p = evaluate_family(three_cycle, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        p = evaluate_family(analyze(three_cycle), 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert p.diagnostics["unverified"]
         assert p.rate > 0.0
 
     def test_holds_gives_an_unflagged_bound(self, two_state):
-        verdict = check_f_sobolev(two_state, 0.5)
+        verdict = check_f_sobolev(analyze(two_state), 0.5)
         assert verdict.status == "holds"
         assert verdict.c == 0.5 and verdict.model is two_state
-        p = evaluate_family(two_state, 5.0, 0.3, "fsobolev", fsobolev=verdict)
+        p = evaluate_family(analyze(two_state), 5.0, 0.3, "fsobolev", fsobolev=verdict)
         assert not p.diagnostics["unverified"]
 
 
@@ -567,7 +564,7 @@ class TestInfoRepresentation:
 
 class TestBoundViaAlpha:
     def test_zero_rate_gives_prefactor(self, two_state):
-        p = bound_via_alpha(two_state, 3.0, 0.2, lambda u: 0.0)
+        p = bound_via_alpha(analyze(two_state), 3.0, 0.2, lambda u: 0.0)
         assert p.bound == min(1.0, p.prefactor)
 
     def test_matches_bernstein_general_formula(self, three_cycle):
@@ -575,28 +572,28 @@ class TestBoundViaAlpha:
         bp = BernsteinParams(v=a.sigma_hat2, c=a.fplus_sup / a.gap)
         alpha = lambda u: bernstein_conjugate(bp, u)
         for u in (0.1, 0.3):
-            via = bound_via_alpha(three_cycle, 2.0, u, alpha, analysis=a)
-            direct = evaluate_family(
-                three_cycle, 2.0, u, "bernstein_general", analysis=a
-            )
+            via = bound_via_alpha(a, 2.0, u, alpha)
+            direct = evaluate_family(a, 2.0, u, "bernstein_general")
             assert via.bound == pytest.approx(direct.bound, abs=1e-14)
 
 
 def lower_cell(model, t, u, family, **kwargs):
     """The bound on ``P(A_t/t <= -u)``: the ``lower`` cell of ``bound_table``."""
-    return bound_table(model, [family], [u], t, tails=("lower",), **kwargs)[family, "lower", u, t]
+    table = bound_table(analyze(model), [family], [u], t, tails=("lower",), **kwargs)
+    return table[family, "lower", u, t]
 
 
 def two_cell(model, t, u, family, **kwargs):
     """The bound on ``P(|A_t/t| >= u)``: the ``two`` cell of ``bound_table``."""
-    return bound_table(model, [family], [u], t, tails=("two",), **kwargs)[family, "two", u, t]
+    table = bound_table(analyze(model), [family], [u], t, tails=("two",), **kwargs)
+    return table[family, "two", u, t]
 
 
 class TestLowerTailAndTwoSided:
     def test_symmetric_model_mirror_rates(self):
         # relabeling the two states maps f to -f and preserves q and pi
         m = make_model([[-1, 1], [1, -1]], [1.0, -1.0], nu=[0.5, 0.5])
-        up = evaluate_family(m, 2.0, 0.4, "general")
+        up = evaluate_family(analyze(m), 2.0, 0.4, "general")
         low = lower_cell(m, 2.0, 0.4, "general")
         assert low.rate == pytest.approx(up.rate, abs=1e-9)
 
@@ -604,7 +601,7 @@ class TestLowerTailAndTwoSided:
         assert lower_cell(two_state, 2.0, 0.0, "poincare").bound == 1.0
 
     def test_two_sided_is_sum(self, two_state):
-        up = evaluate_family(two_state, 4.0, 0.5, "bernstein_general")
+        up = evaluate_family(analyze(two_state), 4.0, 0.5, "bernstein_general")
         low = lower_cell(two_state, 4.0, 0.5, "bernstein_general")
         ts = two_cell(two_state, 4.0, 0.5, "bernstein_general").bound
         assert ts == pytest.approx(min(1.0, up.bound + low.bound))
@@ -624,7 +621,7 @@ class TestLowerTailAndTwoSided:
         for fam in DEFAULT_FAMILIES:
             for u in (0.3, 0.8):
                 low = lower_cell(m, 20.0, u, fam)
-                up = evaluate_family(neg, 20.0, u, fam)
+                up = evaluate_family(analyze(neg), 20.0, u, fam)
                 assert (low.rate, low.bound) == (up.rate, up.bound), (fam, u)
 
     @pytest.mark.parametrize("chain", ["three_dense", "three_cycle"])
@@ -654,17 +651,19 @@ class TestBoundTable:
         fmax = float(three_dense.f.max())
         grid = [0.0, 0.05, 0.4 * fmax, fmax, 1.5 * fmax]
         ts = [2.0, 0.5, 30.0]
-        table = bound_table(three_dense, [family], grid, ts, fsobolev=verdict)
+        a = analyze(three_dense)
+        table = bound_table(a, [family], grid, ts, fsobolev=verdict)
         assert len(table) == len(grid) * len(ts)
         for t in ts:
             for u in grid:
                 cell = table[family, "upper", u, t]
-                direct = evaluate_family(three_dense, t, u, family, fsobolev=verdict)
+                direct = evaluate_family(a, t, u, family, fsobolev=verdict)
                 assert cell == direct, (u, t)
                 assert cell.bound.hex() == direct.bound.hex()
 
     def test_cells_name_their_tail_and_horizon(self, three_dense):
-        table = bound_table(three_dense, ["general"], [0.2, 0.4], [1.0, 5.0], tails=TAILS)
+        a = analyze(three_dense)
+        table = bound_table(a, ["general"], [0.2, 0.4], [1.0, 5.0], tails=TAILS)
         assert len(table) == 12
         for (fam, tail, u, t), cell in table.items():
             assert (cell.family, cell.tail, cell.u, cell.t) == (fam, tail, u, t)
@@ -675,7 +674,7 @@ class TestBoundTable:
         fmax = float(three_dense.f.max())
         for fam, flag in (("fsobolev", "unverified"), ("general", "boundary")):
             table = bound_table(
-                three_dense, [fam], [0.3, fmax], 3.0, tails=TAILS, fsobolev=verdict
+                analyze(three_dense), [fam], [0.3, fmax], 3.0, tails=TAILS, fsobolev=verdict
             )
             for u in (0.3, fmax):
                 up, low, two = (table[fam, tail, u, 3.0] for tail in TAILS)
@@ -686,42 +685,7 @@ class TestBoundTable:
 
     def test_unknown_tail_refused(self, two_state):
         with pytest.raises(ValidationError, match="tails"):
-            bound_table(two_state, ["general"], [0.2], 1.0, tails=("left",))
-
-
-class TestAnalysisBelongsToItsModel:
-    """A supplied analysis lends only its chain's spectral data to the model."""
-
-    def test_lower_tail_with_analysis_of_upper_observable(self, two_state):
-        plain = lower_cell(two_state, 5.0, 0.5, "bernstein_general")
-        shared = lower_cell(
-            two_state, 5.0, 0.5, "bernstein_general", analysis=analyze(two_state)
-        )
-        assert shared.bound == plain.bound
-        assert shared.rate == plain.rate
-
-    def test_analysis_of_stationary_start_keeps_own_prefactor(self, two_state):
-        a = analyze(stationary_model(two_state))
-        plain = evaluate_family(two_state, 5.0, 0.3, "poincare")
-        shared = evaluate_family(two_state, 5.0, 0.3, "poincare", analysis=a)
-        assert shared.bound == plain.bound
-        assert shared.prefactor == plain.prefactor
-
-    def test_analysis_of_other_chain_rejected(self, two_state):
-        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
-        with pytest.raises(ValidationError):
-            evaluate_family(other, 20.0, 0.3, "general", analysis=analyze(two_state))
-
-    def test_fsobolev_check_reads_an_analysis_of_its_chain(self, two_state, three_cycle):
-        other = make_model([[-0.1, 0.1], [0.2, -0.2]], two_state.f)
-        with pytest.raises(ValidationError):
-            check_f_sobolev(other, 0.5, analysis=analyze(two_state))
-        # 0.74 lies between the closed-form lower bound and gap/2: the search runs
-        plain = check_f_sobolev(three_cycle, 0.74)
-        other_start = analyze(stationary_model(three_cycle))
-        shared = check_f_sobolev(three_cycle, 0.74, analysis=other_start)
-        assert (shared.status, shared.max_violation) == (plain.status, plain.max_violation)
-        assert shared.witness.tobytes() == plain.witness.tobytes()
+            bound_table(analyze(two_state), ["general"], [0.2], 1.0, tails=("left",))
 
 
 class TestAnalysisKeepsItsNumbers:
@@ -731,8 +695,8 @@ class TestAnalysisKeepsItsNumbers:
 
     @staticmethod
     def table(model):
-        return bound_table(model, DEFAULT_FAMILIES, [0.05, 0.2, 0.4], (1.0, 5.0, 20.0),
-                           tails=TAILS)
+        return bound_table(analyze(model), DEFAULT_FAMILIES, [0.05, 0.2, 0.4],
+                           (1.0, 5.0, 20.0), tails=TAILS)
 
     def test_one_call_per_side_and_the_same_cells(self, three_dense, monkeypatch):
         calls = {"sigma_hat_sq": [], "chi2_prefactor": [], "pi_variance": []}
@@ -787,9 +751,9 @@ def test_grid_gives_the_pointwise_bounds(three_dense, family):
     a = analyze(three_dense)
     fmax = float(three_dense.f.max())
     grid = [0.0, 0.05, 0.4 * fmax, 0.95 * fmax, 1.5 * fmax, 0.05]
-    points = evaluate_family(three_dense, 2.0, grid, family, analysis=a, fsobolev=verdict)
+    points = evaluate_family(a, 2.0, grid, family, fsobolev=verdict)
     assert points == [
-        evaluate_family(three_dense, 2.0, u, family, analysis=a, fsobolev=verdict)
+        evaluate_family(a, 2.0, u, family, fsobolev=verdict)
         for u in grid
     ]
 
@@ -798,29 +762,29 @@ def test_grid_gives_the_pointwise_bounds(three_dense, family):
 class TestEvaluateFamilyRejectsBadInputs:
     def test_nan_threshold(self, two_state, family):
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, 2.0, math.nan, family)
+            evaluate_family(analyze(two_state), 2.0, math.nan, family)
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, 2.0, [0.1, math.nan], family)
+            evaluate_family(analyze(two_state), 2.0, [0.1, math.nan], family)
 
     def test_grid_of_more_than_one_dimension(self, two_state, family):
         with pytest.raises(ValidationError, match="1-D"):
-            evaluate_family(two_state, 2.0, [[0.1, 0.2]], family)
+            evaluate_family(analyze(two_state), 2.0, [[0.1, 0.2]], family)
 
     def test_infinite_threshold(self, two_state, family):
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, 2.0, math.inf, family)
+            evaluate_family(analyze(two_state), 2.0, math.inf, family)
 
     def test_nan_time(self, two_state, family):
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, math.nan, 0.5, family)
+            evaluate_family(analyze(two_state), math.nan, 0.5, family)
 
     def test_infinite_time(self, two_state, family):
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, math.inf, 0.5, family)
+            evaluate_family(analyze(two_state), math.inf, 0.5, family)
 
     def test_negative_time(self, two_state, family):
         with pytest.raises(ValidationError):
-            evaluate_family(two_state, -1.0, 0.5, family)
+            evaluate_family(analyze(two_state), -1.0, 0.5, family)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, 0.0])
@@ -829,7 +793,7 @@ class TestEveryPathToABoundRefusesBadTime:
         # a cell of the table at a horizon other than the first, which it
         # evaluates the family at
         with pytest.raises(ValidationError, match="horizon"):
-            bound_table(two_state, ["poincare"], [0.3], [2.0, t])
+            bound_table(analyze(two_state), ["poincare"], [0.3], [2.0, t])
 
     def test_iid_sum_bound(self, t):
         with pytest.raises(ValidationError):
@@ -897,7 +861,7 @@ class TestIidSumBound:
         u = 0.25
         p_hat = float(np.mean(grouped >= u))
         se = math.sqrt(max(p_hat * (1 - p_hat), 1.0 / n_groups) / n_groups)
-        rate = evaluate_family(two_state, t, u, "bernstein_general", analysis=a).rate
+        rate = evaluate_family(a, t, u, "bernstein_general").rate
         bound = iid_sum_bound(
             lambda _: rate, n_rep, u, t=t, prefactor=a.prefactor
         )
@@ -908,7 +872,7 @@ class TestCurveAndDomination:
     def test_curve_shape_and_diagnostics(self, three_cycle):
         a = analyze(three_cycle)
         for u in np.linspace(0.0, 0.8, 9):
-            p = evaluate_family(three_cycle, 5.0, float(u), "perturbation", analysis=a)
+            p = evaluate_family(a, 5.0, float(u), "perturbation")
             assert 0.0 <= p.bound <= 1.0
             assert p.rate >= 0.0
 
@@ -916,7 +880,7 @@ class TestCurveAndDomination:
         for m in (two_state, three_cycle):
             a = analyze(m)
             fmax = m.f.max()
-            verdict = check_f_sobolev(m, 0.2)
+            verdict = check_f_sobolev(a, 0.2)
             for t in (1.0, 5.0):
                 avg = time_averages(m, t, 30000, seed=17)
                 for u in (0.1 * fmax, 0.4 * fmax):
@@ -928,9 +892,7 @@ class TestCurveAndDomination:
                         "bernstein_general",
                         "fsobolev",
                     ):
-                        p = evaluate_family(
-                            m, t, u, fam, analysis=a, fsobolev=verdict
-                        )
+                        p = evaluate_family(a, t, u, fam, fsobolev=verdict)
                         assert est.p_hat <= p.bound + 3.0 * est.ci_half_width, (
                             fam,
                             u,
@@ -961,10 +923,10 @@ class TestDiagnosticsKeys:
     def test_each_family_keeps_only_its_keys(self, two_state):
         assert set(self.KEPT) == set(bounds.FAMILIES)
         a = analyze(two_state)
-        verdict = check_f_sobolev(two_state, 0.5)
+        verdict = check_f_sobolev(a, 0.5)
         for fam, keys in self.KEPT.items():
-            p = evaluate_family(two_state, 5.0, 0.3, fam, analysis=a, fsobolev=verdict)
+            p = evaluate_family(a, 5.0, 0.3, fam, fsobolev=verdict)
             assert set(p.diagnostics) == keys, fam
         u_b = 1.5 * perturbation_branch_threshold(a)
-        p = evaluate_family(two_state, 5.0, u_b, "perturbation", analysis=a)
+        p = evaluate_family(a, 5.0, u_b, "perturbation")
         assert p.branch == "b" and p.diagnostics == {}

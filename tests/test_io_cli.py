@@ -759,6 +759,16 @@ class TestCliSubcommands:
         ) == 0
         assert json.loads(summary.read_text())["fsobolev_verdict"] is None
 
+    @pytest.mark.parametrize("command", ["bounds", "compare"])
+    def test_bad_fsobolev_constant_refused_without_the_family(self, tmp_path, capsys, command):
+        # no family reads the constant, and it is refused all the same
+        out, model = tmp_path / "out.csv", str(tmp_path / "none")
+        argv = [*_settings_argv(command, "--fsobolev-c", "-1"), "--families", "general"]
+        assert main([*argv, "--model", model, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "constant must be positive and finite, got -1.0" in err and model not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -954,6 +964,8 @@ SETTINGS = {
     "rate": {"--u-grid": "0.1:0.3:2"},
     "series": {"--order": "3", "--r-grid": "0:0.2:2"},
 }
+# log-Sobolev constants that no verdict takes: not positive, or not finite
+BAD_FSOBOLEV_C = ("-1", "nan", "0", "inf")
 # compare refuses each before its output opens.  A repeated family would
 # head more columns than its rows fill
 REFUSED_COMPARE_SETTINGS = [
@@ -962,7 +974,7 @@ REFUSED_COMPARE_SETTINGS = [
     ("--fsobolev-c", "10"), ("--u-grid", "inf:inf:1"),
     ("--families", "general,poincare,general"), ("--families", ","),
     ("--families", "nosuch"), ("--families", "fsobolev"), ("--u-grid", "0.1:0.3:0"),
-    ("--samples", "0"),
+    ("--samples", "0"), *(("--fsobolev-c", c) for c in BAD_FSOBOLEV_C),
 ]
 # a negative u is refused by the families, and a log-Sobolev constant of 10
 # is violated on the two-state chain: only the model shows either
@@ -976,6 +988,8 @@ REFUSAL_MESSAGES = {
     ("bounds", "--t", "-1"): "horizon must be finite and positive, got -1.0",
     ("simulate", "--samples", "0"): "at least one sample",
     ("series", "--order", "0"): "need order >= 1",
+    **{(command, "--fsobolev-c", c): f"constant must be positive and finite, got {float(c)}"
+       for command in ("bounds", "compare") for c in BAD_FSOBOLEV_C},
 }
 
 
@@ -1113,7 +1127,8 @@ class TestCompare:
         + [("simulate", "--samples", "0"), ("simulate", "--u", "nan"),
            ("bounds", "--families", "nosuch"), ("rate", "--u-grid", "0.1:0.3:0"),
            ("series", "--r-grid", "0:0.2:0"), ("bounds", "--t", "-1"),
-           ("simulate", "--t", "0"), ("series", "--order", "0"), ("bounds", "--t", "0")],
+           ("simulate", "--t", "0"), ("series", "--order", "0"), ("bounds", "--t", "0"),
+           *(("bounds", "--fsobolev-c", c) for c in BAD_FSOBOLEV_C)],
     )
     def test_refusal_that_needs_no_model_reads_none(
         self, tmp_path, capsys, monkeypatch, command, flag, value

@@ -285,7 +285,7 @@ class TestLambda0Star:
         res = lambda0_star(a.sd, model.f, 0.0)
         assert (res.value, res.argmax_r, res.boundary) == (0.0, 0.0, False)
         assert math.isinf(lambda0_star(a.sd, model.f, 0.5).value)
-        assert evaluate_family(model, 1.0, 0.0, "general", analysis=a).rate == 0.0
+        assert evaluate_family(a, 1.0, 0.0, "general").rate == 0.0
 
     def test_constant_observable_at_tiny_thresholds(self):
         # every u > 0 is out of reach of f = 0, also below the rounding
